@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..corpus import Sentence
+from ..errors import ParseError
 
 WORD_START = "<s>"
 WORD_END = "</s>"
@@ -132,13 +133,14 @@ def featurize(sentence: Sentence, templates: FeatureTemplateSet) -> list[list[st
 
 
 def read_clusters(text: str) -> dict:
-    """Parse a two-column `cluster-id token` file into token -> cluster id."""
+    """Parse a `cluster-id token` file into token -> cluster id; columns
+    after the second are ignored, a line with one column is a ParseError."""
     clusters = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        cols = raw.split()
+        if not cols:
             continue
-        cols = line.split()
-        if len(cols) >= 2:
-            clusters[cols[1]] = cols[0]
+        if len(cols) < 2:
+            raise ParseError(f"expected `cluster-id token`, got {raw.strip()!r}", line=lineno)
+        clusters[cols[1]] = cols[0]
     return clusters

@@ -52,7 +52,7 @@ from .pipeline import (
     score_sets,
     train_reranker,
 )
-from .reranker import read_embeddings
+from .reranker import ScorerConfig, read_embeddings
 
 log = logging.getLogger("nerrank")
 
@@ -71,21 +71,6 @@ EXIT_CODES = (
     (ParseError, EXIT_BAD_DATA),
     (NerrankError, EXIT_FAILURE),
     (ValueError, EXIT_FAILURE),
-)
-
-# scorer-shape keys that must agree with a loaded bundle's config
-ARCH_KEYS = (
-    "word_dim",
-    "char_dim",
-    "lstm_hidden",
-    "char_cnn_filters",
-    "word_cnn_filters",
-    "char_cnn_window",
-    "word_cnn_window",
-    "use_lstm",
-    "use_char_cnn",
-    "use_word_cnn",
-    "peepholes",
 )
 
 
@@ -131,7 +116,7 @@ def _write_manifest(cfg: RunConfig, command: str, inputs: dict, outputs: dict):
     lines.append(f"command = {command}\n")
     lines.append(f"version = {__version__}\n")
     lines.append(f"config_hash = {config_hash(cfg)}\n")
-    lines.append(f"seed = {cfg.seed}\n")
+    lines.append(f"seed = {cfg.train.seed}\n")
     for name, value in inputs.items():
         lines.append(f"input_{name} = {value}\n")
         if os.path.isfile(value):
@@ -165,10 +150,11 @@ def _emit(cfg: RunConfig, text: str, *, out_key: str = "output_path") -> dict:
 
 
 def _check_bundle_arch(cfg: RunConfig, explicit: frozenset, bundle):
+    mine, loaded = cfg.train.scorer, bundle.config.scorer
     clashes = [
         key
-        for key in ARCH_KEYS
-        if key in explicit and getattr(cfg, key) != getattr(bundle.config, key)
+        for key in ScorerConfig.arch_keys()
+        if key in explicit and getattr(mine, key) != getattr(loaded, key)
     ]
     if clashes:
         raise CheckpointMismatchError(
@@ -199,7 +185,7 @@ def cmd_baseline_train(cfg: RunConfig, explicit: frozenset) -> int:
         batch_size=cfg.crf_batch_size,
         lr=cfg.crf_lr,
         l2=cfg.crf_l2,
-        seed=cfg.seed,
+        seed=cfg.train.seed,
     )
     save_crf(
         cfg.model_path,
@@ -250,7 +236,7 @@ def cmd_jackknife(cfg: RunConfig, explicit: frozenset) -> int:
         batch_size=cfg.crf_batch_size,
         lr=cfg.crf_lr,
         l2=cfg.crf_l2,
-        seed=cfg.seed,
+        seed=cfg.train.seed,
     )
     write_nbest(cfg.output_path, corpus, header=_header(cfg))
     log.info("jackknifed %d sentences over %d folds", len(corpus), cfg.folds)
@@ -281,12 +267,12 @@ def cmd_rerank_train(cfg: RunConfig, explicit: frozenset) -> int:
     train_nb = read_nbest(cfg.train_nbest_path).truncated(cfg.n_best)
     dev_nb = read_nbest(cfg.dev_nbest_path).truncated(cfg.n_best)
     pretrained = (
-        read_embeddings(cfg.embeddings_path, cfg.word_dim)
+        read_embeddings(cfg.embeddings_path, cfg.train.scorer.word_dim)
         if cfg.embeddings_path is not None
         else None
     )
     bundle = train_reranker(
-        make_examples(train_nb), dev_nb, cfg.train_config(), pretrained=pretrained
+        make_examples(train_nb), dev_nb, cfg.train, pretrained=pretrained
     )
     save_bundle(
         cfg.bundle_path,
@@ -449,7 +435,7 @@ def main(argv=None) -> int:
             __version__,
             args.command,
             config_hash(cfg),
-            cfg.seed,
+            cfg.train.seed,
         )
         log.info("resolved config:\n%s", format_config(cfg).rstrip("\n"))
         command, _ = COMMANDS[args.command]

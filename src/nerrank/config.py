@@ -10,77 +10,29 @@ stamped into every output file header.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import reduce
+from typing import get_args, get_type_hints
 
 from .baseline.features import FeatureTemplateSet
 from .errors import ConfigError
-from .pipeline import TrainConfig
+from .pipeline import TrainConfig, _on_grid
 
 # accepted spellings that differ from the field name
 ALIASES = {"lambda": "l2"}
 
-_BOOL_FIELDS = frozenset(
-    {
-        "feat_word_grams",
-        "feat_word_bigrams",
-        "feat_shape",
-        "feat_capital",
-        "feat_capital_word",
-        "feat_connect",
-        "feat_capital_connect",
-        "feat_cluster_grams",
-        "feat_prefix_suffix",
-        "feat_pos_grams",
-        "feat_pos_word",
-        "peepholes",
-        "use_lstm",
-        "use_char_cnn",
-        "use_word_cnn",
-        "freeze_embeddings",
-    }
-)
-_INT_FIELDS = frozenset(
-    {
-        "seed",
-        "crf_epochs",
-        "crf_batch_size",
-        "folds",
-        "n_best",
-        "word_dim",
-        "char_dim",
-        "lstm_hidden",
-        "char_cnn_filters",
-        "word_cnn_filters",
-        "char_cnn_window",
-        "word_cnn_window",
-        "batch_size",
-        "epochs",
-        "char_pad_cap",
-        "bucket_width",
-    }
-)
-_FLOAT_FIELDS = frozenset(
-    {
-        "crf_lr",
-        "crf_l2",
-        "dropout",
-        "learning_rate",
-        "l2",
-        "adam_beta1",
-        "adam_beta2",
-        "adam_eps",
-    }
-)
-_OPT_FLOAT_FIELDS = frozenset({"alpha"})
 _TRUE_WORDS = frozenset({"true", "yes", "on", "1"})
 _FALSE_WORDS = frozenset({"false", "no", "off", "0"})
+_EXPECTED = {int: "an integer", float: "a number"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob of every command, with pinned defaults."""
+    """Every knob of every command, with pinned defaults.
 
-    seed: int = 0
+    The reranker's training block, and the scorer block inside it, are
+    nested dataclasses; their fields share this one flat key namespace.
+    """
 
     # file paths (unset = none)
     train_path: str | None = None
@@ -117,33 +69,13 @@ class RunConfig:
     feat_pos_grams: bool = True
     feat_pos_word: bool = True
 
-    # reranker
+    # candidates per sentence, decoding / evaluation
     n_best: int = 10
-    word_dim: int = 50
-    char_dim: int = 50
-    lstm_hidden: int = 100
-    dropout: float = 0.2
-    char_cnn_filters: int = 50
-    word_cnn_filters: int = 100
-    char_cnn_window: int = 3
-    word_cnn_window: int = 3
-    learning_rate: float = 0.001
-    batch_size: int = 128
-    l2: float = 0.001
-    adam_beta1: float = 0.1
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    peepholes: bool = False
-    epochs: int = 5
-    use_lstm: bool = True
-    use_char_cnn: bool = True
-    use_word_cnn: bool = True
-    freeze_embeddings: bool = False
-    char_pad_cap: int = 32
-
-    # decoding / evaluation
     alpha: float | None = None
     bucket_width: int = 5
+
+    # reranker training (holds `seed`, also used by the baseline) and scorer
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.folds < 2:
@@ -154,87 +86,73 @@ class RunConfig:
             raise ConfigError(
                 f"crf_batch_size must be positive, got {self.crf_batch_size}"
             )
+        if self.n_best < 1:
+            raise ConfigError(f"n_best must be positive, got {self.n_best}")
         if self.bucket_width < 1:
             raise ConfigError(f"bucket_width must be positive, got {self.bucket_width}")
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        # delegate range checks on the training block
-        self.train_config()
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            n_best=self.n_best,
-            word_dim=self.word_dim,
-            char_dim=self.char_dim,
-            lstm_hidden=self.lstm_hidden,
-            dropout=self.dropout,
-            char_cnn_filters=self.char_cnn_filters,
-            word_cnn_filters=self.word_cnn_filters,
-            char_cnn_window=self.char_cnn_window,
-            word_cnn_window=self.word_cnn_window,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            l2=self.l2,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
-            peepholes=self.peepholes,
-            epochs=self.epochs,
-            seed=self.seed,
-            use_lstm=self.use_lstm,
-            use_char_cnn=self.use_char_cnn,
-            use_word_cnn=self.use_word_cnn,
-            freeze_embeddings=self.freeze_embeddings,
-            char_pad_cap=self.char_pad_cap,
-        )
+        if self.alpha is not None and not _on_grid(self.alpha):
+            raise ConfigError(f"alpha {self.alpha} is outside the 0.005 search grid")
 
     def template_set(self, clusters: dict | None = None) -> FeatureTemplateSet:
-        return FeatureTemplateSet(
-            word_grams=self.feat_word_grams,
-            word_bigrams=self.feat_word_bigrams,
-            shape=self.feat_shape,
-            capital=self.feat_capital,
-            capital_word=self.feat_capital_word,
-            connect=self.feat_connect,
-            capital_connect=self.feat_capital_connect,
-            cluster_grams=self.feat_cluster_grams,
-            prefix_suffix=self.feat_prefix_suffix,
-            pos_grams=self.feat_pos_grams,
-            pos_word=self.feat_pos_word,
-            clusters=clusters,
-        )
+        """The baseline's templates: key `feat_<group>` switches `<group>`."""
+        switches = {
+            f.name.removeprefix("feat_"): getattr(self, f.name)
+            for f in fields(self)
+            if f.name.startswith("feat_")
+        }
+        return FeatureTemplateSet(clusters=clusters, **switches)
 
 
-FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
-_FIELD_SET = frozenset(FIELD_NAMES)
+def _keys(block, path=()):
+    """(key, (attribute path, type)) for every leaf field under a config
+    dataclass; a field typed as a dataclass is a nested block."""
+    hints = get_type_hints(block)
+    for f in fields(block):
+        kind = hints[f.name]
+        if is_dataclass(kind):
+            yield from _keys(kind, path + (f.name,))
+        else:
+            yield f.name, (path + (f.name,), kind)
+
+
+_KEYS = dict(_keys(RunConfig))
+FIELD_NAMES = tuple(_KEYS)
 
 
 def _coerce(name: str, raw: str):
-    """Parse one raw string value for the named field."""
+    """Parse one raw string value for the named key, by its annotation."""
     text = raw.strip()
-    if name in _BOOL_FIELDS:
+    kind = _KEYS[name][1]
+    if type(None) in get_args(kind):
+        if text.lower() == "none":
+            return None
+        (kind,) = (arg for arg in get_args(kind) if arg is not type(None))
+    if kind is bool:
         low = text.lower()
         if low in _TRUE_WORDS:
             return True
         if low in _FALSE_WORDS:
             return False
         raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    if name in _INT_FIELDS:
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"{name}: expected an integer, got {raw!r}") from None
-    if name in _FLOAT_FIELDS or name in _OPT_FLOAT_FIELDS:
-        if name in _OPT_FLOAT_FIELDS and text.lower() == "none":
-            return None
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"{name}: expected a number, got {raw!r}") from None
-    # remaining fields are optional paths
-    if text.lower() == "none" or not text:
-        return None
-    return text
+    if kind is str:  # optional paths: empty = unset
+        return text or None
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{name}: expected {_EXPECTED[kind]}, got {raw!r}") from None
+
+
+def _build(block, typed: dict):
+    """Instantiate a config block from flat typed values; keys not given
+    keep their defaults."""
+    hints = get_type_hints(block)
+    kwargs = {}
+    for f in fields(block):
+        if is_dataclass(hints[f.name]):
+            kwargs[f.name] = _build(hints[f.name], typed)
+        elif f.name in typed:
+            kwargs[f.name] = typed[f.name]
+    return block(**kwargs)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -269,11 +187,11 @@ def resolve_config(
     for source in (file_values or {}), (overrides or {}):
         for key, value in source.items():
             merged[ALIASES.get(key, key)] = value
-    unknown = sorted(set(merged) - _FIELD_SET)
+    unknown = sorted(set(merged) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     typed = {name: _coerce(name, raw) for name, raw in merged.items()}
-    return RunConfig(**typed), frozenset(typed)
+    return _build(RunConfig, typed), frozenset(typed)
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -284,8 +202,8 @@ def read_config_file(path) -> dict[str, str]:
 def format_config(config: RunConfig) -> str:
     """Canonical flat rendering: one `key = value` line per field, sorted."""
     lines = []
-    for name in sorted(FIELD_NAMES):
-        value = getattr(config, name)
+    for name in sorted(_KEYS):
+        value = reduce(getattr, _KEYS[name][0], config)
         if value is None:
             text = "none"
         elif isinstance(value, bool):

@@ -256,25 +256,8 @@ def write_metrics(path, values: dict, header: str | None = None):
         fh.write(format_metrics(values))
 
 
-def prf_csv(report: PrfReport) -> str:
-    lines = ["type,tp,pred,gold,precision,recall,f1"]
-    rows = [("ALL", report.overall)] + sorted(report.by_type.items())
-    for name, c in rows:
-        lines.append(
-            f"{name},{c.tp},{c.pred},{c.gold},{c.precision!r},{c.recall!r},{c.f1!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def oracle_csv(report: OracleReport) -> str:
     lines = ["n,oba,obf,owf"]
     for r in report.rows:
         lines.append(f"{r.n},{r.oba!r},{r.obf!r},{r.owf!r}")
-    return "\n".join(lines) + "\n"
-
-
-def bucket_csv(rows: list[BucketRow]) -> str:
-    lines = ["bucket,total,correct,ssa"]
-    for r in rows:
-        lines.append(f"{r.upper},{r.total},{r.correct},{r.ssa!r}")
     return "\n".join(lines) + "\n"

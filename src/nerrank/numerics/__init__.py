@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode autodiff, Adam, and checkpoints."""
+"""Dense float64 tensors with reverse-mode autodiff, Adam, and gradient checks."""
 
 from .tensor import (
     Tensor,
@@ -19,7 +19,6 @@ from .tensor import (
 )
 from .optim import AdamState, ParamStore
 from .gradcheck import GradCheckReport, grad_check
-from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "AdamState",
@@ -30,13 +29,11 @@ __all__ = [
     "concat_cols",
     "dropout",
     "grad_check",
-    "load_checkpoint",
     "lookup_row",
     "lookup_rows",
     "matmul",
     "max_pool_time",
     "maximum",
-    "save_checkpoint",
     "scale",
     "shift_rows",
     "sigmoid",

@@ -100,22 +100,3 @@ class AdamState:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def state_arrays(self) -> dict:
-        return {
-            "t": self.t,
-            "m": [m.copy() for m in self.m],
-            "v": [v.copy() for v in self.v],
-        }
-
-    def load_state_arrays(self, state: dict):
-        if len(state["m"]) != len(self.params) or len(state["v"]) != len(self.params):
-            raise CheckpointMismatchError("optimizer state does not match parameter count")
-        for p, m, v in zip(self.params, state["m"], state["v"]):
-            if m.shape != p.data.shape or v.shape != p.data.shape:
-                raise CheckpointMismatchError(
-                    f"optimizer moment shape {m.shape} vs parameter {p.data.shape}"
-                )
-        self.t = int(state["t"])
-        self.m = [m.copy() for m in state["m"]]
-        self.v = [v.copy() for v in state["v"]]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -23,23 +23,16 @@ import numpy as np
 from .baseline.nbest import NBestCorpus
 from .collapse import CollapsedSequence, collapse, collapsed_to_labels
 from .corpus import EntitySpan, LabelSeq, extract_spans, normalize_to_bio2, tag_accuracy
-from .errors import ConfigError, NerrankError
+from .errors import CheckpointMismatchError, ConfigError, NerrankError
 from .evaluation import PrfCounts
-from .numerics import (
-    AdamState,
-    Tensor,
-    backward,
-    load_checkpoint,
-    save_checkpoint,
-    scale,
-    sum_all,
-)
+from .numerics import AdamState, Tensor, backward, scale, sum_all
 from .reranker import PatternScorer, ScoredCandidate, ScorerConfig, Vocab, build_vocab
 
 SHUFFLE_STREAM = 23
 ALPHA_GRID = tuple(i / 200.0 for i in range(201))
 WEIGHTS_FILE = "weights.bin"
 META_FILE = "meta.json"
+_META_KEYS = ("provenance", "alpha", "char_pad", "config", "vocab", "history")
 SCORE_CHUNK = 64
 
 
@@ -75,35 +68,20 @@ class RerankExample:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Reranker hyperparameters with pinned defaults, plus run plumbing."""
+    """Reranker training run: optimizer and run settings around the scorer."""
 
-    n_best: int = 10
-    word_dim: int = 50
-    char_dim: int = 50
-    lstm_hidden: int = 100
-    dropout: float = 0.2
-    char_cnn_filters: int = 50
-    word_cnn_filters: int = 100
-    char_cnn_window: int = 3
-    word_cnn_window: int = 3
+    scorer: ScorerConfig = field(default_factory=ScorerConfig)
     learning_rate: float = 0.001
     batch_size: int = 128
     l2: float = 0.001
     adam_beta1: float = 0.1
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    peepholes: bool = False
     epochs: int = 5
     seed: int = 0
-    use_lstm: bool = True
-    use_char_cnn: bool = True
-    use_word_cnn: bool = True
-    freeze_embeddings: bool = False
     char_pad_cap: int = 32
 
     def __post_init__(self):
-        if self.n_best < 1:
-            raise ConfigError(f"n_best must be positive, got {self.n_best}")
         if self.epochs < 0:
             raise ConfigError(f"epochs cannot be negative, got {self.epochs}")
         if self.batch_size < 1:
@@ -120,24 +98,6 @@ class TrainConfig:
             raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.char_pad_cap < 1:
             raise ConfigError(f"char_pad_cap must be positive, got {self.char_pad_cap}")
-
-    def scorer_config(self, char_pad: int) -> ScorerConfig:
-        return ScorerConfig(
-            word_dim=self.word_dim,
-            char_dim=self.char_dim,
-            lstm_hidden=self.lstm_hidden,
-            char_filters=self.char_cnn_filters,
-            char_window=self.char_cnn_window,
-            word_filters=self.word_cnn_filters,
-            word_window=self.word_cnn_window,
-            dropout=self.dropout,
-            char_pad=char_pad,
-            use_lstm=self.use_lstm,
-            use_char_cnn=self.use_char_cnn,
-            use_word_cnn=self.use_word_cnn,
-            peepholes=self.peepholes,
-            freeze_embeddings=self.freeze_embeddings,
-        )
 
 
 @dataclass(frozen=True)
@@ -377,7 +337,8 @@ def train_reranker(
     char_pad = min(config.char_pad_cap, longest)
     scorer = PatternScorer(
         vocab,
-        config.scorer_config(char_pad),
+        config.scorer,
+        char_pad=char_pad,
         seed=config.seed,
         pretrained=pretrained,
     )
@@ -444,13 +405,15 @@ def rerank(bundle: RerankerBundle, nbest: NBestCorpus) -> list[LabelSeq]:
 
 
 def save_bundle(path, bundle: RerankerBundle, *, provenance: dict | None = None):
-    """Write the bundle as a directory: weights plus a JSON description."""
+    """Write the bundle as a directory: the scorer parameters as an npz
+    archive of named float64 arrays, plus a JSON description."""
     os.makedirs(path, exist_ok=True)
-    save_checkpoint(os.path.join(path, WEIGHTS_FILE), bundle.scorer.params)
+    with open(os.path.join(path, WEIGHTS_FILE), "wb") as fh:
+        np.savez(fh, **{name: t.data for name, t in bundle.scorer.params.items()})
     meta = {
         "provenance": provenance or {},
         "alpha": bundle.alpha,
-        "char_pad": bundle.scorer.config.char_pad,
+        "char_pad": bundle.scorer.char_pad,
         "config": asdict(bundle.config),
         "vocab": {
             "words": bundle.scorer.vocab.word_list(),
@@ -463,19 +426,37 @@ def save_bundle(path, bundle: RerankerBundle, *, provenance: dict | None = None)
         fh.write("\n")
 
 
+def _expect_keys(what: str, values: dict, keys):
+    if set(values) != set(keys):
+        raise CheckpointMismatchError(
+            f"{what} keys differ (missing {sorted(set(keys) - set(values))},"
+            f" unknown {sorted(set(values) - set(keys))})"
+        )
+
+
 def load_bundle(path) -> RerankerBundle:
-    meta_path = os.path.join(path, META_FILE)
-    if not os.path.exists(meta_path):
-        raise NerrankError(f"{path} does not contain a reranker bundle")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    config = TrainConfig(**meta["config"])
-    vocab = Vocab.from_lists(meta["vocab"]["words"], meta["vocab"]["chars"])
-    scorer = PatternScorer(
-        vocab, config.scorer_config(meta["char_pad"]), seed=config.seed
-    )
-    load_checkpoint(os.path.join(path, WEIGHTS_FILE), scorer.params)
-    history = [EpochEval(**h) for h in meta["history"]]
-    return RerankerBundle(
-        scorer=scorer, alpha=meta["alpha"], config=config, history=history
-    )
+    """Read a bundle written by save_bundle; a missing or malformed part
+    raises CheckpointMismatchError naming the path."""
+    try:
+        with open(os.path.join(path, META_FILE), encoding="utf-8") as fh:
+            meta = json.load(fh)
+        _expect_keys(META_FILE, meta, _META_KEYS)
+        _expect_keys("vocab", meta["vocab"], ("words", "chars"))
+        stored = meta["config"]
+        _expect_keys("config", stored, [f.name for f in fields(TrainConfig)])
+        _expect_keys("config.scorer", stored["scorer"], [f.name for f in fields(ScorerConfig)])
+        config = TrainConfig(**{**stored, "scorer": ScorerConfig(**stored["scorer"])})
+        vocab = Vocab.from_lists(meta["vocab"]["words"], meta["vocab"]["chars"])
+        scorer = PatternScorer(
+            vocab, config.scorer, char_pad=meta["char_pad"], seed=config.seed
+        )
+        with np.load(os.path.join(path, WEIGHTS_FILE), allow_pickle=False) as archive:
+            scorer.params.load_arrays({name: archive[name] for name in archive.files})
+        history = [EpochEval(**h) for h in meta["history"]]
+        return RerankerBundle(
+            scorer=scorer, alpha=meta["alpha"], config=config, history=history
+        )
+    except Exception as exc:
+        raise CheckpointMismatchError(
+            f"{path} is not a readable reranker bundle: {exc}"
+        ) from exc

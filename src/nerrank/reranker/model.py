@@ -7,7 +7,7 @@ state is concatenated with a max-pooled word-level CNN vector; a single
 sigmoid unit maps the result to a score in (0, 1).
 
 All activations are row vectors, so every affine map is ``x @ W + b`` with W
-shaped (inputs, outputs).  The character CNN slides a width-``char_window``
+shaped (inputs, outputs).  The character CNN slides a width-``char_cnn_window``
 window over the embedded characters of a word (padded with <pad_char> to a
 fixed length, zero vectors beyond the edges) and max-pools each filter over
 time; the word CNN does the same over item representations.  The LSTM is the
@@ -23,7 +23,7 @@ inside the input and forget gates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,54 +51,55 @@ INIT_STREAM = 21
 DROPOUT_STREAM = 22
 
 
+# marks a scorer setting that shapes training only, not the parameter set
+TRAINING_ONLY = {"arch": False}
+
+
 @dataclass(frozen=True)
 class ScorerConfig:
-    """Sizes and switches of the pattern scorer."""
+    """Sizes and switches of the pattern scorer, under their config-key names."""
 
     word_dim: int = 50
     char_dim: int = 50
     lstm_hidden: int = 100
-    char_filters: int = 50
-    char_window: int = 3
-    word_filters: int = 100
-    word_window: int = 3
-    dropout: float = 0.2
-    char_pad: int = 32
+    char_cnn_filters: int = 50
+    word_cnn_filters: int = 100
+    char_cnn_window: int = 3
+    word_cnn_window: int = 3
     use_lstm: bool = True
     use_char_cnn: bool = True
     use_word_cnn: bool = True
     peepholes: bool = False
-    freeze_embeddings: bool = False
+    dropout: float = field(default=0.2, metadata=TRAINING_ONLY)
+    freeze_embeddings: bool = field(default=False, metadata=TRAINING_ONLY)
 
     def __post_init__(self):
-        sizes = {
-            "word_dim": self.word_dim,
-            "char_dim": self.char_dim,
-            "lstm_hidden": self.lstm_hidden,
-            "char_filters": self.char_filters,
-            "word_filters": self.word_filters,
-            "char_pad": self.char_pad,
-        }
-        for name, value in sizes.items():
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:  # sizes and windows; bools are switches
+                continue
+            if f.name.endswith("_window") and (value < 1 or value % 2 == 0):
+                raise ConfigError(f"{f.name} must be a positive odd number, got {value}")
             if value < 1:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        for name, value in (("char_window", self.char_window),
-                            ("word_window", self.word_window)):
-            if value < 1 or value % 2 == 0:
-                raise ConfigError(f"{name} must be a positive odd number, got {value}")
+                raise ConfigError(f"{f.name} must be positive, got {value}")
         if not 0.0 <= self.dropout <= 1.0:
             raise ConfigError(f"dropout must be in [0, 1], got {self.dropout}")
         if not (self.use_lstm or self.use_word_cnn):
             raise ConfigError("at least one of the LSTM and word CNN must be enabled")
 
+    @classmethod
+    def arch_keys(cls) -> tuple[str, ...]:
+        """Settings that fix the parameter set; a loaded bundle must agree."""
+        return tuple(f.name for f in fields(cls) if f.metadata.get("arch", True))
+
     @property
     def repr_dim(self) -> int:
-        return self.word_dim + (self.char_filters if self.use_char_cnn else 0)
+        return self.word_dim + (self.char_cnn_filters if self.use_char_cnn else 0)
 
     @property
     def head_dim(self) -> int:
         return (self.lstm_hidden if self.use_lstm else 0) + (
-            self.word_filters if self.use_word_cnn else 0
+            self.word_cnn_filters if self.use_word_cnn else 0
         )
 
 
@@ -133,11 +134,15 @@ class PatternScorer:
         vocab: Vocab,
         config: ScorerConfig | None = None,
         *,
+        char_pad: int = 32,
         seed: int = 0,
         pretrained: dict[str, np.ndarray] | None = None,
     ):
         self.vocab = vocab
         self.config = cfg = config if config is not None else ScorerConfig()
+        if char_pad < 1:
+            raise ConfigError(f"char_pad must be positive, got {char_pad}")
+        self.char_pad = char_pad
         self.params = store = ParamStore()
         rng = np.random.default_rng([seed, INIT_STREAM])
         self._drop_rng = np.random.default_rng([seed, DROPOUT_STREAM])
@@ -153,9 +158,9 @@ class PatternScorer:
             )
             self.char_cnn_w = store.add(
                 "char_cnn_w",
-                _glorot(rng, cfg.char_window * cfg.char_dim, cfg.char_filters),
+                _glorot(rng, cfg.char_cnn_window * cfg.char_dim, cfg.char_cnn_filters),
             )
-            self.char_cnn_b = store.add("char_cnn_b", np.zeros((1, cfg.char_filters)))
+            self.char_cnn_b = store.add("char_cnn_b", np.zeros((1, cfg.char_cnn_filters)))
         if cfg.use_lstm:
             h, r = cfg.lstm_hidden, cfg.repr_dim
             self.lstm_w = [
@@ -171,17 +176,17 @@ class PatternScorer:
         if cfg.use_word_cnn:
             self.word_cnn_w = store.add(
                 "word_cnn_w",
-                _glorot(rng, cfg.word_window * cfg.repr_dim, cfg.word_filters),
+                _glorot(rng, cfg.word_cnn_window * cfg.repr_dim, cfg.word_cnn_filters),
             )
-            self.word_cnn_b = store.add("word_cnn_b", np.zeros((1, cfg.word_filters)))
+            self.word_cnn_b = store.add("word_cnn_b", np.zeros((1, cfg.word_cnn_filters)))
         self.head_w = store.add("head_w", _glorot(rng, cfg.head_dim, 1))
         self.head_b = store.add("head_b", np.zeros((1, 1)))
 
     # -- word-level representations -------------------------------------
 
     def _char_ids(self, word: str) -> list[int]:
-        ids = [self.vocab.char_id(c) for c in word[: self.config.char_pad]]
-        return ids + [CHAR_PAD_ID] * (self.config.char_pad - len(ids))
+        ids = [self.vocab.char_id(c) for c in word[: self.char_pad]]
+        return ids + [CHAR_PAD_ID] * (self.char_pad - len(ids))
 
     def _char_vectors(self, words: list[str]) -> Tensor:
         """Character-CNN vectors for a batch of words, one row per word.
@@ -194,10 +199,10 @@ class PatternScorer:
         """
         cfg = self.config
         ids = np.array([self._char_ids(w) for w in words], dtype=np.intp)
-        length = cfg.char_pad
+        length = self.char_pad
         cols = [lookup_rows(self.char_emb, ids[:, j]) for j in range(length)]
         zero = Tensor(np.zeros((len(words), cfg.char_dim)))
-        half = cfg.char_window // 2
+        half = cfg.char_cnn_window // 2
         pooled = None
         for j in range(length):
             window = concat_cols(
@@ -209,7 +214,7 @@ class PatternScorer:
         return pooled
 
     def char_cnn(self, word: str) -> Tensor:
-        """Fixed-size character vector of one word, shape (1, char_filters)."""
+        """Fixed-size character vector of one word, shape (1, char_cnn_filters)."""
         if not self.config.use_char_cnn:
             raise ConfigError("character CNN is disabled in this configuration")
         return self._char_vectors([word])
@@ -253,10 +258,10 @@ class PatternScorer:
         return h
 
     def word_cnn_encode(self, xs: list[Tensor]) -> Tensor:
-        """Max-pooled window responses over the rows, shape (1, word_filters)."""
+        """Max-pooled window responses over the rows, shape (1, word_cnn_filters)."""
         if not xs:
             raise NerrankError("cannot encode an empty sequence")
-        half = self.config.word_window // 2
+        half = self.config.word_cnn_window // 2
         x = stack_rows(xs)
         windows = concat_cols([shift_rows(x, s) for s in range(half, -half - 1, -1)])
         resp = matmul(windows, self.word_cnn_w) + self.word_cnn_b

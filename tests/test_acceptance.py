@@ -92,10 +92,10 @@ def test_full_reranker_gradient_matches_finite_differences():
     ]
     vocab = build_vocab([ex.tokens for ex in examples])
     config = ScorerConfig(
-        word_dim=4, char_dim=3, lstm_hidden=4, char_filters=3, word_filters=4,
-        char_window=3, word_window=3, dropout=0.0, char_pad=6,
+        word_dim=4, char_dim=3, lstm_hidden=4, char_cnn_filters=3, word_cnn_filters=4,
+        char_cnn_window=3, word_cnn_window=3, dropout=0.0,
     )
-    scorer = PatternScorer(vocab, config, seed=1)
+    scorer = PatternScorer(vocab, config, char_pad=6, seed=1)
 
     def loss():
         return batch_loss(scorer, examples, 0.001, train=False)
@@ -229,8 +229,11 @@ def test_alpha_zero_identity_and_search_grid():
     assert len(big) == 500
 
     config = TrainConfig(
-        word_dim=6, char_dim=4, lstm_hidden=5, char_cnn_filters=3,
-        word_cnn_filters=4, dropout=0.0, epochs=0, seed=0,
+        scorer=ScorerConfig(
+            word_dim=6, char_dim=4, lstm_hidden=5, char_cnn_filters=3,
+            word_cnn_filters=4, dropout=0.0,
+        ),
+        epochs=0, seed=0,
     )
     bundle = train_reranker(make_examples(big), big, config)
     at_zero = replace(bundle, alpha=0.0)
@@ -273,9 +276,11 @@ def test_end_to_end_improvement_and_ablation_order():
 
     def gain(**flags):
         config = TrainConfig(
-            word_dim=16, char_dim=8, lstm_hidden=16, char_cnn_filters=8,
-            word_cnn_filters=16, dropout=0.1, batch_size=64,
-            learning_rate=0.005, l2=1e-4, epochs=3, seed=0, **flags,
+            scorer=ScorerConfig(
+                word_dim=16, char_dim=8, lstm_hidden=16, char_cnn_filters=8,
+                word_cnn_filters=16, dropout=0.1, **flags,
+            ),
+            batch_size=64, learning_rate=0.005, l2=1e-4, epochs=3, seed=0,
         )
         bundle = train_reranker(examples, dev_nb, config)
         f1 = chunk_prf(test_ds.gold, rerank(bundle, test_nb)).f1
@@ -309,10 +314,10 @@ def test_objective_formula_and_adam_step_size():
         )
         examples.append(RerankExample(collapsed=seq, target=y, baseline_prob=0.5))
     config = ScorerConfig(
-        word_dim=5, char_dim=3, lstm_hidden=4, char_filters=3, word_filters=4,
-        dropout=0.0, char_pad=8,
+        word_dim=5, char_dim=3, lstm_hidden=4, char_cnn_filters=3, word_cnn_filters=4,
+        dropout=0.0,
     )
-    scorer = PatternScorer(build_vocab([examples[0].tokens]), config, seed=4)
+    scorer = PatternScorer(build_vocab([examples[0].tokens]), config, char_pad=8, seed=4)
     lam = 0.003
     got = batch_loss(scorer, examples, lam, train=False).item()
 

@@ -166,6 +166,8 @@ def test_featurize_deterministic():
 def test_read_clusters():
     table = read_clusters("0110 John\n10 ran\n\n111 of extra-ignored\n")
     assert table == {"John": "0110", "ran": "10", "of": "111"}
+    with pytest.raises(ParseError, match="line 3"):
+        read_clusters("0110 John\n  \n10\n")
 
 
 # ---------------------------------------------------------------------------

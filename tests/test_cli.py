@@ -1,6 +1,10 @@
 """Tests for run configuration, model persistence, and the command-line
 interface (exit codes, output headers, manifests, determinism)."""
 
+import json
+import shutil
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from nerrank.cli import (
     main,
 )
 from nerrank.config import (
+    FIELD_NAMES,
     RunConfig,
     config_hash,
     format_config,
@@ -26,6 +31,7 @@ from nerrank.config import (
 from nerrank.corpus import Dataset, format_conll, normalize_to_bio2, parse_conll
 from nerrank.errors import CheckpointMismatchError, ConfigError
 from nerrank.pipeline import TrainConfig
+from nerrank.reranker import ScorerConfig
 
 from toycorpus import make_corpus
 
@@ -66,8 +72,8 @@ def test_resolve_overrides_win_and_lambda_alias():
     cfg, explicit = resolve_config(
         {"seed": "1", "lambda": "0.5"}, {"seed": "2"}
     )
-    assert cfg.seed == 2
-    assert cfg.l2 == 0.5
+    assert cfg.train.seed == 2
+    assert cfg.train.l2 == 0.5
     assert explicit == {"seed", "l2"}
 
 
@@ -88,10 +94,10 @@ def test_value_coercion():
             "model_path": "m.npz",
         }
     )
-    assert cfg.peepholes is True
-    assert cfg.use_lstm is False
-    assert cfg.epochs == 3
-    assert cfg.dropout == 0.25
+    assert cfg.train.scorer.peepholes is True
+    assert cfg.train.scorer.use_lstm is False
+    assert cfg.train.epochs == 3
+    assert cfg.train.scorer.dropout == 0.25
     assert cfg.alpha is None
     assert cfg.train_path is None
     assert cfg.model_path == "m.npz"
@@ -107,6 +113,27 @@ def test_config_round_trips_through_rendering():
     again, _ = resolve_config(parse_config_text(format_config(cfg)))
     assert again == cfg
 
+    # every key off its default: int, float, bool, optional float, optional path
+    default = parse_config_text(format_config(RunConfig()))
+    changed = {}
+    for key, text in default.items():
+        if text in ("true", "false"):
+            changed[key] = "false" if text == "true" else "true"
+        elif text == "none":
+            changed[key] = "0.5" if key == "alpha" else f"{key}.txt"
+        elif "." in text or "e" in text:
+            changed[key] = repr(float(text) / 2)
+        else:
+            changed[key] = str(int(text) + 2)
+    changed["use_word_cnn"] = "true"  # the LSTM is off; one encoder must stay
+    cfg, explicit = resolve_config(changed)
+    assert explicit == set(FIELD_NAMES)
+    rendered = parse_config_text(format_config(cfg))
+    assert rendered == changed
+    assert sum(rendered[k] != default[k] for k in default) == len(default) - 1
+    again, _ = resolve_config(rendered)
+    assert again == cfg
+
 
 def test_config_hash_is_stable_and_sensitive():
     base, _ = resolve_config({})
@@ -115,11 +142,20 @@ def test_config_hash_is_stable_and_sensitive():
     assert config_hash(base) == config_hash(RunConfig())
     changed, _ = resolve_config({"seed": "1"})
     assert config_hash(changed) != config_hash(base)
+    # pinned: the rendering, and with it every output header, must not drift
+    assert config_hash(RunConfig()) == "a27a3dbc50e6"
+    pinned, _ = resolve_config(
+        {"seed": "9", "alpha": "0.45", "word_dim": "8", "char_cnn_filters": "4",
+         "use_lstm": "false", "lambda": "0.01", "train_path": "x.conll",
+         "peepholes": "on"}
+    )
+    assert config_hash(pinned) == "046c676665ad"
+    assert len(format_config(pinned).splitlines()) == len(FIELD_NAMES) == 54
 
 
 def test_default_values_are_pinned():
     cfg = RunConfig()
-    assert cfg.train_config() == TrainConfig()
+    assert cfg.train == TrainConfig()
     assert (cfg.folds, cfg.crf_epochs) == (5, 20)
 
 
@@ -141,7 +177,13 @@ def test_runconfig_validation():
     with pytest.raises(ConfigError):
         RunConfig(bucket_width=0)
     with pytest.raises(ConfigError):
-        RunConfig(epochs=-1)  # delegated to the training block
+        RunConfig(n_best=0)
+    with pytest.raises(ConfigError, match="0.005 search grid"):
+        RunConfig(alpha=0.3333)
+    with pytest.raises(ConfigError):
+        resolve_config({"epochs": "-1"})  # checked by the training block
+    with pytest.raises(ConfigError):
+        resolve_config({"word_cnn_window": "2"})  # checked by the scorer block
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +429,100 @@ def test_checkpoint_mismatch_exit_code(pipeline_dir, tmp_path, capsys):
     )
     capsys.readouterr()
     assert rc == EXIT_CHECKPOINT
+
+
+def test_bundle_check_covers_the_scorer_architecture(pipeline_dir, tmp_path, capsys):
+    assert ScorerConfig.arch_keys() == (
+        "word_dim", "char_dim", "lstm_hidden", "char_cnn_filters",
+        "word_cnn_filters", "char_cnn_window", "word_cnn_window",
+        "use_lstm", "use_char_cnn", "use_word_cnn", "peepholes",
+    )
+    # training-only settings may differ from the bundle's
+    rc = main(
+        ["rerank-decode", "--bundle-path", str(pipeline_dir["bundle"]),
+         "--nbest-path", str(pipeline_dir["test_nbest"]),
+         "--output-path", str(tmp_path / "p.conll"),
+         "--dropout", "0.5", "--freeze-embeddings", "true"]
+    )
+    capsys.readouterr()
+    assert rc == EXIT_OK
+
+
+def _edit_meta(edit):
+    def apply(bundle):
+        meta_path = bundle / "meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        edit(meta)
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    return apply
+
+
+def _edit_weights(edit):
+    def apply(bundle):
+        with np.load(bundle / "weights.bin") as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        edit(arrays)
+        with open(bundle / "weights.bin", "wb") as fh:
+            np.savez(fh, **arrays)
+    return apply
+
+
+def _write(name, data: bytes):
+    return lambda bundle: (bundle / name).write_bytes(data)
+
+
+BUNDLE_MUTATIONS = {
+    "meta-not-json": _write("meta.json", b"{not json"),
+    "meta-not-object": _write("meta.json", b"[]"),
+    "meta-missing-key": _edit_meta(lambda m: m.pop("char_pad")),
+    "meta-unknown-key": _edit_meta(lambda m: m.update(extra=1)),
+    "config-missing-key": _edit_meta(lambda m: m["config"]["scorer"].pop("word_dim")),
+    "config-unknown-key": _edit_meta(lambda m: m["config"].update(char_filters=4)),
+    "vocab-missing-key": _edit_meta(lambda m: m["vocab"].pop("chars")),
+    "history-unknown-key": _edit_meta(lambda m: m["history"][0].update(loss=0.1)),
+    "alpha-off-grid": _edit_meta(lambda m: m.update(alpha=0.3333)),
+    "weights-garbage": _write("weights.bin", b"not a checkpoint"),
+    "weights-nrkc": _write("weights.bin", b"NRKC" + struct.pack("<II", 1, 0) + b"\0"),
+    "weights-missing": lambda bundle: (bundle / "weights.bin").unlink(),
+    "param-renamed": _edit_weights(lambda a: a.update(head_v=a.pop("head_w"))),
+    "param-missing": _edit_weights(lambda a: a.pop("head_b")),
+    "param-reshaped": _edit_weights(lambda a: a.update(head_w=a["head_w"][:-1])),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(BUNDLE_MUTATIONS))
+def test_malformed_bundle_exit_code(pipeline_dir, tmp_path, capsys, mutation):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(pipeline_dir["bundle"], bundle)
+    BUNDLE_MUTATIONS[mutation](bundle)
+    rc = main(
+        ["rerank-decode", "--bundle-path", str(bundle),
+         "--nbest-path", str(pipeline_dir["test_nbest"]),
+         "--output-path", str(tmp_path / "p.conll")]
+    )
+    err = capsys.readouterr().err
+    assert rc == EXIT_CHECKPOINT
+    assert str(bundle) in err
+
+
+def test_missing_bundle_directory_exit_code(pipeline_dir, tmp_path, capsys):
+    rc = main(
+        ["rerank-decode", "--bundle-path", str(tmp_path / "absent"),
+         "--nbest-path", str(pipeline_dir["test_nbest"]),
+         "--output-path", str(tmp_path / "p.conll")]
+    )
+    capsys.readouterr()
+    assert rc == EXIT_MISSING_FILE
+
+
+def test_off_grid_alpha_is_a_config_error(tmp_path, capsys):
+    rc = main(
+        ["rerank-decode", "--bundle-path", str(tmp_path / "absent"),
+         "--nbest-path", "x", "--output-path", "y", "--alpha", "0.3333"]
+    )
+    err = capsys.readouterr().err
+    assert rc == EXIT_BAD_CONFIG
+    assert "0.005 search grid" in err
 
 
 def test_malformed_data_exit_code(tmp_path, capsys):

@@ -13,13 +13,11 @@ from nerrank.evaluation import (
     OracleRow,
     PrfCounts,
     PrfReport,
-    bucket_csv,
     chunk_prf,
     format_metrics,
     length_bucket_ssa,
     oracle,
     oracle_csv,
-    prf_csv,
     ssa,
     write_metrics,
 )
@@ -346,16 +344,6 @@ def test_metrics_format_and_file(tmp_path):
 
 
 def test_csv_emitters_have_one_row_per_item():
-    gold = [labels("B-PER", "O", "B-LOC")]
-    pred = [labels("B-PER", "O", "O")]
-    report = chunk_prf(gold, pred)
-    lines = prf_csv(report).strip().split("\n")
-    assert lines[0] == "type,tp,pred,gold,precision,recall,f1"
-    assert len(lines) == 1 + 1 + 4  # header + ALL + four types
-
     oreport = OracleReport([OracleRow(1, 0.5, 0.5, 0.25)])
     olines = oracle_csv(oreport).strip().split("\n")
     assert olines == ["n,oba,obf,owf", "1,0.5,0.5,0.25"]
-
-    blines = bucket_csv([BucketRow(5, 2, 1)]).strip().split("\n")
-    assert blines == ["bucket,total,correct,ssa", "5,2,1,0.5"]

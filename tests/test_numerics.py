@@ -10,13 +10,11 @@ from nerrank.numerics import (
     concat_cols,
     dropout,
     grad_check,
-    load_checkpoint,
     lookup_row,
     lookup_rows,
     matmul,
     max_pool_time,
     maximum,
-    save_checkpoint,
     scale,
     shift_rows,
     sigmoid,
@@ -345,7 +343,7 @@ def test_gradcheck_sampling_limits_work():
 
 
 # ---------------------------------------------------------------------------
-# parameter store + checkpoints
+# parameter store
 
 def make_store(seed=0):
     rng = np.random.default_rng(seed)
@@ -367,64 +365,20 @@ def test_param_store_basics():
         assert t.requires_grad
 
 
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    store = make_store(seed=1)
-    opt = AdamState(store.tensors(), lr=0.002, beta1=0.3)
-    for t in store.tensors():
-        t.grad = np.full_like(t.data, 0.25)
-    opt.step()
-    path = tmp_path / "model.bin"
-    save_checkpoint(path, store, opt)
-
-    fresh = make_store(seed=2)  # different values, same structure
-    fresh_opt = AdamState(fresh.tensors())
-    assert load_checkpoint(path, fresh, fresh_opt)
-    for name in store.names():
-        assert store[name].data.tobytes() == fresh[name].data.tobytes()
-    assert fresh_opt.t == 1
-    assert fresh_opt.lr == 0.002 and fresh_opt.beta1 == 0.3
-    for m1, m2 in zip(opt.m, fresh_opt.m):
-        assert m1.tobytes() == m2.tobytes()
-    for v1, v2 in zip(opt.v, fresh_opt.v):
-        assert v1.tobytes() == v2.tobytes()
-
-
-def test_checkpoint_without_optimizer(tmp_path):
-    store = make_store()
-    path = tmp_path / "weights.bin"
-    save_checkpoint(path, store)
-    fresh = make_store(seed=3)
-    assert not load_checkpoint(path, fresh)
-    with pytest.raises(CheckpointMismatchError, match="optimizer"):
-        load_checkpoint(path, fresh, AdamState(fresh.tensors()))
-
-
-def test_checkpoint_rejects_structure_mismatch(tmp_path):
-    store = make_store()
-    path = tmp_path / "weights.bin"
-    save_checkpoint(path, store)
+def test_checkpoint_rejects_structure_mismatch():
+    arrays = make_store().copy_arrays()
 
     other = ParamStore()
     other.add("emb", np.zeros((5, 3)))
     with pytest.raises(CheckpointMismatchError):
-        load_checkpoint(path, other)
+        other.load_arrays(arrays)
 
     wrong_shape = ParamStore()
     wrong_shape.add("emb", np.zeros((5, 3)))
     wrong_shape.add("w", np.zeros((4, 2)))
     wrong_shape.add("b", np.zeros((1, 2)))
     with pytest.raises(CheckpointMismatchError, match="shape"):
-        load_checkpoint(path, wrong_shape)
-
-
-def test_checkpoint_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a checkpoint")
-    with pytest.raises(CheckpointMismatchError):
-        load_checkpoint(path, make_store())
-    path.write_bytes(b"NRKC")  # valid magic, truncated body
-    with pytest.raises(CheckpointMismatchError, match="truncated"):
-        load_checkpoint(path, make_store())
+        wrong_shape.load_arrays(arrays)
 
 
 # ---------------------------------------------------------------------------

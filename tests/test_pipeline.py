@@ -7,7 +7,7 @@ import pytest
 from nerrank.baseline.nbest import CandidateSet, NBestCorpus
 from nerrank.collapse import collapse
 from nerrank.corpus import BioLabel, Sentence, Token, normalize_to_bio2
-from nerrank.errors import ConfigError, NerrankError
+from nerrank.errors import CheckpointMismatchError, ConfigError, NerrankError
 from nerrank.evaluation import chunk_prf, oracle
 from nerrank.pipeline import (
     ALPHA_GRID,
@@ -29,12 +29,14 @@ from nerrank.pipeline import (
 from nerrank.reranker import PatternScorer, ScoredCandidate, ScorerConfig, build_vocab
 
 TINY = TrainConfig(
-    word_dim=6,
-    char_dim=4,
-    lstm_hidden=5,
-    char_cnn_filters=3,
-    word_cnn_filters=4,
-    dropout=0.0,
+    scorer=ScorerConfig(
+        word_dim=6,
+        char_dim=4,
+        lstm_hidden=5,
+        char_cnn_filters=3,
+        word_cnn_filters=4,
+        dropout=0.0,
+    ),
     batch_size=16,
     epochs=2,
     learning_rate=0.01,
@@ -68,7 +70,8 @@ def nbest_from(rows):
 def tiny_scorer(token_lists, *, zero_head=False, seed=0, config=None):
     scorer = PatternScorer(
         build_vocab(token_lists),
-        config or TINY.scorer_config(char_pad=8),
+        config or TINY.scorer,
+        char_pad=8,
         seed=seed,
     )
     if zero_head:
@@ -485,12 +488,14 @@ def test_epochs_zero_returns_initialized_model():
     train_corpus = cue_corpus(8, seed=2)
     dev_corpus = cue_corpus(4, seed=3, start=1000)
     config = TrainConfig(
-        word_dim=6,
-        char_dim=4,
-        lstm_hidden=5,
-        char_cnn_filters=3,
-        word_cnn_filters=4,
-        dropout=0.0,
+        scorer=ScorerConfig(
+            word_dim=6,
+            char_dim=4,
+            lstm_hidden=5,
+            char_cnn_filters=3,
+            word_cnn_filters=4,
+            dropout=0.0,
+        ),
         epochs=0,
         seed=11,
     )
@@ -499,7 +504,8 @@ def test_epochs_zero_returns_initialized_model():
     assert [h.epoch for h in bundle.history] == [0]
     fresh = PatternScorer(
         build_vocab([ex.tokens for ex in examples]),
-        config.scorer_config(bundle.scorer.config.char_pad),
+        config.scorer,
+        char_pad=bundle.scorer.char_pad,
         seed=11,
     )
     for name, tensor in bundle.scorer.params.items():
@@ -510,12 +516,14 @@ def test_same_seed_trains_identically():
     train_corpus = cue_corpus(16, seed=4)
     dev_corpus = cue_corpus(8, seed=5, start=1000)
     config = TrainConfig(
-        word_dim=6,
-        char_dim=4,
-        lstm_hidden=5,
-        char_cnn_filters=3,
-        word_cnn_filters=4,
-        dropout=0.1,
+        scorer=ScorerConfig(
+            word_dim=6,
+            char_dim=4,
+            lstm_hidden=5,
+            char_cnn_filters=3,
+            word_cnn_filters=4,
+            dropout=0.1,
+        ),
         batch_size=8,
         epochs=1,
         learning_rate=0.01,
@@ -541,12 +549,12 @@ def test_training_input_validation():
 
 def test_config_defaults_and_validation():
     cfg = TrainConfig()
-    assert (cfg.n_best, cfg.batch_size, cfg.epochs) == (10, 128, 5)
-    assert (cfg.word_dim, cfg.char_dim, cfg.lstm_hidden) == (50, 50, 100)
-    assert (cfg.char_cnn_filters, cfg.word_cnn_filters) == (50, 100)
+    assert (cfg.batch_size, cfg.epochs) == (128, 5)
+    assert (cfg.scorer.word_dim, cfg.scorer.char_dim, cfg.scorer.lstm_hidden) == (50, 50, 100)
+    assert (cfg.scorer.char_cnn_filters, cfg.scorer.word_cnn_filters) == (50, 100)
     assert (cfg.learning_rate, cfg.l2) == (0.001, 0.001)
     assert (cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps) == (0.1, 0.999, 1e-8)
-    assert (cfg.dropout, cfg.peepholes) == (0.2, False)
+    assert (cfg.scorer.dropout, cfg.scorer.peepholes) == (0.2, False)
     for bad in (
         dict(epochs=-1),
         dict(batch_size=0),
@@ -554,7 +562,6 @@ def test_config_defaults_and_validation():
         dict(l2=-0.1),
         dict(adam_beta1=1.0),
         dict(adam_eps=0.0),
-        dict(n_best=0),
         dict(char_pad_cap=0),
     ):
         with pytest.raises(ConfigError):
@@ -569,12 +576,14 @@ def test_bundle_roundtrip(tmp_path):
     train_corpus = cue_corpus(8, seed=8)
     dev_corpus = cue_corpus(4, seed=9, start=1000)
     config = TrainConfig(
-        word_dim=6,
-        char_dim=4,
-        lstm_hidden=5,
-        char_cnn_filters=3,
-        word_cnn_filters=4,
-        dropout=0.0,
+        scorer=ScorerConfig(
+            word_dim=6,
+            char_dim=4,
+            lstm_hidden=5,
+            char_cnn_filters=3,
+            word_cnn_filters=4,
+            dropout=0.0,
+        ),
         epochs=1,
         batch_size=8,
         seed=2,
@@ -590,6 +599,37 @@ def test_bundle_roundtrip(tmp_path):
     for name, tensor in bundle.scorer.params.items():
         assert np.array_equal(tensor.data, loaded.scorer.params[name].data), name
     assert rerank(loaded, dev_corpus) == rerank(bundle, dev_corpus)
+
+
+def random_bundle(seed):
+    """A bundle whose parameters are all random, so no byte is a default."""
+    scorer = tiny_scorer([["PER", "visited", "LOC"]], seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, tensor in scorer.params.items():
+        tensor.data = rng.normal(size=tensor.data.shape)
+    return make_bundle(scorer, 0.25)
+
+
+def test_bundle_weights_round_trip_bit_exact(tmp_path):
+    bundle = random_bundle(seed=1)
+    save_bundle(tmp_path / "a", bundle)
+    loaded = load_bundle(tmp_path / "a")
+    assert loaded.scorer.params.names() == bundle.scorer.params.names()
+    for name, tensor in bundle.scorer.params.items():
+        assert loaded.scorer.params[name].data.tobytes() == tensor.data.tobytes(), name
+    save_bundle(tmp_path / "b", loaded)
+    for name in ("weights.bin", "meta.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_bundle_rejects_garbage_weights(tmp_path):
+    path = tmp_path / "bundle"
+    save_bundle(path, random_bundle(seed=2))
+    good = (path / "weights.bin").read_bytes()
+    for junk in (b"not a checkpoint", b"NRKC", good[: len(good) // 2]):
+        (path / "weights.bin").write_bytes(junk)
+        with pytest.raises(CheckpointMismatchError, match=str(path)):
+            load_bundle(path)
 
 
 def test_load_bundle_missing_directory(tmp_path):

@@ -1,6 +1,8 @@
 """Tests for the vocabulary, embedding init, and the neural pattern scorer."""
 
 import math
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from nerrank.collapse import collapse
 from nerrank.corpus import BioLabel, Sentence, Token
 from nerrank.errors import CheckpointMismatchError, ConfigError, NerrankError, ParseError
-from nerrank.numerics import Tensor, backward, grad_check, load_checkpoint, save_checkpoint, sum_all
+from nerrank.numerics import Tensor, backward, grad_check, sum_all
+from nerrank.pipeline import RerankerBundle, TrainConfig, load_bundle, save_bundle
 from nerrank.reranker import (
     CHAR_PAD_ID,
     CHAR_UNK_ID,
@@ -26,11 +29,11 @@ SMALL = ScorerConfig(
     word_dim=3,
     char_dim=2,
     lstm_hidden=4,
-    char_filters=2,
-    word_filters=3,
-    char_pad=4,
+    char_cnn_filters=2,
+    word_cnn_filters=3,
     dropout=0.0,
 )
+SMALL_PAD = 4
 
 
 def small_vocab():
@@ -145,15 +148,15 @@ def test_two_field_first_line_is_only_a_header_when_numeric():
 def ref_char_cnn(scorer, word):
     """Plain-numpy rebuild of the char CNN from its definition."""
     cfg = scorer.config
-    ids = [scorer.vocab.char_id(c) for c in word[: cfg.char_pad]]
-    ids += [CHAR_PAD_ID] * (cfg.char_pad - len(ids))
+    ids = [scorer.vocab.char_id(c) for c in word[: scorer.char_pad]]
+    ids += [CHAR_PAD_ID] * (scorer.char_pad - len(ids))
     x = scorer.char_emb.data[ids]
     w, b = scorer.char_cnn_w.data, scorer.char_cnn_b.data[0]
-    half = cfg.char_window // 2
+    half = cfg.char_cnn_window // 2
     best = None
-    for j in range(cfg.char_pad):
+    for j in range(scorer.char_pad):
         parts = [
-            x[j + o] if 0 <= j + o < cfg.char_pad else np.zeros(cfg.char_dim)
+            x[j + o] if 0 <= j + o < scorer.char_pad else np.zeros(cfg.char_dim)
             for o in range(-half, half + 1)
         ]
         resp = np.concatenate(parts) @ w + b
@@ -162,14 +165,14 @@ def ref_char_cnn(scorer, word):
 
 
 def test_char_cnn_matches_reference_windows():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=3)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=3)
     for word in ["ab", "ba", "xy", "a", "", "abba", "toolongword"]:
         got = scorer.char_cnn(word).data[0]
         assert np.allclose(got, ref_char_cnn(scorer, word), atol=1e-12)
 
 
 def test_char_cnn_zero_filters_give_bias():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=0)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=0)
     scorer.char_cnn_w.data[:] = 0.0
     scorer.char_cnn_b.data[:] = [[0.25, -1.5]]
     for word in ["ab", "", "zzz"]:
@@ -177,7 +180,7 @@ def test_char_cnn_zero_filters_give_bias():
 
 
 def test_char_cnn_single_filter_picks_max_coordinate():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=4)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=4)
     # one live filter reading coordinate 0 of the window's center character
     scorer.char_cnn_w.data[:] = 0.0
     scorer.char_cnn_b.data[:] = 0.0
@@ -190,18 +193,18 @@ def test_char_cnn_single_filter_picks_max_coordinate():
 
 
 def test_char_cnn_ignores_text_beyond_pad_length():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=5)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=5)
     a = scorer.char_cnn("abba").data
     b = scorer.char_cnn("abbaXYZ").data
     assert np.array_equal(a, b)
 
 
 def test_empty_word_uses_pure_padding():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=6)
-    pad_only = scorer.char_emb.data[[CHAR_PAD_ID] * scorer.config.char_pad]
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=6)
+    pad_only = scorer.char_emb.data[[CHAR_PAD_ID] * scorer.char_pad]
     assert np.isfinite(scorer.char_cnn("").data).all()
     assert np.allclose(scorer.char_cnn("").data[0], ref_char_cnn(scorer, ""), atol=1e-12)
-    assert ref_char_cnn(scorer, "").shape == (scorer.config.char_filters,)
+    assert ref_char_cnn(scorer, "").shape == (scorer.config.char_cnn_filters,)
     assert pad_only.shape == (4, 2)
 
 
@@ -210,7 +213,7 @@ def test_empty_word_uses_pure_padding():
 
 
 def test_word_repr_is_embedding_concat_char_vector():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=7)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=7)
     got = scorer.word_repr("ab").data[0]
     expected = np.concatenate(
         [scorer.word_emb.data[scorer.vocab.word_id("ab")], ref_char_cnn(scorer, "ab")]
@@ -219,7 +222,7 @@ def test_word_repr_is_embedding_concat_char_vector():
 
 
 def test_type_token_item_uses_reserved_embedding_row():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=8)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=8)
     sent = sentence(1, "John", "ran")
     collapsed = collapse(sent, labels("B-PER", "O"))
     per_item = collapsed.items[0]
@@ -230,20 +233,20 @@ def test_type_token_item_uses_reserved_embedding_row():
 
 def test_word_repr_dropout_one_zeroes_training_output():
     cfg = ScorerConfig(
-        word_dim=3, char_dim=2, lstm_hidden=4, char_filters=2, word_filters=3,
-        char_pad=4, dropout=1.0,
+        word_dim=3, char_dim=2, lstm_hidden=4, char_cnn_filters=2, word_cnn_filters=3,
+        dropout=1.0,
     )
-    scorer = PatternScorer(small_vocab(), cfg, seed=9)
+    scorer = PatternScorer(small_vocab(), cfg, char_pad=4, seed=9)
     assert np.array_equal(scorer.word_repr("ab", train=True).data, np.zeros((1, 5)))
     assert np.any(scorer.word_repr("ab", train=False).data != 0.0)
 
 
 def test_char_cnn_off_leaves_plain_embedding():
     cfg = ScorerConfig(
-        word_dim=3, char_dim=2, lstm_hidden=4, char_filters=2, word_filters=3,
-        char_pad=4, dropout=0.0, use_char_cnn=False,
+        word_dim=3, char_dim=2, lstm_hidden=4, char_cnn_filters=2, word_cnn_filters=3,
+        dropout=0.0, use_char_cnn=False,
     )
-    scorer = PatternScorer(small_vocab(), cfg, seed=10)
+    scorer = PatternScorer(small_vocab(), cfg, char_pad=4, seed=10)
     assert cfg.repr_dim == 3
     row = scorer.word_repr("ab").data
     assert row.shape == (1, 3)
@@ -282,7 +285,7 @@ def rows(rng, n, dim):
 
 
 def test_lstm_zero_parameters_give_zero_state():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=11)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=11)
     for t in scorer.lstm_w + scorer.lstm_b:
         t.data[:] = 0.0
     xs = rows(np.random.default_rng(0), 6, SMALL.repr_dim)
@@ -290,7 +293,7 @@ def test_lstm_zero_parameters_give_zero_state():
 
 
 def test_lstm_single_step_closed_form():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=12)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=12)
     for t in scorer.lstm_w + scorer.lstm_b:
         t.data[:] = 0.0
     scorer.lstm_b[2].data[:] = 3.0  # candidate-memory bias
@@ -300,7 +303,7 @@ def test_lstm_single_step_closed_form():
 
 
 def test_lstm_matches_reference_equations():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=13)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=13)
     rng = np.random.default_rng(5)
     for t in scorer.lstm_w + scorer.lstm_b:
         t.data[:] = rng.normal(scale=0.5, size=t.data.shape)
@@ -311,7 +314,7 @@ def test_lstm_matches_reference_equations():
 
 
 def test_lstm_five_step_gradients():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=14)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=14)
     xs = rows(np.random.default_rng(6), 5, SMALL.repr_dim)
     params = [(n, t) for n, t in scorer.params.items() if n.startswith("lstm_")]
     report = grad_check(lambda: sum_all(scorer.lstm_encode(xs)), params)
@@ -319,7 +322,7 @@ def test_lstm_five_step_gradients():
 
 
 def test_lstm_rejects_empty_sequence():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=15)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=15)
     with pytest.raises(NerrankError):
         scorer.lstm_encode([])
     with pytest.raises(NerrankError):
@@ -328,11 +331,11 @@ def test_lstm_rejects_empty_sequence():
 
 def test_peephole_mode_reduces_to_default_when_mu_is_zero():
     cfg_on = ScorerConfig(
-        word_dim=3, char_dim=2, lstm_hidden=4, char_filters=2, word_filters=3,
-        char_pad=4, dropout=0.0, peepholes=True,
+        word_dim=3, char_dim=2, lstm_hidden=4, char_cnn_filters=2, word_cnn_filters=3,
+        dropout=0.0, peepholes=True,
     )
-    plain = PatternScorer(small_vocab(), SMALL, seed=16)
-    peep = PatternScorer(small_vocab(), cfg_on, seed=16)
+    plain = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=16)
+    peep = PatternScorer(small_vocab(), cfg_on, char_pad=4, seed=16)
     xs = rows(np.random.default_rng(7), 5, SMALL.repr_dim)
     assert np.array_equal(plain.lstm_encode(xs).data, peep.lstm_encode(xs).data)
 
@@ -356,7 +359,7 @@ def test_peephole_mode_reduces_to_default_when_mu_is_zero():
 def ref_word_cnn(scorer, xs):
     cfg = scorer.config
     w, b = scorer.word_cnn_w.data, scorer.word_cnn_b.data[0]
-    half = cfg.word_window // 2
+    half = cfg.word_cnn_window // 2
     n = len(xs)
     best = None
     for j in range(n):
@@ -370,7 +373,7 @@ def ref_word_cnn(scorer, xs):
 
 
 def test_word_cnn_single_window_for_length_one():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=17)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=17)
     z = np.random.default_rng(8).normal(size=(1, SMALL.repr_dim))
     window = np.concatenate([np.zeros(5), z[0], np.zeros(5)])
     expected = window @ scorer.word_cnn_w.data + scorer.word_cnn_b.data[0]
@@ -379,7 +382,7 @@ def test_word_cnn_single_window_for_length_one():
 
 
 def test_word_cnn_zero_filters_give_bias():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=18)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=18)
     scorer.word_cnn_w.data[:] = 0.0
     scorer.word_cnn_b.data[:] = [[1.0, 2.0, 3.0]]
     xs = rows(np.random.default_rng(9), 4, SMALL.repr_dim)
@@ -388,10 +391,10 @@ def test_word_cnn_zero_filters_give_bias():
 
 def test_word_cnn_length_four_matches_hand_windows():
     cfg = ScorerConfig(
-        word_dim=2, char_dim=2, lstm_hidden=3, char_filters=1, word_filters=1,
-        char_pad=3, dropout=0.0,
+        word_dim=2, char_dim=2, lstm_hidden=3, char_cnn_filters=1, word_cnn_filters=1,
+        dropout=0.0,
     )
-    scorer = PatternScorer(small_vocab(), cfg, seed=19)
+    scorer = PatternScorer(small_vocab(), cfg, char_pad=3, seed=19)
     xs = rows(np.random.default_rng(10), 4, cfg.repr_dim)
     expected = ref_word_cnn(scorer, [x.data for x in xs])
     assert np.allclose(scorer.word_cnn_encode(xs).data[0], expected, atol=1e-12)
@@ -402,7 +405,7 @@ def test_word_cnn_length_four_matches_hand_windows():
 
 
 def test_zero_head_scores_half_everywhere():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=20)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=20)
     scorer.head_w.data[:] = 0.0
     scorer.head_b.data[:] = 0.0
     for tokens in (["PER"], ["ab", "LOC", "ba"], ["?", "?", "?"]):
@@ -410,7 +413,7 @@ def test_zero_head_scores_half_everywhere():
 
 
 def test_scores_are_strictly_inside_unit_interval():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=21)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=21)
     rng = np.random.default_rng(11)
     alphabet = ["PER", "LOC", "ORG", "MISC", "ab", "ba", "xy", "visited", ".", "odd"]
     batch = [
@@ -423,7 +426,7 @@ def test_scores_are_strictly_inside_unit_interval():
 
 
 def test_identical_collapsed_sequences_share_a_score():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=22)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=22)
     tags = labels("B-PER", "O", "B-LOC")
     a = collapse(sentence(1, "John", "visited", "Paris"), tags)
     b = collapse(sentence(2, "John", "visited", "Paris"), tags)
@@ -431,7 +434,7 @@ def test_identical_collapsed_sequences_share_a_score():
 
 
 def test_reversal_changes_the_score():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=23)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=23)
     tokens = ["PER", "visited", "LOC", "."]
     fwd = scorer.score_tokens(tokens).item()
     rev = scorer.score_tokens(tokens[::-1]).item()
@@ -439,18 +442,18 @@ def test_reversal_changes_the_score():
 
 
 def test_eval_scoring_is_bit_exact_and_seed_reproducible():
-    first = PatternScorer(small_vocab(), SMALL, seed=24)
-    again = PatternScorer(small_vocab(), SMALL, seed=24)
+    first = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=24)
+    again = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=24)
     tokens = ["PER", "visited", "LOC"]
     one = first.score_tokens(tokens).data.tobytes()
     assert first.score_tokens(tokens).data.tobytes() == one
     assert again.score_tokens(tokens).data.tobytes() == one
-    other = PatternScorer(small_vocab(), SMALL, seed=25)
+    other = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=25)
     assert other.score_tokens(tokens).data.tobytes() != one
 
 
 def test_batch_scoring_agrees_with_single_scoring():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=26)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=26)
     lists = [["PER", "visited"], ["ab", "ba", "xy"], ["LOC"]]
     batched = [s.item() for s in scorer.score_batch(lists)]
     single = [scorer.score_tokens(t).item() for t in lists]
@@ -458,7 +461,7 @@ def test_batch_scoring_agrees_with_single_scoring():
 
 
 def test_head_dimension_follows_enabled_components():
-    assert SMALL.head_dim == SMALL.lstm_hidden + SMALL.word_filters
+    assert SMALL.head_dim == SMALL.lstm_hidden + SMALL.word_cnn_filters
     lstm_only = ScorerConfig(use_word_cnn=False)
     assert lstm_only.head_dim == 100
     cnn_only = ScorerConfig(use_lstm=False)
@@ -468,41 +471,35 @@ def test_head_dimension_follows_enabled_components():
         ScorerConfig(use_lstm=False, use_word_cnn=False)
 
 
+def save_scorer(path, scorer):
+    config = TrainConfig(scorer=scorer.config)
+    save_bundle(path, RerankerBundle(scorer=scorer, alpha=0.5, config=config, history=[]))
+
+
 def test_checkpoint_rejects_other_architectures(tmp_path):
-    full = PatternScorer(small_vocab(), SMALL, seed=27)
-    path = tmp_path / "weights.bin"
-    save_checkpoint(path, full.params)
+    full = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=27)
+    save_scorer(tmp_path / "full", full)
 
-    lstm_only = PatternScorer(
-        small_vocab(),
-        ScorerConfig(word_dim=3, char_dim=2, lstm_hidden=4, char_filters=2,
-                     word_filters=3, char_pad=4, dropout=0.0, use_word_cnn=False),
-        seed=27,
-    )
-    with pytest.raises(CheckpointMismatchError):
-        load_checkpoint(path, lstm_only.params)
+    lstm_only = replace(SMALL, use_word_cnn=False)
+    wider = replace(SMALL, word_cnn_filters=5)
+    for name, cfg in (("lstm_only", lstm_only), ("wider", wider)):
+        other = PatternScorer(small_vocab(), cfg, char_pad=SMALL_PAD, seed=27)
+        save_scorer(tmp_path / name, other)
+        shutil.copy(tmp_path / "full" / "weights.bin", tmp_path / name / "weights.bin")
+        with pytest.raises(CheckpointMismatchError, match=name):
+            load_bundle(tmp_path / name)
 
-    wider = PatternScorer(
-        small_vocab(),
-        ScorerConfig(word_dim=3, char_dim=2, lstm_hidden=4, char_filters=2,
-                     word_filters=5, char_pad=4, dropout=0.0),
-        seed=27,
-    )
-    with pytest.raises(CheckpointMismatchError):
-        load_checkpoint(path, wider.params)
-
-    same = PatternScorer(small_vocab(), SMALL, seed=99)
-    load_checkpoint(path, same.params)
+    same = load_bundle(tmp_path / "full").scorer
     tokens = ["PER", "visited"]
     assert same.score_tokens(tokens).item() == full.score_tokens(tokens).item()
 
 
 def test_full_model_gradients_match_finite_differences():
     cfg = ScorerConfig(
-        word_dim=3, char_dim=2, lstm_hidden=3, char_filters=2, word_filters=2,
-        char_pad=3, dropout=0.0,
+        word_dim=3, char_dim=2, lstm_hidden=3, char_cnn_filters=2, word_cnn_filters=2,
+        dropout=0.0,
     )
-    scorer = PatternScorer(small_vocab(), cfg, seed=28)
+    scorer = PatternScorer(small_vocab(), cfg, char_pad=3, seed=28)
     target = Tensor(np.array([[0.3]]))
 
     def loss():
@@ -514,7 +511,7 @@ def test_full_model_gradients_match_finite_differences():
 
 
 def test_empty_sequences_cannot_be_scored():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=29)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=29)
     with pytest.raises(NerrankError):
         scorer.score_tokens([])
     with pytest.raises(NerrankError):
@@ -535,25 +532,25 @@ def test_scored_candidate_validation():
 
 def test_frozen_embeddings_leave_the_optimizer_list():
     cfg = ScorerConfig(
-        word_dim=3, char_dim=2, lstm_hidden=4, char_filters=2, word_filters=3,
-        char_pad=4, dropout=0.0, freeze_embeddings=True,
+        word_dim=3, char_dim=2, lstm_hidden=4, char_cnn_filters=2, word_cnn_filters=3,
+        dropout=0.0, freeze_embeddings=True,
     )
-    frozen = PatternScorer(small_vocab(), cfg, seed=30)
+    frozen = PatternScorer(small_vocab(), cfg, char_pad=4, seed=30)
     names = [n for n, _ in frozen.trainable()]
     assert "word_emb" not in names
     assert "char_emb" in names
 
-    default = PatternScorer(small_vocab(), SMALL, seed=30)
+    default = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=30)
     assert "word_emb" in [n for n, _ in default.trainable()]
 
 
 def test_training_mode_dropout_changes_scores_but_respects_seed():
     cfg = ScorerConfig(
-        word_dim=3, char_dim=2, lstm_hidden=4, char_filters=2, word_filters=3,
-        char_pad=4, dropout=0.5,
+        word_dim=3, char_dim=2, lstm_hidden=4, char_cnn_filters=2, word_cnn_filters=3,
+        dropout=0.5,
     )
-    a = PatternScorer(small_vocab(), cfg, seed=31)
-    b = PatternScorer(small_vocab(), cfg, seed=31)
+    a = PatternScorer(small_vocab(), cfg, char_pad=4, seed=31)
+    b = PatternScorer(small_vocab(), cfg, char_pad=4, seed=31)
     tokens = ["PER", "visited", "LOC"]
     eval_score = a.score_tokens(tokens).item()
     train_a = a.score_tokens(tokens, train=True).item()
@@ -565,13 +562,13 @@ def test_training_mode_dropout_changes_scores_but_respects_seed():
 def test_default_configuration_sizes_are_pinned():
     cfg = ScorerConfig()
     assert (cfg.word_dim, cfg.char_dim) == (50, 50)
-    assert (cfg.lstm_hidden, cfg.char_filters, cfg.word_filters) == (100, 50, 100)
-    assert (cfg.char_window, cfg.word_window) == (3, 3)
+    assert (cfg.lstm_hidden, cfg.char_cnn_filters, cfg.word_cnn_filters) == (100, 50, 100)
+    assert (cfg.char_cnn_window, cfg.word_cnn_window) == (3, 3)
     assert cfg.dropout == 0.2
     assert cfg.peepholes is False
     assert cfg.repr_dim == 100
     v = small_vocab()
-    scorer = PatternScorer(v, ScorerConfig(char_pad=8), seed=32)
+    scorer = PatternScorer(v, ScorerConfig(), char_pad=8, seed=32)
     assert scorer.word_emb.data.shape == (v.num_words, 50)
     assert scorer.char_cnn_w.data.shape == (150, 50)
     assert scorer.word_cnn_w.data.shape == (300, 100)
@@ -583,7 +580,7 @@ def test_default_configuration_sizes_are_pinned():
 
 
 def test_gradients_flow_into_embeddings_through_score():
-    scorer = PatternScorer(small_vocab(), SMALL, seed=33)
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=33)
     scorer.params.zero_grad()
     backward(scorer.score_tokens(["ab", "PER"]))
     touched = scorer.word_emb.grad
