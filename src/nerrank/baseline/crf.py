@@ -1,11 +1,14 @@
 """Linear-chain CRF with exact probabilities and exact k-best decoding.
 
 Scores decompose as begin[y_0] + sum_t emit(x_t, y_t) + trans[y_{t-1}, y_t]
-+ end[y_T]. The partition function is computed by the forward algorithm in
-log space, gradients by forward-backward, and k-best decoding by a beam of
-k exact survivors per state (a total order with lexicographic tie-breaking
-makes the pruning argument exact, so ranked output matches brute-force
-enumeration bit for bit).
++ end[y_T]. `CrfModel` holds each computation once: the emission sum over
+feature ids, the path score, and the forward algorithm in log space, which
+gives both the partition function and the alpha table that training's
+forward-backward pass reuses. `crf_train` builds a zero-weight model and
+trains it in place through those methods (exact NLL gradients, mini-batch
+Adam). k-best decoding keeps a beam of k exact survivors per state (a total
+order with lexicographic tie-breaking makes the pruning argument exact, so
+ranked output matches brute-force enumeration bit for bit).
 """
 
 from __future__ import annotations
@@ -45,9 +48,17 @@ class CrfModel:
     def __post_init__(self):
         k = len(self.tags)
         f = len(self.feature_vocab)
-        if self.emit.shape != (f, k) or self.trans.shape != (k, k):
-            raise ValueError("weight shapes do not match tag/feature counts")
+        weights = (self.emit, self.trans, self.begin, self.end)
+        shapes = tuple(w.shape for w in weights)
+        if shapes != ((f, k), (k, k), (k,), (k,)):
+            raise ValueError(f"weight shapes {shapes} do not match {f} features and {k} tags")
+        if not all(np.isfinite(w).all() for w in weights):
+            raise ValueError("weights are not all finite")
+        for tag in self.tags:
+            BioLabel.parse(tag)
         self._tag_index = {t: i for i, t in enumerate(self.tags)}
+        if len(self._tag_index) != k:
+            raise ValueError(f"duplicate tags in {list(self.tags)}")
 
     def tag_id(self, label: BioLabel) -> int:
         text = str(label)
@@ -55,22 +66,26 @@ class CrfModel:
             raise ValueError(f"label {text} is not in this model's tag set")
         return self._tag_index[text]
 
-    def feature_ids(self, sentence: Sentence) -> list[np.ndarray]:
-        """Known feature ids per position; unseen strings are dropped."""
+    def feature_ids(self, features: list[list[str]]) -> list[np.ndarray]:
+        """Known feature ids per position of `featurize` output; unseen
+        strings are dropped."""
         vocab = self.feature_vocab
         return [
             np.array([vocab[f] for f in position if f in vocab], dtype=np.intp)
-            for position in featurize(sentence, self.templates)
+            for position in features
         ]
 
-    def emission_scores(self, sentence: Sentence) -> np.ndarray:
-        """(T, K) matrix of summed feature weights per position."""
-        ids = self.feature_ids(sentence)
+    def emissions_from_ids(self, ids: list[np.ndarray]) -> np.ndarray:
+        """(T, K) matrix: row t sums the emit rows of position t's ids."""
         e = np.zeros((len(ids), len(self.tags)))
         for t, row_ids in enumerate(ids):
             if row_ids.size:
                 e[t] = self.emit[row_ids].sum(axis=0)
         return e
+
+    def emission_scores(self, sentence: Sentence) -> np.ndarray:
+        """(T, K) matrix of summed feature weights per position."""
+        return self.emissions_from_ids(self.feature_ids(featurize(sentence, self.templates)))
 
     def score_tag_ids(self, emissions: np.ndarray, tag_ids: list[int]) -> float:
         """Path score with a pinned accumulation order (matters only for
@@ -84,11 +99,47 @@ class CrfModel:
             s = (s + trans[tag_ids[t - 1]][tag_ids[t]]) + e[t][tag_ids[t]]
         return s + end[tag_ids[-1]]
 
-    def log_partition(self, emissions: np.ndarray) -> float:
-        alpha = self.begin + emissions[0]
+    def forward(self, emissions: np.ndarray) -> tuple[np.ndarray, float]:
+        """Forward algorithm: the (T, K) table of log alpha and log Z."""
+        alpha = np.zeros(emissions.shape)
+        alpha[0] = self.begin + emissions[0]
         for t in range(1, emissions.shape[0]):
-            alpha = logsumexp(alpha[:, None] + self.trans, axis=0) + emissions[t]
-        return float(logsumexp(alpha + self.end))
+            alpha[t] = logsumexp(alpha[t - 1][:, None] + self.trans, axis=0) + emissions[t]
+        return alpha, float(logsumexp(alpha[-1] + self.end))
+
+    def log_partition(self, emissions: np.ndarray) -> float:
+        return self.forward(emissions)[1]
+
+    def sentence_nll(self, ids: list[np.ndarray], tag_ids: list[int], grads=None) -> float:
+        """NLL of the path `tag_ids` given per-position feature ids. With
+        `grads`, a caller-owned (emit, trans, begin, end) tuple of arrays,
+        also adds the exact gradient of that NLL into them."""
+        e = self.emissions_from_ids(ids)
+        alpha, log_z = self.forward(e)
+        nll = log_z - self.score_tag_ids(e, tag_ids)
+        if grads is None:
+            return nll
+        g_emit, g_trans, g_begin, g_end = grads
+        y = tag_ids
+        t_count = len(ids)
+        beta = np.zeros(alpha.shape)
+        beta[-1] = self.end
+        for t in range(t_count - 2, -1, -1):
+            beta[t] = logsumexp(self.trans + (e[t + 1] + beta[t + 1])[None, :], axis=1)
+
+        node = np.exp(alpha + beta - log_z)  # (T, K) marginals
+        expected = node.copy()
+        for t in range(t_count):
+            expected[t, y[t]] -= 1.0
+            np.add.at(g_emit, ids[t], expected[t])
+        g_begin += expected[0]
+        g_end += node[-1]
+        g_end[y[-1]] -= 1.0
+        for t in range(1, t_count):
+            edge = np.exp(alpha[t - 1][:, None] + self.trans + (e[t] + beta[t])[None, :] - log_z)
+            g_trans += edge
+            g_trans[y[t - 1], y[t]] -= 1.0
+        return nll
 
 
 def sequence_prob(model: CrfModel, sentence: Sentence, labels: LabelSeq) -> float:
@@ -171,99 +222,35 @@ def crf_train(
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")
     tags = tuple(tags) if tags is not None else ALL_TAGS
-    tag_index = {t: i for i, t in enumerate(tags)}
     n_tags = len(tags)
-
     feats_per_sent = [featurize(s, templates) for s in train.sentences]
     vocab = {f: i for i, f in enumerate(sorted({f for fs in feats_per_sent for pos in fs for f in pos}))}
-    n_feats = len(vocab)
-    feat_ids = [
-        [np.array([vocab[f] for f in position], dtype=np.intp) for position in fs]
-        for fs in feats_per_sent
+    model = CrfModel(
+        tags=tags,
+        feature_vocab=vocab,
+        templates=templates,
+        emit=np.zeros((len(vocab), n_tags)),
+        trans=np.zeros((n_tags, n_tags)),
+        begin=np.zeros(n_tags),
+        end=np.zeros(n_tags),
+    )
+    feat_ids = [model.feature_ids(fs) for fs in feats_per_sent]
+    gold_ids = [[model.tag_id(l) for l in labels] for labels in train.gold]
+
+    # Tensor wraps each array without copying, so Adam updates the model
+    params = [
+        Tensor(a, requires_grad=True)
+        for a in (model.emit, model.trans, model.begin, model.end)
     ]
-    gold_ids = []
-    for labels in train.gold:
-        try:
-            gold_ids.append([tag_index[str(l)] for l in labels])
-        except KeyError as exc:
-            raise ValueError(f"gold label {exc.args[0]} outside tag set") from exc
-
-    emit = Tensor(np.zeros((n_feats, n_tags)), requires_grad=True)
-    trans = Tensor(np.zeros((n_tags, n_tags)), requires_grad=True)
-    begin = Tensor(np.zeros(n_tags), requires_grad=True)
-    end = Tensor(np.zeros(n_tags), requires_grad=True)
-    opt = AdamState([emit, trans, begin, end], lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-
-    def emissions_of(i):
-        e = np.zeros((len(feat_ids[i]), n_tags))
-        for t, ids in enumerate(feat_ids[i]):
-            if ids.size:
-                e[t] = emit.data[ids].sum(axis=0)
-        return e
-
-    def forward_backward(e):
-        t_count = e.shape[0]
-        alpha = np.zeros((t_count, n_tags))
-        alpha[0] = begin.data + e[0]
-        for t in range(1, t_count):
-            alpha[t] = logsumexp(alpha[t - 1][:, None] + trans.data, axis=0) + e[t]
-        beta = np.zeros((t_count, n_tags))
-        beta[-1] = end.data
-        for t in range(t_count - 2, -1, -1):
-            beta[t] = logsumexp(trans.data + (e[t + 1] + beta[t + 1])[None, :], axis=1)
-        log_z = float(logsumexp(alpha[-1] + end.data))
-        return alpha, beta, log_z
-
-    def sentence_nll(i):
-        e = emissions_of(i)
-        _, _, log_z = forward_backward(e)
-        y = gold_ids[i]
-        score = begin.data[y[0]] + e[0, y[0]]
-        for t in range(1, len(y)):
-            score += trans.data[y[t - 1], y[t]] + e[t, y[t]]
-        score += end.data[y[-1]]
-        return log_z - score
-
-    def mean_nll():
-        return sum(sentence_nll(i) for i in range(len(train))) / len(train)
-
-    model_nll_history = [mean_nll()]
+    opt = AdamState(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
     rng = np.random.default_rng([seed, 17])
     for epoch in range(epochs):
         order = rng.permutation(len(train))
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]
-            g_emit = np.zeros((n_feats, n_tags))
-            g_trans = np.zeros((n_tags, n_tags))
-            g_begin = np.zeros(n_tags)
-            g_end = np.zeros(n_tags)
-            batch_nll = 0.0
-            for i in batch:
-                e = emissions_of(i)
-                alpha, beta, log_z = forward_backward(e)
-                y = gold_ids[i]
-                t_count = len(y)
-
-                score = begin.data[y[0]] + e[0, y[0]]
-                for t in range(1, t_count):
-                    score += trans.data[y[t - 1], y[t]] + e[t, y[t]]
-                score += end.data[y[-1]]
-                batch_nll += log_z - score
-
-                node = np.exp(alpha + beta - log_z)  # (T, K) marginals
-                expected = node.copy()
-                for t in range(t_count):
-                    expected[t, y[t]] -= 1.0
-                    np.add.at(g_emit, feat_ids[i][t], expected[t])
-                g_begin += expected[0]
-                g_end += node[-1]
-                g_end[y[-1]] -= 1.0
-                for t in range(1, t_count):
-                    edge = np.exp(
-                        alpha[t - 1][:, None] + trans.data + (e[t] + beta[t])[None, :] - log_z
-                    )
-                    g_trans += edge
-                    g_trans[y[t - 1], y[t]] -= 1.0
+            grads = tuple(np.zeros_like(p.data) for p in params)
+            batch_nll = sum(model.sentence_nll(feat_ids[i], gold_ids[i], grads) for i in batch)
             b = len(batch)
             batch_nll /= b
             if not np.isfinite(batch_nll):
@@ -271,23 +258,15 @@ def crf_train(
                     f"non-finite training loss ({batch_nll}) at epoch {epoch}, "
                     f"batch starting at {start}"
                 )
-            emit.grad = g_emit / b + l2 * emit.data
-            trans.grad = g_trans / b + l2 * trans.data
-            begin.grad = g_begin / b + l2 * begin.data
-            end.grad = g_end / b + l2 * end.data
+            for p, g in zip(params, grads):
+                p.grad = g / b + l2 * p.data
             opt.step()
-        model_nll_history.append(mean_nll())
+        model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
+    return model
 
-    return CrfModel(
-        tags=tags,
-        feature_vocab=vocab,
-        templates=templates,
-        emit=emit.data,
-        trans=trans.data,
-        begin=begin.data,
-        end=end.data,
-        nll_history=model_nll_history,
-    )
+
+def _mean_nll(model: CrfModel, feat_ids, gold_ids) -> float:
+    return sum(model.sentence_nll(ids, y) for ids, y in zip(feat_ids, gold_ids)) / len(gold_ids)
 
 
 def save_crf(path, model: CrfModel, extra_meta: dict | None = None):

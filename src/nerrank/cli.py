@@ -178,15 +178,7 @@ def cmd_baseline_train(cfg: RunConfig, explicit: frozenset) -> int:
     _require(cfg, "baseline-train", "train_path", "model_path")
     dataset = parse_conll(_read_text(cfg.train_path))
     templates = cfg.template_set(_load_clusters(cfg))
-    model = crf_train(
-        dataset,
-        templates,
-        epochs=cfg.crf_epochs,
-        batch_size=cfg.crf_batch_size,
-        lr=cfg.crf_lr,
-        l2=cfg.crf_l2,
-        seed=cfg.train.seed,
-    )
+    model = crf_train(dataset, templates, **cfg.crf_options())
     save_crf(
         cfg.model_path,
         model,
@@ -228,15 +220,7 @@ def cmd_jackknife(cfg: RunConfig, explicit: frozenset) -> int:
     dataset = parse_conll(_read_text(cfg.train_path))
     templates = cfg.template_set(_load_clusters(cfg))
     corpus = build_nbest_corpus(
-        dataset,
-        cfg.folds,
-        cfg.n_best,
-        templates,
-        epochs=cfg.crf_epochs,
-        batch_size=cfg.crf_batch_size,
-        lr=cfg.crf_lr,
-        l2=cfg.crf_l2,
-        seed=cfg.train.seed,
+        dataset, cfg.folds, cfg.n_best, templates, **cfg.crf_options()
     )
     write_nbest(cfg.output_path, corpus, header=_header(cfg))
     log.info("jackknifed %d sentences over %d folds", len(corpus), cfg.folds)

@@ -93,6 +93,16 @@ class RunConfig:
         if self.alpha is not None and not _on_grid(self.alpha):
             raise ConfigError(f"alpha {self.alpha} is outside the 0.005 search grid")
 
+    def crf_options(self) -> dict:
+        """Keyword arguments of `crf_train` for the baseline settings."""
+        return {
+            "epochs": self.crf_epochs,
+            "batch_size": self.crf_batch_size,
+            "lr": self.crf_lr,
+            "l2": self.crf_l2,
+            "seed": self.train.seed,
+        }
+
     def template_set(self, clusters: dict | None = None) -> FeatureTemplateSet:
         """The baseline's templates: key `feat_<group>` switches `<group>`."""
         switches = {

@@ -244,10 +244,16 @@ def mixture_select(candidates: list[ScoredCandidate], alpha: float) -> int:
         raise NerrankError("cannot select from an empty candidate list")
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+    return _mixture_argmax([(c.score, c.baseline_prob) for c in candidates], alpha)
+
+
+def _mixture_argmax(pairs: list[tuple[float, float]], alpha: float) -> int:
+    """The selection rule shared by decoding and alpha search: index of the
+    (s, p) pair maximizing alpha*s + (1-alpha)*p, the first one on ties."""
     best_i = 0
     best_v = None
-    for i, c in enumerate(candidates):
-        v = alpha * c.score + (1.0 - alpha) * c.baseline_prob
+    for i, (s, p) in enumerate(pairs):
+        v = alpha * s + (1.0 - alpha) * p
         if best_v is None or v > best_v:
             best_i, best_v = i, v
     return best_i
@@ -281,13 +287,13 @@ def alpha_search(
             raise NerrankError("cannot search with an empty candidate list")
         gspans = extract_spans(normalize_to_bio2(gold))
         total_gold += len(gspans)
-        stats = []
+        pairs = []
+        counts = []
         for cand in row:
             spans = _candidate_spans(cand.collapsed)
-            stats.append(
-                (cand.score, cand.baseline_prob, len(spans & gspans), len(spans))
-            )
-        per_sentence.append(stats)
+            pairs.append((cand.score, cand.baseline_prob))
+            counts.append((len(spans & gspans), len(spans)))
+        per_sentence.append((pairs, counts))
 
     best_alpha = None
     best_f1 = -1.0
@@ -295,15 +301,10 @@ def alpha_search(
     for alpha in ALPHA_GRID:
         points += 1
         tp = pred = 0
-        for stats in per_sentence:
-            pick = 0
-            pick_v = None
-            for i, (s, p, _, _) in enumerate(stats):
-                v = alpha * s + (1.0 - alpha) * p
-                if pick_v is None or v > pick_v:
-                    pick, pick_v = i, v
-            tp += stats[pick][2]
-            pred += stats[pick][3]
+        for pairs, counts in per_sentence:
+            hit, size = counts[_mixture_argmax(pairs, alpha)]
+            tp += hit
+            pred += size
         f1 = PrfCounts(tp, pred, total_gold).f1
         if f1 > best_f1:
             best_alpha, best_f1 = alpha, f1

@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerrank.baseline import (
     ALL_TAGS,
@@ -263,6 +266,51 @@ def test_kbest_carries_gold():
     assert cs.gold == gold
 
 
+# small integers make ties common, so the lexicographic tie-break is exercised
+WEIGHTS = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def lattices(draw):
+    """A random-weight model over `toy_model`'s word features and a 1-4
+    token sentence of those words."""
+    k = draw(st.integers(2, 4))
+    words = ("a", "b", "c", "d")
+
+    def vec(n):
+        return np.array(draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+
+    model = CrfModel(
+        tags=ALL_TAGS[:k],
+        feature_vocab={f"w[0]={w}": i for i, w in enumerate(words)},
+        templates=WORD_ONLY,
+        emit=vec(len(words) * k).reshape(len(words), k),
+        trans=vec(k * k).reshape(k, k),
+        begin=vec(k),
+        end=vec(k),
+    )
+    tokens = draw(st.lists(st.sampled_from(words), min_size=1, max_size=4))
+    return model, sent(*tokens)
+
+
+@settings(derandomize=True, deadline=None)
+@given(lattices(), st.integers(1, 12))
+def test_kbest_equals_enumeration_on_random_lattices(lattice, k):
+    model, s = lattice
+    ranked = enumerate_ranked(model, s)
+    log_z = model.log_partition(model.emission_scores(s))
+    probs = [min(1.0, float(np.exp(score - log_z))) for score, _ in ranked]
+    assert abs(sum(probs) - 1.0) < 1e-10
+    cs = kbest_decode(model, s, k)
+    got = [
+        (tuple(model.tag_id(l) for l in labels), prob) for labels, prob in cs.candidates
+    ]
+    assert got == [(seq, prob) for (_, seq), prob in zip(ranked[:k], probs)]
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -312,6 +360,53 @@ def test_train_learns_simple_corpus():
         1 for s, g in ds if viterbi_decode(model, s) != g
     )
     assert wrong <= len(ds) * 0.05
+
+
+def test_sentence_nll_gradient_matches_finite_differences():
+    model = toy_model(words=("a", "b", "c"), seed=11)
+    # feature 0 fires at three positions, position 2 has no known feature
+    ids = [np.array(row, dtype=np.intp) for row in ([0, 1], [0], [], [2, 0])]
+    tags = [0, 1, 2, 2]
+    grads = tuple(np.zeros_like(a) for a in (model.emit, model.trans, model.begin, model.end))
+    nll = model.sentence_nll(ids, tags, grads)
+
+    def objective():
+        e = model.emissions_from_ids(ids)
+        return model.log_partition(e) - model.score_tag_ids(e, tags)
+
+    assert nll == objective()
+    h = 1e-5
+    weights = (model.emit, model.trans, model.begin, model.end)
+    for name, w, g in zip(("emit", "trans", "begin", "end"), weights, grads):
+        for i in np.ndindex(w.shape):
+            orig = w[i]
+            w[i] = orig + h
+            up = objective()
+            w[i] = orig - h
+            down = objective()
+            w[i] = orig
+            numeric = (up - down) / (2 * h)
+            rel = abs(g[i] - numeric) / max(abs(g[i]), abs(numeric), 1e-6)
+            assert rel < 1e-6, f"{name}{list(i)}: {g[i]} vs {numeric}"
+
+
+MALFORMED_MODELS = {
+    "emit": lambda m: {"emit": m.emit[:-1]},
+    "trans": lambda m: {"trans": m.trans[:, :-1]},
+    "begin": lambda m: {"begin": m.begin[:1]},
+    "end": lambda m: {"end": m.end[:, None]},
+    "non-finite": lambda m: {"trans": np.where(m.trans > 0, np.nan, m.trans)},
+    "duplicate-tag": lambda m: {"tags": (m.tags[0],) + m.tags[:-1]},
+    "malformed-tag": lambda m: {"tags": ("X-FOO",) + m.tags[1:]},
+    "unknown-type": lambda m: {"tags": ("B-FOO",) + m.tags[1:]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_model_rejects_malformed_weights_and_tags(case):
+    good = toy_model()
+    with pytest.raises(ValueError):
+        dataclasses.replace(good, **MALFORMED_MODELS[case](good))
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,45 @@ def test_malformed_bundle_exit_code(pipeline_dir, tmp_path, capsys, mutation):
     assert str(bundle) in err
 
 
+def _edit_crf(edit):
+    def apply(model):
+        with np.load(model) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(arrays["meta"]))
+        edit(arrays, meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+        with open(model, "wb") as fh:
+            np.savez(fh, **arrays)
+    return apply
+
+
+CRF_MUTATIONS = {
+    "garbage": lambda model: model.write_bytes(b"not a checkpoint"),
+    "meta-missing-key": _edit_crf(lambda a, m: m.pop("templates")),
+    "emit-reshaped": _edit_crf(lambda a, m: a.update(emit=a["emit"][:-1])),
+    "begin-reshaped": _edit_crf(lambda a, m: a.update(begin=a["begin"][:1])),
+    "end-reshaped": _edit_crf(lambda a, m: a.update(end=a["end"][:, None])),
+    "emit-nan": _edit_crf(lambda a, m: a.update(emit=np.full_like(a["emit"], np.nan))),
+    "tag-duplicate": _edit_crf(lambda a, m: m.update(tags=m["tags"][:1] + m["tags"][:-1])),
+    "tag-malformed": _edit_crf(lambda a, m: m.update(tags=["X-FOO"] + m["tags"][1:])),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CRF_MUTATIONS))
+def test_malformed_crf_exit_code(pipeline_dir, tmp_path, capsys, mutation):
+    model = tmp_path / "crf.npz"
+    shutil.copy(pipeline_dir["model"], model)
+    CRF_MUTATIONS[mutation](model)
+    rc = main(
+        ["baseline-decode", "--model-path", str(model),
+         "--input-path", str(pipeline_dir["test"]),
+         "--output-path", str(tmp_path / "t.nbest")]
+    )
+    err = capsys.readouterr().err
+    assert rc == EXIT_CHECKPOINT
+    assert str(model) in err
+
+
 def test_missing_bundle_directory_exit_code(pipeline_dir, tmp_path, capsys):
     rc = main(
         ["rerank-decode", "--bundle-path", str(tmp_path / "absent"),
