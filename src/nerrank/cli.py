@@ -263,13 +263,6 @@ def cmd_rerank_train(cfg: RunConfig, explicit: frozenset) -> int:
         bundle,
         provenance={"version": __version__, "config_hash": config_hash(cfg)},
     )
-    for entry in bundle.history:
-        log.info(
-            "epoch %d: dev F1 %.4f at alpha %.3f",
-            entry.epoch,
-            entry.dev_f1,
-            entry.alpha,
-        )
     log.info("selected alpha = %s", bundle.alpha)
     _write_manifest(
         cfg,

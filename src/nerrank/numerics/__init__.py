@@ -5,13 +5,10 @@ from .tensor import (
     backward,
     concat_cols,
     dropout,
-    lookup_row,
     lookup_rows,
     matmul,
     max_pool_time,
-    maximum,
     scale,
-    shift_rows,
     sigmoid,
     stack_rows,
     sum_all,
@@ -29,13 +26,10 @@ __all__ = [
     "concat_cols",
     "dropout",
     "grad_check",
-    "lookup_row",
     "lookup_rows",
     "matmul",
     "max_pool_time",
-    "maximum",
     "scale",
-    "shift_rows",
     "sigmoid",
     "stack_rows",
     "sum_all",

@@ -5,7 +5,9 @@ back to them; `backward` walks the recorded graph in reverse topological
 order. The op set is exactly what a recurrent/convolutional sentence scorer
 needs: matmul, elementwise arithmetic, sigmoid/tanh, row/column assembly,
 row gather with scatter-add gradients, temporal max-pooling, and inverted
-dropout. Vectors are row vectors (1, n) by convention.
+dropout. Activations are matrices with one row per item; a batch of
+sequences lays its items end to end as the rows of one matrix, and
+`max_pool_time` reads it as runs of given lengths.
 """
 
 from __future__ import annotations
@@ -223,60 +225,32 @@ def stack_rows(parts: list) -> Tensor:
     return _node(data, tuple(parts), bw)
 
 
-def shift_rows(a: Tensor, k: int) -> Tensor:
-    """Row shift with zero fill: out[i] = a[i-k] (k>0 shifts downward)."""
-    if a.data.ndim != 2:
-        raise ShapeMismatchError(f"shift_rows needs a matrix, got {a.data.shape}")
-    t = a.data.shape[0]
-    data = np.zeros_like(a.data)
-    if k >= 0:
-        data[k:] = a.data[: t - k]
-    else:
-        data[: t + k] = a.data[-k:]
-
-    def bw(g):
-        back = np.zeros_like(a.data)
-        if k >= 0:
-            back[: t - k] = g[k:]
-        else:
-            back[-k:] = g[: t + k]
-        a._accum(back)
-
-    return _node(data, (a,), bw)
-
-
-def max_pool_time(a: Tensor) -> Tensor:
-    """Per-column max over rows: (T, C) -> (1, C); gradient goes to the
-    argmax row of each column (first row on ties)."""
-    if a.data.ndim != 2:
-        raise ShapeMismatchError(f"max_pool_time needs a matrix, got {a.data.shape}")
-    idx = np.argmax(a.data, axis=0)
+def max_pool_time(a: Tensor, lengths) -> Tensor:
+    """Per-column max over each run of rows: (sum(lengths), C) -> (B, C) for
+    B runs laid end to end; the gradient goes to the argmax row of each
+    column within its run (first row on ties)."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if a.data.ndim != 2 or lengths.ndim != 1 or lengths.sum() != a.data.shape[0]:
+        raise ShapeMismatchError(
+            f"max_pool_time: runs of lengths {lengths.tolist()} over {a.data.shape}"
+        )
+    if lengths.size == 0 or lengths.min() < 1:
+        raise ShapeMismatchError("max_pool_time needs runs of at least one row")
+    # (B, max length) row ids; a short run repeats its last row, which the
+    # first-occurrence argmax never prefers over the real one
+    starts = np.cumsum(lengths) - lengths
+    ids = starts[:, None] + np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
+    best = np.argmax(a.data[ids], axis=1)
+    rows = np.take_along_axis(ids, best, axis=1)
     cols = np.arange(a.data.shape[1])
-    data = a.data[idx, cols].reshape(1, -1)
+    data = a.data[rows, cols]
 
     def bw(g):
         back = np.zeros_like(a.data)
-        back[idx, cols] = g[0]
+        back[rows, cols] = g
         a._accum(back)
 
     return _node(data, (a,), bw)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max of two same-shape tensors; the gradient follows the
-    winning entry (first argument on ties)."""
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatchError(f"maximum: {a.data.shape} vs {b.data.shape}")
-    take_a = a.data >= b.data
-    data = np.where(take_a, a.data, b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * take_a)
-        if b.requires_grad:
-            b._accum(g * ~take_a)
-
-    return _node(data, (a, b), bw)
 
 
 def lookup_rows(table: Tensor, ids) -> Tensor:
@@ -295,10 +269,6 @@ def lookup_rows(table: Tensor, ids) -> Tensor:
         np.add.at(table.grad, ids, g)
 
     return _node(data, (table,), bw)
-
-
-def lookup_row(table: Tensor, i: int) -> Tensor:
-    return lookup_rows(table, [i])
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

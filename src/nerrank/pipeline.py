@@ -14,6 +14,7 @@ grid {0, 0.005, ..., 1.0} against dev chunk F1.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .baseline.nbest import NBestCorpus
-from .collapse import CollapsedSequence, collapse, collapsed_to_labels
+from .collapse import CollapsedSequence, collapse, collapsed_to_labels, collapsed_token_strings
 from .corpus import EntitySpan, LabelSeq, extract_spans, normalize_to_bio2, tag_accuracy
 from .errors import CheckpointMismatchError, ConfigError, NerrankError
 from .evaluation import PrfCounts
@@ -34,6 +35,8 @@ WEIGHTS_FILE = "weights.bin"
 META_FILE = "meta.json"
 _META_KEYS = ("provenance", "alpha", "char_pad", "config", "vocab", "history")
 SCORE_CHUNK = 64
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class RerankExample:
 
     @cached_property
     def tokens(self) -> list[str]:
-        return [item.token_string() for item in self.collapsed.items]
+        return collapsed_token_strings(self.collapsed)
 
     @property
     def sentence_id(self) -> int:
@@ -176,12 +179,8 @@ def batch_loss(
     if not batch:
         raise NerrankError("cannot compute the loss of an empty batch")
     scores = scorer.score_batch([ex.tokens for ex in batch], train=train)
-    total = None
-    for ex, s in zip(batch, scores):
-        diff = s - Tensor(np.array([[ex.target]]))
-        sq = diff * diff
-        total = sq if total is None else total + sq
-    loss = scale(total, 1.0 / len(batch))
+    diff = scores - Tensor(np.array([[ex.target] for ex in batch]))
+    loss = scale(sum_all(diff * diff), 1.0 / len(batch))
     if l2 > 0.0:
         reg = None
         for _, p in scorer.trainable():
@@ -208,7 +207,7 @@ def score_sets(scorer: PatternScorer, nbest: NBestCorpus) -> list[list[ScoredCan
         row = []
         for idx, (labels, prob) in enumerate(cs.candidates):
             seq = collapse(sentence, labels, candidate_index=idx)
-            key = tuple(item.token_string() for item in seq.items)
+            key = tuple(collapsed_token_strings(seq))
             row.append((seq, key, prob))
             if key not in seen:
                 seen.add(key)
@@ -218,8 +217,8 @@ def score_sets(scorer: PatternScorer, nbest: NBestCorpus) -> list[list[ScoredCan
     values: dict[tuple[str, ...], float] = {}
     for start in range(0, len(order), SCORE_CHUNK):
         chunk = order[start : start + SCORE_CHUNK]
-        for key, s in zip(chunk, scorer.score_batch([list(k) for k in chunk])):
-            values[key] = s.item()
+        scores = scorer.score_batch([list(k) for k in chunk]).data[:, 0]
+        values.update(zip(chunk, scores.tolist()))
 
     out = []
     for row in collapsed_rows:
@@ -355,18 +354,26 @@ def train_reranker(
     history: list[EpochEval] = []
     best: tuple[float, int, float, dict] | None = None
 
-    def evaluate(epoch: int):
+    def evaluate(epoch: int, losses: list[float]):
         nonlocal best
         result = alpha_search(score_sets(scorer, dev), dev_golds)
         history.append(EpochEval(epoch=epoch, alpha=result.alpha, dev_f1=result.f1))
+        log.info(
+            "epoch %d: mean loss %s, dev F1 %.4f at alpha %.3f",
+            epoch,
+            f"{sum(losses) / len(losses):.6f}" if losses else "-",
+            result.f1,
+            result.alpha,
+        )
         if best is None or result.f1 > best[0]:
             best = (result.f1, epoch, result.alpha, scorer.params.copy_arrays())
 
-    evaluate(0)
+    evaluate(0, [])
     rng = np.random.default_rng([config.seed, SHUFFLE_STREAM])
     order = np.arange(len(train_examples))
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
+        losses = []
         for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
             batch = [train_examples[i] for i in order[start : start + config.batch_size]]
             scorer.params.zero_grad()
@@ -375,9 +382,10 @@ def train_reranker(
                 raise NerrankError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
+            losses.append(loss.item())
             backward(loss)
             adam.step()
-        evaluate(epoch)
+        evaluate(epoch, losses)
 
     scorer.params.load_arrays(best[3])
     return RerankerBundle(

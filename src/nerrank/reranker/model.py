@@ -6,19 +6,25 @@ vector); a left-to-right LSTM reads the representations and its last hidden
 state is concatenated with a max-pooled word-level CNN vector; a single
 sigmoid unit maps the result to a score in (0, 1).
 
-All activations are row vectors, so every affine map is ``x @ W + b`` with W
-shaped (inputs, outputs).  The character CNN slides a width-``char_cnn_window``
-window over the embedded characters of a word (padded with <pad_char> to a
-fixed length, zero vectors beyond the edges) and max-pools each filter over
-time; the word CNN does the same over item representations.  The LSTM is the
-standard cell
+All activations are matrices with one row per item, so every affine map is
+``x @ W + b`` with W shaped (inputs, outputs).  A minibatch of sequences is
+scored in one pass: their items are laid end to end as the rows of one
+(n_items, repr_dim) matrix, read as runs of the sequences' lengths.  Both
+CNNs are the same conv-pool: each row's window of neighbours within its run
+(zero vectors beyond the run's edges) is gathered into one row, multiplied
+by the filters in one matmul and max-pooled over time per run.  The
+character CNN sees each word as a run of ``char_pad`` characters (padded
+with <pad_char>), the word CNN each sequence as a run of item
+representations.  The LSTM is the standard cell
 
     i = sigmoid(h W1 + x W2 + b1)        f = sigmoid(h W3 + x W4 + b2)
     m~ = tanh(h W5 + x W6 + b3)          M = i * m~ + f * M_prev
     o = sigmoid(h W7 + x W8 + b4)        h = tanh(M) * o
 
 with h_0 = M_0 = 0; setting ``peepholes`` adds mu1 * M_prev and mu2 * M_prev
-inside the input and forget gates.
+inside the input and forget gates.  All sequences of a batch step together
+on one (B, lstm_hidden) state; a sequence that has ended carries its h and
+M unchanged to the last step.
 """
 
 from __future__ import annotations
@@ -27,19 +33,16 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..collapse import CollapsedItem, CollapsedSequence
-from ..errors import ConfigError, NerrankError
+from ..collapse import CollapsedSequence
+from ..errors import ConfigError, NerrankError, ShapeMismatchError
 from ..numerics import (
     ParamStore,
     Tensor,
     concat_cols,
     dropout,
-    lookup_row,
     lookup_rows,
     matmul,
     max_pool_time,
-    maximum,
-    shift_rows,
     sigmoid,
     stack_rows,
     tanh,
@@ -126,6 +129,39 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+def _runs(x: Tensor, lengths) -> np.ndarray:
+    """Checked run lengths of the rows of x."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.size == 0 or lengths.min() < 1:
+        raise NerrankError("cannot encode an empty sequence")
+    if lengths.sum() != x.shape[0]:
+        raise ShapeMismatchError(f"runs of lengths {lengths.tolist()} over {x.shape}")
+    return lengths
+
+
+def _conv_pool(source: Tensor, ids, lengths, w: Tensor, b: Tensor) -> Tensor:
+    """Max-pooled window responses of each run, shape (B, filters).
+
+    Position p of the runs laid end to end reads row ``ids[p]`` of source;
+    the response at p is [x_{p-half}, ..., x_{p+half}] @ w + b, with zero
+    vectors beyond the edges of p's run (w has one block of rows per window
+    position).  The windows are gathered from source under a zero row, so
+    the whole batch shares one matmul.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    table = stack_rows([Tensor(np.zeros((1, source.shape[1]))), source])
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    ends = starts + np.repeat(lengths, lengths)
+    half = w.shape[0] // source.shape[1] // 2
+    cols = []
+    for o in range(-half, half + 1):
+        at = np.arange(len(ids)) + o
+        inside = (at >= starts) & (at < ends)
+        rows = np.where(inside, ids[np.clip(at, 0, len(ids) - 1)] + 1, 0)
+        cols.append(lookup_rows(table, rows))
+    return max_pool_time(matmul(concat_cols(cols), w) + b, lengths)
+
+
 class PatternScorer:
     """Scores collapsed candidate sequences; owns its parameters and vocab."""
 
@@ -188,131 +224,92 @@ class PatternScorer:
         ids = [self.vocab.char_id(c) for c in word[: self.char_pad]]
         return ids + [CHAR_PAD_ID] * (self.char_pad - len(ids))
 
-    def _char_vectors(self, words: list[str]) -> Tensor:
-        """Character-CNN vectors for a batch of words, one row per word.
-
-        Works column-wise over character positions so the whole batch shares
-        one matmul per position: the window response at position j is
-        [x_{j-1}, x_j, x_{j+1}] @ W + b (zero vectors beyond the edges), and
-        a running elementwise max folds the per-position responses into the
-        pooled output.
-        """
-        cfg = self.config
-        ids = np.array([self._char_ids(w) for w in words], dtype=np.intp)
-        length = self.char_pad
-        cols = [lookup_rows(self.char_emb, ids[:, j]) for j in range(length)]
-        zero = Tensor(np.zeros((len(words), cfg.char_dim)))
-        half = cfg.char_cnn_window // 2
-        pooled = None
-        for j in range(length):
-            window = concat_cols(
-                [cols[j + o] if 0 <= j + o < length else zero
-                 for o in range(-half, half + 1)]
-            )
-            resp = matmul(window, self.char_cnn_w) + self.char_cnn_b
-            pooled = resp if pooled is None else maximum(pooled, resp)
-        return pooled
-
-    def char_cnn(self, word: str) -> Tensor:
-        """Fixed-size character vector of one word, shape (1, char_cnn_filters)."""
-        if not self.config.use_char_cnn:
-            raise ConfigError("character CNN is disabled in this configuration")
-        return self._char_vectors([word])
-
     def word_matrix(self, words: list[str]) -> Tensor:
         """Pre-dropout representations of the given words, one row each."""
         emb = lookup_rows(self.word_emb, [self.vocab.word_id(w) for w in words])
         if not self.config.use_char_cnn:
             return emb
-        return concat_cols([emb, self._char_vectors(words)])
-
-    def word_repr(self, item, *, train: bool = False) -> Tensor:
-        """Representation of one collapsed item (or raw string), (1, repr_dim)."""
-        text = item.token_string() if isinstance(item, CollapsedItem) else item
-        row = self.word_matrix([text])
-        return dropout(row, self.config.dropout, self._drop_rng, train)
+        chars = _conv_pool(
+            self.char_emb,
+            [i for w in words for i in self._char_ids(w)],
+            np.full(len(words), self.char_pad),
+            self.char_cnn_w,
+            self.char_cnn_b,
+        )
+        return concat_cols([emb, chars])
 
     # -- sequence encoders ----------------------------------------------
 
-    def lstm_encode(self, xs: list[Tensor]) -> Tensor:
-        """Final hidden state after reading the rows left to right."""
-        if not xs:
-            raise NerrankError("cannot encode an empty sequence")
+    def lstm_encode(self, x: Tensor, lengths) -> Tensor:
+        """Final hidden state of each run of rows read top to bottom,
+        shape (B, lstm_hidden).
+
+        The input projections x W2, x W4, x W6, x W8 are one matmul each over
+        all rows; step t gathers row t of every run (a run's last row once it
+        has ended, whose result 0/1 multipliers then discard exactly).
+        """
+        lengths = _runs(x, lengths)
         cfg = self.config
         w1, w2, w3, w4, w5, w6, w7, w8 = self.lstm_w
         b1, b2, b3, b4 = self.lstm_b
-        h = Tensor(np.zeros((1, cfg.lstm_hidden)))
-        m = Tensor(np.zeros((1, cfg.lstm_hidden)))
-        for x in xs:
-            gate_i = matmul(h, w1) + matmul(x, w2) + b1
-            gate_f = matmul(h, w3) + matmul(x, w4) + b2
+        x_i, x_f, x_m, x_o = (matmul(x, w) for w in (w2, w4, w6, w8))
+        starts = np.cumsum(lengths) - lengths
+        h = m = Tensor(np.zeros((len(lengths), cfg.lstm_hidden)))
+        for t in range(lengths.max()):
+            at = starts + np.minimum(t, lengths - 1)
+            gate_i = matmul(h, w1) + lookup_rows(x_i, at) + b1
+            gate_f = matmul(h, w3) + lookup_rows(x_f, at) + b2
             if cfg.peepholes:
                 gate_i = gate_i + self.lstm_mu1 * m
                 gate_f = gate_f + self.lstm_mu2 * m
             i = sigmoid(gate_i)
             f = sigmoid(gate_f)
-            cand = tanh(matmul(h, w5) + matmul(x, w6) + b3)
-            m = i * cand + f * m
-            o = sigmoid(matmul(h, w7) + matmul(x, w8) + b4)
-            h = tanh(m) * o
+            cand = tanh(matmul(h, w5) + lookup_rows(x_m, at) + b3)
+            m_next = i * cand + f * m
+            o = sigmoid(matmul(h, w7) + lookup_rows(x_o, at) + b4)
+            h_next = tanh(m_next) * o
+            live = (lengths > t)[:, None].astype(np.float64)
+            if live.all():
+                h, m = h_next, m_next
+            else:
+                keep, carry = Tensor(live), Tensor(1.0 - live)
+                h = keep * h_next + carry * h
+                m = keep * m_next + carry * m
         return h
 
-    def word_cnn_encode(self, xs: list[Tensor]) -> Tensor:
-        """Max-pooled window responses over the rows, shape (1, word_cnn_filters)."""
-        if not xs:
-            raise NerrankError("cannot encode an empty sequence")
-        half = self.config.word_cnn_window // 2
-        x = stack_rows(xs)
-        windows = concat_cols([shift_rows(x, s) for s in range(half, -half - 1, -1)])
-        resp = matmul(windows, self.word_cnn_w) + self.word_cnn_b
-        return max_pool_time(resp)
+    def word_cnn_encode(self, x: Tensor, lengths) -> Tensor:
+        """Max-pooled window responses over each run of rows, shape
+        (B, word_cnn_filters)."""
+        lengths = _runs(x, lengths)
+        return _conv_pool(x, np.arange(x.shape[0]), lengths, self.word_cnn_w, self.word_cnn_b)
 
     # -- scoring ---------------------------------------------------------
 
-    def score_batch(self, token_lists: list[list[str]], *, train: bool = False) -> list[Tensor]:
-        """Score several token sequences against one shared word table.
+    def score_batch(self, token_lists: list[list[str]], *, train: bool = False) -> Tensor:
+        """Scores of several token sequences, one row each, shape (B, 1).
 
-        Each distinct word in the batch is represented once; the per-sequence
-        graphs gather rows from that table, so batching changes cost but not
-        the computation each sequence sees.
+        Each distinct word in the batch is represented once; the sequences'
+        tokens gather their rows from that table end to end, and dropout
+        masks that whole matrix in one draw, so batching changes cost but
+        not the computation each sequence sees.
         """
         cfg = self.config
-        unique = sorted({t for tokens in token_lists for t in tokens})
-        if not unique:
+        lengths = [len(tokens) for tokens in token_lists]
+        if not lengths or min(lengths) == 0:
             raise NerrankError("cannot score an empty sequence")
-        table = self.word_matrix(unique)
+        unique = sorted({t for tokens in token_lists for t in tokens})
         row_of = {w: i for i, w in enumerate(unique)}
-        scores = []
-        for tokens in token_lists:
-            if not tokens:
-                raise NerrankError("cannot score an empty sequence")
-            xs = [lookup_row(table, row_of[t]) for t in tokens]
-            if train and cfg.dropout > 0.0:
-                xs = [dropout(x, cfg.dropout, self._drop_rng, True) for x in xs]
-            parts = []
-            if cfg.use_lstm:
-                parts.append(self.lstm_encode(xs))
-            if cfg.use_word_cnn:
-                parts.append(self.word_cnn_encode(xs))
-            h = parts[0] if len(parts) == 1 else concat_cols(parts)
-            scores.append(sigmoid(matmul(h, self.head_w) + self.head_b))
-        return scores
-
-    def score_tokens(self, tokens: list[str], *, train: bool = False) -> Tensor:
-        """Score one token sequence; the result is a (1, 1) tensor in (0, 1)."""
-        return self.score_batch([tokens], train=train)[0]
-
-    def score(self, collapsed, *, train: bool = False) -> Tensor:
-        """Score a collapsed sequence (or a plain list of token strings)."""
-        if isinstance(collapsed, CollapsedSequence):
-            tokens = [item.token_string() for item in collapsed.items]
-        else:
-            tokens = list(collapsed)
-        return self.score_tokens(tokens, train=train)
-
-    def score_value(self, collapsed) -> float:
-        """Evaluation-mode scalar score."""
-        return self.score(collapsed, train=False).item()
+        x = lookup_rows(
+            self.word_matrix(unique), [row_of[t] for tokens in token_lists for t in tokens]
+        )
+        x = dropout(x, cfg.dropout, self._drop_rng, train)
+        parts = []
+        if cfg.use_lstm:
+            parts.append(self.lstm_encode(x, lengths))
+        if cfg.use_word_cnn:
+            parts.append(self.word_cnn_encode(x, lengths))
+        h = parts[0] if len(parts) == 1 else concat_cols(parts)
+        return sigmoid(matmul(h, self.head_w) + self.head_b)
 
     def trainable(self):
         """(name, tensor) pairs the optimizer should update."""

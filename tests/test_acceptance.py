@@ -323,7 +323,7 @@ def test_objective_formula_and_adam_step_size():
 
     mse = 0.0
     for ex in examples:
-        s = scorer.score_tokens(ex.tokens).item()
+        s = scorer.score_batch([ex.tokens]).item()
         mse = mse + (s - ex.target) ** 2
     reg = 0.0
     for _, p in scorer.trainable():

@@ -10,13 +10,10 @@ from nerrank.numerics import (
     concat_cols,
     dropout,
     grad_check,
-    lookup_row,
     lookup_rows,
     matmul,
     max_pool_time,
-    maximum,
     scale,
-    shift_rows,
     sigmoid,
     stack_rows,
     sum_all,
@@ -40,36 +37,35 @@ def test_sigmoid_tanh_at_zero():
 
 def test_max_pool_values_and_routing():
     x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]), requires_grad=True)
-    out = max_pool_time(x)
+    out = max_pool_time(x, [2])
     assert out.data.tolist() == [[3.0, 5.0]]
     # pick out channel 1 only; its gradient must land on x[0][1]
     loss = sum_all(out * Tensor(np.array([[0.0, 1.0]])))
     backward(loss)
     assert x.grad.tolist() == [[0.0, 1.0], [0.0, 0.0]]
 
+    # three runs of 1, 3 and 2 rows laid end to end
+    x = Tensor(
+        np.array([[-9.0, -9.0], [7.0, 1.0], [7.0, 4.0], [2.0, 4.0], [0.5, 8.0], [6.0, 8.0]]),
+        requires_grad=True,
+    )
+    out = max_pool_time(x, [1, 3, 2])
+    # the one-row run keeps its own row although the rows after its end are larger
+    assert out.data.tolist() == [[-9.0, -9.0], [7.0, 4.0], [6.0, 8.0]]
+    backward(sum_all(out * Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))))
+    # each run's gradient lands on its own argmax row, the first one on ties
+    assert x.grad.tolist() == [
+        [1.0, 2.0], [3.0, 0.0], [0.0, 4.0], [0.0, 0.0], [0.0, 6.0], [5.0, 0.0],
+    ]
 
-def test_maximum_values_and_tie_gradient():
-    a = Tensor(np.array([[1.0, 4.0, 2.0]]), requires_grad=True)
-    b = Tensor(np.array([[3.0, 4.0, 1.0]]), requires_grad=True)
-    out = maximum(a, b)
-    assert out.data.tolist() == [[3.0, 4.0, 2.0]]
-    backward(sum_all(out))
-    # ties route to the first argument
-    assert a.grad.tolist() == [[0.0, 1.0, 1.0]]
-    assert b.grad.tolist() == [[1.0, 0.0, 0.0]]
-
-
-def test_maximum_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        maximum(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
-
-
-def test_shift_rows_values():
-    x = Tensor(np.array([[1.0], [2.0], [3.0]]))
-    assert shift_rows(x, 1).data.tolist() == [[0.0], [1.0], [2.0]]
-    assert shift_rows(x, -1).data.tolist() == [[2.0], [3.0], [0.0]]
-    assert shift_rows(x, 0).data.tolist() == x.data.tolist()
-    assert shift_rows(x, 5).data.tolist() == [[0.0], [0.0], [0.0]]
+    empty = Tensor(np.zeros((0, 2)))
+    cases = [
+        (x, [1, 0, 5]), (empty, []), (empty, [0]),  # a run without rows
+        (x, [1, 3]), (x, [4, 3]), (x, [[6]]), (Tensor(np.zeros(6)), [6]),  # rows != runs
+    ]
+    for a, lengths in cases:
+        with pytest.raises(ShapeMismatchError):
+            max_pool_time(a, lengths)
 
 
 def test_lookup_rows_gather():
@@ -141,7 +137,8 @@ def test_gradcheck_assembly_ops():
     def loss():
         wide = concat_cols([a, b])
         tall = stack_rows([wide, wide])
-        return sum_all(shift_rows(tall, 1) * mask)
+        shifted = lookup_rows(tall, [0, 0, 1, 2, 3, 4])
+        return sum_all(shifted * mask)
 
     check(loss, [("a", a), ("b", b)])
 
@@ -151,8 +148,9 @@ def test_gradcheck_pool_and_lookup():
     table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
 
     def loss():
-        rows = lookup_rows(table, [0, 2, 2, 5])
-        return sum_all(max_pool_time(rows)) + sum_all(lookup_row(table, 1))
+        # runs of 4, 1 and 2 rows; the repeated row 2 ties with itself
+        rows = lookup_rows(table, [0, 2, 2, 5, 4, 1, 3])
+        return sum_all(max_pool_time(rows, [4, 1, 2])) + sum_all(lookup_rows(table, [1]))
 
     check(loss, [("table", table)])
 

@@ -1,11 +1,14 @@
 """Tests for reranker dataset construction, the MSE+L2 objective, mixture
 decoding, the interpolation grid search, training, and bundle persistence."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from nerrank import pipeline
 from nerrank.baseline.nbest import CandidateSet, NBestCorpus
-from nerrank.collapse import collapse
+from nerrank.collapse import collapse, collapsed_token_strings
 from nerrank.corpus import BioLabel, Sentence, Token, normalize_to_bio2
 from nerrank.errors import CheckpointMismatchError, ConfigError, NerrankError
 from nerrank.evaluation import chunk_prf, oracle
@@ -202,7 +205,7 @@ def test_l2_covers_all_trainable_parameters():
     scorer, examples, lam = loss_fixture([0.5, 0.5], l2=0.5, zero_head=False)
     before = batch_loss(scorer, examples, 0.5, train=False).item()
     head_sq = float(np.sum(scorer.params["head_w"].data ** 2))
-    err = (scorer.score_tokens(examples[0].tokens).item() - 0.5) ** 2
+    err = (scorer.score_batch([examples[0].tokens]).item() - 0.5) ** 2
     scorer.params["head_w"].data[:] = 0.0
     scorer.params["head_b"].data[:] = 0.0
     after = batch_loss(scorer, examples, 0.5, train=False).item()
@@ -297,7 +300,7 @@ def corpus_token_lists(nbest):
     for sentence, cs in nbest:
         for idx, (cand, _) in enumerate(cs.candidates):
             seq = collapse(sentence, cand, candidate_index=idx)
-            lists.append([item.token_string() for item in seq.items])
+            lists.append(collapsed_token_strings(seq))
     return lists
 
 
@@ -310,9 +313,8 @@ def test_score_sets_matches_single_scoring():
         for idx, cand in enumerate(row):
             assert cand.index == idx
             assert cand.baseline_prob == cs.candidates[idx][1]
-            direct = scorer.score_value(
-                collapse(sentence, cs.candidates[idx][0], candidate_index=idx)
-            )
+            seq = collapse(sentence, cs.candidates[idx][0], candidate_index=idx)
+            direct = scorer.score_batch([collapsed_token_strings(seq)]).item()
             assert cand.score == pytest.approx(direct, abs=1e-12)
 
 
@@ -482,6 +484,34 @@ def test_training_beats_the_initial_model():
         (h for h in bundle.history if h.dev_f1 == best), key=lambda h: h.epoch
     )
     assert bundle.alpha == winner.alpha
+
+
+def test_each_epoch_is_logged_when_it_is_evaluated(caplog, monkeypatch):
+    train_corpus = cue_corpus(16, seed=6)
+    dev_corpus = cue_corpus(8, seed=7, start=1000)
+    losses = []
+
+    def traced_loss(*args, **kwargs):
+        loss = batch_loss(*args, **kwargs)
+        losses.append(loss.item())
+        logging.getLogger("nerrank.pipeline").info("batch")
+        return loss
+
+    monkeypatch.setattr(pipeline, "batch_loss", traced_loss)
+    with caplog.at_level(logging.INFO, logger="nerrank.pipeline"):
+        bundle = train_reranker(make_examples(train_corpus), dev_corpus, TINY)
+    lines = [r.getMessage() for r in caplog.records if r.name == "nerrank.pipeline"]
+    # 32 examples in batches of 16: two batches per epoch, each epoch's line
+    # follows its own batches and precedes the next epoch's
+    assert [line.split(":")[0] for line in lines] == [
+        "epoch 0", "batch", "batch", "epoch 1", "batch", "batch", "epoch 2",
+    ]
+    epoch_lines = [line for line in lines if line != "batch"]
+    means = ["-", f"{np.mean(losses[:2]):.6f}", f"{np.mean(losses[2:]):.6f}"]
+    assert epoch_lines == [
+        f"epoch {h.epoch}: mean loss {mean}, dev F1 {h.dev_f1:.4f} at alpha {h.alpha:.3f}"
+        for h, mean in zip(bundle.history, means)
+    ]
 
 
 def test_epochs_zero_returns_initialized_model():

@@ -6,10 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nerrank.collapse import collapse
+from nerrank.collapse import collapse, collapsed_token_strings
 from nerrank.corpus import BioLabel, Sentence, Token
-from nerrank.errors import CheckpointMismatchError, ConfigError, NerrankError, ParseError
+from nerrank.errors import (
+    CheckpointMismatchError,
+    ConfigError,
+    NerrankError,
+    ParseError,
+    ShapeMismatchError,
+)
 from nerrank.numerics import Tensor, backward, grad_check, sum_all
 from nerrank.pipeline import RerankerBundle, TrainConfig, load_bundle, save_bundle
 from nerrank.reranker import (
@@ -24,6 +32,7 @@ from nerrank.reranker import (
     init_embeddings,
     parse_embeddings,
 )
+from nerrank.reranker.model import DROPOUT_STREAM
 
 SMALL = ScorerConfig(
     word_dim=3,
@@ -164,19 +173,24 @@ def ref_char_cnn(scorer, word):
     return best
 
 
+def char_vectors(scorer, words):
+    """The character-CNN columns of the words' representations."""
+    return scorer.word_matrix(words).data[:, scorer.config.word_dim :]
+
+
 def test_char_cnn_matches_reference_windows():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=3)
-    for word in ["ab", "ba", "xy", "a", "", "abba", "toolongword"]:
-        got = scorer.char_cnn(word).data[0]
+    words = ["ab", "ba", "xy", "a", "", "abba", "toolongword"]
+    for word, got in zip(words, char_vectors(scorer, words)):
         assert np.allclose(got, ref_char_cnn(scorer, word), atol=1e-12)
+        assert np.allclose(char_vectors(scorer, [word])[0], got, atol=1e-12)
 
 
 def test_char_cnn_zero_filters_give_bias():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=0)
     scorer.char_cnn_w.data[:] = 0.0
     scorer.char_cnn_b.data[:] = [[0.25, -1.5]]
-    for word in ["ab", "", "zzz"]:
-        assert scorer.char_cnn(word).data.tolist() == [[0.25, -1.5]]
+    assert char_vectors(scorer, ["ab", "", "zzz"]).tolist() == [[0.25, -1.5]] * 3
 
 
 def test_char_cnn_single_filter_picks_max_coordinate():
@@ -188,22 +202,23 @@ def test_char_cnn_single_filter_picks_max_coordinate():
     word = "ab"
     ids = [scorer.vocab.char_id(c) for c in word] + [CHAR_PAD_ID] * 2
     expected = max(scorer.char_emb.data[i][0] for i in ids)
-    assert scorer.char_cnn(word).data[0][0] == pytest.approx(expected, abs=1e-12)
-    assert scorer.char_cnn(word).data[0][1] == 0.0
+    got = char_vectors(scorer, [word])[0]
+    assert got[0] == pytest.approx(expected, abs=1e-12)
+    assert got[1] == 0.0
 
 
 def test_char_cnn_ignores_text_beyond_pad_length():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=5)
-    a = scorer.char_cnn("abba").data
-    b = scorer.char_cnn("abbaXYZ").data
+    a, b = char_vectors(scorer, ["abba", "abbaXYZ"])
     assert np.array_equal(a, b)
 
 
 def test_empty_word_uses_pure_padding():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=6)
     pad_only = scorer.char_emb.data[[CHAR_PAD_ID] * scorer.char_pad]
-    assert np.isfinite(scorer.char_cnn("").data).all()
-    assert np.allclose(scorer.char_cnn("").data[0], ref_char_cnn(scorer, ""), atol=1e-12)
+    got = char_vectors(scorer, [""])[0]
+    assert np.isfinite(got).all()
+    assert np.allclose(got, ref_char_cnn(scorer, ""), atol=1e-12)
     assert ref_char_cnn(scorer, "").shape == (scorer.config.char_cnn_filters,)
     assert pad_only.shape == (4, 2)
 
@@ -214,7 +229,7 @@ def test_empty_word_uses_pure_padding():
 
 def test_word_repr_is_embedding_concat_char_vector():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=7)
-    got = scorer.word_repr("ab").data[0]
+    got = scorer.word_matrix(["ab"]).data[0]
     expected = np.concatenate(
         [scorer.word_emb.data[scorer.vocab.word_id("ab")], ref_char_cnn(scorer, "ab")]
     )
@@ -227,7 +242,7 @@ def test_type_token_item_uses_reserved_embedding_row():
     collapsed = collapse(sent, labels("B-PER", "O"))
     per_item = collapsed.items[0]
     assert per_item.is_type_token
-    got = scorer.word_repr(per_item).data[0][: scorer.config.word_dim]
+    got = scorer.word_matrix([per_item.token_string()]).data[0][: scorer.config.word_dim]
     assert np.array_equal(got, scorer.word_emb.data[2])  # reserved PER row
 
 
@@ -237,8 +252,17 @@ def test_word_repr_dropout_one_zeroes_training_output():
         dropout=1.0,
     )
     scorer = PatternScorer(small_vocab(), cfg, char_pad=4, seed=9)
-    assert np.array_equal(scorer.word_repr("ab", train=True).data, np.zeros((1, 5)))
-    assert np.any(scorer.word_repr("ab", train=False).data != 0.0)
+    # every representation is zeroed, so the score is the one of a zero row
+    zero = Tensor(np.zeros((1, 5)))
+    h = np.concatenate(
+        [scorer.lstm_encode(zero, [1]).data, scorer.word_cnn_encode(zero, [1]).data], axis=1
+    )
+    expected = 1.0 / (1.0 + np.exp(-(h @ scorer.head_w.data + scorer.head_b.data)))
+    got = scorer.score_batch([["ab"], ["xy"]], train=True).data
+    assert np.allclose(got, np.repeat(expected, 2, axis=0), atol=1e-12)
+    assert np.any(scorer.word_matrix(["ab"]).data != 0.0)
+    evaluated = scorer.score_batch([["ab"], ["xy"]]).data
+    assert evaluated[0, 0] != evaluated[1, 0]
 
 
 def test_char_cnn_off_leaves_plain_embedding():
@@ -248,11 +272,10 @@ def test_char_cnn_off_leaves_plain_embedding():
     )
     scorer = PatternScorer(small_vocab(), cfg, char_pad=4, seed=10)
     assert cfg.repr_dim == 3
-    row = scorer.word_repr("ab").data
+    row = scorer.word_matrix(["ab"]).data
     assert row.shape == (1, 3)
     assert np.array_equal(row[0], scorer.word_emb.data[scorer.vocab.word_id("ab")])
-    with pytest.raises(ConfigError):
-        scorer.char_cnn("ab")
+    assert "char_emb" not in dict(scorer.params.items())
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +304,22 @@ def ref_lstm(xs, w, b, mu=None):
 
 
 def rows(rng, n, dim):
-    return [Tensor(rng.normal(size=(1, dim))) for _ in range(n)]
+    return Tensor(rng.normal(size=(n, dim)))
+
+
+def runs(x, lengths):
+    """The rows of x split into runs, each a list of (1, dim) arrays."""
+    bounds = np.cumsum([0, *lengths])
+    return [[x.data[i : i + 1] for i in range(a, b)] for a, b in zip(bounds, bounds[1:])]
 
 
 def test_lstm_zero_parameters_give_zero_state():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=11)
     for t in scorer.lstm_w + scorer.lstm_b:
         t.data[:] = 0.0
-    xs = rows(np.random.default_rng(0), 6, SMALL.repr_dim)
-    assert np.array_equal(scorer.lstm_encode(xs).data, np.zeros((1, 4)))
+    x = rows(np.random.default_rng(0), 6, SMALL.repr_dim)
+    assert np.array_equal(scorer.lstm_encode(x, [6]).data, np.zeros((1, 4)))
+    assert np.array_equal(scorer.lstm_encode(x, [2, 4]).data, np.zeros((2, 4)))
 
 
 def test_lstm_single_step_closed_form():
@@ -297,9 +327,9 @@ def test_lstm_single_step_closed_form():
     for t in scorer.lstm_w + scorer.lstm_b:
         t.data[:] = 0.0
     scorer.lstm_b[2].data[:] = 3.0  # candidate-memory bias
-    x = [Tensor(np.zeros((1, SMALL.repr_dim)))]
+    x = Tensor(np.zeros((1, SMALL.repr_dim)))
     expected = np.tanh(np.tanh(3.0) * 0.5) * 0.5
-    assert np.allclose(scorer.lstm_encode(x).data, expected, atol=1e-12)
+    assert np.allclose(scorer.lstm_encode(x, [1]).data, expected, atol=1e-12)
 
 
 def test_lstm_matches_reference_equations():
@@ -307,26 +337,35 @@ def test_lstm_matches_reference_equations():
     rng = np.random.default_rng(5)
     for t in scorer.lstm_w + scorer.lstm_b:
         t.data[:] = rng.normal(scale=0.5, size=t.data.shape)
-    xs = rows(rng, 7, SMALL.repr_dim)
-    expected = ref_lstm([x.data for x in xs], [t.data for t in scorer.lstm_w],
-                        [t.data for t in scorer.lstm_b])
-    assert np.allclose(scorer.lstm_encode(xs).data, expected, atol=1e-12)
+    w = [t.data for t in scorer.lstm_w]
+    b = [t.data for t in scorer.lstm_b]
+    x = rows(rng, 7, SMALL.repr_dim)
+    assert np.allclose(scorer.lstm_encode(x, [7]).data, ref_lstm(runs(x, [7])[0], w, b), atol=1e-12)
+    # runs that end early carry their final state through the later steps
+    lengths = [3, 1, 2, 1]
+    got = scorer.lstm_encode(x, lengths).data
+    for row, xs in zip(got, runs(x, lengths)):
+        assert np.allclose(row, ref_lstm(xs, w, b)[0], atol=1e-12)
 
 
 def test_lstm_five_step_gradients():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=14)
-    xs = rows(np.random.default_rng(6), 5, SMALL.repr_dim)
+    x = rows(np.random.default_rng(6), 5, SMALL.repr_dim)
     params = [(n, t) for n, t in scorer.params.items() if n.startswith("lstm_")]
-    report = grad_check(lambda: sum_all(scorer.lstm_encode(xs)), params)
+    report = grad_check(lambda: sum_all(scorer.lstm_encode(x, [5])), params)
     assert report.ok(1e-4), str(report)
 
 
 def test_lstm_rejects_empty_sequence():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=15)
-    with pytest.raises(NerrankError):
-        scorer.lstm_encode([])
-    with pytest.raises(NerrankError):
-        scorer.word_cnn_encode([])
+    none = Tensor(np.zeros((0, SMALL.repr_dim)))
+    x = rows(np.random.default_rng(0), 2, SMALL.repr_dim)
+    for encode in (scorer.lstm_encode, scorer.word_cnn_encode):
+        for args in ((none, []), (none, [0]), (x, [2, 0])):
+            with pytest.raises(NerrankError, match="empty sequence"):
+                encode(*args)
+        with pytest.raises(ShapeMismatchError):
+            encode(x, [1])
 
 
 def test_peephole_mode_reduces_to_default_when_mu_is_zero():
@@ -336,19 +375,19 @@ def test_peephole_mode_reduces_to_default_when_mu_is_zero():
     )
     plain = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=16)
     peep = PatternScorer(small_vocab(), cfg_on, char_pad=4, seed=16)
-    xs = rows(np.random.default_rng(7), 5, SMALL.repr_dim)
-    assert np.array_equal(plain.lstm_encode(xs).data, peep.lstm_encode(xs).data)
+    x = rows(np.random.default_rng(7), 5, SMALL.repr_dim)
+    assert np.array_equal(plain.lstm_encode(x, [5]).data, peep.lstm_encode(x, [5]).data)
 
     peep.lstm_mu1.data[:] = 0.7
     peep.lstm_mu2.data[:] = -0.3
-    changed = peep.lstm_encode(xs).data
+    changed = peep.lstm_encode(x, [5]).data
     expected = ref_lstm(
-        [x.data for x in xs],
+        runs(x, [5])[0],
         [t.data for t in peep.lstm_w],
         [t.data for t in peep.lstm_b],
         mu=(peep.lstm_mu1.data, peep.lstm_mu2.data),
     )
-    assert not np.array_equal(changed, plain.lstm_encode(xs).data)
+    assert not np.array_equal(changed, plain.lstm_encode(x, [5]).data)
     assert np.allclose(changed, expected, atol=1e-12)
 
 
@@ -377,7 +416,7 @@ def test_word_cnn_single_window_for_length_one():
     z = np.random.default_rng(8).normal(size=(1, SMALL.repr_dim))
     window = np.concatenate([np.zeros(5), z[0], np.zeros(5)])
     expected = window @ scorer.word_cnn_w.data + scorer.word_cnn_b.data[0]
-    got = scorer.word_cnn_encode([Tensor(z)]).data[0]
+    got = scorer.word_cnn_encode(Tensor(z), [1]).data[0]
     assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -385,8 +424,9 @@ def test_word_cnn_zero_filters_give_bias():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=18)
     scorer.word_cnn_w.data[:] = 0.0
     scorer.word_cnn_b.data[:] = [[1.0, 2.0, 3.0]]
-    xs = rows(np.random.default_rng(9), 4, SMALL.repr_dim)
-    assert scorer.word_cnn_encode(xs).data.tolist() == [[1.0, 2.0, 3.0]]
+    x = rows(np.random.default_rng(9), 4, SMALL.repr_dim)
+    assert scorer.word_cnn_encode(x, [4]).data.tolist() == [[1.0, 2.0, 3.0]]
+    assert scorer.word_cnn_encode(x, [1, 3]).data.tolist() == [[1.0, 2.0, 3.0]] * 2
 
 
 def test_word_cnn_length_four_matches_hand_windows():
@@ -395,13 +435,83 @@ def test_word_cnn_length_four_matches_hand_windows():
         dropout=0.0,
     )
     scorer = PatternScorer(small_vocab(), cfg, char_pad=3, seed=19)
-    xs = rows(np.random.default_rng(10), 4, cfg.repr_dim)
-    expected = ref_word_cnn(scorer, [x.data for x in xs])
-    assert np.allclose(scorer.word_cnn_encode(xs).data[0], expected, atol=1e-12)
+    x = rows(np.random.default_rng(10), 7, cfg.repr_dim)
+    for lengths in ([7], [4, 1, 2]):
+        got = scorer.word_cnn_encode(x, lengths).data
+        # windows stop at each run's edges instead of reading its neighbours
+        for row, xs in zip(got, runs(x, lengths)):
+            assert np.allclose(row, ref_word_cnn(scorer, xs), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # scoring
+
+
+def ref_score(scorer, tokens, mask=None):
+    """Plain-numpy forward of one sequence, built from the references above;
+    `mask` holds the sequence's dropout multipliers, one row per token."""
+    cfg = scorer.config
+    xs = [
+        np.concatenate([scorer.word_emb.data[scorer.vocab.word_id(t)], ref_char_cnn(scorer, t)])
+        for t in tokens
+    ]
+    if mask is not None:
+        xs = [x * m for x, m in zip(xs, mask)]
+    xs = [x[None, :] for x in xs]
+    mu = (scorer.lstm_mu1.data, scorer.lstm_mu2.data) if cfg.peepholes else None
+    h = np.concatenate(
+        [
+            ref_lstm(xs, [t.data for t in scorer.lstm_w], [t.data for t in scorer.lstm_b], mu)[0],
+            ref_word_cnn(scorer, xs),
+        ]
+    )
+    return 1.0 / (1.0 + np.exp(-(h @ scorer.head_w.data[:, 0] + scorer.head_b.data[0, 0])))
+
+
+PATTERN_WORDS = ["PER", "LOC", "ORG", "ab", "ba", "xy", "visited", "unseen"]
+DROPPY = replace(SMALL, dropout=0.3, peepholes=True)
+
+
+def droppy_scorer(seed):
+    scorer = PatternScorer(small_vocab(), DROPPY, char_pad=SMALL_PAD, seed=seed)
+    rng = np.random.default_rng(seed)
+    scorer.lstm_mu1.data[:] = rng.normal(size=(1, DROPPY.lstm_hidden))
+    scorer.lstm_mu2.data[:] = rng.normal(size=(1, DROPPY.lstm_hidden))
+    return scorer
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(PATTERN_WORDS), min_size=1, max_size=8),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_batched_scores_equal_the_reference_forward(lists, seed, data):
+    scorer = droppy_scorer(seed)
+    batched = scorer.score_batch(lists).data[:, 0]
+    expected = [ref_score(scorer, tokens) for tokens in lists]
+    assert np.allclose(batched, expected, rtol=0.0, atol=1e-12)
+    single = [scorer.score_batch([tokens]).item() for tokens in lists]
+    assert np.allclose(batched, single, rtol=0.0, atol=1e-12)
+    perm = data.draw(st.permutations(range(len(lists))))
+    permuted = scorer.score_batch([lists[i] for i in perm]).data[:, 0]
+    assert np.allclose(permuted, batched[perm], rtol=0.0, atol=1e-12)
+
+    # train mode: one (n_tokens, repr_dim) draw of the scorer's dropout stream
+    trained = droppy_scorer(seed).score_batch(lists, train=True).data[:, 0]
+    n_tokens = sum(len(tokens) for tokens in lists)
+    draw = np.random.default_rng([seed, DROPOUT_STREAM]).random((n_tokens, DROPPY.repr_dim))
+    mask = (draw >= DROPPY.dropout) / (1.0 - DROPPY.dropout)
+    starts = np.cumsum([0] + [len(tokens) for tokens in lists])
+    expected = [
+        ref_score(scorer, tokens, mask[a : a + len(tokens)])
+        for tokens, a in zip(lists, starts)
+    ]
+    assert np.allclose(trained, expected, rtol=0.0, atol=1e-12)
 
 
 def test_zero_head_scores_half_everywhere():
@@ -409,7 +519,7 @@ def test_zero_head_scores_half_everywhere():
     scorer.head_w.data[:] = 0.0
     scorer.head_b.data[:] = 0.0
     for tokens in (["PER"], ["ab", "LOC", "ba"], ["?", "?", "?"]):
-        assert scorer.score_tokens(tokens).item() == 0.5
+        assert scorer.score_batch([tokens]).item() == 0.5
 
 
 def test_scores_are_strictly_inside_unit_interval():
@@ -421,8 +531,9 @@ def test_scores_are_strictly_inside_unit_interval():
         for _ in range(1000)
     ]
     for start in range(0, 1000, 100):
-        for s in scorer.score_batch(batch[start : start + 100]):
-            assert 0.0 < s.item() < 1.0
+        scores = scorer.score_batch(batch[start : start + 100]).data
+        assert scores.shape == (100, 1)
+        assert np.all((0.0 < scores) & (scores < 1.0))
 
 
 def test_identical_collapsed_sequences_share_a_score():
@@ -430,14 +541,14 @@ def test_identical_collapsed_sequences_share_a_score():
     tags = labels("B-PER", "O", "B-LOC")
     a = collapse(sentence(1, "John", "visited", "Paris"), tags)
     b = collapse(sentence(2, "John", "visited", "Paris"), tags)
-    assert scorer.score(a).data.tobytes() == scorer.score(b).data.tobytes()
+    score_a = scorer.score_batch([collapsed_token_strings(a)]).data.tobytes()
+    assert score_a == scorer.score_batch([collapsed_token_strings(b)]).data.tobytes()
 
 
 def test_reversal_changes_the_score():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=23)
     tokens = ["PER", "visited", "LOC", "."]
-    fwd = scorer.score_tokens(tokens).item()
-    rev = scorer.score_tokens(tokens[::-1]).item()
+    fwd, rev = scorer.score_batch([tokens, tokens[::-1]]).data[:, 0]
     assert abs(fwd - rev) > 1e-12
 
 
@@ -445,18 +556,18 @@ def test_eval_scoring_is_bit_exact_and_seed_reproducible():
     first = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=24)
     again = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=24)
     tokens = ["PER", "visited", "LOC"]
-    one = first.score_tokens(tokens).data.tobytes()
-    assert first.score_tokens(tokens).data.tobytes() == one
-    assert again.score_tokens(tokens).data.tobytes() == one
+    one = first.score_batch([tokens]).data.tobytes()
+    assert first.score_batch([tokens]).data.tobytes() == one
+    assert again.score_batch([tokens]).data.tobytes() == one
     other = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=25)
-    assert other.score_tokens(tokens).data.tobytes() != one
+    assert other.score_batch([tokens]).data.tobytes() != one
 
 
 def test_batch_scoring_agrees_with_single_scoring():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=26)
     lists = [["PER", "visited"], ["ab", "ba", "xy"], ["LOC"]]
-    batched = [s.item() for s in scorer.score_batch(lists)]
-    single = [scorer.score_tokens(t).item() for t in lists]
+    batched = scorer.score_batch(lists).data[:, 0].tolist()
+    single = [scorer.score_batch([t]).item() for t in lists]
     assert batched == pytest.approx(single, abs=1e-12)
 
 
@@ -491,20 +602,24 @@ def test_checkpoint_rejects_other_architectures(tmp_path):
 
     same = load_bundle(tmp_path / "full").scorer
     tokens = ["PER", "visited"]
-    assert same.score_tokens(tokens).item() == full.score_tokens(tokens).item()
+    assert same.score_batch([tokens]).item() == full.score_batch([tokens]).item()
 
 
 def test_full_model_gradients_match_finite_differences():
     cfg = ScorerConfig(
         word_dim=3, char_dim=2, lstm_hidden=3, char_cnn_filters=2, word_cnn_filters=2,
-        dropout=0.0,
+        dropout=0.0, peepholes=True,
     )
     scorer = PatternScorer(small_vocab(), cfg, char_pad=3, seed=28)
-    target = Tensor(np.array([[0.3]]))
+    scorer.lstm_mu1.data[:] = [[0.5, -0.4, 0.3]]
+    scorer.lstm_mu2.data[:] = [[-0.2, 0.6, 0.1]]
+    # lengths 1, 2 and 5: the short runs carry their state through steps 2-5
+    lists = [["PER"], ["ab", "LOC"], ["xy", "PER", "ab", "visited", "LOC"]]
+    target = Tensor(np.array([[0.3], [0.6], [0.1]]))
 
     def loss():
-        diff = scorer.score_tokens(["PER", "ab", "LOC"]) - target
-        return diff * diff
+        diff = scorer.score_batch(lists) - target
+        return sum_all(diff * diff)
 
     report = grad_check(loss, scorer.params)
     assert report.ok(1e-4), str(report)
@@ -512,10 +627,9 @@ def test_full_model_gradients_match_finite_differences():
 
 def test_empty_sequences_cannot_be_scored():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=29)
-    with pytest.raises(NerrankError):
-        scorer.score_tokens([])
-    with pytest.raises(NerrankError):
-        scorer.score_batch([["PER"], []])
+    for lists in ([[]], [], [["PER"], []]):
+        with pytest.raises(NerrankError, match="empty sequence"):
+            scorer.score_batch(lists)
 
 
 def test_scored_candidate_validation():
@@ -552,9 +666,9 @@ def test_training_mode_dropout_changes_scores_but_respects_seed():
     a = PatternScorer(small_vocab(), cfg, char_pad=4, seed=31)
     b = PatternScorer(small_vocab(), cfg, char_pad=4, seed=31)
     tokens = ["PER", "visited", "LOC"]
-    eval_score = a.score_tokens(tokens).item()
-    train_a = a.score_tokens(tokens, train=True).item()
-    train_b = b.score_tokens(tokens, train=True).item()
+    eval_score = a.score_batch([tokens]).item()
+    train_a = a.score_batch([tokens], train=True).item()
+    train_b = b.score_batch([tokens], train=True).item()
     assert train_a == train_b  # same dropout stream
     assert train_a != eval_score
 
@@ -582,7 +696,7 @@ def test_default_configuration_sizes_are_pinned():
 def test_gradients_flow_into_embeddings_through_score():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=33)
     scorer.params.zero_grad()
-    backward(scorer.score_tokens(["ab", "PER"]))
+    backward(scorer.score_batch([["ab", "PER"]]))
     touched = scorer.word_emb.grad
     assert touched is not None
     assert np.any(touched[scorer.vocab.word_id("ab")] != 0.0)
