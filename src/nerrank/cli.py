@@ -66,9 +66,11 @@ EXIT_BAD_DATA = 5
 # checked in order; first match decides the exit status
 EXIT_CODES = (
     (FileNotFoundError, EXIT_MISSING_FILE),
+    (IsADirectoryError, EXIT_MISSING_FILE),
     (ConfigError, EXIT_BAD_CONFIG),
     (CheckpointMismatchError, EXIT_CHECKPOINT),
     (ParseError, EXIT_BAD_DATA),
+    (UnicodeDecodeError, EXIT_BAD_DATA),
     (NerrankError, EXIT_FAILURE),
     (ValueError, EXIT_FAILURE),
 )
@@ -118,6 +120,8 @@ def _write_manifest(cfg: RunConfig, command: str, inputs: dict, outputs: dict):
     lines.append(f"config_hash = {config_hash(cfg)}\n")
     lines.append(f"seed = {cfg.train.seed}\n")
     for name, value in inputs.items():
+        if value is None:
+            continue
         lines.append(f"input_{name} = {value}\n")
         if os.path.isfile(value):
             lines.append(f"input_{name}_sha256 = {_file_digest(value)}\n")
@@ -193,7 +197,7 @@ def cmd_baseline_train(cfg: RunConfig, explicit: frozenset) -> int:
     _write_manifest(
         cfg,
         "baseline-train",
-        {"train_path": cfg.train_path},
+        {"train_path": cfg.train_path, "clusters_path": cfg.clusters_path},
         {"model_path": cfg.model_path},
     )
     return EXIT_OK
@@ -227,7 +231,7 @@ def cmd_jackknife(cfg: RunConfig, explicit: frozenset) -> int:
     _write_manifest(
         cfg,
         "jackknife",
-        {"train_path": cfg.train_path},
+        {"train_path": cfg.train_path, "clusters_path": cfg.clusters_path},
         {"output_path": cfg.output_path},
     )
     return EXIT_OK
@@ -239,7 +243,7 @@ def cmd_collapse(cfg: RunConfig, explicit: frozenset) -> int:
     lines = []
     for sentence, cs in corpus:
         for idx, (labels, _) in enumerate(cs.candidates):
-            seq = collapse(sentence, labels, candidate_index=idx)
+            seq = collapse(sentence, labels)
             lines.append(f"{sentence.id}\t{idx}\t{format_pattern(seq)}\n")
     outputs = _emit(cfg, "".join(lines))
     _write_manifest(cfg, "collapse", {"nbest_path": cfg.nbest_path}, outputs)
@@ -270,6 +274,7 @@ def cmd_rerank_train(cfg: RunConfig, explicit: frozenset) -> int:
         {
             "train_nbest_path": cfg.train_nbest_path,
             "dev_nbest_path": cfg.dev_nbest_path,
+            "embeddings_path": cfg.embeddings_path,
         },
         {"bundle_path": cfg.bundle_path},
     )
@@ -340,14 +345,7 @@ def cmd_alpha_search(cfg: RunConfig, explicit: frozenset) -> int:
     _require(cfg, "alpha-search", "bundle_path", "nbest_path")
     bundle = _load_bundle_checked(cfg, explicit)
     corpus = read_nbest(cfg.nbest_path).truncated(cfg.n_best)
-    missing = [s.id for s, cs in corpus if cs.gold is None]
-    if missing:
-        raise NerrankError(
-            f"alpha-search needs gold labels; missing for sentence(s) {missing[:5]}"
-        )
-    result = alpha_search(
-        score_sets(bundle.scorer, corpus), [cs.gold for cs in corpus.sets]
-    )
+    result = alpha_search(corpus, score_sets(bundle.scorer, corpus))
     values = {
         "alpha": result.alpha,
         "f1": _pct(result.f1),
@@ -359,7 +357,12 @@ def cmd_alpha_search(cfg: RunConfig, explicit: frozenset) -> int:
     if cfg.output_path is not None:
         write_metrics(cfg.output_path, values, header=_header(cfg))
         outputs["output_path"] = cfg.output_path
-    _write_manifest(cfg, "alpha-search", {"nbest_path": cfg.nbest_path}, outputs)
+    _write_manifest(
+        cfg,
+        "alpha-search",
+        {"bundle_path": cfg.bundle_path, "nbest_path": cfg.nbest_path},
+        outputs,
+    )
     return EXIT_OK
 
 

@@ -60,8 +60,6 @@ class CollapsedSequence:
 
     items: tuple[CollapsedItem, ...]
     spans: tuple[tuple[int, int], ...]
-    sentence_id: int
-    candidate_index: int
 
     def __post_init__(self):
         if not self.items:
@@ -80,11 +78,7 @@ class CollapsedSequence:
         return len(self.items)
 
 
-def collapse(
-    sentence: Sentence,
-    labels: LabelSeq,
-    candidate_index: int = 0,
-) -> CollapsedSequence:
+def collapse(sentence: Sentence, labels: LabelSeq) -> CollapsedSequence:
     """Build the collapsed pattern for one candidate label sequence.
 
     Labels are first repaired to valid BIO2 (k-best decoders can emit
@@ -114,7 +108,7 @@ def collapse(
             items.append(CollapsedItem(surface=surface))
             spans.append((i, i))
             i += 1
-    return CollapsedSequence(tuple(items), tuple(spans), sentence.id, candidate_index)
+    return CollapsedSequence(tuple(items), tuple(spans))
 
 
 def collapsed_token_strings(seq: CollapsedSequence) -> list[str]:

@@ -156,13 +156,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # stable two-branch form
+    # the stable two-branch form in one expression: exp(min(x, 0)) is 1 for
+    # x >= 0 and exp(x) below, exp(-|x|) never overflows
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
     def bw(g):
         a._accum(g * out * (1.0 - out))

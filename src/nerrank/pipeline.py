@@ -21,13 +21,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .baseline.nbest import NBestCorpus
-from .collapse import CollapsedSequence, collapse, collapsed_to_labels, collapsed_token_strings
-from .corpus import EntitySpan, LabelSeq, extract_spans, normalize_to_bio2, tag_accuracy
+from .baseline.nbest import CandidateSet, NBestCorpus
+from .collapse import CollapsedSequence, collapse, collapsed_token_strings
+from .corpus import LabelSeq, extract_spans, normalize_to_bio2, tag_accuracy
 from .errors import CheckpointMismatchError, ConfigError, NerrankError
 from .evaluation import PrfCounts
 from .numerics import AdamState, Tensor, backward, scale, sum_all
-from .reranker import PatternScorer, ScoredCandidate, ScorerConfig, Vocab, build_vocab
+from .reranker import PatternScorer, ScorerConfig, Vocab, build_vocab
 
 SHUFFLE_STREAM = 23
 ALPHA_GRID = tuple(i / 200.0 for i in range(201))
@@ -41,32 +41,19 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RerankExample:
-    """One candidate as a training instance: its collapsed pattern, the
-    tag-accuracy regression target, and the baseline probability."""
+    """One candidate as a training instance: its collapsed pattern and the
+    tag-accuracy regression target."""
 
     collapsed: CollapsedSequence
     target: float
-    baseline_prob: float
 
     def __post_init__(self):
         if not 0.0 <= self.target <= 1.0:
             raise NerrankError(f"target must be in [0, 1]: {self.target}")
-        if not 0.0 < self.baseline_prob <= 1.0:
-            raise NerrankError(
-                f"baseline probability must be in (0, 1]: {self.baseline_prob}"
-            )
 
     @cached_property
     def tokens(self) -> list[str]:
         return collapsed_token_strings(self.collapsed)
-
-    @property
-    def sentence_id(self) -> int:
-        return self.collapsed.sentence_id
-
-    @property
-    def candidate_index(self) -> int:
-        return self.collapsed.candidate_index
 
 
 @dataclass(frozen=True)
@@ -153,12 +140,11 @@ def make_examples(nbest: NBestCorpus) -> list[RerankExample]:
                 f"sentence {sentence.id}: supervised examples need gold labels"
             )
         gold = normalize_to_bio2(cs.gold)
-        for idx, (labels, prob) in enumerate(cs.candidates):
+        for labels, _ in cs.candidates:
             out.append(
                 RerankExample(
-                    collapsed=collapse(sentence, labels, candidate_index=idx),
+                    collapsed=collapse(sentence, labels),
                     target=tag_accuracy(gold, normalize_to_bio2(labels)),
-                    baseline_prob=prob,
                 )
             )
     return out
@@ -194,61 +180,37 @@ def batch_loss(
 # scoring and selection
 
 
-def score_sets(scorer: PatternScorer, nbest: NBestCorpus) -> list[list[ScoredCandidate]]:
-    """Evaluation-mode scores for every candidate in the corpus.
+def score_sets(scorer: PatternScorer, nbest: NBestCorpus) -> list[list[float]]:
+    """Evaluation-mode scores for every candidate in the corpus, one list
+    per sentence in `cs.candidates` order.
 
     Each distinct collapsed pattern is scored once; duplicates (very common
     after collapsing) reuse the cached value.
     """
-    collapsed_rows = []
-    order: list[tuple[str, ...]] = []
-    seen: set[tuple[str, ...]] = set()
-    for sentence, cs in nbest:
-        row = []
-        for idx, (labels, prob) in enumerate(cs.candidates):
-            seq = collapse(sentence, labels, candidate_index=idx)
-            key = tuple(collapsed_token_strings(seq))
-            row.append((seq, key, prob))
-            if key not in seen:
-                seen.add(key)
-                order.append(key)
-        collapsed_rows.append(row)
-
+    keys = [
+        [tuple(collapsed_token_strings(collapse(s, labels))) for labels, _ in cs.candidates]
+        for s, cs in nbest
+    ]
+    order = list(dict.fromkeys(key for row in keys for key in row))
     values: dict[tuple[str, ...], float] = {}
     for start in range(0, len(order), SCORE_CHUNK):
         chunk = order[start : start + SCORE_CHUNK]
         scores = scorer.score_batch([list(k) for k in chunk]).data[:, 0]
+        outside = scores[~((scores > 0.0) & (scores < 1.0))]
+        if outside.size:
+            raise NerrankError(f"candidate score must be inside (0, 1): {outside[0]}")
         values.update(zip(chunk, scores.tolist()))
-
-    out = []
-    for row in collapsed_rows:
-        out.append(
-            [
-                ScoredCandidate(
-                    index=i,
-                    collapsed=seq,
-                    score=values[key],
-                    baseline_prob=prob,
-                )
-                for i, (seq, key, prob) in enumerate(row)
-            ]
-        )
-    return out
+    return [[values[key] for key in row] for row in keys]
 
 
-def mixture_select(candidates: list[ScoredCandidate], alpha: float) -> int:
-    """Index of the candidate maximizing alpha*s + (1-alpha)*p; ties go to
-    the lower index, i.e. the higher baseline rank."""
-    if not candidates:
+def mixture_select(pairs: list[tuple[float, float]], alpha: float) -> int:
+    """The selection rule: index of the (score, prob) pair maximizing
+    alpha*s + (1-alpha)*p; ties go to the lower index, i.e. the higher
+    baseline rank."""
+    if not pairs:
         raise NerrankError("cannot select from an empty candidate list")
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    return _mixture_argmax([(c.score, c.baseline_prob) for c in candidates], alpha)
-
-
-def _mixture_argmax(pairs: list[tuple[float, float]], alpha: float) -> int:
-    """The selection rule shared by decoding and alpha search: index of the
-    (s, p) pair maximizing alpha*s + (1-alpha)*p, the first one on ties."""
     best_i = 0
     best_v = None
     for i, (s, p) in enumerate(pairs):
@@ -258,41 +220,38 @@ def _mixture_argmax(pairs: list[tuple[float, float]], alpha: float) -> int:
     return best_i
 
 
-def _candidate_spans(seq: CollapsedSequence) -> set[EntitySpan]:
-    return {
-        EntitySpan(start, end, item.entity_type)
-        for item, (start, end) in zip(seq.items, seq.spans)
-        if item.is_type_token
-    }
+def _pairs(cs: CandidateSet, row: list[float]) -> list[tuple[float, float]]:
+    """(score, prob) per candidate of one set, checked against its scores."""
+    if len(row) != len(cs.candidates):
+        raise NerrankError(
+            f"sentence {cs.sentence_id}: {len(row)} scores for {len(cs.candidates)} candidates"
+        )
+    return [(s, prob) for s, (_, prob) in zip(row, cs.candidates)]
 
 
-def alpha_search(
-    scored: list[list[ScoredCandidate]],
-    golds: list[LabelSeq],
-) -> AlphaSearchResult:
+def alpha_search(nbest: NBestCorpus, scores: list[list[float]]) -> AlphaSearchResult:
     """Best interpolation weight by dev chunk F1 over the full 0.005 grid.
 
     Candidate span statistics are computed once; each grid point only
     re-runs the argmax selection. Ties prefer the smallest alpha.
     """
-    if len(scored) != len(golds):
+    if len(scores) != len(nbest):
+        raise NerrankError(f"{len(scores)} scored sentences vs {len(nbest)} candidate sets")
+    missing = [cs.sentence_id for cs in nbest.sets if cs.gold is None]
+    if missing:
         raise NerrankError(
-            f"{len(scored)} scored sentences vs {len(golds)} gold sequences"
+            f"alpha search needs gold labels; missing for sentence(s) {missing[:5]}"
         )
     per_sentence = []
     total_gold = 0
-    for row, gold in zip(scored, golds):
-        if not row:
-            raise NerrankError("cannot search with an empty candidate list")
-        gspans = extract_spans(normalize_to_bio2(gold))
+    for cs, row in zip(nbest.sets, scores):
+        gspans = extract_spans(normalize_to_bio2(cs.gold))
         total_gold += len(gspans)
-        pairs = []
         counts = []
-        for cand in row:
-            spans = _candidate_spans(cand.collapsed)
-            pairs.append((cand.score, cand.baseline_prob))
+        for labels, _ in cs.candidates:
+            spans = extract_spans(normalize_to_bio2(labels))
             counts.append((len(spans & gspans), len(spans)))
-        per_sentence.append((pairs, counts))
+        per_sentence.append((_pairs(cs, row), counts))
 
     best_alpha = None
     best_f1 = -1.0
@@ -301,7 +260,7 @@ def alpha_search(
         points += 1
         tp = pred = 0
         for pairs, counts in per_sentence:
-            hit, size = counts[_mixture_argmax(pairs, alpha)]
+            hit, size = counts[mixture_select(pairs, alpha)]
             tp += hit
             pred += size
         f1 = PrfCounts(tp, pred, total_gold).f1
@@ -349,14 +308,13 @@ def train_reranker(
         beta2=config.adam_beta2,
         eps=config.adam_eps,
     )
-    dev_golds = [cs.gold for cs in dev.sets]
 
     history: list[EpochEval] = []
     best: tuple[float, int, float, dict] | None = None
 
     def evaluate(epoch: int, losses: list[float]):
         nonlocal best
-        result = alpha_search(score_sets(scorer, dev), dev_golds)
+        result = alpha_search(dev, score_sets(scorer, dev))
         history.append(EpochEval(epoch=epoch, alpha=result.alpha, dev_f1=result.f1))
         log.info(
             "epoch %d: mean loss %s, dev F1 %.4f at alpha %.3f",
@@ -399,13 +357,10 @@ def train_reranker(
 
 def rerank(bundle: RerankerBundle, nbest: NBestCorpus) -> list[LabelSeq]:
     """Mixture-select a candidate per sentence and return its label sequence."""
-    scored = score_sets(bundle.scorer, nbest)
     predictions = []
-    for (sentence, _), row in zip(nbest, scored):
-        if not row:
-            raise NerrankError(f"sentence {sentence.id}: no candidates to rerank")
-        pick = mixture_select(row, bundle.alpha)
-        predictions.append(collapsed_to_labels(row[pick].collapsed))
+    for cs, row in zip(nbest.sets, score_sets(bundle.scorer, nbest)):
+        pick = mixture_select(_pairs(cs, row), bundle.alpha)
+        predictions.append(normalize_to_bio2(cs.candidates[pick][0]))
     return predictions
 
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..collapse import CollapsedSequence
 from ..errors import ConfigError, NerrankError, ShapeMismatchError
 from ..numerics import (
     ParamStore,
@@ -104,24 +103,6 @@ class ScorerConfig:
         return (self.lstm_hidden if self.use_lstm else 0) + (
             self.word_cnn_filters if self.use_word_cnn else 0
         )
-
-
-@dataclass(frozen=True)
-class ScoredCandidate:
-    """One n-best candidate with its neural score and baseline probability."""
-
-    index: int
-    collapsed: CollapsedSequence
-    score: float
-    baseline_prob: float
-
-    def __post_init__(self):
-        if not 0.0 < self.score < 1.0:
-            raise NerrankError(f"candidate score must be inside (0, 1): {self.score}")
-        if not 0.0 < self.baseline_prob <= 1.0:
-            raise NerrankError(
-                f"baseline probability must be in (0, 1]: {self.baseline_prob}"
-            )
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

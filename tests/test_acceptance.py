@@ -84,10 +84,7 @@ def test_full_reranker_gradient_matches_finite_differences():
         (sent(2, "Acmetron", "hired", "Petrina"), ("B-ORG", "O", "B-PER")),
     ]
     examples = [
-        RerankExample(
-            collapsed=collapse(s, labels(*tags)), target=0.5 + 0.1 * i,
-            baseline_prob=0.5,
-        )
+        RerankExample(collapsed=collapse(s, labels(*tags)), target=0.5 + 0.1 * i)
         for i, (s, tags) in enumerate(batch_sentences)
     ]
     vocab = build_vocab([ex.tokens for ex in examples])
@@ -245,9 +242,7 @@ def test_alpha_zero_identity_and_search_grid():
     ).encode("utf-8")
     assert reranked == extracted
 
-    result = alpha_search(
-        score_sets(bundle.scorer, big), [cs.gold for cs in big.sets]
-    )
+    result = alpha_search(big, score_sets(bundle.scorer, big))
     assert result.points == 201
     assert abs(result.alpha * 200 - round(result.alpha * 200)) < 1e-9
     assert 0.0 <= result.alpha <= 1.0
@@ -312,7 +307,7 @@ def test_objective_formula_and_adam_step_size():
             sent(i, "Kestrel", "prandels", "the", "Romest", "."),
             labels("B-PER", "O", "O", "B-LOC", "O"),
         )
-        examples.append(RerankExample(collapsed=seq, target=y, baseline_prob=0.5))
+        examples.append(RerankExample(collapsed=seq, target=y))
     config = ScorerConfig(
         word_dim=5, char_dim=3, lstm_hidden=4, char_cnn_filters=3, word_cnn_filters=4,
         dropout=0.0,

@@ -25,8 +25,9 @@ from nerrank.baseline import (
     viterbi_decode,
     word_shape,
 )
-from nerrank.corpus import BioLabel, Dataset, Sentence, Token, parse_conll
+from nerrank.corpus import BioLabel, Dataset, Sentence, Token, normalize_to_bio2, parse_conll
 from nerrank.errors import ParseError
+from strategies import label_seqs, sentences
 from toycorpus import simple_corpus
 
 WORD_ONLY = FeatureTemplateSet(
@@ -503,6 +504,31 @@ def test_nbest_roundtrip():
         assert p1 == pytest.approx(p2, rel=1e-11)
     # probabilities carry at least 12 significant digits
     assert "7.000000000000e-01" in text
+
+
+@st.composite
+def nbest_corpora(draw):
+    """Corpora as the decoders write them: gold (when present) in BIO2,
+    candidates any labels with descending probabilities summing to 1."""
+    n = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    sents, sets = [], []
+    for sid in ids:
+        s = draw(sentences(st.just(sid), max_len=5))
+        gold = draw(st.none() | label_seqs(len(s)).map(normalize_to_bio2))
+        weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5))
+        probs = sorted((w / sum(weights) for w in weights), reverse=True)
+        cands = [(draw(label_seqs(len(s))), p) for p in probs]
+        sents.append(s)
+        sets.append(CandidateSet(sid, gold, cands))
+    return NBestCorpus(sents, sets)
+
+
+@settings(derandomize=True, deadline=None)
+@given(nbest_corpora())
+def test_nbest_format_survives_a_parse(corpus):
+    text = format_nbest(corpus)
+    assert format_nbest(parse_nbest(text)) == text
 
 
 def test_nbest_reader_resorts_candidates():

@@ -1,6 +1,7 @@
 """Tests for run configuration, model persistence, and the command-line
 interface (exit codes, output headers, manifests, determinism)."""
 
+import hashlib
 import json
 import shutil
 import struct
@@ -16,6 +17,7 @@ from nerrank.cli import (
     EXIT_BAD_CONFIG,
     EXIT_BAD_DATA,
     EXIT_CHECKPOINT,
+    EXIT_FAILURE,
     EXIT_MISSING_FILE,
     EXIT_OK,
     main,
@@ -284,21 +286,112 @@ def test_pipeline_outputs_have_headers(pipeline_dir):
         assert first.startswith(HEADER_PREFIX), name
 
 
-def test_pipeline_manifests(pipeline_dir):
-    manifest = (
-        pipeline_dir["pred"].parent / (pipeline_dir["pred"].name + ".manifest")
-    ).read_text(encoding="utf-8")
-    lines = dict(
+def read_manifest(path):
+    return dict(
         line.split(" = ", 1)
-        for line in manifest.splitlines()
+        for line in path.read_text(encoding="utf-8").splitlines()
         if " = " in line and not line.startswith("#")
     )
-    assert lines["command"] == "rerank-decode"
+
+
+def check_manifest(path, command, inputs, outputs):
+    """The manifest names exactly these inputs, with the digest of every
+    input that is a file, and these outputs."""
+    lines = read_manifest(path)
+    assert lines["command"] == command
     assert lines["version"] == __version__
     assert len(lines["config_hash"]) == 12
-    assert "input_nbest_path_sha256" in lines
-    assert lines["output_output_path"] == str(pipeline_dir["pred"])
     assert "config_seed" in lines
+    named = {k[len("input_"):]: v for k, v in lines.items() if k.startswith("input_")}
+    expected = {name: str(value) for name, value in inputs.items()}
+    for name, value in inputs.items():
+        if value.is_file():
+            expected[f"{name}_sha256"] = hashlib.sha256(value.read_bytes()).hexdigest()[:12]
+    assert named == expected
+    assert {k: v for k, v in lines.items() if k.startswith("output_")} == {
+        f"output_{name}": str(value) for name, value in outputs.items()
+    }
+
+
+def manifest_of(path):
+    return path.parent / (path.name + ".manifest")
+
+
+def test_pipeline_manifests(pipeline_dir):
+    p = pipeline_dir
+    check_manifest(
+        manifest_of(p["model"]), "baseline-train",
+        {"train_path": p["train"]}, {"model_path": p["model"]},
+    )
+    for split, out in (("dev", "dev_nbest"), ("test", "test_nbest")):
+        check_manifest(
+            manifest_of(p[out]), "baseline-decode",
+            {"model_path": p["model"], "input_path": p[split]}, {"output_path": p[out]},
+        )
+    check_manifest(
+        manifest_of(p["jk"]), "jackknife",
+        {"train_path": p["train"]}, {"output_path": p["jk"]},
+    )
+    check_manifest(
+        manifest_of(p["bundle"]), "rerank-train",
+        {"train_nbest_path": p["jk"], "dev_nbest_path": p["dev_nbest"]},
+        {"bundle_path": p["bundle"]},
+    )
+    check_manifest(
+        manifest_of(p["pred"]), "rerank-decode",
+        {"bundle_path": p["bundle"], "nbest_path": p["test_nbest"]},
+        {"output_path": p["pred"]},
+    )
+
+
+def test_manifests_record_optional_inputs(pipeline_dir, tmp_path, capsys):
+    """Clusters, embeddings and the alpha-search bundle are inputs too."""
+    p = pipeline_dir
+    clusters = tmp_path / "clusters.txt"
+    clusters.write_text("0101\tJohnar\n0110\tvisited\n", encoding="utf-8")
+    embeddings = tmp_path / "emb.txt"
+    embeddings.write_text("Johnar " + " ".join(["0.5"] * 8) + "\n", encoding="utf-8")
+    model, jk = tmp_path / "crf.npz", tmp_path / "jk.nbest"
+    bundle, alpha = tmp_path / "bundle", tmp_path / "alpha.txt"
+    fast_crf = ["--crf-epochs", "1", "--seed", "0", "--clusters-path", str(clusters)]
+    assert main(
+        ["baseline-train", "--train-path", str(p["train"]),
+         "--model-path", str(model), *fast_crf]
+    ) == EXIT_OK
+    check_manifest(
+        manifest_of(model), "baseline-train",
+        {"train_path": p["train"], "clusters_path": clusters}, {"model_path": model},
+    )
+    assert main(
+        ["jackknife", "--train-path", str(p["train"]), "--output-path", str(jk),
+         "--folds", "2", "--n-best", "3", *fast_crf]
+    ) == EXIT_OK
+    check_manifest(
+        manifest_of(jk), "jackknife",
+        {"train_path": p["train"], "clusters_path": clusters}, {"output_path": jk},
+    )
+    assert main(
+        ["rerank-train", "--train-nbest-path", str(p["jk"]),
+         "--dev-nbest-path", str(p["dev_nbest"]), "--bundle-path", str(bundle),
+         "--embeddings-path", str(embeddings), "--word-dim", "8", "--char-dim", "4",
+         "--lstm-hidden", "4", "--char-cnn-filters", "3", "--word-cnn-filters", "4",
+         "--epochs", "0"]
+    ) == EXIT_OK
+    check_manifest(
+        manifest_of(bundle), "rerank-train",
+        {"train_nbest_path": p["jk"], "dev_nbest_path": p["dev_nbest"],
+         "embeddings_path": embeddings},
+        {"bundle_path": bundle},
+    )
+    assert main(
+        ["alpha-search", "--bundle-path", str(p["bundle"]),
+         "--nbest-path", str(p["dev_nbest"]), "--output-path", str(alpha)]
+    ) == EXIT_OK
+    capsys.readouterr()
+    check_manifest(
+        manifest_of(alpha), "alpha-search",
+        {"bundle_path": p["bundle"], "nbest_path": p["dev_nbest"]}, {"output_path": alpha},
+    )
 
 
 def test_predictions_parse_and_align(pipeline_dir):
@@ -570,6 +663,38 @@ def test_malformed_data_exit_code(tmp_path, capsys):
     rc = main(["oracle", "--nbest-path", str(bad)])
     capsys.readouterr()
     assert rc == EXIT_BAD_DATA
+
+
+def test_alpha_search_without_gold_exit_code(pipeline_dir, tmp_path, capsys):
+    text = pipeline_dir["dev_nbest"].read_text(encoding="utf-8")
+    no_gold = tmp_path / "no_gold.nbest"
+    no_gold.write_text(
+        "".join(l for l in text.splitlines(True) if not l.startswith("GOLD")),
+        encoding="utf-8",
+    )
+    rc = main(
+        ["alpha-search", "--bundle-path", str(pipeline_dir["bundle"]),
+         "--nbest-path", str(no_gold)]
+    )
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAILURE
+    assert "missing for sentence(s) [0, 1, 2, 3, 4]" in err
+
+
+def test_directory_input_exit_code(tmp_path, capsys):
+    rc = main(["eval", "--gold-path", str(tmp_path), "--pred-path", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_MISSING_FILE
+    assert err.startswith("nerrank: error:") and "Traceback" not in err
+
+
+def test_non_utf8_input_exit_code(tmp_path, capsys):
+    bad = tmp_path / "latin1.conll"
+    bad.write_bytes("Zürich\tB-LOC\n".encode("latin-1"))
+    rc = main(["eval", "--gold-path", str(bad), "--pred-path", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_BAD_DATA
+    assert "utf-8" in err
 
 
 def test_version_flag(capsys):

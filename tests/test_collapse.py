@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerrank.collapse import (
     CollapsedItem,
@@ -11,6 +13,7 @@ from nerrank.collapse import (
     format_pattern,
 )
 from nerrank.corpus import BioLabel, O_LABEL, Sentence, Token, extract_spans, normalize_to_bio2
+from strategies import label_seqs, sentences
 
 
 def sent(*words, sid=0):
@@ -58,12 +61,6 @@ def test_collapse_rejects_misaligned_labels():
         collapse(sent("a", "b"), labs("O"))
 
 
-def test_collapse_records_source():
-    seq = collapse(sent("a", sid=17), labs("O"), candidate_index=3)
-    assert seq.sentence_id == 17
-    assert seq.candidate_index == 3
-
-
 def test_collapse_type_token_collision_logged(caplog):
     import logging
 
@@ -81,14 +78,14 @@ def test_collapsed_item_invariants():
     with pytest.raises(ValueError):
         CollapsedItem(entity_type="GPE")
     with pytest.raises(ValueError):
-        CollapsedSequence((), (), 0, 0)
+        CollapsedSequence((), ())
     word = CollapsedItem(surface="x")
     with pytest.raises(ValueError, match="misaligned"):
-        CollapsedSequence((word,), (), 0, 0)
+        CollapsedSequence((word,), ())
     with pytest.raises(ValueError, match="one token"):
-        CollapsedSequence((word,), ((0, 1),), 0, 0)
+        CollapsedSequence((word,), ((0, 1),))
     with pytest.raises(ValueError, match="tile"):
-        CollapsedSequence((word, word), ((0, 0), (2, 2)), 0, 0)
+        CollapsedSequence((word, word), ((0, 0), (2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +135,20 @@ def test_collapse_roundtrips_to_labels():
         s = sent(*[f"w{i}" for i in range(length)])
         for seq in all_valid_sequences(length):
             assert collapsed_to_labels(collapse(s, seq)) == seq
+
+
+@st.composite
+def labeled_sentences(draw):
+    s = draw(sentences())
+    return s, draw(label_seqs(len(s)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(labeled_sentences())
+def test_collapse_inverts_to_the_normalized_labels(labeled):
+    # any labels, invalid BIO2 included: the round trip is their repair
+    s, labels = labeled
+    assert collapsed_to_labels(collapse(s, labels)) == normalize_to_bio2(labels)
 
 
 def test_token_strings_alone_are_not_injective():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerrank.corpus import (
     BioLabel,
@@ -17,6 +19,7 @@ from nerrank.corpus import (
     tag_accuracy,
 )
 from nerrank.errors import ParseError
+from strategies import label_seqs, sentences
 
 
 def labs(*texts):
@@ -167,6 +170,21 @@ def test_format_conll_roundtrip():
     ds = parse_conll(text)
     assert format_conll(ds) == text
     assert parse_conll(format_conll(ds)).gold == ds.gold
+
+
+@st.composite
+def datasets(draw):
+    sents = draw(st.lists(sentences(), min_size=1, max_size=4))
+    sents = [Sentence(i, s.tokens) for i, s in enumerate(sents)]
+    return Dataset(sents, [draw(label_seqs(len(s))) for s in sents])
+
+
+@settings(derandomize=True, deadline=None)
+@given(datasets())
+def test_conll_round_trip_keeps_surfaces_and_bio2_labels(dataset):
+    back = parse_conll(format_conll(dataset))
+    assert [s.surfaces for s in back.sentences] == [s.surfaces for s in dataset.sentences]
+    assert back.gold == [normalize_to_bio2(labels) for labels in dataset.gold]
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,31 @@ def check(loss_fn, named_params, tol=1e-6):
 # ---------------------------------------------------------------------------
 # forward values
 
-def test_sigmoid_tanh_at_zero():
+def two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_tanh_at_zero(recwarn):
     z = Tensor(np.zeros((1, 3)))
     assert np.allclose(sigmoid(z).data, 0.5)
     assert np.allclose(tanh(z).data, 0.0)
+
+    # extreme inputs give exactly the two-branch values, inside [0, 1]
+    x = np.array(
+        [[800.0, -800.0, -745.0, -746.0, 0.0, -0.0, 36.0, 37.0, 38.0, 39.0, 40.0],
+         [-36.0, -40.0, 709.0, -709.0, 710.0, -710.0, 1e-300, -1e-300, 0.5, -0.5, 3.0]]
+    )
+    got = sigmoid(Tensor(x)).data
+    assert got.tobytes() == two_branch_sigmoid(x).tobytes()
+    assert got[0, :4].tolist() == [1.0, 0.0, 5e-324, 0.0]
+    assert got[0, 4] == got[0, 5] == 0.5
+    assert ((got >= 0.0) & (got <= 1.0)).all()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_max_pool_values_and_routing():

@@ -29,7 +29,7 @@ from nerrank.pipeline import (
     score_sets,
     train_reranker,
 )
-from nerrank.reranker import PatternScorer, ScoredCandidate, ScorerConfig, build_vocab
+from nerrank.reranker import PatternScorer, ScorerConfig, build_vocab
 
 TINY = TrainConfig(
     scorer=ScorerConfig(
@@ -123,9 +123,7 @@ def test_one_example_per_candidate_order_preserved():
     )
     examples = make_examples(corpus)
     assert len(examples) == 3
-    assert [ex.candidate_index for ex in examples] == [0, 1, 2]
-    assert [ex.baseline_prob for ex in examples] == [0.5, 0.25, 0.125]
-    assert all(ex.sentence_id == 3 for ex in examples)
+    assert [ex.tokens for ex in examples] == [["x", "y"], ["PER", "y"], ["LOC", "y"]]
 
 
 def test_missing_gold_is_an_error():
@@ -146,14 +144,14 @@ def test_targets_compare_normalized_labels():
 def test_example_field_validation():
     seq = collapse(sent(0, "x"), labels("O"))
     with pytest.raises(NerrankError):
-        RerankExample(collapsed=seq, target=1.5, baseline_prob=0.5)
+        RerankExample(collapsed=seq, target=1.5)
     with pytest.raises(NerrankError):
-        RerankExample(collapsed=seq, target=0.5, baseline_prob=0.0)
+        RerankExample(collapsed=seq, target=-0.5)
 
 
 def test_example_tokens_use_type_tokens():
     seq = collapse(sent(0, "visited", "New", "York"), labels("O", "B-LOC", "I-LOC"))
-    ex = RerankExample(collapsed=seq, target=1.0, baseline_prob=0.5)
+    ex = RerankExample(collapsed=seq, target=1.0)
     assert ex.tokens == ["visited", "LOC"]
 
 
@@ -165,7 +163,7 @@ def loss_fixture(targets, *, l2=0.0, zero_head=True):
     examples = []
     for i, y in enumerate(targets):
         seq = collapse(sent(i, "w", "v"), labels("O", "O"))
-        examples.append(RerankExample(collapsed=seq, target=y, baseline_prob=0.5))
+        examples.append(RerankExample(collapsed=seq, target=y))
     scorer = tiny_scorer([ex.tokens for ex in examples], zero_head=zero_head)
     return scorer, examples, l2
 
@@ -222,41 +220,32 @@ def test_empty_batch_is_an_error():
 # mixture selection
 
 
-def scored(pairs):
-    seq = collapse(sent(0, "w"), labels("O"))
-    return [
-        ScoredCandidate(index=i, collapsed=seq, score=s, baseline_prob=p)
-        for i, (s, p) in enumerate(pairs)
-    ]
-
-
 def test_alpha_zero_takes_baseline_top():
-    cands = scored([(0.1, 0.6), (0.99, 0.3)])
-    assert mixture_select(cands, 0.0) == 0
+    assert mixture_select([(0.1, 0.6), (0.99, 0.3)], 0.0) == 0
 
 
 def test_alpha_one_takes_best_score():
-    cands = scored([(0.2, 0.6), (0.9, 0.3)])
-    assert mixture_select(cands, 1.0) == 1
+    assert mixture_select([(0.2, 0.6), (0.9, 0.3)], 1.0) == 1
 
 
 def test_alpha_half_arithmetic():
-    cands = scored([(0.8, 0.4), (0.2, 0.9)])
     # mixed: 0.6 vs 0.55
-    assert mixture_select(cands, 0.5) == 0
+    assert mixture_select([(0.8, 0.4), (0.2, 0.9)], 0.5) == 0
 
 
 def test_ties_prefer_lower_index():
-    cands = scored([(0.5, 0.5), (0.5, 0.5)])
-    assert mixture_select(cands, 0.5) == 0
-    assert mixture_select(cands, 1.0) == 0
+    pairs = [(0.5, 0.5), (0.5, 0.5)]
+    assert mixture_select(pairs, 0.5) == 0
+    assert mixture_select(pairs, 1.0) == 0
 
 
 def test_mixture_select_validation():
     with pytest.raises(NerrankError):
         mixture_select([], 0.5)
     with pytest.raises(ConfigError):
-        mixture_select(scored([(0.5, 0.5)]), 1.5)
+        mixture_select([(0.5, 0.5)], 1.5)
+    with pytest.raises(ConfigError):
+        mixture_select([(0.5, 0.5)], -0.005)
 
 
 def test_constant_shift_never_changes_selection():
@@ -267,10 +256,10 @@ def test_constant_shift_never_changes_selection():
             for _ in range(4)
         ]
         alpha = float(rng.integers(0, 201)) / 200.0
-        base = mixture_select(scored(pairs), alpha)
+        base = mixture_select(pairs, alpha)
         # shifting every baseline probability by the same amount shifts all
         # mixed scores by the same constant
-        shifted = scored([(s, p + 0.5) for s, p in pairs])
+        shifted = [(s, p + 0.5) for s, p in pairs]
         assert mixture_select(shifted, alpha) == base
 
 
@@ -298,9 +287,8 @@ def small_corpus():
 def corpus_token_lists(nbest):
     lists = []
     for sentence, cs in nbest:
-        for idx, (cand, _) in enumerate(cs.candidates):
-            seq = collapse(sentence, cand, candidate_index=idx)
-            lists.append(collapsed_token_strings(seq))
+        for cand, _ in cs.candidates:
+            lists.append(collapsed_token_strings(collapse(sentence, cand)))
     return lists
 
 
@@ -310,12 +298,11 @@ def test_score_sets_matches_single_scoring():
     rows = score_sets(scorer, corpus)
     assert [len(r) for r in rows] == [2, 2]
     for (sentence, cs), row in zip(corpus, rows):
-        for idx, cand in enumerate(row):
-            assert cand.index == idx
-            assert cand.baseline_prob == cs.candidates[idx][1]
-            seq = collapse(sentence, cs.candidates[idx][0], candidate_index=idx)
+        for score, (cand, _) in zip(row, cs.candidates):
+            assert type(score) is float
+            seq = collapse(sentence, cand)
             direct = scorer.score_batch([collapsed_token_strings(seq)]).item()
-            assert cand.score == pytest.approx(direct, abs=1e-12)
+            assert score == pytest.approx(direct, abs=1e-12)
 
 
 def test_identical_patterns_share_a_score():
@@ -336,7 +323,19 @@ def test_identical_patterns_share_a_score():
     scorer = tiny_scorer(corpus_token_lists(corpus))
     rows = score_sets(scorer, corpus)
     # both first candidates collapse to the pattern ["in", "LOC"]
-    assert rows[0][0].score == rows[1][0].score
+    assert rows[0][0] == rows[1][0]
+
+
+
+def test_score_sets_rejects_scores_outside_the_open_interval():
+    # a saturated head scores exactly 1.0 or 0.0; a NaN weight scores NaN
+    corpus = small_corpus()
+    for bias, weight, shown in ((1000.0, 0.0, "1.0"), (-1000.0, 0.0, "0.0"), (0.0, np.nan, "nan")):
+        scorer = tiny_scorer(corpus_token_lists(corpus), zero_head=True)
+        scorer.params["head_b"].data[:] = bias
+        scorer.params["head_w"].data[:] = weight
+        with pytest.raises(NerrankError, match=rf"inside \(0, 1\): {shown}"):
+            score_sets(scorer, corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +346,8 @@ def test_constant_scores_return_alpha_zero():
     corpus = small_corpus()
     scorer = tiny_scorer(corpus_token_lists(corpus), zero_head=True)
     rows = score_sets(scorer, corpus)
-    assert all(c.score == 0.5 for row in rows for c in row)
-    result = alpha_search(rows, [cs.gold for cs in corpus.sets])
+    assert all(score == 0.5 for row in rows for score in row)
+    result = alpha_search(corpus, rows)
     assert result.alpha == 0.0
     assert result.points == 201
 
@@ -364,21 +363,13 @@ def test_oracle_perfect_reranker_pushes_alpha_high():
     # baseline ranks the wrong candidate first with a wide probability gap;
     # the scorer separates them by a narrow margin, so only a large alpha
     # flips the selection (threshold 8/9 -> first grid point 0.89)
-    rows = []
-    golds = []
-    for sid in range(3):
-        sentence = sent(sid, "w", "v")
-        gold = labels("B-PER", "O")
-        good = collapse(sentence, gold, candidate_index=1)
-        bad = collapse(sentence, labels("O", "O"), candidate_index=0)
-        rows.append(
-            [
-                ScoredCandidate(index=0, collapsed=bad, score=0.8, baseline_prob=0.9),
-                ScoredCandidate(index=1, collapsed=good, score=0.9, baseline_prob=0.1),
-            ]
-        )
-        golds.append(gold)
-    result = alpha_search(rows, golds)
+    corpus = nbest_from(
+        [
+            (sent(sid, "w", "v"), ("B-PER", "O"), [(("O", "O"), 0.9), (("B-PER", "O"), 0.1)])
+            for sid in range(3)
+        ]
+    )
+    result = alpha_search(corpus, [[0.8, 0.9]] * 3)
     assert result.alpha == 178 / 200.0
     assert result.f1 == 1.0
 
@@ -388,9 +379,11 @@ def test_alpha_search_alignment_errors():
     scorer = tiny_scorer(corpus_token_lists(corpus))
     rows = score_sets(scorer, corpus)
     with pytest.raises(NerrankError):
-        alpha_search(rows, [corpus.sets[0].gold])
+        alpha_search(corpus, rows[:1])
     with pytest.raises(NerrankError):
-        alpha_search([rows[0], []], [cs.gold for cs in corpus.sets])
+        alpha_search(corpus, [rows[0], []])
+    with pytest.raises(NerrankError, match="gold"):
+        alpha_search(nbest_from([(sent(0, "x"), None, [(("O",), 0.9)])]), [[0.5]])
 
 
 # ---------------------------------------------------------------------------

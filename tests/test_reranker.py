@@ -24,7 +24,6 @@ from nerrank.reranker import (
     CHAR_PAD_ID,
     CHAR_UNK_ID,
     PatternScorer,
-    ScoredCandidate,
     ScorerConfig,
     Vocab,
     WORD_UNK_ID,
@@ -630,18 +629,6 @@ def test_empty_sequences_cannot_be_scored():
     for lists in ([[]], [], [["PER"], []]):
         with pytest.raises(NerrankError, match="empty sequence"):
             scorer.score_batch(lists)
-
-
-def test_scored_candidate_validation():
-    collapsed = collapse(sentence(1, "John"), labels("B-PER"))
-    good = ScoredCandidate(0, collapsed, 0.5, 1.0)
-    assert good.baseline_prob == 1.0
-    with pytest.raises(NerrankError):
-        ScoredCandidate(0, collapsed, 1.0, 0.5)
-    with pytest.raises(NerrankError):
-        ScoredCandidate(0, collapsed, 0.0, 0.5)
-    with pytest.raises(NerrankError):
-        ScoredCandidate(0, collapsed, 0.5, 0.0)
 
 
 def test_frozen_embeddings_leave_the_optimizer_list():
