@@ -25,6 +25,7 @@ from ..corpus import (
     Sentence,
     Token,
     normalize_to_bio2,
+    read_text,
 )
 from ..errors import ParseError
 
@@ -211,8 +212,7 @@ def write_nbest(path, corpus: NBestCorpus, header: str | None = None):
 
 
 def read_nbest(path) -> NBestCorpus:
-    with open(path, encoding="utf-8") as f:
-        return parse_nbest(f.read())
+    return parse_nbest(read_text(path))
 
 
 def _subset(dataset: Dataset, indices) -> Dataset:

@@ -25,10 +25,10 @@ from .config import (
     RunConfig,
     config_hash,
     format_config,
-    read_config_file,
+    parse_config_text,
     resolve_config,
 )
-from .corpus import Dataset, format_conll, parse_conll
+from .corpus import Dataset, format_conll, parse_conll, read_text
 from .errors import (
     CheckpointMismatchError,
     ConfigError,
@@ -37,11 +37,11 @@ from .errors import (
 )
 from .evaluation import (
     chunk_prf,
+    format_metrics,
     length_bucket_ssa,
     oracle,
     oracle_csv,
     ssa,
-    write_metrics,
 )
 from .pipeline import (
     alpha_search,
@@ -70,7 +70,6 @@ EXIT_CODES = (
     (ConfigError, EXIT_BAD_CONFIG),
     (CheckpointMismatchError, EXIT_CHECKPOINT),
     (ParseError, EXIT_BAD_DATA),
-    (UnicodeDecodeError, EXIT_BAD_DATA),
     (NerrankError, EXIT_FAILURE),
     (ValueError, EXIT_FAILURE),
 )
@@ -84,11 +83,6 @@ def _require(cfg: RunConfig, command: str, *names: str):
     missing = [n for n in names if getattr(cfg, n) is None]
     if missing:
         raise ConfigError(f"{command}: missing required config key(s): {', '.join(missing)}")
-
-
-def _read_text(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _write_text(path, text: str, cfg: RunConfig):
@@ -136,7 +130,7 @@ def _write_manifest(cfg: RunConfig, command: str, inputs: dict, outputs: dict):
 def _load_clusters(cfg: RunConfig):
     if cfg.clusters_path is None:
         return None
-    return read_clusters(_read_text(cfg.clusters_path))
+    return read_clusters(read_text(cfg.clusters_path))
 
 
 def _pct(x: float) -> str:
@@ -151,6 +145,17 @@ def _emit(cfg: RunConfig, text: str, *, out_key: str = "output_path") -> dict:
         return {}
     _write_text(path, text, cfg)
     return {out_key: path}
+
+
+def _report(cfg: RunConfig, values: dict) -> dict:
+    """Print metrics to stdout, and also write them (with header) when an
+    output path is set."""
+    text = format_metrics(values)
+    sys.stdout.write(text)
+    if cfg.output_path is None:
+        return {}
+    _write_text(cfg.output_path, text, cfg)
+    return {"output_path": cfg.output_path}
 
 
 def _check_bundle_arch(cfg: RunConfig, explicit: frozenset, bundle):
@@ -180,7 +185,7 @@ def _load_bundle_checked(cfg: RunConfig, explicit: frozenset):
 
 def cmd_baseline_train(cfg: RunConfig, explicit: frozenset) -> int:
     _require(cfg, "baseline-train", "train_path", "model_path")
-    dataset = parse_conll(_read_text(cfg.train_path))
+    dataset = parse_conll(read_text(cfg.train_path))
     templates = cfg.template_set(_load_clusters(cfg))
     model = crf_train(dataset, templates, **cfg.crf_options())
     save_crf(
@@ -206,7 +211,7 @@ def cmd_baseline_train(cfg: RunConfig, explicit: frozenset) -> int:
 def cmd_baseline_decode(cfg: RunConfig, explicit: frozenset) -> int:
     _require(cfg, "baseline-decode", "model_path", "input_path", "output_path")
     model = load_crf(cfg.model_path)
-    dataset = parse_conll(_read_text(cfg.input_path))
+    dataset = parse_conll(read_text(cfg.input_path))
     corpus = decode_corpus(model, dataset, cfg.n_best)
     write_nbest(cfg.output_path, corpus, header=_header(cfg))
     log.info("decoded %d sentences with k=%d", len(corpus), cfg.n_best)
@@ -221,7 +226,7 @@ def cmd_baseline_decode(cfg: RunConfig, explicit: frozenset) -> int:
 
 def cmd_jackknife(cfg: RunConfig, explicit: frozenset) -> int:
     _require(cfg, "jackknife", "train_path", "output_path")
-    dataset = parse_conll(_read_text(cfg.train_path))
+    dataset = parse_conll(read_text(cfg.train_path))
     templates = cfg.template_set(_load_clusters(cfg))
     corpus = build_nbest_corpus(
         dataset, cfg.folds, cfg.n_best, templates, **cfg.crf_options()
@@ -302,8 +307,8 @@ def cmd_rerank_decode(cfg: RunConfig, explicit: frozenset) -> int:
 
 def cmd_eval(cfg: RunConfig, explicit: frozenset) -> int:
     _require(cfg, "eval", "gold_path", "pred_path")
-    gold_ds = parse_conll(_read_text(cfg.gold_path))
-    pred_ds = parse_conll(_read_text(cfg.pred_path))
+    gold_ds = parse_conll(read_text(cfg.gold_path))
+    pred_ds = parse_conll(read_text(cfg.pred_path))
     report = chunk_prf(gold_ds.gold, pred_ds.gold)
     values = {
         "precision": _pct(report.precision),
@@ -317,12 +322,7 @@ def cmd_eval(cfg: RunConfig, explicit: frozenset) -> int:
         values[f"{name}_F1"] = _pct(counts.f1)
     for row in length_bucket_ssa(pred_ds.gold, gold_ds.gold, cfg.bucket_width):
         values[f"ssa_len_{row.upper}"] = _pct(row.ssa)
-    text = "".join(f"{k} = {v}\n" for k, v in values.items())
-    sys.stdout.write(text)
-    outputs = {}
-    if cfg.output_path is not None:
-        write_metrics(cfg.output_path, values, header=_header(cfg))
-        outputs["output_path"] = cfg.output_path
+    outputs = _report(cfg, values)
     _write_manifest(
         cfg,
         "eval",
@@ -351,12 +351,7 @@ def cmd_alpha_search(cfg: RunConfig, explicit: frozenset) -> int:
         "f1": _pct(result.f1),
         "grid_points": result.points,
     }
-    text = "".join(f"{k} = {v}\n" for k, v in values.items())
-    sys.stdout.write(text)
-    outputs = {}
-    if cfg.output_path is not None:
-        write_metrics(cfg.output_path, values, header=_header(cfg))
-        outputs["output_path"] = cfg.output_path
+    outputs = _report(cfg, values)
     _write_manifest(
         cfg,
         "alpha-search",
@@ -403,7 +398,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
-        file_values = read_config_file(args.config) if args.config else {}
+        file_values = parse_config_text(read_text(args.config)) if args.config else {}
         overrides = {
             name: getattr(args, f"opt_{name}")
             for name in FIELD_NAMES

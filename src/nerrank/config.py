@@ -10,6 +10,7 @@ stamped into every output file header.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import reduce
 from typing import get_args, get_type_hints
@@ -82,6 +83,10 @@ class RunConfig:
             raise ConfigError(f"folds must be at least 2, got {self.folds}")
         if self.crf_epochs < 0:
             raise ConfigError(f"crf_epochs cannot be negative, got {self.crf_epochs}")
+        if not self.crf_lr > 0:
+            raise ConfigError(f"crf_lr must be positive, got {self.crf_lr}")
+        if self.crf_l2 < 0:
+            raise ConfigError(f"crf_l2 cannot be negative, got {self.crf_l2}")
         if self.crf_batch_size < 1:
             raise ConfigError(
                 f"crf_batch_size must be positive, got {self.crf_batch_size}"
@@ -147,9 +152,12 @@ def _coerce(name: str, raw: str):
     if kind is str:  # optional paths: empty = unset
         return text or None
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ConfigError(f"{name}: expected {_EXPECTED[kind]}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _build(block, typed: dict):
@@ -202,11 +210,6 @@ def resolve_config(
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     typed = {name: _coerce(name, raw) for name, raw in merged.items()}
     return _build(RunConfig, typed), frozenset(typed)
-
-
-def read_config_file(path) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
 
 
 def format_config(config: RunConfig) -> str:

@@ -123,6 +123,21 @@ class Dataset:
         return iter(zip(self.sentences, self.gold))
 
 
+def read_text(path) -> str:
+    """A whole UTF-8 text file with universal newlines; a byte that is not
+    UTF-8 raises ParseError naming the file, the line and the byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot decode byte 0x{data[exc.start]:02x} as utf-8 in {path} ({exc.reason})",
+            line=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_conll(text: str) -> Dataset:
     """Parse CoNLL column text into a Dataset.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .baseline.nbest import NBestCorpus
+from .baseline.nbest import CandidateSet, NBestCorpus
 from .corpus import (
     ENTITY_TYPES,
     LabelSeq,
@@ -166,6 +166,18 @@ def ssa(selections: list[LabelSeq], gold: list[LabelSeq]) -> float:
     return correct / len(gold)
 
 
+def candidate_span_counts(cs: CandidateSet) -> tuple[int, list[int], list[int]]:
+    """A set's gold span count, and per candidate the number of its spans
+    that match gold and the number it predicts (both sides normalized)."""
+    gspans = extract_spans(normalize_to_bio2(cs.gold))
+    hits, sizes = [], []
+    for labels, _ in cs.candidates:
+        spans = extract_spans(normalize_to_bio2(labels))
+        hits.append(len(spans & gspans))
+        sizes.append(len(spans))
+    return len(gspans), hits, sizes
+
+
 def oracle(nbest: NBestCorpus, n_max: int | None = None) -> OracleReport:
     """Oracle curves: for each n, pick per sentence the candidate among the
     top n with the highest (OBA/OBF) or lowest (OWF) tag accuracy against
@@ -173,39 +185,32 @@ def oracle(nbest: NBestCorpus, n_max: int | None = None) -> OracleReport:
     if any(cs.gold is None for cs in nbest.sets):
         raise NerrankError("oracle curves need gold labels on every sentence")
     per_sentence = []
+    total_gold = 0
     for cs in nbest.sets:
         gold = normalize_to_bio2(cs.gold)
-        gspans = extract_spans(gold)
-        cands = []
-        for labels, _ in cs.candidates:
-            norm = normalize_to_bio2(labels)
-            spans = extract_spans(norm)
-            cands.append(
-                (tag_accuracy(gold, norm), len(spans & gspans), len(spans))
-            )
-        per_sentence.append((len(gspans), cands))
+        n_gold, hits, sizes = candidate_span_counts(cs)
+        total_gold += n_gold
+        accuracy = [tag_accuracy(gold, normalize_to_bio2(labels)) for labels, _ in cs.candidates]
+        per_sentence.append((accuracy, hits, sizes))
 
-    kmax = max(len(cands) for _, cands in per_sentence)
+    kmax = max(len(accuracy) for accuracy, _, _ in per_sentence)
     depth = min(n_max, kmax) if n_max is not None else kmax
     best = [0] * len(per_sentence)  # per-sentence argmax index so far
     worst = [0] * len(per_sentence)
     rows = []
     for n in range(1, depth + 1):
-        tp_b = pred_b = tp_w = pred_w = total_gold = exact = 0
-        for s, (n_gold, cands) in enumerate(per_sentence):
-            if n - 1 < len(cands):
-                if cands[n - 1][0] > cands[best[s]][0]:
+        tp_b = pred_b = tp_w = pred_w = exact = 0
+        for s, (accuracy, hits, sizes) in enumerate(per_sentence):
+            if n - 1 < len(accuracy):
+                if accuracy[n - 1] > accuracy[best[s]]:
                     best[s] = n - 1
-                if cands[n - 1][0] < cands[worst[s]][0]:
+                if accuracy[n - 1] < accuracy[worst[s]]:
                     worst[s] = n - 1
-            acc, tp, pred = cands[best[s]]
-            tp_b += tp
-            pred_b += pred
-            exact += acc == 1.0
-            _, tp, pred = cands[worst[s]]
-            tp_w += tp
-            pred_w += pred
-            total_gold += n_gold
+            tp_b += hits[best[s]]
+            pred_b += sizes[best[s]]
+            exact += accuracy[best[s]] == 1.0
+            tp_w += hits[worst[s]]
+            pred_w += sizes[worst[s]]
         rows.append(
             OracleRow(
                 n=n,
@@ -247,13 +252,6 @@ def length_bucket_ssa(
 def format_metrics(values: dict) -> str:
     """Flat ``key = value`` lines, keys in the given order."""
     return "".join(f"{k} = {v}\n" for k, v in values.items())
-
-
-def write_metrics(path, values: dict, header: str | None = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header.rstrip("\n") + "\n")
-        fh.write(format_metrics(values))
 
 
 def oracle_csv(report: OracleReport) -> str:

@@ -8,7 +8,9 @@ The final selection rule mixes both systems per candidate,
 
 where s is the neural score of the collapsed pattern and p the baseline's
 sequence probability; alpha is tuned by exhaustive search over the 201-point
-grid {0, 0.005, ..., 1.0} against dev chunk F1.
+grid {0, 0.005, ..., 1.0} against dev chunk F1. The rule takes one
+candidate set and a whole array of alphas, so the search takes each set's
+picks at all 201 grid points in one expression.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .baseline.nbest import CandidateSet, NBestCorpus
+from .baseline.nbest import NBestCorpus
 from .collapse import CollapsedSequence, collapse, collapsed_token_strings
-from .corpus import LabelSeq, extract_spans, normalize_to_bio2, tag_accuracy
+from .corpus import LabelSeq, normalize_to_bio2, tag_accuracy
 from .errors import CheckpointMismatchError, ConfigError, NerrankError
-from .evaluation import PrfCounts
+from .evaluation import PrfCounts, candidate_span_counts
 from .numerics import AdamState, Tensor, backward, scale, sum_all
 from .reranker import PatternScorer, ScorerConfig, Vocab, build_vocab
 
@@ -203,37 +205,31 @@ def score_sets(scorer: PatternScorer, nbest: NBestCorpus) -> list[list[float]]:
     return [[values[key] for key in row] for row in keys]
 
 
-def mixture_select(pairs: list[tuple[float, float]], alpha: float) -> int:
-    """The selection rule: index of the (score, prob) pair maximizing
-    alpha*s + (1-alpha)*p; ties go to the lower index, i.e. the higher
-    baseline rank."""
-    if not pairs:
+def mixture_select(scores, probs, alphas) -> np.ndarray:
+    """The selection rule for one candidate set: for each alpha, the index
+    of the candidate maximizing alpha*s + (1-alpha)*p; ties go to the lower
+    index, i.e. the higher baseline rank."""
+    s = np.asarray(scores, dtype=float)
+    p = np.asarray(probs, dtype=float)
+    a = np.asarray(alphas, dtype=float)
+    if not s.size:
         raise NerrankError("cannot select from an empty candidate list")
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    best_i = 0
-    best_v = None
-    for i, (s, p) in enumerate(pairs):
-        v = alpha * s + (1.0 - alpha) * p
-        if best_v is None or v > best_v:
-            best_i, best_v = i, v
-    return best_i
-
-
-def _pairs(cs: CandidateSet, row: list[float]) -> list[tuple[float, float]]:
-    """(score, prob) per candidate of one set, checked against its scores."""
-    if len(row) != len(cs.candidates):
-        raise NerrankError(
-            f"sentence {cs.sentence_id}: {len(row)} scores for {len(cs.candidates)} candidates"
-        )
-    return [(s, prob) for s, (_, prob) in zip(row, cs.candidates)]
+    if s.shape != p.shape:
+        raise NerrankError(f"{s.size} scores for {p.size} candidates")
+    if not (np.isfinite(s).all() and np.isfinite(p).all()):
+        raise NerrankError(f"scores {s.tolist()} and probabilities {p.tolist()} must be finite")
+    outside = a[~((a >= 0.0) & (a <= 1.0))]
+    if outside.size:
+        raise ConfigError(f"alpha must be in [0, 1], got {outside[0]}")
+    return np.argmax(a[:, None] * s + (1.0 - a)[:, None] * p, axis=1)
 
 
 def alpha_search(nbest: NBestCorpus, scores: list[list[float]]) -> AlphaSearchResult:
     """Best interpolation weight by dev chunk F1 over the full 0.005 grid.
 
-    Candidate span statistics are computed once; each grid point only
-    re-runs the argmax selection. Ties prefer the smallest alpha.
+    Each set's picks for the whole grid come from one selection; the
+    matched and predicted span counts of the picks add up per grid point.
+    Ties prefer the smallest alpha.
     """
     if len(scores) != len(nbest):
         raise NerrankError(f"{len(scores)} scored sentences vs {len(nbest)} candidate sets")
@@ -242,31 +238,23 @@ def alpha_search(nbest: NBestCorpus, scores: list[list[float]]) -> AlphaSearchRe
         raise NerrankError(
             f"alpha search needs gold labels; missing for sentence(s) {missing[:5]}"
         )
-    per_sentence = []
+    grid = np.array(ALPHA_GRID)
+    tp = np.zeros(len(grid), dtype=np.int64)
+    pred = np.zeros(len(grid), dtype=np.int64)
     total_gold = 0
     for cs, row in zip(nbest.sets, scores):
-        gspans = extract_spans(normalize_to_bio2(cs.gold))
-        total_gold += len(gspans)
-        counts = []
-        for labels, _ in cs.candidates:
-            spans = extract_spans(normalize_to_bio2(labels))
-            counts.append((len(spans & gspans), len(spans)))
-        per_sentence.append((_pairs(cs, row), counts))
-
-    best_alpha = None
-    best_f1 = -1.0
-    points = 0
-    for alpha in ALPHA_GRID:
-        points += 1
-        tp = pred = 0
-        for pairs, counts in per_sentence:
-            hit, size = counts[mixture_select(pairs, alpha)]
-            tp += hit
-            pred += size
-        f1 = PrfCounts(tp, pred, total_gold).f1
-        if f1 > best_f1:
-            best_alpha, best_f1 = alpha, f1
-    return AlphaSearchResult(alpha=best_alpha, f1=best_f1, points=points)
+        if len(row) != len(cs.candidates):
+            raise NerrankError(
+                f"sentence {cs.sentence_id}: {len(row)} scores for {len(cs.candidates)} candidates"
+            )
+        n_gold, hits, sizes = candidate_span_counts(cs)
+        total_gold += n_gold
+        picks = mixture_select(row, [prob for _, prob in cs.candidates], grid)
+        tp += np.take(hits, picks)
+        pred += np.take(sizes, picks)
+    f1 = [PrfCounts(t, n, total_gold).f1 for t, n in zip(tp.tolist(), pred.tolist())]
+    best = max(range(len(f1)), key=f1.__getitem__)
+    return AlphaSearchResult(alpha=ALPHA_GRID[best], f1=f1[best], points=len(f1))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +347,7 @@ def rerank(bundle: RerankerBundle, nbest: NBestCorpus) -> list[LabelSeq]:
     """Mixture-select a candidate per sentence and return its label sequence."""
     predictions = []
     for cs, row in zip(nbest.sets, score_sets(bundle.scorer, nbest)):
-        pick = mixture_select(_pairs(cs, row), bundle.alpha)
+        (pick,) = mixture_select(row, [prob for _, prob in cs.candidates], [bundle.alpha])
         predictions.append(normalize_to_bio2(cs.candidates[pick][0]))
     return predictions
 

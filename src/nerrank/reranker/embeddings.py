@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..corpus import read_text
 from ..errors import ParseError
 from .vocab import Vocab
 
@@ -62,8 +63,7 @@ def parse_embeddings(text: str, dim: int) -> dict[str, np.ndarray]:
 
 
 def read_embeddings(path, dim: int) -> dict[str, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_embeddings(fh.read(), dim)
+    return parse_embeddings(read_text(path), dim)
 
 
 def init_embeddings(

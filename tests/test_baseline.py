@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from nerrank.baseline import (
@@ -297,7 +297,6 @@ def lattices(draw):
     return model, sent(*tokens)
 
 
-@settings(derandomize=True, deadline=None)
 @given(lattices(), st.integers(1, 12))
 def test_kbest_equals_enumeration_on_random_lattices(lattice, k):
     model, s = lattice
@@ -524,7 +523,6 @@ def nbest_corpora(draw):
     return NBestCorpus(sents, sets)
 
 
-@settings(derandomize=True, deadline=None)
 @given(nbest_corpora())
 def test_nbest_format_survives_a_parse(corpus):
     text = format_nbest(corpus)

@@ -186,6 +186,23 @@ def test_runconfig_validation():
         resolve_config({"epochs": "-1"})  # checked by the training block
     with pytest.raises(ConfigError):
         resolve_config({"word_cnn_window": "2"})  # checked by the scorer block
+    with pytest.raises(ConfigError, match="crf_lr must be positive"):
+        RunConfig(crf_lr=-0.05)
+    with pytest.raises(ConfigError, match="crf_lr must be positive"):
+        RunConfig(crf_lr=0.0)
+    with pytest.raises(ConfigError, match="crf_l2 cannot be negative"):
+        RunConfig(crf_l2=-1.0)
+    for key, raw in (
+        ("crf_lr", "nan"),
+        ("crf_l2", "inf"),
+        ("learning_rate", "nan"),
+        ("l2", "nan"),
+        ("lambda", "-inf"),
+        ("adam_eps", "inf"),
+        ("alpha", "nan"),
+    ):
+        with pytest.raises(ConfigError, match="expected a finite number"):
+            resolve_config({}, {key: raw})
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +436,14 @@ def test_eval_writes_metrics_file(pipeline_dir, capsys):
          "--pred-path", str(pipeline_dir["pred"]),
          "--output-path", str(pipeline_dir["metrics"])]
     )
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert rc == EXIT_OK
     text = pipeline_dir["metrics"].read_text(encoding="utf-8")
     assert text.startswith(HEADER_PREFIX)
     assert "\nF1 = " in text
     assert "ssa_len_5 = " in text
+    # the file is the header line plus exactly what was printed
+    assert text.split("\n", 1)[1] == out
 
 
 def test_alpha_zero_decode_matches_baseline_top_candidates(pipeline_dir, tmp_path):
@@ -690,11 +709,14 @@ def test_directory_input_exit_code(tmp_path, capsys):
 
 def test_non_utf8_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "latin1.conll"
-    bad.write_bytes("Zürich\tB-LOC\n".encode("latin-1"))
+    bad.write_bytes("Bern\tB-LOC\n\r\nZürich\tB-LOC\n".encode("latin-1"))
     rc = main(["eval", "--gold-path", str(bad), "--pred-path", str(bad)])
     err = capsys.readouterr().err
     assert rc == EXIT_BAD_DATA
     assert "utf-8" in err
+    assert "line 3" in err
+    assert str(bad) in err
+    assert "0xfc" in err
 
 
 def test_version_flag(capsys):

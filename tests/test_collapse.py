@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from nerrank.collapse import (
@@ -143,7 +143,6 @@ def labeled_sentences(draw):
     return s, draw(label_seqs(len(s)))
 
 
-@settings(derandomize=True, deadline=None)
 @given(labeled_sentences())
 def test_collapse_inverts_to_the_normalized_labels(labeled):
     # any labels, invalid BIO2 included: the round trip is their repair

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from nerrank.corpus import (
@@ -179,7 +179,6 @@ def datasets(draw):
     return Dataset(sents, [draw(label_seqs(len(s))) for s in sents])
 
 
-@settings(derandomize=True, deadline=None)
 @given(datasets())
 def test_conll_round_trip_keeps_surfaces_and_bio2_labels(dataset):
     back = parse_conll(format_conll(dataset))

@@ -19,7 +19,6 @@ from nerrank.evaluation import (
     oracle,
     oracle_csv,
     ssa,
-    write_metrics,
 )
 
 from test_corpus import conlleval_segments, random_valid_sequence
@@ -335,12 +334,9 @@ def test_bucket_width_must_be_positive():
 # serialization
 
 
-def test_metrics_format_and_file(tmp_path):
+def test_metrics_format_and_file():
     text = format_metrics({"f1": 0.5, "ssa": 0.25})
     assert text == "f1 = 0.5\nssa = 0.25\n"
-    path = tmp_path / "metrics.txt"
-    write_metrics(path, {"f1": 1.0}, header="# run 1")
-    assert path.read_text() == "# run 1\nf1 = 1.0\n"
 
 
 def test_csv_emitters_have_one_row_per_item():

@@ -5,13 +5,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nerrank import pipeline
 from nerrank.baseline.nbest import CandidateSet, NBestCorpus
 from nerrank.collapse import collapse, collapsed_token_strings
-from nerrank.corpus import BioLabel, Sentence, Token, normalize_to_bio2
+from nerrank.corpus import BioLabel, Sentence, Token, extract_spans, normalize_to_bio2
 from nerrank.errors import CheckpointMismatchError, ConfigError, NerrankError
-from nerrank.evaluation import chunk_prf, oracle
+from nerrank.evaluation import PrfCounts, chunk_prf, oracle
 from nerrank.pipeline import (
     ALPHA_GRID,
     AlphaSearchResult,
@@ -30,6 +32,7 @@ from nerrank.pipeline import (
     train_reranker,
 )
 from nerrank.reranker import PatternScorer, ScorerConfig, build_vocab
+from strategies import label_seqs, sentences
 
 TINY = TrainConfig(
     scorer=ScorerConfig(
@@ -221,46 +224,136 @@ def test_empty_batch_is_an_error():
 
 
 def test_alpha_zero_takes_baseline_top():
-    assert mixture_select([(0.1, 0.6), (0.99, 0.3)], 0.0) == 0
+    assert mixture_select([0.1, 0.99], [0.6, 0.3], [0.0]).tolist() == [0]
 
 
 def test_alpha_one_takes_best_score():
-    assert mixture_select([(0.2, 0.6), (0.9, 0.3)], 1.0) == 1
+    assert mixture_select([0.2, 0.9], [0.6, 0.3], [1.0]).tolist() == [1]
 
 
 def test_alpha_half_arithmetic():
     # mixed: 0.6 vs 0.55
-    assert mixture_select([(0.8, 0.4), (0.2, 0.9)], 0.5) == 0
+    assert mixture_select([0.8, 0.2], [0.4, 0.9], [0.5]).tolist() == [0]
+
+
+def test_one_pick_per_alpha():
+    # mixed at alpha: 0.6 - 0.2*alpha vs 0.3 + 0.6*alpha, equal at 3/8
+    picks = mixture_select([0.4, 0.9], [0.6, 0.3], [0.0, 0.25, 0.375, 0.5, 1.0])
+    assert picks.tolist() == [0, 0, 0, 1, 1]
 
 
 def test_ties_prefer_lower_index():
-    pairs = [(0.5, 0.5), (0.5, 0.5)]
-    assert mixture_select(pairs, 0.5) == 0
-    assert mixture_select(pairs, 1.0) == 0
+    assert mixture_select([0.5, 0.5], [0.5, 0.5], [0.5, 1.0]).tolist() == [0, 0]
 
 
 def test_mixture_select_validation():
     with pytest.raises(NerrankError):
-        mixture_select([], 0.5)
+        mixture_select([], [], [0.5])
     with pytest.raises(ConfigError):
-        mixture_select([(0.5, 0.5)], 1.5)
+        mixture_select([0.5], [0.5], [1.5])
     with pytest.raises(ConfigError):
-        mixture_select([(0.5, 0.5)], -0.005)
+        mixture_select([0.5], [0.5], [0.5, -0.005])
+    with pytest.raises(ConfigError):
+        mixture_select([0.5], [0.5], [float("nan")])
+    with pytest.raises(NerrankError, match="2 scores for 1 candidates"):
+        mixture_select([0.5, 0.4], [0.5], [0.5])
+    # NaN would win numpy's argmax but never the scalar loop's comparison
+    with pytest.raises(NerrankError, match="must be finite"):
+        mixture_select([0.5, float("nan")], [0.6, 0.3], [0.0])
+    with pytest.raises(NerrankError, match="must be finite"):
+        mixture_select([0.5, 0.4], [0.6, float("inf")], [1.0])
 
 
 def test_constant_shift_never_changes_selection():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        pairs = [
-            (float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.45)))
-            for _ in range(4)
-        ]
+        scores = rng.uniform(0.05, 0.95, size=4)
+        probs = rng.uniform(0.05, 0.45, size=4)
         alpha = float(rng.integers(0, 201)) / 200.0
-        base = mixture_select(pairs, alpha)
+        base = mixture_select(scores, probs, [alpha])
         # shifting every baseline probability by the same amount shifts all
         # mixed scores by the same constant
-        shifted = [(s, p + 0.5) for s, p in pairs]
-        assert mixture_select(shifted, alpha) == base
+        assert mixture_select(scores, probs + 0.5, [alpha]).tolist() == base.tolist()
+
+
+def reference_select(pairs, alpha):
+    """The selection rule one (score, prob) list and one alpha at a time."""
+    best_i = 0
+    best_v = None
+    for i, (s, p) in enumerate(pairs):
+        v = alpha * s + (1.0 - alpha) * p
+        if best_v is None or v > best_v:
+            best_i, best_v = i, v
+    return best_i
+
+
+def reference_search(nbest, scores):
+    """The grid search as one selection per sentence and grid point."""
+    per_sentence = []
+    total_gold = 0
+    for cs, row in zip(nbest.sets, scores):
+        gspans = extract_spans(normalize_to_bio2(cs.gold))
+        total_gold += len(gspans)
+        counts = []
+        for cand, _ in cs.candidates:
+            spans = extract_spans(normalize_to_bio2(cand))
+            counts.append((len(spans & gspans), len(spans)))
+        pairs = [(s, prob) for s, (_, prob) in zip(row, cs.candidates)]
+        per_sentence.append((pairs, counts))
+    best_alpha = None
+    best_f1 = -1.0
+    points = 0
+    for alpha in ALPHA_GRID:
+        points += 1
+        tp = pred = 0
+        for pairs, counts in per_sentence:
+            hit, size = counts[reference_select(pairs, alpha)]
+            tp += hit
+            pred += size
+        f1 = PrfCounts(tp, pred, total_gold).f1
+        if f1 > best_f1:
+            best_alpha, best_f1 = alpha, f1
+    return AlphaSearchResult(alpha=best_alpha, f1=best_f1, points=points)
+
+
+# sixteenths tie often under the mixture; arbitrary floats rarely do
+unit_values = st.integers(1, 15).map(lambda i: i / 16.0) | st.floats(0.01, 0.99)
+
+
+@st.composite
+def scored_corpora(draw):
+    """Gold n-best corpora with ragged set sizes (1-12), probabilities in
+    128ths (equal ones are common) and a score per candidate."""
+    sentences_, sets, scores = [], [], []
+    for sid in range(draw(st.integers(1, 6))):
+        s = draw(sentences(st.just(sid), max_len=4))
+        k = draw(st.integers(1, 12))
+        probs = sorted(
+            (i / 128.0 for i in draw(st.lists(st.integers(1, 8), min_size=k, max_size=k))),
+            reverse=True,
+        )
+        cands = [(draw(label_seqs(len(s))), p) for p in probs]
+        sentences_.append(s)
+        sets.append(CandidateSet(sid, draw(label_seqs(len(s))), cands))
+        scores.append(draw(st.lists(unit_values, min_size=k, max_size=k)))
+    return NBestCorpus(sentences_, sets), scores
+
+
+@given(scored_corpora())
+def test_alpha_search_matches_the_scalar_reference(scored):
+    corpus, scores = scored
+    for cs, row in zip(corpus.sets, scores):
+        pairs = [(s, prob) for s, (_, prob) in zip(row, cs.candidates)]
+        picks = mixture_select(row, [prob for _, prob in cs.candidates], ALPHA_GRID)
+        assert picks.tolist() == [reference_select(pairs, a) for a in ALPHA_GRID]
+    result = alpha_search(corpus, scores)
+    expected = reference_search(corpus, scores)
+    assert (result.alpha, result.f1, result.points) == (
+        expected.alpha,
+        expected.f1,
+        expected.points,
+    )
+    assert type(result.alpha) is float and type(result.f1) is float
 
 
 # ---------------------------------------------------------------------------

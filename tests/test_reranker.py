@@ -479,7 +479,7 @@ def droppy_scorer(seed):
     return scorer
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(
     st.lists(
         st.lists(st.sampled_from(PATTERN_WORDS), min_size=1, max_size=8),
