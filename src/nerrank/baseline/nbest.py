@@ -10,13 +10,17 @@ Interchange format, one block per sentence:
 
 Probabilities are written with 12 digits of mantissa; candidates are
 re-sorted by descending probability on read, so files produced by other
-taggers need not be pre-sorted.
+taggers need not be pre-sorted. Both corpus types are frozen and derive
+their candidates' comparison with gold and collapsed patterns once each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
+from ..collapse import collapse, collapsed_token_strings
 from ..corpus import (
     COMMENT_PREFIX,
     BioLabel,
@@ -24,15 +28,27 @@ from ..corpus import (
     LabelSeq,
     Sentence,
     Token,
+    extract_spans,
     normalize_to_bio2,
     read_text,
+    tag_accuracy,
 )
-from ..errors import ParseError
+from ..errors import NerrankError, ParseError
 
 PROB_SLACK = 1e-6  # rounding headroom on the sum-to-at-most-one invariant
 
 
-@dataclass
+class GoldMatch(NamedTuple):
+    """A set's candidates against gold, both sides in BIO2: gold's span count
+    and per candidate its tag accuracy, matched spans and predicted spans."""
+
+    gold_spans: int
+    accuracy: tuple[float, ...]
+    hits: tuple[int, ...]
+    sizes: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class CandidateSet:
     """Ranked candidate label sequences for one sentence."""
 
@@ -70,8 +86,24 @@ class CandidateSet:
             return self
         return CandidateSet(self.sentence_id, self.gold, self.candidates[:k])
 
+    @cached_property
+    def versus_gold(self) -> GoldMatch:
+        """The candidates compared with gold."""
+        if self.gold is None:
+            raise NerrankError(f"sentence {self.sentence_id}: no gold labels to compare with")
+        gold = normalize_to_bio2(self.gold)
+        gspans = extract_spans(gold)
+        accuracy, hits, sizes = [], [], []
+        for labels, _ in self.candidates:
+            labels = normalize_to_bio2(labels)
+            spans = extract_spans(labels)
+            accuracy.append(tag_accuracy(gold, labels))
+            hits.append(len(spans & gspans))
+            sizes.append(len(spans))
+        return GoldMatch(len(gspans), tuple(accuracy), tuple(hits), tuple(sizes))
 
-@dataclass
+
+@dataclass(frozen=True)
 class NBestCorpus:
     """Candidate sets aligned one-to-one with their sentences."""
 
@@ -95,6 +127,14 @@ class NBestCorpus:
 
     def truncated(self, k: int) -> "NBestCorpus":
         return NBestCorpus(self.sentences, [cs.truncated(k) for cs in self.sets])
+
+    @cached_property
+    def patterns(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
+        """Each candidate's collapsed pattern as a token tuple, per set."""
+        return tuple(
+            tuple(tuple(collapsed_token_strings(collapse(s, seq))) for seq, _ in cs.candidates)
+            for s, cs in self
+        )
 
 
 def format_nbest(corpus: NBestCorpus) -> str:
@@ -136,14 +176,14 @@ def parse_nbest(text: str) -> NBestCorpus:
                 f"sentence {cur_id}: candidate probabilities sum to {total:.6f}", line=cur_line
             )
         ordered = sorted(cands, key=lambda c: -c[1])
-        sentences.append(Sentence(cur_id, tuple(Token(t) for t in tokens)))
+        sentences.append(Sentence(cur_id, tokens))
         sets.append(CandidateSet(cur_id, gold, ordered))
         cur_id, tokens, gold = None, None, None
         cands = []
 
-    def parse_tags(fields, lineno):
+    def parse_fields(make, fields, lineno):
         try:
-            return [BioLabel.parse(f) for f in fields]
+            return [make(f) for f in fields]
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
 
@@ -171,17 +211,21 @@ def parse_nbest(text: str) -> NBestCorpus:
         fields = line.split("\t")
         kind = fields[0]
         if kind == "TOKENS":
+            if tokens is not None:
+                raise ParseError(f"sentence {cur_id} has a second TOKENS line", line=lineno)
             if len(fields) < 2:
                 raise ParseError("TOKENS line with no tokens", line=lineno)
-            tokens = fields[1:]
+            tokens = tuple(parse_fields(Token, fields[1:], lineno))
         elif kind == "GOLD":
             if tokens is None:
                 raise ParseError("GOLD before TOKENS", line=lineno)
+            if gold is not None:
+                raise ParseError(f"sentence {cur_id} has a second GOLD line", line=lineno)
             if len(fields) - 1 != len(tokens):
                 raise ParseError(
                     f"GOLD has {len(fields) - 1} tags for {len(tokens)} tokens", line=lineno
                 )
-            gold = normalize_to_bio2(parse_tags(fields[1:], lineno))
+            gold = normalize_to_bio2(parse_fields(BioLabel.parse, fields[1:], lineno))
         elif kind == "CAND":
             if tokens is None:
                 raise ParseError("CAND before TOKENS", line=lineno)
@@ -197,7 +241,7 @@ def parse_nbest(text: str) -> NBestCorpus:
                 raise ParseError(
                     f"candidate has {len(fields) - 2} tags for {len(tokens)} tokens", line=lineno
                 )
-            cands.append((parse_tags(fields[2:], lineno), min(prob, 1.0)))
+            cands.append((parse_fields(BioLabel.parse, fields[2:], lineno), min(prob, 1.0)))
         else:
             raise ParseError(f"unrecognized line kind {kind!r}", line=lineno)
     flush()

@@ -9,16 +9,11 @@ output with stray I- tags is scored the same way conlleval would score it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .baseline.nbest import CandidateSet, NBestCorpus
-from .corpus import (
-    ENTITY_TYPES,
-    LabelSeq,
-    extract_spans,
-    normalize_to_bio2,
-    tag_accuracy,
-)
+from .baseline.nbest import NBestCorpus
+from .corpus import ENTITY_TYPES, LabelSeq, extract_spans, normalize_to_bio2
 from .errors import NerrankError
 
 
@@ -122,31 +117,18 @@ def _check_aligned(gold: list[LabelSeq], pred: list[LabelSeq]):
             )
 
 
-def chunk_prf(
-    gold: list[LabelSeq],
-    pred: list[LabelSeq],
-    type_filter: str | None = None,
-) -> PrfReport:
-    """Exact span-match precision/recall/F1 over aligned corpora.
-
-    With ``type_filter`` both sides are restricted to spans of that type
-    (the report's overall numbers then equal that type's numbers).
-    """
+def chunk_prf(gold: list[LabelSeq], pred: list[LabelSeq]) -> PrfReport:
+    """Exact span-match precision/recall/F1 over aligned corpora, overall
+    and per entity type."""
     _check_aligned(gold, pred)
-    types = (type_filter,) if type_filter else ENTITY_TYPES
-    tp = {t: 0 for t in types}
-    n_pred = {t: 0 for t in types}
-    n_gold = {t: 0 for t in types}
+    tp, n_pred, n_gold = Counter(), Counter(), Counter()
     for g, p in zip(gold, pred):
         gspans = extract_spans(normalize_to_bio2(g))
         pspans = extract_spans(normalize_to_bio2(p))
-        for t in types:
-            gt = {s for s in gspans if s.entity_type == t}
-            pt = {s for s in pspans if s.entity_type == t}
-            tp[t] += len(gt & pt)
-            n_gold[t] += len(gt)
-            n_pred[t] += len(pt)
-    by_type = {t: PrfCounts(tp[t], n_pred[t], n_gold[t]) for t in types}
+        tp.update(s.entity_type for s in gspans & pspans)
+        n_gold.update(s.entity_type for s in gspans)
+        n_pred.update(s.entity_type for s in pspans)
+    by_type = {t: PrfCounts(tp[t], n_pred[t], n_gold[t]) for t in ENTITY_TYPES}
     overall = PrfCounts(
         sum(tp.values()), sum(n_pred.values()), sum(n_gold.values())
     )
@@ -166,41 +148,21 @@ def ssa(selections: list[LabelSeq], gold: list[LabelSeq]) -> float:
     return correct / len(gold)
 
 
-def candidate_span_counts(cs: CandidateSet) -> tuple[int, list[int], list[int]]:
-    """A set's gold span count, and per candidate the number of its spans
-    that match gold and the number it predicts (both sides normalized)."""
-    gspans = extract_spans(normalize_to_bio2(cs.gold))
-    hits, sizes = [], []
-    for labels, _ in cs.candidates:
-        spans = extract_spans(normalize_to_bio2(labels))
-        hits.append(len(spans & gspans))
-        sizes.append(len(spans))
-    return len(gspans), hits, sizes
-
-
 def oracle(nbest: NBestCorpus, n_max: int | None = None) -> OracleReport:
     """Oracle curves: for each n, pick per sentence the candidate among the
     top n with the highest (OBA/OBF) or lowest (OWF) tag accuracy against
     gold, ties going to the lower index, and measure the selections."""
-    if any(cs.gold is None for cs in nbest.sets):
-        raise NerrankError("oracle curves need gold labels on every sentence")
-    per_sentence = []
-    total_gold = 0
-    for cs in nbest.sets:
-        gold = normalize_to_bio2(cs.gold)
-        n_gold, hits, sizes = candidate_span_counts(cs)
-        total_gold += n_gold
-        accuracy = [tag_accuracy(gold, normalize_to_bio2(labels)) for labels, _ in cs.candidates]
-        per_sentence.append((accuracy, hits, sizes))
+    per_sentence = [cs.versus_gold for cs in nbest.sets]
+    total_gold = sum(m.gold_spans for m in per_sentence)
 
-    kmax = max(len(accuracy) for accuracy, _, _ in per_sentence)
+    kmax = max(len(m.accuracy) for m in per_sentence)
     depth = min(n_max, kmax) if n_max is not None else kmax
     best = [0] * len(per_sentence)  # per-sentence argmax index so far
     worst = [0] * len(per_sentence)
     rows = []
     for n in range(1, depth + 1):
         tp_b = pred_b = tp_w = pred_w = exact = 0
-        for s, (accuracy, hits, sizes) in enumerate(per_sentence):
+        for s, (_, accuracy, hits, sizes) in enumerate(per_sentence):
             if n - 1 < len(accuracy):
                 if accuracy[n - 1] > accuracy[best[s]]:
                     best[s] = n - 1

@@ -10,7 +10,8 @@ where s is the neural score of the collapsed pattern and p the baseline's
 sequence probability; alpha is tuned by exhaustive search over the 201-point
 grid {0, 0.005, ..., 1.0} against dev chunk F1. The rule takes one
 candidate set and a whole array of alphas, so the search takes each set's
-picks at all 201 grid points in one expression.
+picks at all 201 grid points in one expression. The dev corpus derives its
+patterns and span counts on the first evaluation; later epochs reuse them.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 
 from .baseline.nbest import NBestCorpus
 from .collapse import CollapsedSequence, collapse, collapsed_token_strings
-from .corpus import LabelSeq, normalize_to_bio2, tag_accuracy
+from .corpus import LabelSeq, normalize_to_bio2
 from .errors import CheckpointMismatchError, ConfigError, NerrankError
-from .evaluation import PrfCounts, candidate_span_counts
+from .evaluation import PrfCounts
 from .numerics import AdamState, Tensor, backward, scale, sum_all
 from .reranker import PatternScorer, ScorerConfig, Vocab, build_vocab
 
@@ -137,18 +138,8 @@ def make_examples(nbest: NBestCorpus) -> list[RerankExample]:
     label accuracy against gold (both sides normalized)."""
     out = []
     for sentence, cs in nbest:
-        if cs.gold is None:
-            raise NerrankError(
-                f"sentence {sentence.id}: supervised examples need gold labels"
-            )
-        gold = normalize_to_bio2(cs.gold)
-        for labels, _ in cs.candidates:
-            out.append(
-                RerankExample(
-                    collapsed=collapse(sentence, labels),
-                    target=tag_accuracy(gold, normalize_to_bio2(labels)),
-                )
-            )
+        for (labels, _), target in zip(cs.candidates, cs.versus_gold.accuracy):
+            out.append(RerankExample(collapsed=collapse(sentence, labels), target=target))
     return out
 
 
@@ -186,13 +177,11 @@ def score_sets(scorer: PatternScorer, nbest: NBestCorpus) -> list[list[float]]:
     """Evaluation-mode scores for every candidate in the corpus, one list
     per sentence in `cs.candidates` order.
 
-    Each distinct collapsed pattern is scored once; duplicates (very common
-    after collapsing) reuse the cached value.
+    Each distinct collapsed pattern (`NBestCorpus.patterns`) is scored once,
+    in first-occurrence order; duplicates (very common after collapsing)
+    reuse the cached value.
     """
-    keys = [
-        [tuple(collapsed_token_strings(collapse(s, labels))) for labels, _ in cs.candidates]
-        for s, cs in nbest
-    ]
+    keys = nbest.patterns
     order = list(dict.fromkeys(key for row in keys for key in row))
     values: dict[tuple[str, ...], float] = {}
     for start in range(0, len(order), SCORE_CHUNK):
@@ -228,8 +217,8 @@ def alpha_search(nbest: NBestCorpus, scores: list[list[float]]) -> AlphaSearchRe
     """Best interpolation weight by dev chunk F1 over the full 0.005 grid.
 
     Each set's picks for the whole grid come from one selection; the
-    matched and predicted span counts of the picks add up per grid point.
-    Ties prefer the smallest alpha.
+    matched and predicted span counts of the picks (`versus_gold`) add up
+    per grid point. Ties prefer the smallest alpha.
     """
     if len(scores) != len(nbest):
         raise NerrankError(f"{len(scores)} scored sentences vs {len(nbest)} candidate sets")
@@ -247,11 +236,11 @@ def alpha_search(nbest: NBestCorpus, scores: list[list[float]]) -> AlphaSearchRe
             raise NerrankError(
                 f"sentence {cs.sentence_id}: {len(row)} scores for {len(cs.candidates)} candidates"
             )
-        n_gold, hits, sizes = candidate_span_counts(cs)
-        total_gold += n_gold
+        match = cs.versus_gold
+        total_gold += match.gold_spans
         picks = mixture_select(row, [prob for _, prob in cs.candidates], grid)
-        tp += np.take(hits, picks)
-        pred += np.take(sizes, picks)
+        tp += np.take(match.hits, picks)
+        pred += np.take(match.sizes, picks)
     f1 = [PrfCounts(t, n, total_gold).f1 for t, n in zip(tp.tolist(), pred.tolist())]
     best = max(range(len(f1)), key=f1.__getitem__)
     return AlphaSearchResult(alpha=ALPHA_GRID[best], f1=f1[best], points=len(f1))

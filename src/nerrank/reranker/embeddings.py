@@ -31,8 +31,8 @@ def parse_embeddings(text: str, dim: int) -> dict[str, np.ndarray]:
     """Parse embedding text into a token → vector map.
 
     A repeated token keeps its last occurrence.  Raises ParseError (with the
-    line number) on a malformed value or a row whose width disagrees with
-    ``dim``.
+    line number) on a malformed or non-finite value or a row whose width
+    disagrees with ``dim``.
     """
     vectors: dict[str, np.ndarray] = {}
     lines = text.splitlines()
@@ -56,9 +56,12 @@ def parse_embeddings(text: str, dim: int) -> dict[str, np.ndarray]:
                 line=lineno,
             )
         try:
-            vectors[token] = np.array([float(v) for v in values])
+            vector = np.array([float(v) for v in values])
         except ValueError as exc:
             raise ParseError(f"bad embedding value: {exc}", line=lineno) from None
+        if not np.isfinite(vector).all():
+            raise ParseError(f"token {token!r} has a non-finite value", line=lineno)
+        vectors[token] = vector
     return vectors
 
 

@@ -381,10 +381,8 @@ def test_chunk_scores_match_brute_force_span_sets():
         assert report.recall == ref.recall
         assert report.f1 == ref.f1
 
-    boundary = chunk_prf(
-        [labels("B-PER", "I-PER")], [labels("B-PER", "O")], type_filter="PER"
-    )
-    assert boundary.f1 == 0.0
+    boundary = chunk_prf([labels("B-PER", "I-PER")], [labels("B-PER", "O")])
+    assert boundary.by_type["PER"].f1 == 0.0
 
 
 # ---------------------------------------------------------------------------

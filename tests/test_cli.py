@@ -656,6 +656,160 @@ def test_malformed_crf_exit_code(pipeline_dir, tmp_path, capsys, mutation):
     assert str(model) in err
 
 
+# ---------------------------------------------------------------------------
+# malformed text inputs: each mutation of a valid input exits 2-5 (never 0,
+# 1 or a traceback) and names the line at fault, or the key where the
+# config values carry no line
+
+
+def _replaced(base: str, at: int, line: str | None) -> str:
+    """`base` with its line `at` (1-based) replaced, or deleted for None."""
+    lines = base.split("\n")
+    lines[at - 1 : at] = [] if line is None else [line]
+    return "\n".join(lines)
+
+
+def _inserted(base: str, at: int, line: str) -> str:
+    """`base` with `line` inserted so that it becomes line `at`."""
+    lines = base.split("\n")
+    lines.insert(at - 1, line)
+    return "\n".join(lines)
+
+
+def _latin1(base: str, at: int) -> bytes:
+    """`base` with a non-UTF-8 byte on line `at`."""
+    return _replaced(base, at, "\xfc" + base.split("\n")[at - 1]).encode("latin-1")
+
+
+NBEST = (
+    "#SENT 0\n"
+    "TOKENS\tJohn\tvisited\tParis\n"
+    "GOLD\tB-PER\tO\tB-LOC\n"
+    "CAND\t6.0e-01\tB-PER\tO\tB-LOC\n"
+    "CAND\t3.0e-01\tB-PER\tO\tO\n"
+)
+
+NBEST_MUTATIONS = {
+    "tokens-repeated": (_inserted(NBEST, 3, "TOKENS\tJohn\tvisited\tRome"), "line 3"),
+    "tokens-repeated-other-length": (_inserted(NBEST, 3, "TOKENS\tJohn\tslept"), "line 3"),
+    "gold-repeated": (_inserted(NBEST, 4, "GOLD\tO\tO\tO"), "line 4"),
+    "token-empty": (_replaced(NBEST, 2, "TOKENS\tJohn\t\tParis"), "line 2"),
+    "token-with-space": (_replaced(NBEST, 2, "TOKENS\tJohn\tvisited\tSao Paulo"), "line 2"),
+    "tokens-missing": (_replaced(NBEST, 2, None), "line 2"),
+    "header-missing": (_replaced(NBEST, 1, None), "line 1"),
+    "header-malformed": (_replaced(NBEST, 1, "#SENT zero"), "line 1"),
+    "id-repeated": (NBEST + "\n#SENT 0\nTOKENS\tx\nCAND\t1.0\tO\n", "line 7"),
+    "kind-unknown": (_inserted(NBEST, 3, "POS\tNNP\tVBD\tNNP"), "line 3"),
+    "gold-short": (_replaced(NBEST, 3, "GOLD\tB-PER\tO"), "line 3"),
+    "cand-short": (_replaced(NBEST, 4, "CAND\t6.0e-01\tB-PER\tO"), "line 4"),
+    "tag-malformed": (_replaced(NBEST, 4, "CAND\t6.0e-01\tB-PER\tO\tX-LOC"), "line 4"),
+    "probability-bad": (_replaced(NBEST, 4, "CAND\tmany\tB-PER\tO\tB-LOC"), "line 4"),
+    "probability-zero": (_replaced(NBEST, 4, "CAND\t0.0\tB-PER\tO\tB-LOC"), "line 4"),
+    "probabilities-over-one": (_replaced(NBEST, 4, "CAND\t0.9\tB-PER\tO\tB-LOC"), "line 1"),
+    "candidates-missing": (_replaced(_replaced(NBEST, 5, None), 4, None), "line 1"),
+    "not-utf8": (_latin1(NBEST, 2), "line 2"),
+}
+
+CONLL = "John B-PER\nvisited O\nParis B-LOC\n"
+
+CONLL_MUTATIONS = {
+    "one-column": (_replaced(CONLL, 2, "visited"), "line 2"),
+    "tag-malformed": (_replaced(CONLL, 2, "visited X-O"), "line 2"),
+    "type-unknown": (_replaced(CONLL, 3, "Paris B-CITY"), "line 3"),
+    "type-missing": (_replaced(CONLL, 3, "Paris B-"), "line 3"),
+    "not-utf8": (_latin1(CONLL, 3), "line 3"),
+}
+
+CLUSTERS = "0101\tJohnar\n0110\tvisited\n"
+
+CLUSTER_MUTATIONS = {
+    "one-column": (_replaced(CLUSTERS, 2, "0110"), "line 2"),
+    "not-utf8": (_latin1(CLUSTERS, 2), "line 2"),
+}
+
+EMBEDDINGS = "Johnar " + " ".join(["0.5"] * 8) + "\nvisited " + " ".join(["-0.25"] * 8) + "\n"
+
+EMBEDDING_MUTATIONS = {
+    "value-nan": (_replaced(EMBEDDINGS, 2, "visited nan" + " 0.5" * 7), "line 2"),
+    "value-inf": (_replaced(EMBEDDINGS, 1, "Johnar" + " 0.5" * 7 + " -inf"), "line 1"),
+    "value-malformed": (_replaced(EMBEDDINGS, 2, "visited 0.5x" + " 0.5" * 7), "line 2"),
+    "row-short": (_replaced(EMBEDDINGS, 2, "visited" + " 0.5" * 7), "line 2"),
+    "header-dimension": (_inserted(EMBEDDINGS, 1, "2 6"), "line 1"),
+    "not-utf8": (_latin1(EMBEDDINGS, 2), "line 2"),
+}
+
+CONFIG = "seed = 1\nn_best = 5\n"
+
+CONFIG_MUTATIONS = {
+    "no-equals": (_replaced(CONFIG, 1, "seed 1"), "line 1"),
+    "key-empty": (_replaced(CONFIG, 2, "= 5"), "line 2"),
+    "key-repeated": (_inserted(CONFIG, 2, "seed = 2"), "line 2"),
+    "key-unknown": (_replaced(CONFIG, 2, "nbest = 5"), "nbest"),
+    "int-malformed": (_replaced(CONFIG, 1, "seed = one"), "seed"),
+    "float-nan": (_inserted(CONFIG, 1, "crf_lr = nan"), "crf_lr"),
+    "bool-malformed": (_inserted(CONFIG, 1, "use_lstm = maybe"), "use_lstm"),
+    "not-utf8": (_latin1(CONFIG, 2), "line 2"),
+}
+
+# kind -> (valid input, its mutations, the command that reads it)
+TEXT_INPUTS = {
+    "nbest": (NBEST, NBEST_MUTATIONS, lambda bad, p, tmp: ["oracle", "--nbest-path", bad]),
+    "conll": (
+        CONLL, CONLL_MUTATIONS, lambda bad, p, tmp: ["eval", "--gold-path", bad, "--pred-path", bad]
+    ),
+    "clusters": (
+        CLUSTERS,
+        CLUSTER_MUTATIONS,
+        lambda bad, p, tmp: [
+            "baseline-train", "--train-path", str(p["train"]), "--clusters-path", bad,
+            "--model-path", str(tmp / "crf.npz"), "--crf-epochs", "1",
+        ],
+    ),
+    "embeddings": (
+        EMBEDDINGS,
+        EMBEDDING_MUTATIONS,
+        lambda bad, p, tmp: [
+            "rerank-train", "--train-nbest-path", str(p["jk"]),
+            "--dev-nbest-path", str(p["dev_nbest"]), "--bundle-path", str(tmp / "bundle"),
+            "--embeddings-path", bad, "--word-dim", "8", "--char-dim", "4",
+            "--lstm-hidden", "4", "--char-cnn-filters", "3", "--word-cnn-filters", "4",
+            "--epochs", "0",
+        ],
+    ),
+    "config": (
+        CONFIG,
+        CONFIG_MUTATIONS,
+        lambda bad, p, tmp: [
+            "eval", "--config", bad, "--gold-path", str(p["test"]), "--pred-path", str(p["test"]),
+        ],
+    ),
+}
+
+
+def _run_on_input(kind, content, pipeline_dir, tmp_path, capsys):
+    bad = tmp_path / f"input.{kind}"
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    rc = main(TEXT_INPUTS[kind][2](str(bad), pipeline_dir, tmp_path))
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_INPUTS))
+def test_unmutated_text_inputs_are_accepted(pipeline_dir, tmp_path, capsys, kind):
+    rc, err = _run_on_input(kind, TEXT_INPUTS[kind][0], pipeline_dir, tmp_path, capsys)
+    assert rc == EXIT_OK, err
+
+
+@pytest.mark.parametrize(
+    "kind, mutation",
+    [(kind, name) for kind, (_, table, _) in sorted(TEXT_INPUTS.items()) for name in sorted(table)],
+)
+def test_malformed_text_input_exit_code(pipeline_dir, tmp_path, capsys, kind, mutation):
+    content, names = TEXT_INPUTS[kind][1][mutation]
+    rc, err = _run_on_input(kind, content, pipeline_dir, tmp_path, capsys)
+    assert rc in (EXIT_MISSING_FILE, EXIT_BAD_CONFIG, EXIT_CHECKPOINT, EXIT_BAD_DATA), err
+    assert "nerrank: error:" in err and names in err, err
+
+
 def test_missing_bundle_directory_exit_code(pipeline_dir, tmp_path, capsys):
     rc = main(
         ["rerank-decode", "--bundle-path", str(tmp_path / "absent"),

@@ -95,15 +95,6 @@ def test_per_type_counts_sum_to_overall():
     assert sum(c.gold for c in report.by_type.values()) == report.overall.gold
 
 
-def test_type_filter_matches_by_type_slice():
-    gold = [labels("B-PER", "O", "B-LOC"), labels("B-LOC", "I-LOC", "O")]
-    pred = [labels("B-PER", "O", "B-PER"), labels("B-LOC", "I-LOC", "O")]
-    full = chunk_prf(gold, pred)
-    only_loc = chunk_prf(gold, pred, type_filter="LOC")
-    assert only_loc.overall == full.by_type["LOC"]
-    assert set(only_loc.by_type) == {"LOC"}
-
-
 def test_misalignment_is_rejected():
     with pytest.raises(NerrankError):
         chunk_prf([labels("O")], [])

@@ -2,6 +2,8 @@
 decoding, the interpolation grid search, training, and bundle persistence."""
 
 import logging
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -346,14 +348,17 @@ def test_alpha_search_matches_the_scalar_reference(scored):
         pairs = [(s, prob) for s, (_, prob) in zip(row, cs.candidates)]
         picks = mixture_select(row, [prob for _, prob in cs.candidates], ALPHA_GRID)
         assert picks.tolist() == [reference_select(pairs, a) for a in ALPHA_GRID]
-    result = alpha_search(corpus, scores)
-    expected = reference_search(corpus, scores)
-    assert (result.alpha, result.f1, result.points) == (
-        expected.alpha,
-        expected.f1,
-        expected.points,
-    )
-    assert type(result.alpha) is float and type(result.f1) is float
+    # a second search on the same corpus object, as every training epoch
+    # makes, reads the span counts the first one derived
+    for row_scores in (scores, [[1.0 - x for x in row] for row in scores]):
+        result = alpha_search(corpus, row_scores)
+        expected = reference_search(corpus, row_scores)
+        assert (result.alpha, result.f1, result.points) == (
+            expected.alpha,
+            expected.f1,
+            expected.points,
+        )
+        assert type(result.alpha) is float and type(result.f1) is float
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +656,39 @@ def test_same_seed_trains_identically():
     assert a.history == b.history
     for name, tensor in a.scorer.params.items():
         assert np.array_equal(tensor.data, b.scorer.params[name].data), name
+
+
+def count_calls(monkeypatch, functions) -> dict[str, int]:
+    """Wrap each function under every name a nerrank module binds it to,
+    as perfbench's tracer does; the returned counts grow with each call."""
+    counts = {fn.__name__: 0 for fn in functions}
+    for fn in functions:
+
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "nerrank":
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, counted)
+    return counts
+
+
+def test_dev_is_collapsed_and_counted_once_per_training_run(monkeypatch):
+    """Every epoch rescores dev and re-tunes alpha from the patterns and
+    span counts derived on the first evaluation."""
+    examples = make_examples(cue_corpus(16, seed=8))
+    counts = count_calls(monkeypatch, (collapse, extract_spans))
+    per_run = []
+    for epochs in (0, 3):
+        counts.update(dict.fromkeys(counts, 0))
+        dev_corpus = cue_corpus(8, seed=9, start=1000)
+        train_reranker(examples, dev_corpus, replace(TINY, epochs=epochs))
+        per_run.append(dict(counts))
+    assert per_run[0] == per_run[1]
+    assert per_run[0]["collapse"] == 16  # once per dev candidate
 
 
 def test_training_input_validation():
