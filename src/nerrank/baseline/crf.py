@@ -6,9 +6,15 @@ feature ids, the path score, and the forward algorithm in log space, which
 gives both the partition function and the alpha table that training's
 forward-backward pass reuses. `crf_train` builds a zero-weight model and
 trains it in place through those methods (exact NLL gradients, mini-batch
-Adam). k-best decoding keeps a beam of k exact survivors per state (a total
-order with lexicographic tie-breaking makes the pruning argument exact, so
-ranked output matches brute-force enumeration bit for bit).
+Adam).
+
+`kbest_decode` keeps a beam of up to k survivors per state as numpy
+arrays. Two things make its ranking equal brute-force enumeration's, bit
+for bit: the survivors' lexicographic ranks make (-score, rank) a total
+order that prunes nothing enumeration would rank higher, and each step
+adds `(s + trans) + e` in float64, the operations and order of
+`CrfModel.score_tag_ids`. Its docstring gives the argument and the one
+exception, a tie that rounding creates.
 """
 
 from __future__ import annotations
@@ -54,8 +60,8 @@ class CrfModel:
             raise ValueError(f"weight shapes {shapes} do not match {f} features and {k} tags")
         if not all(np.isfinite(w).all() for w in weights):
             raise ValueError("weights are not all finite")
-        for tag in self.tags:
-            BioLabel.parse(tag)
+        # parsed once; every decoded candidate shares these frozen labels
+        self.labels = tuple(BioLabel.parse(tag) for tag in self.tags)
         self._tag_index = {t: i for i, t in enumerate(self.tags)}
         if len(self._tag_index) != k:
             raise ValueError(f"duplicate tags in {list(self.tags)}")
@@ -154,44 +160,62 @@ def sequence_prob(model: CrfModel, sentence: Sentence, labels: LabelSeq) -> floa
 def kbest_decode(model: CrfModel, sentence: Sentence, k: int, gold: LabelSeq | None = None) -> CandidateSet:
     """The k highest-scoring sequences with exact probabilities.
 
-    Ties broken by lexicographic tag-id order; fewer than k come back only
-    when the lattice has fewer than k paths in total.
+    Ranked by descending score, ties by lexicographic tag-id order; fewer
+    than k come back only when the lattice has fewer than k paths in total.
+
+    After step t the beam holds up to k paths per end state: their scores
+    (K, w), backpointers into step t-1's flattened (state, slot) grid, and
+    the flat indices of all K*w survivors in lexicographic order of their
+    paths. Each state's row of grown paths contains every survivor once as
+    a prefix, so a stable sort of the row's scores with its columns in that
+    order ranks by (-score, path). Rank keys make the pruning exact: a path
+    cut from a state's beam has k survivors in that state that beat it, and
+    extending both by the same tags adds the same numbers, which rounding
+    cannot reorder. Rounding can make two different scores equal, though:
+    with begin (1, 1 + 2**-52), end (1, -100), all else zero, T=2 and k=1,
+    the beam returns (1, 0) where enumeration ranks (0, 0) first.
+    Scores accumulate as `(s + trans) + e` in float64, the order
+    `CrfModel.score_tag_ids` uses, so every score matches its enumerated
+    path score to the bit.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    emissions = model.emission_scores(sentence)
+    e = model.emission_scores(sentence)
     n_tags = len(model.tags)
-    t_count = len(sentence)
-    begin = model.begin.tolist()
-    end = model.end.tolist()
-    trans = model.trans.tolist()
-    e = emissions.tolist()
+    tags = np.arange(n_tags)
+    trans_in = model.trans.T[:, :, None]  # [y, prev, 1] = trans[prev, y]
 
-    # beams[y]: up to k (score, tag_id_tuple) survivors ending in state y
-    beams = [[(begin[y] + e[0][y], (y,))] for y in range(n_tags)]
-    for t in range(1, t_count):
-        new_beams = []
-        for y in range(n_tags):
-            ey = e[t][y]
-            grown = [
-                ((s + trans[prev][y]) + ey, seq + (y,))
-                for prev in range(n_tags)
-                for s, seq in beams[prev]
-            ]
-            grown.sort(key=lambda item: (-item[0], item[1]))
-            new_beams.append(grown[:k])
-        beams = new_beams
+    scores = (model.begin + e[0])[:, None]  # (K, 1): one path per state
+    lex = tags  # flat survivor indices in lexicographic order of their paths
+    backpointers = []
+    for t in range(1, len(sentence)):
+        grown = ((scores[None] + trans_in) + e[t][:, None, None]).reshape(n_tags, -1)
+        # every row holds each survivor once; with the columns in lex order,
+        # a stable sort on -score ranks by (-score, prefix), and the
+        # position it returns is the prefix's rank
+        prefix_rank = np.argsort(-grown[:, lex], axis=1, kind="stable")[:, :k]
+        keep = lex[prefix_rank]
+        scores = grown[tags[:, None], keep]
+        # a new path is its prefix then y: the unique key (prefix rank, y)
+        # orders the new survivors lexicographically
+        lex = np.argsort(prefix_rank * n_tags + tags[:, None], axis=None)
+        backpointers.append(keep)
 
-    final = [(s + end[y], seq) for y in range(n_tags) for s, seq in beams[y]]
-    final.sort(key=lambda item: (-item[0], item[1]))
-    final = final[:k]
+    final = (scores + model.end[:, None]).reshape(-1)
+    best = lex[np.argsort(-final[lex], kind="stable")[:k]]
+    seqs = np.empty((best.size, len(sentence)), dtype=np.intp)
+    at = best  # flat (state, slot) indices into the last step's beam
+    for t in range(len(sentence) - 1, 0, -1):
+        keep = backpointers[t - 1]
+        seqs[:, t] = at // keep.shape[1]
+        at = keep.reshape(-1)[at]
+    seqs[:, 0] = at  # step 0 holds one path per state
 
-    log_z = model.log_partition(emissions)
+    log_z = model.log_partition(e)
     candidates = []
-    for score, seq in final:
+    for score, seq in zip(final[best].tolist(), seqs.tolist()):
         prob = min(1.0, float(np.exp(score - log_z)))
-        labels = [BioLabel.parse(model.tags[y]) for y in seq]
-        candidates.append((labels, max(prob, 1e-300)))
+        candidates.append(([model.labels[y] for y in seq], max(prob, 1e-300)))
     return CandidateSet(sentence.id, gold, candidates)
 
 

@@ -11,7 +11,8 @@ Interchange format, one block per sentence:
 Probabilities are written with 12 digits of mantissa; candidates are
 re-sorted by descending probability on read, so files produced by other
 taggers need not be pre-sorted. Both corpus types are frozen and derive
-their candidates' comparison with gold and collapsed patterns once each.
+their candidates' tag accuracies, span matches and collapsed patterns
+once each, when first read.
 """
 
 from __future__ import annotations
@@ -38,12 +39,11 @@ from ..errors import NerrankError, ParseError
 PROB_SLACK = 1e-6  # rounding headroom on the sum-to-at-most-one invariant
 
 
-class GoldMatch(NamedTuple):
-    """A set's candidates against gold, both sides in BIO2: gold's span count
-    and per candidate its tag accuracy, matched spans and predicted spans."""
+class SpanMatch(NamedTuple):
+    """A set's candidates' entity spans against gold's, both sides in BIO2:
+    gold's span count and per candidate its matched and predicted spans."""
 
     gold_spans: int
-    accuracy: tuple[float, ...]
     hits: tuple[int, ...]
     sizes: tuple[int, ...]
 
@@ -87,20 +87,24 @@ class CandidateSet:
         return CandidateSet(self.sentence_id, self.gold, self.candidates[:k])
 
     @cached_property
-    def versus_gold(self) -> GoldMatch:
-        """The candidates compared with gold."""
+    def accuracy(self) -> tuple[float, ...]:
+        """Each candidate's tag accuracy against gold, both sides in BIO2."""
+        gold = self._bio2_gold()
+        return tuple(tag_accuracy(gold, normalize_to_bio2(labels)) for labels, _ in self.candidates)
+
+    @cached_property
+    def span_match(self) -> SpanMatch:
+        """The candidates' entity spans compared with gold's."""
+        gspans = extract_spans(self._bio2_gold())
+        spans = [extract_spans(normalize_to_bio2(labels)) for labels, _ in self.candidates]
+        return SpanMatch(
+            len(gspans), tuple(len(s & gspans) for s in spans), tuple(len(s) for s in spans)
+        )
+
+    def _bio2_gold(self) -> LabelSeq:
         if self.gold is None:
             raise NerrankError(f"sentence {self.sentence_id}: no gold labels to compare with")
-        gold = normalize_to_bio2(self.gold)
-        gspans = extract_spans(gold)
-        accuracy, hits, sizes = [], [], []
-        for labels, _ in self.candidates:
-            labels = normalize_to_bio2(labels)
-            spans = extract_spans(labels)
-            accuracy.append(tag_accuracy(gold, labels))
-            hits.append(len(spans & gspans))
-            sizes.append(len(spans))
-        return GoldMatch(len(gspans), tuple(accuracy), tuple(hits), tuple(sizes))
+        return normalize_to_bio2(self.gold)
 
 
 @dataclass(frozen=True)

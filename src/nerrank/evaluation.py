@@ -152,17 +152,17 @@ def oracle(nbest: NBestCorpus, n_max: int | None = None) -> OracleReport:
     """Oracle curves: for each n, pick per sentence the candidate among the
     top n with the highest (OBA/OBF) or lowest (OWF) tag accuracy against
     gold, ties going to the lower index, and measure the selections."""
-    per_sentence = [cs.versus_gold for cs in nbest.sets]
-    total_gold = sum(m.gold_spans for m in per_sentence)
+    per_sentence = [(cs.accuracy, cs.span_match) for cs in nbest.sets]
+    total_gold = sum(match.gold_spans for _, match in per_sentence)
 
-    kmax = max(len(m.accuracy) for m in per_sentence)
+    kmax = max(len(accuracy) for accuracy, _ in per_sentence)
     depth = min(n_max, kmax) if n_max is not None else kmax
     best = [0] * len(per_sentence)  # per-sentence argmax index so far
     worst = [0] * len(per_sentence)
     rows = []
     for n in range(1, depth + 1):
         tp_b = pred_b = tp_w = pred_w = exact = 0
-        for s, (_, accuracy, hits, sizes) in enumerate(per_sentence):
+        for s, (accuracy, (_, hits, sizes)) in enumerate(per_sentence):
             if n - 1 < len(accuracy):
                 if accuracy[n - 1] > accuracy[best[s]]:
                     best[s] = n - 1

@@ -138,7 +138,7 @@ def make_examples(nbest: NBestCorpus) -> list[RerankExample]:
     label accuracy against gold (both sides normalized)."""
     out = []
     for sentence, cs in nbest:
-        for (labels, _), target in zip(cs.candidates, cs.versus_gold.accuracy):
+        for (labels, _), target in zip(cs.candidates, cs.accuracy):
             out.append(RerankExample(collapsed=collapse(sentence, labels), target=target))
     return out
 
@@ -217,7 +217,7 @@ def alpha_search(nbest: NBestCorpus, scores: list[list[float]]) -> AlphaSearchRe
     """Best interpolation weight by dev chunk F1 over the full 0.005 grid.
 
     Each set's picks for the whole grid come from one selection; the
-    matched and predicted span counts of the picks (`versus_gold`) add up
+    matched and predicted span counts of the picks (`span_match`) add up
     per grid point. Ties prefer the smallest alpha.
     """
     if len(scores) != len(nbest):
@@ -236,7 +236,7 @@ def alpha_search(nbest: NBestCorpus, scores: list[list[float]]) -> AlphaSearchRe
             raise NerrankError(
                 f"sentence {cs.sentence_id}: {len(row)} scores for {len(cs.candidates)} candidates"
             )
-        match = cs.versus_gold
+        match = cs.span_match
         total_gold += match.gold_spans
         picks = mixture_select(row, [prob for _, prob in cs.candidates], grid)
         tp += np.take(match.hits, picks)

@@ -311,6 +311,115 @@ def test_kbest_equals_enumeration_on_random_lattices(lattice, k):
     assert got == [(seq, prob) for (_, seq), prob in zip(ranked[:k], probs)]
 
 
+def reference_kbest(model, sentence, k):
+    """The tuple beam: per state, up to k (score, tag-id tuple) survivors,
+    each state's grown items sorted by (-score, tuple). Returns the top k
+    (score, tuple) pairs of the whole lattice."""
+    e = model.emission_scores(sentence).tolist()
+    begin = model.begin.tolist()
+    end = model.end.tolist()
+    trans = model.trans.tolist()
+    n_tags = len(model.tags)
+    beams = [[(begin[y] + e[0][y], (y,))] for y in range(n_tags)]
+    for t in range(1, len(sentence)):
+        new_beams = []
+        for y in range(n_tags):
+            grown = [
+                ((s + trans[prev][y]) + e[t][y], seq + (y,))
+                for prev in range(n_tags)
+                for s, seq in beams[prev]
+            ]
+            grown.sort(key=lambda item: (-item[0], item[1]))
+            new_beams.append(grown[:k])
+        beams = new_beams
+    final = [(s + end[y], seq) for y in range(n_tags) for s, seq in beams[y]]
+    final.sort(key=lambda item: (-item[0], item[1]))
+    return final[:k]
+
+
+def assert_kbest_equals_reference(model, s, k):
+    """Same tag sequences in the same order, and probabilities equal to the
+    bit to those of the reference beam's scores."""
+    log_z = model.log_partition(model.emission_scores(s))
+    expected = [
+        (seq, max(min(1.0, float(np.exp(score - log_z))), 1e-300))
+        for score, seq in reference_kbest(model, s, k)
+    ]
+    cs = kbest_decode(model, s, k)
+    got = [(tuple(model.tag_id(l) for l in labels), prob) for labels, prob in cs.candidates]
+    assert got == expected
+
+
+# mostly small integers, so most paths tie with many others
+TIE_WEIGHTS = st.one_of(
+    st.integers(-1, 1).map(float),
+    st.integers(-1, 1).map(float),
+    st.integers(-1, 1).map(float),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def tag_lattices(draw):
+    """A model over all nine tags and a 1-12 token sentence of its words.
+    In about half of them one end state outweighs the rest, so the top k
+    are one state's beam and the ties at its cut-off reach the output."""
+    words = ("a", "b", "c", "d")
+    k = len(ALL_TAGS)
+
+    def vec(n):
+        return np.array(draw(st.lists(TIE_WEIGHTS, min_size=n, max_size=n)))
+
+    end = vec(k)
+    if draw(st.booleans()):
+        end[draw(st.integers(0, k - 1))] += 100.0
+    model = CrfModel(
+        tags=ALL_TAGS,
+        feature_vocab={f"w[0]={w}": i for i, w in enumerate(words)},
+        templates=WORD_ONLY,
+        emit=vec(len(words) * k).reshape(len(words), k),
+        trans=vec(k * k).reshape(k, k),
+        begin=vec(k),
+        end=end,
+    )
+    tokens = draw(st.lists(st.sampled_from(words), min_size=1, max_size=12))
+    return model, sent(*tokens)
+
+
+@given(tag_lattices(), st.integers(1, 30))
+def test_kbest_equals_the_tuple_beam(lattice, k):
+    model, s = lattice
+    assert_kbest_equals_reference(model, s, k)
+
+
+def test_kbest_single_token_equals_the_tuple_beam():
+    for seed in range(3):
+        model = toy_model(tags=ALL_TAGS, seed=seed)
+        for k in (1, 4, 9, 20):
+            assert_kbest_equals_reference(model, sent("c"), k)
+    cs = kbest_decode(zero_model(), sent("x"), 20)
+    assert [str(l[0]) for l, _ in cs.candidates] == list(ALL_TAGS)
+
+
+def test_kbest_single_tag_equals_the_tuple_beam():
+    model = toy_model(tags=("O",), seed=4)
+    for k in (1, 3):
+        assert_kbest_equals_reference(model, sent("a", "b", "d"), k)
+    (labels, prob), = kbest_decode(model, sent("a", "b", "d"), 3).candidates
+    assert [str(l) for l in labels] == ["O"] * 3
+    assert prob == 1.0
+
+
+def test_kbest_beyond_the_path_count_equals_the_tuple_beam():
+    model = toy_model(seed=6)  # 3 tags, 3 tokens: 27 paths
+    s = sent("d", "a", "c")
+    for k in (26, 27, 28, 100):
+        assert_kbest_equals_reference(model, s, k)
+    assert len(kbest_decode(model, s, 100)) == 27
+    zero = zero_model(tags=("B-PER", "I-PER", "O"))
+    assert_kbest_equals_reference(zero, sent("x", "y", "z"), 40)
+
+
 # ---------------------------------------------------------------------------
 # training
 
