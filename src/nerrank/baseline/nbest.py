@@ -17,8 +17,10 @@ once each, when first read.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import cached_property
+from time import perf_counter
 from typing import NamedTuple
 
 from ..collapse import collapse, collapsed_token_strings
@@ -35,6 +37,8 @@ from ..corpus import (
     tag_accuracy,
 )
 from ..errors import NerrankError, ParseError
+
+log = logging.getLogger(__name__)
 
 PROB_SLACK = 1e-6  # rounding headroom on the sum-to-at-most-one invariant
 
@@ -298,10 +302,19 @@ def build_nbest_corpus(dataset: Dataset, folds: int, k: int, templates, **train_
 
     position = {s.id: i for i, s in enumerate(dataset.sentences)}
     sets: list[CandidateSet | None] = [None] * len(dataset)
-    for train_part, held in jackknife(dataset, folds):
+    for fold, (train_part, held) in enumerate(jackknife(dataset, folds), 1):
+        started = perf_counter()
         model = crf_train(train_part, templates, **train_kwargs)
         for sent, gold in held:
             sets[position[sent.id]] = kbest_decode(model, sent, k, gold=gold)
+        log.info(
+            "jackknife fold %d/%d: trained on %d sentences, decoded %d held-out, %.2f s",
+            fold,
+            folds,
+            len(train_part),
+            len(held),
+            perf_counter() - started,
+        )
     return NBestCorpus(list(dataset.sentences), sets)
 
 

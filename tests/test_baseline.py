@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -499,6 +501,199 @@ def test_sentence_nll_gradient_matches_finite_differences():
             assert rel < 1e-6, f"{name}{list(i)}: {g[i]} vs {numeric}"
 
 
+def test_batch_nll_gradient_matches_finite_differences_on_mixed_lengths():
+    model = toy_model(words=("a", "b", "c"), seed=11)
+    # a T=1 sentence beside the T=4 one above, whose position 2 has no
+    # known feature
+    batch_ids = [
+        [np.array([1, 2], dtype=np.intp)],
+        [np.array(row, dtype=np.intp) for row in ([0, 1], [0], [], [2, 0])],
+    ]
+    batch_tags = [[2], [0, 1, 2, 2]]
+    grads = tuple(np.zeros_like(a) for a in (model.emit, model.trans, model.begin, model.end))
+    nlls = model.batch_nll(batch_ids, batch_tags, grads)
+
+    def objective():
+        total = 0.0
+        for ids, tags in zip(batch_ids, batch_tags):
+            e = model.emissions_from_ids(ids)
+            total += model.log_partition(e) - model.score_tag_ids(e, tags)
+        return total
+
+    assert sum(nlls.tolist()) == objective()
+    h = 1e-5
+    weights = (model.emit, model.trans, model.begin, model.end)
+    for name, w, g in zip(("emit", "trans", "begin", "end"), weights, grads):
+        for i in np.ndindex(w.shape):
+            orig = w[i]
+            w[i] = orig + h
+            up = objective()
+            w[i] = orig - h
+            down = objective()
+            w[i] = orig
+            numeric = (up - down) / (2 * h)
+            rel = abs(g[i] - numeric) / max(abs(g[i]), abs(numeric), 1e-6)
+            assert rel < 1e-6, f"{name}{list(i)}: {g[i]} vs {numeric}"
+
+
+def reference_logsumexp(a, axis=None):
+    m = np.max(a, axis=axis, keepdims=True)
+    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
+    return np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
+
+
+def reference_emissions(model, ids):
+    """The per-position sum that batching replaced. With two or more tags
+    numpy adds an (n, K) block's rows in sequence. A one-tag (n, 1) column
+    it sums pairwise, an order the batched scatter does not keep, so there
+    the rows are added one by one."""
+    e = np.zeros((len(ids), len(model.tags)))
+    for t, row_ids in enumerate(ids):
+        if len(model.tags) == 1:
+            for row in model.emit[row_ids]:
+                e[t] += row
+        elif row_ids.size:
+            e[t] = model.emit[row_ids].sum(axis=0)
+    return e
+
+
+def reference_sentence_nll(model, ids, tag_ids, grads=None):
+    """The per-sentence NLL and gradient that batching replaced: Python
+    loops over positions for the emissions, alpha, beta and the edge
+    marginals, and one `np.add.at` per position."""
+    e = reference_emissions(model, ids)
+    alpha = np.zeros(e.shape)
+    alpha[0] = model.begin + e[0]
+    for t in range(1, e.shape[0]):
+        alpha[t] = reference_logsumexp(alpha[t - 1][:, None] + model.trans, axis=0) + e[t]
+    log_z = float(reference_logsumexp(alpha[-1] + model.end))
+    nll = log_z - model.score_tag_ids(e, tag_ids)
+    if grads is None:
+        return nll
+    g_emit, g_trans, g_begin, g_end = grads
+    y = tag_ids
+    t_count = len(ids)
+    beta = np.zeros(alpha.shape)
+    beta[-1] = model.end
+    for t in range(t_count - 2, -1, -1):
+        beta[t] = reference_logsumexp(model.trans + (e[t + 1] + beta[t + 1])[None, :], axis=1)
+
+    node = np.exp(alpha + beta - log_z)  # (T, K) marginals
+    expected = node.copy()
+    for t in range(t_count):
+        expected[t, y[t]] -= 1.0
+        np.add.at(g_emit, ids[t], expected[t])
+    g_begin += expected[0]
+    g_end += node[-1]
+    g_end[y[-1]] -= 1.0
+    for t in range(1, t_count):
+        edge = np.exp(alpha[t - 1][:, None] + model.trans + (e[t] + beta[t])[None, :] - log_z)
+        g_trans += edge
+        g_trans[y[t - 1], y[t]] -= 1.0
+    return nll
+
+
+def reference_batch_nll(model, batch_ids, batch_tags, grads=None):
+    return np.array([
+        reference_sentence_nll(model, ids, tags, grads)
+        for ids, tags in zip(batch_ids, batch_tags)
+    ])
+
+
+# mostly small integers and halves, so sums are often exact and tie
+NLL_WEIGHTS = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.integers(-4, 4).map(lambda x: x / 2),
+    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def nll_batches(draw):
+    """A model of 1-9 tags over 1-12 features, and a batch of 1-8 sentences
+    of 1-12 positions; a position has 0-10 feature ids (repeats allowed)."""
+    n_tags = draw(st.integers(1, len(ALL_TAGS)))
+    n_feats = draw(st.integers(1, 12))
+
+    def vec(n):
+        return np.array(draw(st.lists(NLL_WEIGHTS, min_size=n, max_size=n)))
+
+    model = CrfModel(
+        tags=ALL_TAGS[:n_tags],
+        feature_vocab={f"f{i}": i for i in range(n_feats)},
+        templates=WORD_ONLY,
+        emit=vec(n_feats * n_tags).reshape(n_feats, n_tags),
+        trans=vec(n_tags * n_tags).reshape(n_tags, n_tags),
+        begin=vec(n_tags),
+        end=vec(n_tags),
+    )
+    position = st.lists(st.integers(0, n_feats - 1), max_size=10).map(
+        lambda row: np.array(row, dtype=np.intp)
+    )
+    batch_ids, batch_tags = [], []
+    for length in draw(st.lists(st.integers(1, 12), min_size=1, max_size=8)):
+        batch_ids.append(draw(st.lists(position, min_size=length, max_size=length)))
+        batch_tags.append(draw(st.lists(st.integers(0, n_tags - 1), min_size=length, max_size=length)))
+    return model, batch_ids, batch_tags
+
+
+def assert_same_bits(a, b, name=""):
+    # tobytes also tells -0.0 from 0.0, which array_equal does not
+    assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
+
+
+@given(nll_batches(), st.booleans())
+def test_batch_nll_equals_the_per_sentence_reference(batch, zero_start):
+    model, batch_ids, batch_tags = batch
+    weights = (model.emit, model.trans, model.begin, model.end)
+    # gradients are added into what the caller's arrays already hold
+    start = [np.zeros_like(w) if zero_start else w.copy() for w in weights]
+    expected = tuple(a.copy() for a in start)
+    got = tuple(a.copy() for a in start)
+    want = reference_batch_nll(model, batch_ids, batch_tags, expected)
+    assert_same_bits(model.batch_nll(batch_ids, batch_tags, got), want)
+    assert_same_bits(model.batch_nll(batch_ids, batch_tags), want)
+    for name, g, ref in zip(("emit", "trans", "begin", "end"), got, expected):
+        assert_same_bits(g, ref, name)
+    for ids, tags, nll in zip(batch_ids, batch_tags, want.tolist()):
+        assert model.sentence_nll(ids, tags) == nll
+        assert_same_bits(model.emissions_from_ids(ids), reference_emissions(model, ids))
+
+
+def test_train_equals_the_per_sentence_reference(monkeypatch):
+    ds = simple_corpus(30, seed=12)
+    # 30 sentences in batches of 4: the last batch holds 2
+    options = dict(epochs=2, batch_size=4, lr=0.05, seed=5)
+    model = crf_train(ds, FeatureTemplateSet(), **options)
+    monkeypatch.setattr(CrfModel, "batch_nll", reference_batch_nll)
+    reference = crf_train(ds, FeatureTemplateSet(), **options)
+    for name in ("emit", "trans", "begin", "end"):
+        assert getattr(model, name).tobytes() == getattr(reference, name).tobytes(), name
+    assert model.nll_history == reference.nll_history
+
+
+def test_each_crf_epoch_is_logged_when_it_is_computed(caplog, monkeypatch):
+    ds = simple_corpus(10, seed=13)
+    batch_nll = CrfModel.batch_nll
+
+    def traced(self, ids, tag_ids, grads=None):
+        if grads is not None:
+            logging.getLogger("nerrank.baseline.crf").info("batch")
+        return batch_nll(self, ids, tag_ids, grads)
+
+    monkeypatch.setattr(CrfModel, "batch_nll", traced)
+    with caplog.at_level(logging.INFO, logger="nerrank.baseline.crf"):
+        model = crf_train(ds, FeatureTemplateSet(), epochs=2, batch_size=4)
+    lines = [r.getMessage() for r in caplog.records if r.name == "nerrank.baseline.crf"]
+    # 10 sentences in batches of 4: each epoch's line follows its 3 batches
+    assert [line.split(":")[0] for line in lines] == (
+        ["batch"] * 3 + ["CRF epoch 1/2"] + ["batch"] * 3 + ["CRF epoch 2/2"]
+    )
+    epoch_lines = [line for line in lines if line != "batch"]
+    for line, nll in zip(epoch_lines, model.nll_history[1:]):
+        assert re.fullmatch(rf".*: mean NLL {nll:.6f} over 10 sentences, \d+\.\d\d s", line)
+
+
 MALFORMED_MODELS = {
     "emit": lambda m: {"emit": m.emit[:-1]},
     "trans": lambda m: {"trans": m.trans[:, :-1]},
@@ -570,6 +765,24 @@ def test_build_nbest_covers_every_sentence_once():
         assert cs.sentence_id == sent_obj.id
         assert 1 <= len(cs) <= 4
         assert cs.gold is not None
+
+
+def test_each_jackknife_fold_is_logged_when_it_ends(caplog):
+    ds = simple_corpus(11, seed=8)
+    with caplog.at_level(logging.INFO, logger="nerrank.baseline"):
+        build_nbest_corpus(ds, folds=3, k=2, templates=FeatureTemplateSet(), epochs=1)
+    lines = [r.getMessage() for r in caplog.records if r.name.startswith("nerrank.baseline")]
+    # held-out blocks of 4, 4 and 3; each fold's line follows its training
+    assert [line.split(":")[0] for line in lines] == [
+        "CRF epoch 1/1", "jackknife fold 1/3",
+        "CRF epoch 1/1", "jackknife fold 2/3",
+        "CRF epoch 1/1", "jackknife fold 3/3",
+    ]
+    fold_lines = lines[1::2]
+    for line, train, held in zip(fold_lines, (7, 7, 8), (4, 4, 3)):
+        assert re.fullmatch(
+            rf".*: trained on {train} sentences, decoded {held} held-out, \d+\.\d\d s", line
+        )
 
 
 def test_decode_corpus_attaches_gold():
