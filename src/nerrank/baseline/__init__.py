@@ -1,44 +1,5 @@
-"""Discrete CRF baseline tagger: features, training, exact k-best decoding."""
+"""Discrete CRF baseline tagger: features, training, exact k-best decoding.
 
-from .features import FeatureTemplateSet, featurize, read_clusters, word_shape
-from .crf import (
-    ALL_TAGS,
-    CrfModel,
-    crf_train,
-    kbest_decode,
-    sequence_prob,
-    viterbi_decode,
-)
-from .nbest import (
-    CandidateSet,
-    NBestCorpus,
-    build_nbest_corpus,
-    decode_corpus,
-    format_nbest,
-    jackknife,
-    parse_nbest,
-    read_nbest,
-    write_nbest,
-)
-
-__all__ = [
-    "ALL_TAGS",
-    "CandidateSet",
-    "CrfModel",
-    "FeatureTemplateSet",
-    "NBestCorpus",
-    "build_nbest_corpus",
-    "crf_train",
-    "decode_corpus",
-    "featurize",
-    "format_nbest",
-    "jackknife",
-    "kbest_decode",
-    "parse_nbest",
-    "read_clusters",
-    "read_nbest",
-    "sequence_prob",
-    "viterbi_decode",
-    "word_shape",
-    "write_nbest",
-]
+The submodules are `features`, `crf` (numpy) and `nbest` (numpy-free;
+it imports `crf` only inside the functions that train or decode).
+"""

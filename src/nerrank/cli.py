@@ -3,7 +3,12 @@
 Every run resolves a single flat configuration (file + `--key value`
 overrides), logs it with its 12-hex digest, stamps the digest into every
 text output file, and drops a machine-readable manifest next to the primary
-output. Exit codes are stable per failure class (see EXIT_CODES).
+output. Exit codes are stable per failure class (see EXIT_CODES); a
+command-line usage error exits like a bad config key.
+
+Each command imports the numpy-backed modules it runs (`baseline.crf`,
+`pipeline`, `reranker`) inside its own body, so importing this module, and
+the `eval`, `oracle` and `collapse` commands, load no numpy.
 """
 
 from __future__ import annotations
@@ -16,13 +21,13 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .baseline.crf import crf_train, load_crf, save_crf
 from .baseline.features import read_clusters
 from .baseline.nbest import build_nbest_corpus, decode_corpus, read_nbest, write_nbest
 from .collapse import collapse, format_pattern
 from .config import (
     FIELD_NAMES,
     RunConfig,
+    ScorerConfig,
     config_hash,
     format_config,
     parse_config_text,
@@ -43,16 +48,6 @@ from .evaluation import (
     oracle_csv,
     ssa,
 )
-from .pipeline import (
-    alpha_search,
-    load_bundle,
-    make_examples,
-    rerank,
-    save_bundle,
-    score_sets,
-    train_reranker,
-)
-from .reranker import ScorerConfig, read_embeddings
 
 log = logging.getLogger("nerrank")
 
@@ -172,6 +167,8 @@ def _check_bundle_arch(cfg: RunConfig, explicit: frozenset, bundle):
 
 
 def _load_bundle_checked(cfg: RunConfig, explicit: frozenset):
+    from .pipeline import load_bundle
+
     if not os.path.exists(cfg.bundle_path):
         raise FileNotFoundError(cfg.bundle_path)
     bundle = load_bundle(cfg.bundle_path)
@@ -184,6 +181,8 @@ def _load_bundle_checked(cfg: RunConfig, explicit: frozenset):
 
 
 def cmd_baseline_train(cfg: RunConfig, explicit: frozenset) -> int:
+    from .baseline.crf import crf_train, save_crf
+
     _require(cfg, "baseline-train", "train_path", "model_path")
     dataset = parse_conll(read_text(cfg.train_path))
     templates = cfg.template_set(_load_clusters(cfg))
@@ -209,6 +208,8 @@ def cmd_baseline_train(cfg: RunConfig, explicit: frozenset) -> int:
 
 
 def cmd_baseline_decode(cfg: RunConfig, explicit: frozenset) -> int:
+    from .baseline.crf import load_crf
+
     _require(cfg, "baseline-decode", "model_path", "input_path", "output_path")
     model = load_crf(cfg.model_path)
     dataset = parse_conll(read_text(cfg.input_path))
@@ -256,6 +257,9 @@ def cmd_collapse(cfg: RunConfig, explicit: frozenset) -> int:
 
 
 def cmd_rerank_train(cfg: RunConfig, explicit: frozenset) -> int:
+    from .pipeline import make_examples, save_bundle, train_reranker
+    from .reranker.embeddings import read_embeddings
+
     _require(cfg, "rerank-train", "train_nbest_path", "dev_nbest_path", "bundle_path")
     train_nb = read_nbest(cfg.train_nbest_path).truncated(cfg.n_best)
     dev_nb = read_nbest(cfg.dev_nbest_path).truncated(cfg.n_best)
@@ -287,6 +291,8 @@ def cmd_rerank_train(cfg: RunConfig, explicit: frozenset) -> int:
 
 
 def cmd_rerank_decode(cfg: RunConfig, explicit: frozenset) -> int:
+    from .pipeline import rerank
+
     _require(cfg, "rerank-decode", "bundle_path", "nbest_path", "output_path")
     bundle = _load_bundle_checked(cfg, explicit)
     if "alpha" in explicit and cfg.alpha is not None:
@@ -342,6 +348,8 @@ def cmd_oracle(cfg: RunConfig, explicit: frozenset) -> int:
 
 
 def cmd_alpha_search(cfg: RunConfig, explicit: frozenset) -> int:
+    from .pipeline import alpha_search, score_sets
+
     _require(cfg, "alpha-search", "bundle_path", "nbest_path")
     bundle = _load_bundle_checked(cfg, explicit)
     corpus = read_nbest(cfg.nbest_path).truncated(cfg.n_best)
@@ -374,23 +382,33 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line usage errors exit like a bad config key."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_CONFIG, f"nerrank: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nerrank",
         description="n-best reranking toolkit for named entity recognition",
     )
     parser.add_argument("--version", action="version", version=f"nerrank {__version__}")
+    # every subcommand takes the same options: declared once, shared as a parent
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", metavar="FILE", help="flat key = value config file")
+    for field_name in FIELD_NAMES:
+        shared.add_argument(
+            "--" + field_name.replace("_", "-"),
+            dest=f"opt_{field_name}",
+            metavar="VALUE",
+            help=argparse.SUPPRESS,
+        )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--config", metavar="FILE", help="flat key = value config file")
-        for field_name in FIELD_NAMES:
-            sub.add_argument(
-                "--" + field_name.replace("_", "-"),
-                dest=f"opt_{field_name}",
-                metavar="VALUE",
-                help=argparse.SUPPRESS,
-            )
+        subparsers.add_parser(name, help=help_text, parents=[shared])
     return parser
 
 

@@ -5,6 +5,10 @@ training options, feature-template switches, and file paths. Values come
 from an optional config file plus command-line overrides, unknown keys are
 rejected, and the fully resolved config has a stable 12-hex digest that is
 stamped into every output file header.
+
+The reranker's blocks (`TrainConfig`, holding a `ScorerConfig`) and the
+alpha grid live here too, so every command can resolve its config without
+importing numpy.
 """
 
 from __future__ import annotations
@@ -17,14 +21,106 @@ from typing import get_args, get_type_hints
 
 from .baseline.features import FeatureTemplateSet
 from .errors import ConfigError
-from .pipeline import TrainConfig, _on_grid
 
 # accepted spellings that differ from the field name
 ALIASES = {"lambda": "l2"}
 
+# the interpolation weights alpha search tries: {0, 0.005, ..., 1.0}
+ALPHA_GRID = tuple(i / 200.0 for i in range(201))
+
 _TRUE_WORDS = frozenset({"true", "yes", "on", "1"})
 _FALSE_WORDS = frozenset({"false", "no", "off", "0"})
 _EXPECTED = {int: "an integer", float: "a number"}
+
+
+def _on_grid(alpha: float) -> bool:
+    return abs(alpha * 200.0 - round(alpha * 200.0)) < 1e-9 and 0.0 <= alpha <= 1.0
+
+
+# marks a scorer setting that shapes training only, not the parameter set
+TRAINING_ONLY = {"arch": False}
+
+
+@dataclass(frozen=True)
+class ScorerConfig:
+    """Sizes and switches of the pattern scorer, under their config-key names."""
+
+    word_dim: int = 50
+    char_dim: int = 50
+    lstm_hidden: int = 100
+    char_cnn_filters: int = 50
+    word_cnn_filters: int = 100
+    char_cnn_window: int = 3
+    word_cnn_window: int = 3
+    use_lstm: bool = True
+    use_char_cnn: bool = True
+    use_word_cnn: bool = True
+    peepholes: bool = False
+    dropout: float = field(default=0.2, metadata=TRAINING_ONLY)
+    freeze_embeddings: bool = field(default=False, metadata=TRAINING_ONLY)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:  # sizes and windows; bools are switches
+                continue
+            if f.name.endswith("_window") and (value < 1 or value % 2 == 0):
+                raise ConfigError(f"{f.name} must be a positive odd number, got {value}")
+            if value < 1:
+                raise ConfigError(f"{f.name} must be positive, got {value}")
+        if not 0.0 <= self.dropout <= 1.0:
+            raise ConfigError(f"dropout must be in [0, 1], got {self.dropout}")
+        if not (self.use_lstm or self.use_word_cnn):
+            raise ConfigError("at least one of the LSTM and word CNN must be enabled")
+
+    @classmethod
+    def arch_keys(cls) -> tuple[str, ...]:
+        """Settings that fix the parameter set; a loaded bundle must agree."""
+        return tuple(f.name for f in fields(cls) if f.metadata.get("arch", True))
+
+    @property
+    def repr_dim(self) -> int:
+        return self.word_dim + (self.char_cnn_filters if self.use_char_cnn else 0)
+
+    @property
+    def head_dim(self) -> int:
+        return (self.lstm_hidden if self.use_lstm else 0) + (
+            self.word_cnn_filters if self.use_word_cnn else 0
+        )
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Reranker training run: optimizer and run settings around the scorer."""
+
+    scorer: ScorerConfig = field(default_factory=ScorerConfig)
+    learning_rate: float = 0.001
+    batch_size: int = 128
+    l2: float = 0.001
+    adam_beta1: float = 0.1
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
+    epochs: int = 5
+    seed: int = 0
+    char_pad_cap: int = 32
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ConfigError(f"epochs cannot be negative, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.l2 < 0:
+            raise ConfigError(f"l2 cannot be negative, got {self.l2}")
+        for name in ("adam_beta1", "adam_beta2"):
+            beta = getattr(self, name)
+            if not 0.0 <= beta < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {beta}")
+        if self.adam_eps <= 0:
+            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
+        if self.char_pad_cap < 1:
+            raise ConfigError(f"char_pad_cap must be positive, got {self.char_pad_cap}")
 
 
 @dataclass(frozen=True)

@@ -151,11 +151,12 @@ def ssa(selections: list[LabelSeq], gold: list[LabelSeq]) -> float:
 def oracle(nbest: NBestCorpus, n_max: int | None = None) -> OracleReport:
     """Oracle curves: for each n, pick per sentence the candidate among the
     top n with the highest (OBA/OBF) or lowest (OWF) tag accuracy against
-    gold, ties going to the lower index, and measure the selections."""
+    gold, ties going to the lower index, and measure the selections. An
+    empty corpus gives no rows."""
     per_sentence = [(cs.accuracy, cs.span_match) for cs in nbest.sets]
     total_gold = sum(match.gold_spans for _, match in per_sentence)
 
-    kmax = max(len(accuracy) for accuracy, _ in per_sentence)
+    kmax = max((len(accuracy) for accuracy, _ in per_sentence), default=0)
     depth = min(n_max, kmax) if n_max is not None else kmax
     best = [0] * len(per_sentence)  # per-sentence argmax index so far
     worst = [0] * len(per_sentence)

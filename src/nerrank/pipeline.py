@@ -19,21 +19,21 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .baseline.nbest import NBestCorpus
 from .collapse import CollapsedSequence, collapse, collapsed_token_strings
+from .config import ALPHA_GRID, ScorerConfig, TrainConfig, _on_grid
 from .corpus import LabelSeq, normalize_to_bio2
 from .errors import CheckpointMismatchError, ConfigError, NerrankError
 from .evaluation import PrfCounts
 from .numerics import AdamState, Tensor, backward, scale, sum_all
-from .reranker import PatternScorer, ScorerConfig, Vocab, build_vocab
+from .reranker import PatternScorer, Vocab, build_vocab
 
 SHUFFLE_STREAM = 23
-ALPHA_GRID = tuple(i / 200.0 for i in range(201))
 WEIGHTS_FILE = "weights.bin"
 META_FILE = "meta.json"
 _META_KEYS = ("provenance", "alpha", "char_pad", "config", "vocab", "history")
@@ -60,40 +60,6 @@ class RerankExample:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Reranker training run: optimizer and run settings around the scorer."""
-
-    scorer: ScorerConfig = field(default_factory=ScorerConfig)
-    learning_rate: float = 0.001
-    batch_size: int = 128
-    l2: float = 0.001
-    adam_beta1: float = 0.1
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    epochs: int = 5
-    seed: int = 0
-    char_pad_cap: int = 32
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError(f"epochs cannot be negative, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 cannot be negative, got {self.l2}")
-        for name in ("adam_beta1", "adam_beta2"):
-            beta = getattr(self, name)
-            if not 0.0 <= beta < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {beta}")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if self.char_pad_cap < 1:
-            raise ConfigError(f"char_pad_cap must be positive, got {self.char_pad_cap}")
-
-
-@dataclass(frozen=True)
 class EpochEval:
     """Dev-set result after one epoch (epoch 0 = the initialized model)."""
 
@@ -107,10 +73,6 @@ class AlphaSearchResult:
     alpha: float
     f1: float
     points: int
-
-
-def _on_grid(alpha: float) -> bool:
-    return abs(alpha * 200.0 - round(alpha * 200.0)) < 1e-9 and 0.0 <= alpha <= 1.0
 
 
 @dataclass
@@ -250,6 +212,11 @@ def alpha_search(nbest: NBestCorpus, scores: list[list[float]]) -> AlphaSearchRe
 # training
 
 
+def _grad_norm(params: list[Tensor]) -> float:
+    """Global L2 norm of the gradients over all the given parameters."""
+    return float(np.sqrt(sum(np.vdot(p.grad, p.grad) for p in params if p.grad is not None)))
+
+
 def train_reranker(
     train_examples: list[RerankExample],
     dev: NBestCorpus,
@@ -289,26 +256,27 @@ def train_reranker(
     history: list[EpochEval] = []
     best: tuple[float, int, float, dict] | None = None
 
-    def evaluate(epoch: int, losses: list[float]):
+    def evaluate(epoch: int, losses: list[float], norms: list[float]):
         nonlocal best
         result = alpha_search(dev, score_sets(scorer, dev))
         history.append(EpochEval(epoch=epoch, alpha=result.alpha, dev_f1=result.f1))
         log.info(
-            "epoch %d: mean loss %s, dev F1 %.4f at alpha %.3f",
+            "epoch %d: mean loss %s, grad norm %s, dev F1 %.4f at alpha %.3f",
             epoch,
             f"{sum(losses) / len(losses):.6f}" if losses else "-",
+            f"{sum(norms) / len(norms):.6g}" if norms else "-",
             result.f1,
             result.alpha,
         )
         if best is None or result.f1 > best[0]:
             best = (result.f1, epoch, result.alpha, scorer.params.copy_arrays())
 
-    evaluate(0, [])
+    evaluate(0, [], [])
     rng = np.random.default_rng([config.seed, SHUFFLE_STREAM])
     order = np.arange(len(train_examples))
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
-        losses = []
+        losses, norms = [], []
         for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
             batch = [train_examples[i] for i in order[start : start + config.batch_size]]
             scorer.params.zero_grad()
@@ -319,8 +287,9 @@ def train_reranker(
                 )
             losses.append(loss.item())
             backward(loss)
+            norms.append(_grad_norm(adam.params))
             adam.step()
-        evaluate(epoch, losses)
+        evaluate(epoch, losses, norms)
 
     scorer.params.load_arrays(best[3])
     return RerankerBundle(

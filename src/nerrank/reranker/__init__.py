@@ -14,7 +14,7 @@ from .vocab import (
     build_vocab,
 )
 from .embeddings import init_embeddings, parse_embeddings, read_embeddings
-from .model import PatternScorer, ScorerConfig
+from .model import PatternScorer
 
 __all__ = [
     "CHAR_PAD",
@@ -24,7 +24,6 @@ __all__ = [
     "PatternScorer",
     "RESERVED_CHARS",
     "RESERVED_WORDS",
-    "ScorerConfig",
     "Vocab",
     "WORD_PAD",
     "WORD_UNK",

@@ -29,10 +29,9 @@ M unchanged to the last step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-
 import numpy as np
 
+from ..config import ScorerConfig
 from ..errors import ConfigError, NerrankError, ShapeMismatchError
 from ..numerics import (
     ParamStore,
@@ -51,58 +50,6 @@ from .vocab import CHAR_PAD_ID, Vocab
 
 INIT_STREAM = 21
 DROPOUT_STREAM = 22
-
-
-# marks a scorer setting that shapes training only, not the parameter set
-TRAINING_ONLY = {"arch": False}
-
-
-@dataclass(frozen=True)
-class ScorerConfig:
-    """Sizes and switches of the pattern scorer, under their config-key names."""
-
-    word_dim: int = 50
-    char_dim: int = 50
-    lstm_hidden: int = 100
-    char_cnn_filters: int = 50
-    word_cnn_filters: int = 100
-    char_cnn_window: int = 3
-    word_cnn_window: int = 3
-    use_lstm: bool = True
-    use_char_cnn: bool = True
-    use_word_cnn: bool = True
-    peepholes: bool = False
-    dropout: float = field(default=0.2, metadata=TRAINING_ONLY)
-    freeze_embeddings: bool = field(default=False, metadata=TRAINING_ONLY)
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is not int:  # sizes and windows; bools are switches
-                continue
-            if f.name.endswith("_window") and (value < 1 or value % 2 == 0):
-                raise ConfigError(f"{f.name} must be a positive odd number, got {value}")
-            if value < 1:
-                raise ConfigError(f"{f.name} must be positive, got {value}")
-        if not 0.0 <= self.dropout <= 1.0:
-            raise ConfigError(f"dropout must be in [0, 1], got {self.dropout}")
-        if not (self.use_lstm or self.use_word_cnn):
-            raise ConfigError("at least one of the LSTM and word CNN must be enabled")
-
-    @classmethod
-    def arch_keys(cls) -> tuple[str, ...]:
-        """Settings that fix the parameter set; a loaded bundle must agree."""
-        return tuple(f.name for f in fields(cls) if f.metadata.get("arch", True))
-
-    @property
-    def repr_dim(self) -> int:
-        return self.word_dim + (self.char_cnn_filters if self.use_char_cnn else 0)
-
-    @property
-    def head_dim(self) -> int:
-        return (self.lstm_hidden if self.use_lstm else 0) + (
-            self.word_cnn_filters if self.use_word_cnn else 0
-        )
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from nerrank.baseline.features import FeatureTemplateSet, featurize
 from nerrank.baseline.nbest import build_nbest_corpus, decode_corpus
 from nerrank.cli import EXIT_OK, main
 from nerrank.collapse import collapse, collapsed_to_labels, format_pattern
+from nerrank.config import ScorerConfig, TrainConfig
 from nerrank.corpus import (
     BioLabel,
     Dataset,
@@ -34,7 +35,6 @@ from nerrank.evaluation import PrfCounts, chunk_prf, oracle
 from nerrank.numerics import AdamState, Tensor, grad_check
 from nerrank.pipeline import (
     RerankExample,
-    TrainConfig,
     alpha_search,
     batch_loss,
     make_examples,
@@ -42,7 +42,7 @@ from nerrank.pipeline import (
     score_sets,
     train_reranker,
 )
-from nerrank.reranker import PatternScorer, ScorerConfig, build_vocab
+from nerrank.reranker import PatternScorer, build_vocab
 
 from test_corpus import conlleval_segments
 from toycorpus import make_corpus

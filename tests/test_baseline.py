@@ -8,24 +8,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nerrank.baseline import (
+from nerrank.baseline.crf import (
     ALL_TAGS,
-    CandidateSet,
     CrfModel,
-    FeatureTemplateSet,
-    NBestCorpus,
-    build_nbest_corpus,
     crf_train,
-    decode_corpus,
-    featurize,
-    format_nbest,
-    jackknife,
     kbest_decode,
-    parse_nbest,
-    read_clusters,
     sequence_prob,
     viterbi_decode,
-    word_shape,
+)
+from nerrank.baseline.features import FeatureTemplateSet, featurize, read_clusters, word_shape
+from nerrank.baseline.nbest import (
+    CandidateSet,
+    NBestCorpus,
+    build_nbest_corpus,
+    decode_corpus,
+    format_nbest,
+    jackknife,
+    parse_nbest,
 )
 from nerrank.corpus import BioLabel, Dataset, Sentence, Token, normalize_to_bio2, parse_conll
 from nerrank.errors import ParseError

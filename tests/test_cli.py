@@ -3,12 +3,17 @@ interface (exit codes, output headers, manifests, determinism)."""
 
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nerrank
 from nerrank import __version__
 from nerrank.baseline.crf import crf_train, kbest_decode, load_crf, save_crf
 from nerrank.baseline.features import FeatureTemplateSet
@@ -25,6 +30,8 @@ from nerrank.cli import (
 from nerrank.config import (
     FIELD_NAMES,
     RunConfig,
+    ScorerConfig,
+    TrainConfig,
     config_hash,
     format_config,
     parse_config_text,
@@ -32,8 +39,6 @@ from nerrank.config import (
 )
 from nerrank.corpus import Dataset, format_conll, normalize_to_bio2, parse_conll
 from nerrank.errors import CheckpointMismatchError, ConfigError
-from nerrank.pipeline import TrainConfig
-from nerrank.reranker import ScorerConfig
 
 from toycorpus import make_corpus
 
@@ -492,6 +497,25 @@ def test_oracle_curves_csv(pipeline_dir, capsys):
     assert lines[1].startswith("1,")
 
 
+def test_oracle_on_an_empty_nbest_file_writes_only_the_header(pipeline_dir, tmp_path, capsys):
+    empty_conll = tmp_path / "empty.conll"
+    empty_conll.write_text("", encoding="utf-8")
+    empty_nbest = tmp_path / "empty.nbest"
+    assert main(
+        ["baseline-decode", "--model-path", str(pipeline_dir["model"]),
+         "--input-path", str(empty_conll), "--output-path", str(empty_nbest)]
+    ) == EXIT_OK
+    capsys.readouterr()
+    assert main(["oracle", "--nbest-path", str(empty_nbest)]) == EXIT_OK
+    assert capsys.readouterr().out == "n,oba,obf,owf\n"
+    out = tmp_path / "oracle.csv"
+    argv = ["oracle", "--nbest-path", str(empty_nbest), "--output-path", str(out)]
+    assert main(argv) == EXIT_OK
+    header, *rest = out.read_text(encoding="utf-8").splitlines()
+    assert header.startswith(HEADER_PREFIX)
+    assert rest == ["n,oba,obf,owf"]
+
+
 def test_alpha_search_reports_grid(pipeline_dir, capsys):
     rc = main(
         ["alpha-search", "--bundle-path", str(pipeline_dir["bundle"]),
@@ -531,6 +555,52 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     rc = main(["oracle", "--config", str(cfg), "--nbest-path", "x"])
     capsys.readouterr()
     assert rc == EXIT_BAD_CONFIG
+
+
+def _exit_code(argv) -> int:
+    """main's status, or the status of the SystemExit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("given", ["config-file", "command-line"])
+def test_unknown_key_exits_3_either_way(tmp_path, capsys, given):
+    argv = ["eval", "--gold-path", "g.conll", "--pred-path", "p.conll"]
+    if given == "config-file":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bogus_key = 1\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--bogus-key", "1"]
+    assert _exit_code(argv) == EXIT_BAD_CONFIG
+    *_, last = capsys.readouterr().err.splitlines()
+    assert last.startswith("nerrank: error: ") and "bogus" in last
+
+
+@pytest.mark.parametrize(
+    "argv, usage, message",
+    [
+        (["eval", "--gold-path"], "usage: nerrank eval ", "argument --gold-path: expected one argument"),
+        (["no-such-command"], "usage: nerrank ", "invalid choice: 'no-such-command'"),
+        ([], "usage: nerrank ", "the following arguments are required: command"),
+    ],
+    ids=["missing-value", "unknown-command", "missing-command"],
+)
+def test_usage_errors_exit_3_with_usage(capsys, argv, usage, message):
+    assert _exit_code(argv) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, *rest = captured.err.splitlines()
+    assert first.startswith(usage)
+    assert rest[-1].startswith("nerrank: error: ") and message in rest[-1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert _exit_code(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: nerrank")
 
 
 def test_checkpoint_mismatch_exit_code(pipeline_dir, tmp_path, capsys):
@@ -878,3 +948,57 @@ def test_version_flag(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# start-up imports: each command loads only what it runs
+
+SRC = Path(nerrank.__file__).resolve().parents[1]
+# a fresh interpreter imports the CLI, runs the given command (if any),
+# and prints its exit status and loaded modules as the last stdout line
+IMPORT_PROBE = """
+import json, sys
+import nerrank.cli as cli
+code = cli.main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else 0
+print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _probe(argv=None) -> tuple[int, set]:
+    args = [sys.executable, "-c", IMPORT_PROBE] + ([json.dumps(argv)] if argv else [])
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    return report["exit"], set(report["modules"])
+
+
+def test_importing_the_cli_loads_no_numpy():
+    _, modules = _probe()
+    assert "nerrank.cli" in modules
+    assert not modules & {"numpy", "nerrank.baseline.crf", "nerrank.pipeline"}
+
+
+@pytest.mark.parametrize("command", ["eval", "oracle", "collapse"])
+def test_numpy_free_commands_load_no_numpy(pipeline_dir, tmp_path, command):
+    argv = {
+        "eval": ["eval", "--gold-path", str(pipeline_dir["test"]),
+                 "--pred-path", str(pipeline_dir["pred"])],
+        "oracle": ["oracle", "--nbest-path", str(pipeline_dir["test_nbest"])],
+        "collapse": ["collapse", "--nbest-path", str(pipeline_dir["test_nbest"])],
+    }[command]
+    code, modules = _probe(argv + ["--output-path", str(tmp_path / "out.txt")])
+    assert code == EXIT_OK
+    assert (tmp_path / "out.txt").stat().st_size > 0
+    assert "numpy" not in modules
+
+
+def test_baseline_decode_loads_no_reranker(pipeline_dir, tmp_path):
+    code, modules = _probe(
+        ["baseline-decode", "--model-path", str(pipeline_dir["model"]),
+         "--input-path", str(pipeline_dir["test"]),
+         "--output-path", str(tmp_path / "test.nbest")]
+    )
+    assert code == EXIT_OK
+    assert {"numpy", "nerrank.baseline.crf"} <= modules
+    assert not modules & {"nerrank.pipeline", "nerrank.reranker"}

@@ -243,6 +243,12 @@ def test_oracle_requires_gold():
         oracle(nb)
 
 
+def test_oracle_of_an_empty_corpus_has_no_rows():
+    report = oracle(NBestCorpus([], []))
+    assert report.rows == []
+    assert oracle_csv(report) == "n,oba,obf,owf\n"
+
+
 def test_oracle_handles_short_sets_and_n_max():
     g = labels("B-PER",)
     nb = NBestCorpus(

@@ -13,16 +13,16 @@ from hypothesis import strategies as st
 from nerrank import pipeline
 from nerrank.baseline.nbest import CandidateSet, NBestCorpus
 from nerrank.collapse import collapse, collapsed_token_strings
+from nerrank.config import ALPHA_GRID, ScorerConfig, TrainConfig
 from nerrank.corpus import BioLabel, Sentence, Token, extract_spans, normalize_to_bio2
 from nerrank.errors import CheckpointMismatchError, ConfigError, NerrankError
 from nerrank.evaluation import PrfCounts, chunk_prf, oracle
+from nerrank.numerics import AdamState
 from nerrank.pipeline import (
-    ALPHA_GRID,
     AlphaSearchResult,
     EpochEval,
     RerankExample,
     RerankerBundle,
-    TrainConfig,
     alpha_search,
     batch_loss,
     load_bundle,
@@ -33,7 +33,7 @@ from nerrank.pipeline import (
     score_sets,
     train_reranker,
 )
-from nerrank.reranker import PatternScorer, ScorerConfig, build_vocab
+from nerrank.reranker import PatternScorer, build_vocab
 from strategies import label_seqs, sentences
 
 TINY = TrainConfig(
@@ -581,6 +581,8 @@ def test_each_epoch_is_logged_when_it_is_evaluated(caplog, monkeypatch):
     train_corpus = cue_corpus(16, seed=6)
     dev_corpus = cue_corpus(8, seed=7, start=1000)
     losses = []
+    norms = []  # global gradient norm as each Adam step sees it
+    adam_step = AdamState.step
 
     def traced_loss(*args, **kwargs):
         loss = batch_loss(*args, **kwargs)
@@ -588,7 +590,13 @@ def test_each_epoch_is_logged_when_it_is_evaluated(caplog, monkeypatch):
         logging.getLogger("nerrank.pipeline").info("batch")
         return loss
 
+    def traced_step(adam):
+        grads = [p.grad.ravel() for p in adam.params if p.grad is not None]
+        norms.append(np.linalg.norm(np.concatenate(grads)))
+        adam_step(adam)
+
     monkeypatch.setattr(pipeline, "batch_loss", traced_loss)
+    monkeypatch.setattr(AdamState, "step", traced_step)
     with caplog.at_level(logging.INFO, logger="nerrank.pipeline"):
         bundle = train_reranker(make_examples(train_corpus), dev_corpus, TINY)
     lines = [r.getMessage() for r in caplog.records if r.name == "nerrank.pipeline"]
@@ -599,9 +607,17 @@ def test_each_epoch_is_logged_when_it_is_evaluated(caplog, monkeypatch):
     ]
     epoch_lines = [line for line in lines if line != "batch"]
     means = ["-", f"{np.mean(losses[:2]):.6f}", f"{np.mean(losses[2:]):.6f}"]
+    # the mean over the epoch's batches, read before each step; none for epoch 0
+    logged_norms = [line.split("grad norm ")[1].split(",")[0] for line in epoch_lines]
+    assert logged_norms[0] == "-"
+    assert [float(x) for x in logged_norms[1:]] == pytest.approx(
+        [np.mean(norms[:2]), np.mean(norms[2:])], rel=1e-5
+    )
+    assert all(n > 0 for n in norms)
     assert epoch_lines == [
-        f"epoch {h.epoch}: mean loss {mean}, dev F1 {h.dev_f1:.4f} at alpha {h.alpha:.3f}"
-        for h, mean in zip(bundle.history, means)
+        f"epoch {h.epoch}: mean loss {mean}, grad norm {norm},"
+        f" dev F1 {h.dev_f1:.4f} at alpha {h.alpha:.3f}"
+        for h, mean, norm in zip(bundle.history, means, logged_norms)
     ]
 
 

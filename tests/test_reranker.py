@@ -18,13 +18,13 @@ from nerrank.errors import (
     ParseError,
     ShapeMismatchError,
 )
+from nerrank.config import ScorerConfig, TrainConfig
 from nerrank.numerics import Tensor, backward, grad_check, sum_all
-from nerrank.pipeline import RerankerBundle, TrainConfig, load_bundle, save_bundle
+from nerrank.pipeline import RerankerBundle, load_bundle, save_bundle
 from nerrank.reranker import (
     CHAR_PAD_ID,
     CHAR_UNK_ID,
     PatternScorer,
-    ScorerConfig,
     Vocab,
     WORD_UNK_ID,
     build_vocab,
