@@ -12,8 +12,8 @@ Training runs on batches. `CrfModel.batch_nll` lays a minibatch out as a
 padded (B, T, K) lattice with per-sentence lengths and computes the
 emissions, path scores, forward and masked backward recursions, node
 marginals and (B, T-1, K, K) edge marginals with one numpy expression per
-step or for all steps at once. A one-sentence call is `sentence_nll`, and
-a one-sentence forward pass is `log_partition`. The weights it trains are
+step or for all steps at once; a one-sentence forward pass is
+`log_partition`. The weights it trains are
 bit-identical to those of a loop over sentences and positions, because
 every sum keeps that loop's order (with two or more tags: numpy sums a
 one-tag (n, 1) column pairwise, and the scatter below adds in sequence):
@@ -155,10 +155,6 @@ class CrfModel:
     def log_partition(self, emissions: np.ndarray) -> float:
         """log Z of one sentence's (T, K) emissions."""
         return float(self.forward(emissions[None], np.array([len(emissions)]))[1][0])
-
-    def sentence_nll(self, ids: list[np.ndarray], tag_ids: list[int], grads=None) -> float:
-        """`batch_nll` of one sentence."""
-        return float(self.batch_nll([ids], [tag_ids], grads)[0])
 
     def batch_nll(self, ids: list[list[np.ndarray]], tag_ids: list[list[int]], grads=None) -> np.ndarray:
         """(B,) NLLs of the paths `tag_ids[b]` given per-position feature
@@ -326,10 +322,6 @@ def kbest_decode(model: CrfModel, sentence: Sentence, k: int, gold: LabelSeq | N
         prob = min(1.0, float(np.exp(score - log_z)))
         candidates.append(([model.labels[y] for y in seq], max(prob, 1e-300)))
     return CandidateSet(sentence.id, gold, candidates)
-
-
-def viterbi_decode(model: CrfModel, sentence: Sentence) -> LabelSeq:
-    return kbest_decode(model, sentence, 1).candidates[0][0]
 
 
 def crf_train(

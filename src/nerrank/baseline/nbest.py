@@ -10,9 +10,13 @@ Interchange format, one block per sentence:
 
 Probabilities are written with 12 digits of mantissa; candidates are
 re-sorted by descending probability on read, so files produced by other
-taggers need not be pre-sorted. Both corpus types are frozen and derive
-their candidates' tag accuracies, span matches and collapsed patterns
-once each, when first read.
+taggers need not be pre-sorted.
+
+Both types are frozen. `NBestCorpus` collapses each candidate once, when
+first asked (`collapsed`), and that is the only place a candidate's labels
+are normalized to BIO2 and its entity spans extracted. Its patterns, tag
+accuracies and span matches against gold are all read from those
+collapsed sequences; each set's gold is normalized once.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ from functools import cached_property
 from time import perf_counter
 from typing import NamedTuple
 
-from ..collapse import collapse, collapsed_token_strings
+from ..collapse import CollapsedSequence, collapse, collapsed_to_labels, collapsed_token_strings
 from ..corpus import (
     COMMENT_PREFIX,
     BioLabel,
     Dataset,
+    EntitySpan,
     LabelSeq,
     Sentence,
     Token,
@@ -90,26 +95,6 @@ class CandidateSet:
             return self
         return CandidateSet(self.sentence_id, self.gold, self.candidates[:k])
 
-    @cached_property
-    def accuracy(self) -> tuple[float, ...]:
-        """Each candidate's tag accuracy against gold, both sides in BIO2."""
-        gold = self._bio2_gold()
-        return tuple(tag_accuracy(gold, normalize_to_bio2(labels)) for labels, _ in self.candidates)
-
-    @cached_property
-    def span_match(self) -> SpanMatch:
-        """The candidates' entity spans compared with gold's."""
-        gspans = extract_spans(self._bio2_gold())
-        spans = [extract_spans(normalize_to_bio2(labels)) for labels, _ in self.candidates]
-        return SpanMatch(
-            len(gspans), tuple(len(s & gspans) for s in spans), tuple(len(s) for s in spans)
-        )
-
-    def _bio2_gold(self) -> LabelSeq:
-        if self.gold is None:
-            raise NerrankError(f"sentence {self.sentence_id}: no gold labels to compare with")
-        return normalize_to_bio2(self.gold)
-
 
 @dataclass(frozen=True)
 class NBestCorpus:
@@ -137,12 +122,46 @@ class NBestCorpus:
         return NBestCorpus(self.sentences, [cs.truncated(k) for cs in self.sets])
 
     @cached_property
+    def collapsed(self) -> tuple[tuple[CollapsedSequence, ...], ...]:
+        """Each candidate's collapsed sequence, per set."""
+        return tuple(tuple(collapse(s, seq) for seq, _ in cs.candidates) for s, cs in self)
+
+    @cached_property
     def patterns(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
         """Each candidate's collapsed pattern as a token tuple, per set."""
+        return tuple(tuple(tuple(collapsed_token_strings(c)) for c in row) for row in self.collapsed)
+
+    @cached_property
+    def _gold(self) -> tuple[LabelSeq, ...]:
+        """Each set's gold in BIO2."""
+        for cs in self.sets:
+            if cs.gold is None:
+                raise NerrankError(f"sentence {cs.sentence_id}: no gold labels to compare with")
+        return tuple(normalize_to_bio2(cs.gold) for cs in self.sets)
+
+    @cached_property
+    def accuracy(self) -> tuple[tuple[float, ...], ...]:
+        """Each candidate's tag accuracy against gold, both sides in BIO2,
+        per set; the candidate's BIO2 labels are `collapsed_to_labels`."""
         return tuple(
-            tuple(tuple(collapsed_token_strings(collapse(s, seq))) for seq, _ in cs.candidates)
-            for s, cs in self
+            tuple(tag_accuracy(gold, collapsed_to_labels(c)) for c in row)
+            for gold, row in zip(self._gold, self.collapsed)
         )
+
+    @cached_property
+    def span_match(self) -> tuple[SpanMatch, ...]:
+        """Per set, its candidates' entity spans (the source spans of their
+        type tokens) compared with gold's."""
+        out = []
+        for gold, row in zip(self._gold, self.collapsed):
+            gspans = extract_spans(gold)
+            spans = [
+                {EntitySpan(*span, it.entity_type) for it, span in zip(c.items, c.spans) if it.is_type_token}
+                for c in row
+            ]
+            hits = tuple(len(s & gspans) for s in spans)
+            out.append(SpanMatch(len(gspans), hits, tuple(map(len, spans))))
+        return tuple(out)
 
 
 def format_nbest(corpus: NBestCorpus) -> str:

@@ -23,7 +23,6 @@ from dataclasses import replace
 from . import __version__
 from .baseline.features import read_clusters
 from .baseline.nbest import build_nbest_corpus, decode_corpus, read_nbest, write_nbest
-from .collapse import collapse, format_pattern
 from .config import (
     FIELD_NAMES,
     RunConfig,
@@ -247,10 +246,9 @@ def cmd_collapse(cfg: RunConfig, explicit: frozenset) -> int:
     _require(cfg, "collapse", "nbest_path")
     corpus = read_nbest(cfg.nbest_path)
     lines = []
-    for sentence, cs in corpus:
-        for idx, (labels, _) in enumerate(cs.candidates):
-            seq = collapse(sentence, labels)
-            lines.append(f"{sentence.id}\t{idx}\t{format_pattern(seq)}\n")
+    for sentence, row in zip(corpus.sentences, corpus.patterns):
+        for idx, pattern in enumerate(row):
+            lines.append(f"{sentence.id}\t{idx}\t{' '.join(pattern)}\n")
     outputs = _emit(cfg, "".join(lines))
     _write_manifest(cfg, "collapse", {"nbest_path": cfg.nbest_path}, outputs)
     return EXIT_OK

@@ -127,6 +127,3 @@ def collapsed_to_labels(seq: CollapsedSequence) -> LabelSeq:
             out.append(O_LABEL)
     return out
 
-
-def format_pattern(seq: CollapsedSequence) -> str:
-    return " ".join(collapsed_token_strings(seq))

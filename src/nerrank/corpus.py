@@ -243,22 +243,6 @@ def extract_spans(labels: LabelSeq) -> set[EntitySpan]:
     return spans
 
 
-def spans_to_labels(spans: set[EntitySpan], length: int) -> LabelSeq:
-    """Inverse of extract_spans: render non-overlapping spans as BIO2 tags."""
-    out: LabelSeq = [O_LABEL] * length
-    occupied = [False] * length
-    for span in sorted(spans, key=lambda s: s.start):
-        if span.end >= length:
-            raise ValueError(f"span {span} exceeds sentence length {length}")
-        if any(occupied[span.start : span.end + 1]):
-            raise ValueError(f"span {span} overlaps another span")
-        for i in range(span.start, span.end + 1):
-            occupied[i] = True
-            out[i] = BioLabel("I", span.entity_type)
-        out[span.start] = BioLabel("B", span.entity_type)
-    return out
-
-
 def tag_accuracy(gold: LabelSeq, cand: LabelSeq) -> float:
     """Fraction of positions where the candidate label equals gold exactly."""
     if len(gold) != len(cand):

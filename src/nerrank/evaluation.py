@@ -85,12 +85,6 @@ class OracleReport:
 
     rows: list[OracleRow]
 
-    def row(self, n: int) -> OracleRow:
-        for r in self.rows:
-            if r.n == n:
-                return r
-        raise KeyError(f"no oracle row for n={n}")
-
 
 @dataclass(frozen=True)
 class BucketRow:
@@ -153,7 +147,7 @@ def oracle(nbest: NBestCorpus, n_max: int | None = None) -> OracleReport:
     top n with the highest (OBA/OBF) or lowest (OWF) tag accuracy against
     gold, ties going to the lower index, and measure the selections. An
     empty corpus gives no rows."""
-    per_sentence = [(cs.accuracy, cs.span_match) for cs in nbest.sets]
+    per_sentence = list(zip(nbest.accuracy, nbest.span_match))
     total_gold = sum(match.gold_spans for _, match in per_sentence)
 
     kmax = max((len(accuracy) for accuracy, _ in per_sentence), default=0)

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode autodiff, Adam, and gradient checks."""
+"""Dense float64 tensors with reverse-mode autodiff, a parameter store and Adam."""
 
 from .tensor import (
     Tensor,
@@ -15,17 +15,14 @@ from .tensor import (
     tanh,
 )
 from .optim import AdamState, ParamStore
-from .gradcheck import GradCheckReport, grad_check
 
 __all__ = [
     "AdamState",
-    "GradCheckReport",
     "ParamStore",
     "Tensor",
     "backward",
     "concat_cols",
     "dropout",
-    "grad_check",
     "lookup_rows",
     "matmul",
     "max_pool_time",

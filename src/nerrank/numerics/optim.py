@@ -27,30 +27,12 @@ class ParamStore:
         self._params[name] = t
         return t
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
-
     def items(self):
         return self._params.items()
 
     def zero_grad(self):
         for t in self._params.values():
             t.grad = None
-
-    def num_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
     def copy_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .baseline.nbest import NBestCorpus
-from .collapse import CollapsedSequence, collapse, collapsed_token_strings
+from .collapse import CollapsedSequence, collapsed_token_strings
 from .config import ALPHA_GRID, ScorerConfig, TrainConfig, _on_grid
 from .corpus import LabelSeq, normalize_to_bio2
 from .errors import CheckpointMismatchError, ConfigError, NerrankError
@@ -98,11 +98,11 @@ class RerankerBundle:
 def make_examples(nbest: NBestCorpus) -> list[RerankExample]:
     """One example per candidate; the target is the candidate's per-token
     label accuracy against gold (both sides normalized)."""
-    out = []
-    for sentence, cs in nbest:
-        for (labels, _), target in zip(cs.candidates, cs.accuracy):
-            out.append(RerankExample(collapsed=collapse(sentence, labels), target=target))
-    return out
+    return [
+        RerankExample(collapsed=seq, target=target)
+        for row, accuracy in zip(nbest.collapsed, nbest.accuracy)
+        for seq, target in zip(row, accuracy)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +193,11 @@ def alpha_search(nbest: NBestCorpus, scores: list[list[float]]) -> AlphaSearchRe
     tp = np.zeros(len(grid), dtype=np.int64)
     pred = np.zeros(len(grid), dtype=np.int64)
     total_gold = 0
-    for cs, row in zip(nbest.sets, scores):
+    for cs, match, row in zip(nbest.sets, nbest.span_match, scores):
         if len(row) != len(cs.candidates):
             raise NerrankError(
                 f"sentence {cs.sentence_id}: {len(row)} scores for {len(cs.candidates)} candidates"
             )
-        match = cs.span_match
         total_gold += match.gold_spans
         picks = mixture_select(row, [prob for _, prob in cs.candidates], grid)
         tp += np.take(match.hits, picks)

@@ -1,4 +1,4 @@
-"""Central-difference gradient verification."""
+"""Central-difference gradient verification for the autodiff tests."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NerrankError
-from .tensor import Tensor, backward
+from nerrank.errors import NerrankError
+from nerrank.numerics import Tensor, backward
 
 
 @dataclass

@@ -14,7 +14,6 @@ from nerrank.baseline.crf import (
     crf_train,
     kbest_decode,
     sequence_prob,
-    viterbi_decode,
 )
 from nerrank.baseline.features import FeatureTemplateSet, featurize, read_clusters, word_shape
 from nerrank.baseline.nbest import (
@@ -26,7 +25,17 @@ from nerrank.baseline.nbest import (
     jackknife,
     parse_nbest,
 )
-from nerrank.corpus import BioLabel, Dataset, Sentence, Token, normalize_to_bio2, parse_conll
+from nerrank.collapse import collapse, collapsed_token_strings
+from nerrank.corpus import (
+    BioLabel,
+    Dataset,
+    Sentence,
+    Token,
+    extract_spans,
+    normalize_to_bio2,
+    parse_conll,
+    tag_accuracy,
+)
 from nerrank.errors import ParseError
 from strategies import label_seqs, sentences
 from toycorpus import simple_corpus
@@ -200,7 +209,7 @@ def test_viterbi_is_argmax():
         model = toy_model(seed=seed)
         s = sent("a", "c", "b")
         best_score, best_seq = enumerate_ranked(model, s)[0]
-        vit = viterbi_decode(model, s)
+        vit = kbest_decode(model, s, 1).candidates[0][0]
         assert [model.tag_id(l) for l in vit] == list(best_seq)
         any_prob = sequence_prob(model, s, [BioLabel.parse("O")] * 3)
         assert sequence_prob(model, s, vit) >= any_prob
@@ -241,10 +250,35 @@ def test_kbest_tie_breaking_is_lexicographic():
     assert got == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="rounding turns two path scores into a tie that the beam breaks the other way "
+    "(ROADMAP open item 4, exact k-best under rounding)",
+)
+def test_kbest_keeps_a_tie_that_rounding_creates():
+    # the lattice of kbest_decode's docstring: (0, 0) scores 1 + 1 and
+    # (1, 0) scores (1 + 2**-52) + 1, which rounds to the same 2.0; the
+    # beam of one kept (1, 0) at step 1, which beat (0, 0) there
+    model = CrfModel(
+        tags=("B-PER", "O"),
+        feature_vocab={},
+        templates=WORD_ONLY,
+        emit=np.zeros((0, 2)),
+        trans=np.zeros((2, 2)),
+        begin=np.array([1.0, 1.0 + 2**-52]),
+        end=np.array([1.0, -100.0]),
+    )
+    s = sent("x", "y")
+    assert enumerate_ranked(model, s)[0] == (2.0, (0, 0))
+    got = kbest_decode(model, s, 1).candidates[0][0]
+    assert tuple(model.tag_id(l) for l in got) == (0, 0)
+
+
 def test_kbest_k1_equals_viterbi():
+    # the Viterbi path, a beam of one, heads every wider beam's list too
     model = toy_model(seed=9)
     s = sent("d", "c", "a", "b")
-    assert kbest_decode(model, s, 1).candidates[0][0] == viterbi_decode(model, s)
+    assert kbest_decode(model, s, 1).candidates[0][0] == kbest_decode(model, s, 20).candidates[0][0]
 
 
 def test_kbest_exhausts_small_lattices():
@@ -427,7 +461,7 @@ def test_kbest_beyond_the_path_count_equals_the_tuple_beam():
 def test_train_memorizes_single_sentence():
     ds = parse_conll("Johnar x B-PER\nwent x O\n\n")
     model = crf_train(ds, FeatureTemplateSet(), epochs=60, lr=0.1, seed=1)
-    assert viterbi_decode(model, ds.sentences[0]) == ds.gold[0]
+    assert kbest_decode(model, ds.sentences[0], 1).candidates[0][0] == ds.gold[0]
 
 
 def test_train_zero_epochs_is_uniform():
@@ -467,7 +501,7 @@ def test_train_learns_simple_corpus():
     ds = simple_corpus(120, seed=7)
     model = crf_train(ds, FeatureTemplateSet(), epochs=8, seed=0)
     wrong = sum(
-        1 for s, g in ds if viterbi_decode(model, s) != g
+        1 for s, g in ds if kbest_decode(model, s, 1).candidates[0][0] != g
     )
     assert wrong <= len(ds) * 0.05
 
@@ -478,7 +512,7 @@ def test_sentence_nll_gradient_matches_finite_differences():
     ids = [np.array(row, dtype=np.intp) for row in ([0, 1], [0], [], [2, 0])]
     tags = [0, 1, 2, 2]
     grads = tuple(np.zeros_like(a) for a in (model.emit, model.trans, model.begin, model.end))
-    nll = model.sentence_nll(ids, tags, grads)
+    nll = model.batch_nll([ids], [tags], grads)[0]
 
     def objective():
         e = model.emissions_from_ids(ids)
@@ -655,7 +689,7 @@ def test_batch_nll_equals_the_per_sentence_reference(batch, zero_start):
     for name, g, ref in zip(("emit", "trans", "begin", "end"), got, expected):
         assert_same_bits(g, ref, name)
     for ids, tags, nll in zip(batch_ids, batch_tags, want.tolist()):
-        assert model.sentence_nll(ids, tags) == nll
+        assert model.batch_nll([ids], [tags])[0] == nll
         assert_same_bits(model.emissions_from_ids(ids), reference_emissions(model, ids))
 
 
@@ -827,15 +861,19 @@ def test_nbest_roundtrip():
 
 
 @st.composite
-def nbest_corpora(draw):
+def nbest_corpora(draw, any_gold=False):
     """Corpora as the decoders write them: gold (when present) in BIO2,
-    candidates any labels with descending probabilities summing to 1."""
+    candidates any labels with descending probabilities summing to 1.
+    With `any_gold`, every set has gold, valid BIO2 or not."""
     n = draw(st.integers(1, 4))
     ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
     sents, sets = [], []
     for sid in ids:
         s = draw(sentences(st.just(sid), max_len=5))
-        gold = draw(st.none() | label_seqs(len(s)).map(normalize_to_bio2))
+        if any_gold:
+            gold = draw(label_seqs(len(s)))
+        else:
+            gold = draw(st.none() | label_seqs(len(s)).map(normalize_to_bio2))
         weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5))
         probs = sorted((w / sum(weights) for w in weights), reverse=True)
         cands = [(draw(label_seqs(len(s))), p) for p in probs]
@@ -848,6 +886,24 @@ def nbest_corpora(draw):
 def test_nbest_format_survives_a_parse(corpus):
     text = format_nbest(corpus)
     assert format_nbest(parse_nbest(text)) == text
+
+
+@given(nbest_corpora(any_gold=True))
+def test_corpus_derivations_equal_the_direct_formulas(corpus):
+    """The corpus reads accuracies, span matches and patterns off each
+    candidate's one collapse; they equal what the labels give directly."""
+    for sentence, cs, accuracy, match, patterns in zip(
+        corpus.sentences, corpus.sets, corpus.accuracy, corpus.span_match, corpus.patterns
+    ):
+        gold = normalize_to_bio2(cs.gold)
+        cands = [normalize_to_bio2(labels) for labels, _ in cs.candidates]
+        gspans = extract_spans(gold)
+        spans = [extract_spans(labels) for labels in cands]
+        assert accuracy == tuple(tag_accuracy(gold, labels) for labels in cands)
+        assert match == (len(gspans), tuple(len(s & gspans) for s in spans), tuple(map(len, spans)))
+        assert patterns == tuple(
+            tuple(collapsed_token_strings(collapse(sentence, labels))) for labels, _ in cs.candidates
+        )
 
 
 def test_nbest_reader_resorts_candidates():

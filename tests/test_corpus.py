@@ -15,7 +15,6 @@ from nerrank.corpus import (
     format_conll,
     normalize_to_bio2,
     parse_conll,
-    spans_to_labels,
     tag_accuracy,
 )
 from nerrank.errors import ParseError
@@ -234,27 +233,6 @@ def test_extract_spans_rejects_invalid_bio2():
         extract_spans(labs("O", "I-PER"))
     with pytest.raises(ValueError):
         extract_spans(labs("B-LOC", "I-ORG"))
-
-
-def test_spans_to_labels_basic():
-    assert spans_to_labels({EntitySpan(0, 1, "PER")}, 3) == labs("B-PER", "I-PER", "O")
-    assert spans_to_labels(set(), 2) == labs("O", "O")
-
-
-def test_spans_to_labels_rejects_overlap_and_out_of_bounds():
-    with pytest.raises(ValueError):
-        spans_to_labels({EntitySpan(0, 1, "PER"), EntitySpan(1, 2, "LOC")}, 4)
-    with pytest.raises(ValueError):
-        spans_to_labels({EntitySpan(1, 3, "PER")}, 3)
-
-
-def test_span_roundtrip_random():
-    import numpy as np
-
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        seq = random_valid_sequence(rng)
-        assert spans_to_labels(extract_spans(seq), len(seq)) == seq
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from nerrank.numerics import (
     backward,
     concat_cols,
     dropout,
-    grad_check,
     lookup_rows,
     matmul,
     max_pool_time,
@@ -19,6 +18,7 @@ from nerrank.numerics import (
     sum_all,
     tanh,
 )
+from gradcheck import grad_check
 
 
 def check(loss_fn, named_params, tol=1e-6):
@@ -375,13 +375,12 @@ def make_store(seed=0):
 
 def test_param_store_basics():
     store = make_store()
-    assert store.names() == ["emb", "w", "b"]
-    assert store.num_values() == 15 + 6 + 2
-    assert "w" in store and "nope" not in store
+    assert [name for name, _ in store.items()] == ["emb", "w", "b"]
+    assert [t.data.size for _, t in store.items()] == [15, 6, 2]
     with pytest.raises(ValueError):
         store.add("w", np.zeros((1, 1)))
-    for t in store.tensors():
-        assert t.requires_grad
+    for name, t in store.items():
+        assert t.requires_grad and t.name == name
 
 
 def test_checkpoint_rejects_structure_mismatch():

@@ -83,9 +83,18 @@ def tiny_scorer(token_lists, *, zero_head=False, seed=0, config=None):
         seed=seed,
     )
     if zero_head:
-        scorer.params["head_w"].data[:] = 0.0
-        scorer.params["head_b"].data[:] = 0.0
+        scorer.head_w.data[:] = 0.0
+        scorer.head_b.data[:] = 0.0
     return scorer
+
+
+def assert_same_params(a, b):
+    """Two scorers hold the same parameter names, in the same order, with
+    the same bytes."""
+    left, right = a.params.copy_arrays(), b.params.copy_arrays()
+    assert list(left) == list(right)
+    for name, array in left.items():
+        assert array.tobytes() == right[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +216,10 @@ def test_l2_covers_all_trainable_parameters():
     # zeroing the head changes the penalty by exactly its squared norm
     scorer, examples, lam = loss_fixture([0.5, 0.5], l2=0.5, zero_head=False)
     before = batch_loss(scorer, examples, 0.5, train=False).item()
-    head_sq = float(np.sum(scorer.params["head_w"].data ** 2))
+    head_sq = float(np.sum(scorer.head_w.data ** 2))
     err = (scorer.score_batch([examples[0].tokens]).item() - 0.5) ** 2
-    scorer.params["head_w"].data[:] = 0.0
-    scorer.params["head_b"].data[:] = 0.0
+    scorer.head_w.data[:] = 0.0
+    scorer.head_b.data[:] = 0.0
     after = batch_loss(scorer, examples, 0.5, train=False).item()
     assert before - err == pytest.approx(after + 0.25 * head_sq, rel=1e-9)
 
@@ -430,8 +439,8 @@ def test_score_sets_rejects_scores_outside_the_open_interval():
     corpus = small_corpus()
     for bias, weight, shown in ((1000.0, 0.0, "1.0"), (-1000.0, 0.0, "0.0"), (0.0, np.nan, "nan")):
         scorer = tiny_scorer(corpus_token_lists(corpus), zero_head=True)
-        scorer.params["head_b"].data[:] = bias
-        scorer.params["head_w"].data[:] = weight
+        scorer.head_b.data[:] = bias
+        scorer.head_w.data[:] = weight
         with pytest.raises(NerrankError, match=rf"inside \(0, 1\): {shown}"):
             score_sets(scorer, corpus)
 
@@ -519,7 +528,7 @@ def test_reranked_f1_sits_between_oracle_bounds():
     scorer = tiny_scorer(corpus_token_lists(corpus))
     report = oracle(corpus)
     k = max(len(cs) for cs in corpus.sets)
-    bounds = report.row(k)
+    bounds = report.rows[k - 1]
     golds = [cs.gold for cs in corpus.sets]
     for alpha in (0.0, 0.5, 1.0):
         predictions = rerank(make_bundle(scorer, alpha), corpus)
@@ -645,8 +654,7 @@ def test_epochs_zero_returns_initialized_model():
         char_pad=bundle.scorer.char_pad,
         seed=11,
     )
-    for name, tensor in bundle.scorer.params.items():
-        assert np.array_equal(tensor.data, fresh.params[name].data), name
+    assert_same_params(bundle.scorer, fresh)
 
 
 def test_same_seed_trains_identically():
@@ -670,8 +678,7 @@ def test_same_seed_trains_identically():
     b = train_reranker(make_examples(train_corpus), dev_corpus, config)
     assert a.alpha == b.alpha
     assert a.history == b.history
-    for name, tensor in a.scorer.params.items():
-        assert np.array_equal(tensor.data, b.scorer.params[name].data), name
+    assert_same_params(a.scorer, b.scorer)
 
 
 def count_calls(monkeypatch, functions) -> dict[str, int]:
@@ -705,6 +712,21 @@ def test_dev_is_collapsed_and_counted_once_per_training_run(monkeypatch):
         per_run.append(dict(counts))
     assert per_run[0] == per_run[1]
     assert per_run[0]["collapse"] == 16  # once per dev candidate
+
+
+def test_each_candidate_is_normalized_and_span_counted_once(monkeypatch):
+    """The oracle, the examples, the scores and the alpha search all read
+    one corpus's collapsed candidates: labels are normalized and spans
+    extracted once per candidate and once per gold sequence."""
+    corpus = cue_corpus(8, seed=10)
+    scorer = tiny_scorer(corpus_token_lists(corpus))
+    counts = count_calls(monkeypatch, (normalize_to_bio2, extract_spans))
+    oracle(corpus)
+    make_examples(corpus)
+    alpha_search(corpus, score_sets(scorer, corpus))
+    once = sum(map(len, corpus.sets)) + len(corpus)
+    assert once == 16 + 8
+    assert counts == {"normalize_to_bio2": once, "extract_spans": once}
 
 
 def test_training_input_validation():
@@ -766,8 +788,7 @@ def test_bundle_roundtrip(tmp_path):
     assert loaded.config == bundle.config
     assert loaded.history == bundle.history
     assert loaded.scorer.vocab.word_list() == bundle.scorer.vocab.word_list()
-    for name, tensor in bundle.scorer.params.items():
-        assert np.array_equal(tensor.data, loaded.scorer.params[name].data), name
+    assert_same_params(bundle.scorer, loaded.scorer)
     assert rerank(loaded, dev_corpus) == rerank(bundle, dev_corpus)
 
 
@@ -784,9 +805,7 @@ def test_bundle_weights_round_trip_bit_exact(tmp_path):
     bundle = random_bundle(seed=1)
     save_bundle(tmp_path / "a", bundle)
     loaded = load_bundle(tmp_path / "a")
-    assert loaded.scorer.params.names() == bundle.scorer.params.names()
-    for name, tensor in bundle.scorer.params.items():
-        assert loaded.scorer.params[name].data.tobytes() == tensor.data.tobytes(), name
+    assert_same_params(bundle.scorer, loaded.scorer)
     save_bundle(tmp_path / "b", loaded)
     for name in ("weights.bin", "meta.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

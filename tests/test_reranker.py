@@ -19,7 +19,7 @@ from nerrank.errors import (
     ShapeMismatchError,
 )
 from nerrank.config import ScorerConfig, TrainConfig
-from nerrank.numerics import Tensor, backward, grad_check, sum_all
+from nerrank.numerics import Tensor, backward, sum_all
 from nerrank.pipeline import RerankerBundle, load_bundle, save_bundle
 from nerrank.reranker import (
     CHAR_PAD_ID,
@@ -32,6 +32,7 @@ from nerrank.reranker import (
     parse_embeddings,
 )
 from nerrank.reranker.model import DROPOUT_STREAM
+from gradcheck import grad_check
 
 SMALL = ScorerConfig(
     word_dim=3,
