@@ -225,7 +225,8 @@ def parse_nbest(text: str) -> NBestCorpus:
         if line.startswith("#SENT"):
             flush()
             parts = line.split()
-            if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
+            digits = parts[-1].removeprefix("-")
+            if len(parts) != 2 or not (digits.isascii() and digits.isdigit()):
                 raise ParseError(f"malformed sentence header {line!r}", line=lineno)
             cur_id = int(parts[1])
             cur_line = lineno
@@ -273,13 +274,6 @@ def parse_nbest(text: str) -> NBestCorpus:
             raise ParseError(f"unrecognized line kind {kind!r}", line=lineno)
     flush()
     return NBestCorpus(sentences, sets)
-
-
-def write_nbest(path, corpus: NBestCorpus, header: str | None = None):
-    with open(path, "w", encoding="utf-8") as f:
-        if header:
-            f.write(header if header.endswith("\n") else header + "\n")
-        f.write(format_nbest(corpus))
 
 
 def read_nbest(path) -> NBestCorpus:

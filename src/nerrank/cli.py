@@ -6,6 +6,13 @@ text output file, and drops a machine-readable manifest next to the primary
 output. Exit codes are stable per failure class (see EXIT_CODES); a
 command-line usage error exits like a bad config key.
 
+Each command is one `COMMANDS` entry: the function it runs, its help
+text, the path keys it reads (in manifest order), the key of its primary
+output and which of those keys may be unset. For every command `main`
+checks that the other keys are set, runs the function, which only
+computes and writes its output, writes the manifest from the entry, and
+logs the command's wall time.
+
 Each command imports the numpy-backed modules it runs (`baseline.crf`,
 `pipeline`, `reranker`) inside its own body, so importing this module, and
 the `eval`, `oracle` and `collapse` commands, load no numpy.
@@ -19,10 +26,12 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from time import perf_counter
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .baseline.features import read_clusters
-from .baseline.nbest import build_nbest_corpus, decode_corpus, read_nbest, write_nbest
+from .baseline.nbest import build_nbest_corpus, decode_corpus, format_nbest, read_nbest
 from .config import (
     FIELD_NAMES,
     RunConfig,
@@ -59,8 +68,7 @@ EXIT_BAD_DATA = 5
 
 # checked in order; first match decides the exit status
 EXIT_CODES = (
-    (FileNotFoundError, EXIT_MISSING_FILE),
-    (IsADirectoryError, EXIT_MISSING_FILE),
+    ((FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError), EXIT_MISSING_FILE),
     (ConfigError, EXIT_BAD_CONFIG),
     (CheckpointMismatchError, EXIT_CHECKPOINT),
     (ParseError, EXIT_BAD_DATA),
@@ -71,12 +79,6 @@ EXIT_CODES = (
 
 def _header(cfg: RunConfig) -> str:
     return f"# nerrank {__version__} config {config_hash(cfg)}\n"
-
-
-def _require(cfg: RunConfig, command: str, *names: str):
-    missing = [n for n in names if getattr(cfg, n) is None]
-    if missing:
-        raise ConfigError(f"{command}: missing required config key(s): {', '.join(missing)}")
 
 
 def _write_text(path, text: str, cfg: RunConfig):
@@ -93,28 +95,29 @@ def _file_digest(path) -> str:
     return digest.hexdigest()[:12]
 
 
-def _write_manifest(cfg: RunConfig, command: str, inputs: dict, outputs: dict):
+def _write_manifest(cfg: RunConfig, name: str, command: Command):
     """Flat-text record of one invocation, written next to the primary
     output (or to manifest_path when set)."""
+    output = getattr(cfg, command.writes)
     path = cfg.manifest_path
     if path is None:
-        primary = next(iter(outputs.values()), None)
-        if primary is None:
+        if output is None:
             return
-        path = f"{primary}.manifest"
+        path = f"{output}.manifest"
     lines = [_header(cfg)]
-    lines.append(f"command = {command}\n")
+    lines.append(f"command = {name}\n")
     lines.append(f"version = {__version__}\n")
     lines.append(f"config_hash = {config_hash(cfg)}\n")
     lines.append(f"seed = {cfg.train.seed}\n")
-    for name, value in inputs.items():
+    for key in command.reads:
+        value = getattr(cfg, key)
         if value is None:
             continue
-        lines.append(f"input_{name} = {value}\n")
+        lines.append(f"input_{key} = {value}\n")
         if os.path.isfile(value):
-            lines.append(f"input_{name}_sha256 = {_file_digest(value)}\n")
-    for name, value in outputs.items():
-        lines.append(f"output_{name} = {value}\n")
+            lines.append(f"input_{key}_sha256 = {_file_digest(value)}\n")
+    if output is not None:
+        lines.append(f"output_{command.writes} = {output}\n")
     for line in format_config(cfg).splitlines():
         lines.append(f"config_{line}\n")
     with open(path, "w", encoding="utf-8") as fh:
@@ -131,28 +134,23 @@ def _pct(x: float) -> str:
     return f"{100.0 * x:.2f}"
 
 
-def _emit(cfg: RunConfig, text: str, *, out_key: str = "output_path") -> dict:
-    """Print to stdout, or write (with header) when an output path is set."""
-    path = getattr(cfg, out_key)
-    if path is None:
+def _emit(cfg: RunConfig, text: str, *, echo: bool = False):
+    """Write (with header) to the output path when one is set; print to
+    stdout when none is, or always with `echo`."""
+    if echo or cfg.output_path is None:
         sys.stdout.write(text)
-        return {}
-    _write_text(path, text, cfg)
-    return {out_key: path}
+    if cfg.output_path is not None:
+        _write_text(cfg.output_path, text, cfg)
 
 
-def _report(cfg: RunConfig, values: dict) -> dict:
-    """Print metrics to stdout, and also write them (with header) when an
-    output path is set."""
-    text = format_metrics(values)
-    sys.stdout.write(text)
-    if cfg.output_path is None:
-        return {}
-    _write_text(cfg.output_path, text, cfg)
-    return {"output_path": cfg.output_path}
+def _load_bundle_checked(cfg: RunConfig, explicit: frozenset):
+    """The bundle at bundle_path, unless an architecture key given
+    explicitly disagrees with it."""
+    from .pipeline import load_bundle
 
-
-def _check_bundle_arch(cfg: RunConfig, explicit: frozenset, bundle):
+    if not os.path.exists(cfg.bundle_path):
+        raise FileNotFoundError(cfg.bundle_path)
+    bundle = load_bundle(cfg.bundle_path)
     mine, loaded = cfg.train.scorer, bundle.config.scorer
     clashes = [
         key
@@ -163,15 +161,6 @@ def _check_bundle_arch(cfg: RunConfig, explicit: frozenset, bundle):
         raise CheckpointMismatchError(
             "config disagrees with the loaded model on: " + ", ".join(clashes)
         )
-
-
-def _load_bundle_checked(cfg: RunConfig, explicit: frozenset):
-    from .pipeline import load_bundle
-
-    if not os.path.exists(cfg.bundle_path):
-        raise FileNotFoundError(cfg.bundle_path)
-    bundle = load_bundle(cfg.bundle_path)
-    _check_bundle_arch(cfg, explicit, bundle)
     return bundle
 
 
@@ -179,10 +168,9 @@ def _load_bundle_checked(cfg: RunConfig, explicit: frozenset):
 # subcommands
 
 
-def cmd_baseline_train(cfg: RunConfig, explicit: frozenset) -> int:
+def cmd_baseline_train(cfg: RunConfig, explicit: frozenset):
     from .baseline.crf import crf_train, save_crf
 
-    _require(cfg, "baseline-train", "train_path", "model_path")
     dataset = parse_conll(read_text(cfg.train_path))
     templates = cfg.template_set(_load_clusters(cfg))
     model = crf_train(dataset, templates, **cfg.crf_options())
@@ -197,68 +185,41 @@ def cmd_baseline_train(cfg: RunConfig, explicit: frozenset) -> int:
         len(model.feature_vocab),
         model.nll_history[-1],
     )
-    _write_manifest(
-        cfg,
-        "baseline-train",
-        {"train_path": cfg.train_path, "clusters_path": cfg.clusters_path},
-        {"model_path": cfg.model_path},
-    )
-    return EXIT_OK
 
 
-def cmd_baseline_decode(cfg: RunConfig, explicit: frozenset) -> int:
+def cmd_baseline_decode(cfg: RunConfig, explicit: frozenset):
     from .baseline.crf import load_crf
 
-    _require(cfg, "baseline-decode", "model_path", "input_path", "output_path")
     model = load_crf(cfg.model_path)
     dataset = parse_conll(read_text(cfg.input_path))
     corpus = decode_corpus(model, dataset, cfg.n_best)
-    write_nbest(cfg.output_path, corpus, header=_header(cfg))
+    _write_text(cfg.output_path, format_nbest(corpus), cfg)
     log.info("decoded %d sentences with k=%d", len(corpus), cfg.n_best)
-    _write_manifest(
-        cfg,
-        "baseline-decode",
-        {"model_path": cfg.model_path, "input_path": cfg.input_path},
-        {"output_path": cfg.output_path},
-    )
-    return EXIT_OK
 
 
-def cmd_jackknife(cfg: RunConfig, explicit: frozenset) -> int:
-    _require(cfg, "jackknife", "train_path", "output_path")
+def cmd_jackknife(cfg: RunConfig, explicit: frozenset):
     dataset = parse_conll(read_text(cfg.train_path))
     templates = cfg.template_set(_load_clusters(cfg))
     corpus = build_nbest_corpus(
         dataset, cfg.folds, cfg.n_best, templates, **cfg.crf_options()
     )
-    write_nbest(cfg.output_path, corpus, header=_header(cfg))
+    _write_text(cfg.output_path, format_nbest(corpus), cfg)
     log.info("jackknifed %d sentences over %d folds", len(corpus), cfg.folds)
-    _write_manifest(
-        cfg,
-        "jackknife",
-        {"train_path": cfg.train_path, "clusters_path": cfg.clusters_path},
-        {"output_path": cfg.output_path},
-    )
-    return EXIT_OK
 
 
-def cmd_collapse(cfg: RunConfig, explicit: frozenset) -> int:
-    _require(cfg, "collapse", "nbest_path")
+def cmd_collapse(cfg: RunConfig, explicit: frozenset):
     corpus = read_nbest(cfg.nbest_path)
     lines = []
     for sentence, row in zip(corpus.sentences, corpus.patterns):
         for idx, pattern in enumerate(row):
             lines.append(f"{sentence.id}\t{idx}\t{' '.join(pattern)}\n")
-    outputs = _emit(cfg, "".join(lines))
-    _write_manifest(cfg, "collapse", {"nbest_path": cfg.nbest_path}, outputs)
-    return EXIT_OK
+    _emit(cfg, "".join(lines))
 
 
-def cmd_rerank_train(cfg: RunConfig, explicit: frozenset) -> int:
+def cmd_rerank_train(cfg: RunConfig, explicit: frozenset):
     from .pipeline import make_examples, save_bundle, train_reranker
     from .reranker.embeddings import read_embeddings
 
-    _require(cfg, "rerank-train", "train_nbest_path", "dev_nbest_path", "bundle_path")
     train_nb = read_nbest(cfg.train_nbest_path).truncated(cfg.n_best)
     dev_nb = read_nbest(cfg.dev_nbest_path).truncated(cfg.n_best)
     pretrained = (
@@ -275,23 +236,11 @@ def cmd_rerank_train(cfg: RunConfig, explicit: frozenset) -> int:
         provenance={"version": __version__, "config_hash": config_hash(cfg)},
     )
     log.info("selected alpha = %s", bundle.alpha)
-    _write_manifest(
-        cfg,
-        "rerank-train",
-        {
-            "train_nbest_path": cfg.train_nbest_path,
-            "dev_nbest_path": cfg.dev_nbest_path,
-            "embeddings_path": cfg.embeddings_path,
-        },
-        {"bundle_path": cfg.bundle_path},
-    )
-    return EXIT_OK
 
 
-def cmd_rerank_decode(cfg: RunConfig, explicit: frozenset) -> int:
+def cmd_rerank_decode(cfg: RunConfig, explicit: frozenset):
     from .pipeline import rerank
 
-    _require(cfg, "rerank-decode", "bundle_path", "nbest_path", "output_path")
     bundle = _load_bundle_checked(cfg, explicit)
     if "alpha" in explicit and cfg.alpha is not None:
         bundle = replace(bundle, alpha=cfg.alpha)
@@ -300,17 +249,9 @@ def cmd_rerank_decode(cfg: RunConfig, explicit: frozenset) -> int:
     dataset = Dataset(list(corpus.sentences), predictions)
     _write_text(cfg.output_path, format_conll(dataset), cfg)
     log.info("reranked %d sentences at alpha = %s", len(corpus), bundle.alpha)
-    _write_manifest(
-        cfg,
-        "rerank-decode",
-        {"bundle_path": cfg.bundle_path, "nbest_path": cfg.nbest_path},
-        {"output_path": cfg.output_path},
-    )
-    return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig, explicit: frozenset) -> int:
-    _require(cfg, "eval", "gold_path", "pred_path")
+def cmd_eval(cfg: RunConfig, explicit: frozenset):
     gold_ds = parse_conll(read_text(cfg.gold_path))
     pred_ds = parse_conll(read_text(cfg.pred_path))
     report = chunk_prf(gold_ds.gold, pred_ds.gold)
@@ -326,29 +267,18 @@ def cmd_eval(cfg: RunConfig, explicit: frozenset) -> int:
         values[f"{name}_F1"] = _pct(counts.f1)
     for row in length_bucket_ssa(pred_ds.gold, gold_ds.gold, cfg.bucket_width):
         values[f"ssa_len_{row.upper}"] = _pct(row.ssa)
-    outputs = _report(cfg, values)
-    _write_manifest(
-        cfg,
-        "eval",
-        {"gold_path": cfg.gold_path, "pred_path": cfg.pred_path},
-        outputs,
-    )
-    return EXIT_OK
+    _emit(cfg, format_metrics(values), echo=True)
 
 
-def cmd_oracle(cfg: RunConfig, explicit: frozenset) -> int:
-    _require(cfg, "oracle", "nbest_path")
+def cmd_oracle(cfg: RunConfig, explicit: frozenset):
     corpus = read_nbest(cfg.nbest_path)
     report = oracle(corpus, n_max=cfg.n_best)
-    outputs = _emit(cfg, oracle_csv(report))
-    _write_manifest(cfg, "oracle", {"nbest_path": cfg.nbest_path}, outputs)
-    return EXIT_OK
+    _emit(cfg, oracle_csv(report))
 
 
-def cmd_alpha_search(cfg: RunConfig, explicit: frozenset) -> int:
+def cmd_alpha_search(cfg: RunConfig, explicit: frozenset):
     from .pipeline import alpha_search, score_sets
 
-    _require(cfg, "alpha-search", "bundle_path", "nbest_path")
     bundle = _load_bundle_checked(cfg, explicit)
     corpus = read_nbest(cfg.nbest_path).truncated(cfg.n_best)
     result = alpha_search(corpus, score_sets(bundle.scorer, corpus))
@@ -357,26 +287,58 @@ def cmd_alpha_search(cfg: RunConfig, explicit: frozenset) -> int:
         "f1": _pct(result.f1),
         "grid_points": result.points,
     }
-    outputs = _report(cfg, values)
-    _write_manifest(
-        cfg,
-        "alpha-search",
-        {"bundle_path": cfg.bundle_path, "nbest_path": cfg.nbest_path},
-        outputs,
-    )
-    return EXIT_OK
+    _emit(cfg, format_metrics(values), echo=True)
 
+
+class Command(NamedTuple):
+    """What a command runs and which path keys it reads and writes."""
+
+    run: Callable[[RunConfig, frozenset], None]
+    help: str
+    reads: tuple[str, ...]  # in manifest order
+    writes: str = "output_path"
+    optional: tuple[str, ...] = ()  # keys that may be unset
+
+    def required(self) -> list[str]:
+        return [key for key in (*self.reads, self.writes) if key not in self.optional]
+
+
+PRINTS = ("output_path",)  # prints when unset
 
 COMMANDS = {
-    "baseline-train": (cmd_baseline_train, "train the CRF tagger and save its checkpoint"),
-    "baseline-decode": (cmd_baseline_decode, "decode a corpus into an n-best file"),
-    "jackknife": (cmd_jackknife, "fold-wise decode the training split into an n-best file"),
-    "collapse": (cmd_collapse, "print collapsed patterns of an n-best file"),
-    "rerank-train": (cmd_rerank_train, "train the pattern reranker and tune alpha"),
-    "rerank-decode": (cmd_rerank_decode, "mixture-decode an n-best file to predictions"),
-    "eval": (cmd_eval, "score a prediction file against gold"),
-    "oracle": (cmd_oracle, "oracle best/worst curves of an n-best file"),
-    "alpha-search": (cmd_alpha_search, "re-tune the interpolation weight on a dev n-best file"),
+    "baseline-train": Command(
+        cmd_baseline_train, "train the CRF tagger and save its checkpoint",
+        ("train_path", "clusters_path"), "model_path", optional=("clusters_path",),
+    ),
+    "baseline-decode": Command(
+        cmd_baseline_decode, "decode a corpus into an n-best file", ("model_path", "input_path"),
+    ),
+    "jackknife": Command(
+        cmd_jackknife, "fold-wise decode the training split into an n-best file",
+        ("train_path", "clusters_path"), optional=("clusters_path",),
+    ),
+    "collapse": Command(
+        cmd_collapse, "print collapsed patterns of an n-best file", ("nbest_path",), optional=PRINTS,
+    ),
+    "rerank-train": Command(
+        cmd_rerank_train, "train the pattern reranker and tune alpha",
+        ("train_nbest_path", "dev_nbest_path", "embeddings_path"), "bundle_path",
+        optional=("embeddings_path",),
+    ),
+    "rerank-decode": Command(
+        cmd_rerank_decode, "mixture-decode an n-best file to predictions",
+        ("bundle_path", "nbest_path"),
+    ),
+    "eval": Command(
+        cmd_eval, "score a prediction file against gold", ("gold_path", "pred_path"), optional=PRINTS,
+    ),
+    "oracle": Command(
+        cmd_oracle, "oracle best/worst curves of an n-best file", ("nbest_path",), optional=PRINTS,
+    ),
+    "alpha-search": Command(
+        cmd_alpha_search, "re-tune the interpolation weight on a dev n-best file",
+        ("bundle_path", "nbest_path"), optional=PRINTS,
+    ),
 }
 
 
@@ -405,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
             help=argparse.SUPPRESS,
         )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        subparsers.add_parser(name, help=help_text, parents=[shared])
+    for name, command in COMMANDS.items():
+        subparsers.add_parser(name, help=command.help, parents=[shared])
     return parser
 
 
@@ -429,8 +391,17 @@ def main(argv=None) -> int:
             cfg.train.seed,
         )
         log.info("resolved config:\n%s", format_config(cfg).rstrip("\n"))
-        command, _ = COMMANDS[args.command]
-        return command(cfg, explicit)
+        command = COMMANDS[args.command]
+        missing = [key for key in command.required() if getattr(cfg, key) is None]
+        if missing:
+            raise ConfigError(
+                f"{args.command}: missing required config key(s): {', '.join(missing)}"
+            )
+        started = perf_counter()
+        command.run(cfg, explicit)
+        _write_manifest(cfg, args.command, command)
+        log.info("%s done in %.3f s", args.command, perf_counter() - started)
+        return EXIT_OK
     except Exception as exc:  # mapped to stable exit codes
         for klass, code in EXIT_CODES:
             if isinstance(exc, klass):

@@ -3,7 +3,9 @@ interface (exit codes, output headers, manifests, determinism)."""
 
 import hashlib
 import json
+import logging
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -416,6 +418,51 @@ def test_manifests_record_optional_inputs(pipeline_dir, tmp_path, capsys):
     )
 
 
+# command -> (its arguments without an output, the inputs its manifest names)
+PRINTING_COMMANDS = {
+    "eval": lambda p: (
+        ["eval", "--gold-path", str(p["test"]), "--pred-path", str(p["pred"])],
+        {"gold_path": p["test"], "pred_path": p["pred"]},
+    ),
+    "oracle": lambda p: (
+        ["oracle", "--nbest-path", str(p["test_nbest"])], {"nbest_path": p["test_nbest"]}
+    ),
+    "collapse": lambda p: (
+        ["collapse", "--nbest-path", str(p["test_nbest"])], {"nbest_path": p["test_nbest"]}
+    ),
+    "alpha-search": lambda p: (
+        ["alpha-search", "--bundle-path", str(p["bundle"]), "--nbest-path", str(p["dev_nbest"])],
+        {"bundle_path": p["bundle"], "nbest_path": p["dev_nbest"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["output-path", "print", "print-with-manifest-path"])
+@pytest.mark.parametrize("command", sorted(PRINTING_COMMANDS))
+def test_printing_command_manifests(pipeline_dir, tmp_path, monkeypatch, capsys, command, mode):
+    """With an output path the manifest sits next to it; printing writes
+    none, unless --manifest-path names one, which then has no output line."""
+    monkeypatch.chdir(tmp_path)
+    argv, inputs = PRINTING_COMMANDS[command](pipeline_dir)
+    out, manifest = tmp_path / "out.txt", tmp_path / "run.manifest"
+    if mode == "output-path":
+        argv += ["--output-path", str(out)]
+    elif mode == "print-with-manifest-path":
+        argv += ["--manifest-path", str(manifest)]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    if mode == "output-path":
+        assert sorted(tmp_path.iterdir()) == [out, manifest_of(out)]
+        check_manifest(manifest_of(out), command, inputs, {"output_path": out})
+    elif mode == "print":
+        assert printed
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert printed
+        assert list(tmp_path.iterdir()) == [manifest]
+        check_manifest(manifest, command, inputs, {})
+
+
 def test_predictions_parse_and_align(pipeline_dir):
     gold = parse_conll(pipeline_dir["test"].read_text(encoding="utf-8"))
     pred = parse_conll(pipeline_dir["pred"].read_text(encoding="utf-8"))
@@ -542,11 +589,27 @@ def test_missing_input_file_exit_code(tmp_path, capsys):
     assert rc == EXIT_MISSING_FILE
 
 
-def test_missing_required_key_exit_code(capsys):
-    rc = main(["baseline-train"])
-    err = capsys.readouterr().err
-    assert rc == EXIT_BAD_CONFIG
-    assert "train_path" in err
+# the keys each command names when run with none set, in order
+MISSING_KEYS = {
+    "baseline-train": "train_path, model_path",
+    "baseline-decode": "model_path, input_path, output_path",
+    "jackknife": "train_path, output_path",
+    "collapse": "nbest_path",
+    "rerank-train": "train_nbest_path, dev_nbest_path, bundle_path",
+    "rerank-decode": "bundle_path, nbest_path, output_path",
+    "eval": "gold_path, pred_path",
+    "oracle": "nbest_path",
+    "alpha-search": "bundle_path, nbest_path",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MISSING_KEYS))
+def test_missing_required_key_exit_code(capsys, command):
+    assert main([command]) == EXIT_BAD_CONFIG
+    *_, last = capsys.readouterr().err.splitlines()
+    assert last == (
+        f"nerrank: error: {command}: missing required config key(s): {MISSING_KEYS[command]}"
+    )
 
 
 def test_unknown_config_key_exit_code(tmp_path, capsys):
@@ -768,6 +831,8 @@ NBEST_MUTATIONS = {
     "tokens-missing": (_replaced(NBEST, 2, None), "line 2"),
     "header-missing": (_replaced(NBEST, 1, None), "line 1"),
     "header-malformed": (_replaced(NBEST, 1, "#SENT zero"), "line 1"),
+    "header-id-two-signs": (_replaced(NBEST, 1, "#SENT --5"), "line 1"),
+    "header-id-superscript": (_replaced(NBEST, 1, "#SENT \u00b2"), "line 1"),
     "id-repeated": (NBEST + "\n#SENT 0\nTOKENS\tx\nCAND\t1.0\tO\n", "line 7"),
     "kind-unknown": (_inserted(NBEST, 3, "POS\tNNP\tVBD\tNNP"), "line 3"),
     "gold-short": (_replaced(NBEST, 3, "GOLD\tB-PER\tO"), "line 3"),
@@ -931,6 +996,32 @@ def test_directory_input_exit_code(tmp_path, capsys):
     assert err.startswith("nerrank: error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_path_through_a_file_exit_code(tmp_path, capsys, side):
+    gold = tmp_path / "g.conll"
+    gold.write_text(CONLL, encoding="utf-8")
+    argv = ["eval", "--gold-path", str(gold), "--pred-path", str(gold)]
+    if side == "input":
+        argv[2] = str(gold / "x")
+    else:
+        argv += ["--output-path", str(gold / "out")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_MISSING_FILE
+    assert err.startswith("nerrank: error:") and "Not a directory" in err
+
+
+def test_unreadable_input_exit_code(tmp_path, monkeypatch, capsys):
+    def denied(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("nerrank.cli.read_text", denied)
+    rc = main(["eval", "--gold-path", "g.conll", "--pred-path", "p.conll"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_MISSING_FILE
+    assert err.startswith("nerrank: error:") and "Permission denied" in err
+
+
 def test_non_utf8_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "latin1.conll"
     bad.write_bytes("Bern\tB-LOC\n\r\nZürich\tB-LOC\n".encode("latin-1"))
@@ -948,6 +1039,15 @@ def test_version_flag(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_each_command_logs_its_wall_time_outside_the_manifest(pipeline_dir, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="nerrank")
+    out = tmp_path / "oracle.csv"
+    argv = ["oracle", "--nbest-path", str(pipeline_dir["test_nbest"]), "--output-path", str(out)]
+    assert main(argv) == EXIT_OK
+    assert re.fullmatch(r"oracle done in \d+\.\d{3} s", caplog.records[-1].getMessage())
+    assert "done in" not in manifest_of(out).read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
