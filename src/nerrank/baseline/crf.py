@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 from typing import NamedTuple
@@ -51,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..corpus import ENTITY_TYPES, BioLabel, Dataset, LabelSeq, Sentence
-from ..errors import CheckpointMismatchError, NerrankError
+from ..errors import FILE_ERRORS, CheckpointMismatchError, NerrankError
 from ..numerics import AdamState, Tensor
 from .features import FeatureTemplateSet, featurize
 from .nbest import CandidateSet
@@ -332,11 +331,7 @@ def crf_train(
     batch_size: int = 8,
     lr: float = 0.05,
     l2: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     seed: int = 0,
-    tags: tuple[str, ...] | None = None,
 ) -> CrfModel:
     """Minimize L2-regularized NLL with mini-batch Adam on exact gradients.
 
@@ -346,12 +341,11 @@ def crf_train(
     """
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")
-    tags = tuple(tags) if tags is not None else ALL_TAGS
-    n_tags = len(tags)
+    n_tags = len(ALL_TAGS)
     feats_per_sent = [featurize(s, templates) for s in train.sentences]
     vocab = {f: i for i, f in enumerate(sorted({f for fs in feats_per_sent for pos in fs for f in pos}))}
     model = CrfModel(
-        tags=tags,
+        tags=ALL_TAGS,
         feature_vocab=vocab,
         templates=templates,
         emit=np.zeros((len(vocab), n_tags)),
@@ -367,7 +361,7 @@ def crf_train(
         Tensor(a, requires_grad=True)
         for a in (model.emit, model.trans, model.begin, model.end)
     ]
-    opt = AdamState(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    opt = AdamState(params, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8)
     model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
     rng = np.random.default_rng([seed, 17])
     for epoch in range(epochs):
@@ -438,8 +432,6 @@ def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
 
 
 def load_crf(path) -> CrfModel:
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     try:
         with np.load(path, allow_pickle=False) as archive:
             arrays = {k: archive[k] for k in ("emit", "trans", "begin", "end")}
@@ -456,7 +448,7 @@ def load_crf(path) -> CrfModel:
             end=arrays["end"],
             nll_history=list(meta["nll_history"]),
         )
-    except FileNotFoundError:
+    except FILE_ERRORS:
         raise
     except Exception as exc:
         raise CheckpointMismatchError(

@@ -67,7 +67,7 @@ class CandidateSet:
 
     def __post_init__(self):
         if not self.candidates:
-            raise ValueError(f"sentence {self.sentence_id}: no candidates")
+            raise ValueError(f"sentence {self.sentence_id} has no candidates")
         length = len(self.candidates[0][0])
         prev = float("inf")
         total = 0.0
@@ -81,7 +81,7 @@ class CandidateSet:
             prev = prob
             total += prob
         if total > 1.0 + PROB_SLACK:
-            raise ValueError(f"sentence {self.sentence_id}: candidate probabilities sum to {total}")
+            raise ValueError(f"sentence {self.sentence_id}: candidate probabilities sum to {total:.6f}")
         if self.gold is not None and len(self.gold) != length:
             raise ValueError(f"sentence {self.sentence_id}: gold length != candidate length")
 
@@ -195,16 +195,12 @@ def parse_nbest(text: str) -> NBestCorpus:
             return
         if tokens is None:
             raise ParseError(f"sentence {cur_id} has no TOKENS line", line=cur_line)
-        if not cands:
-            raise ParseError(f"sentence {cur_id} has no candidates", line=cur_line)
-        total = sum(p for _, p in cands)
-        if total > 1.0 + PROB_SLACK:
-            raise ParseError(
-                f"sentence {cur_id}: candidate probabilities sum to {total:.6f}", line=cur_line
-            )
-        ordered = sorted(cands, key=lambda c: -c[1])
+        try:
+            cs = CandidateSet(cur_id, gold, sorted(cands, key=lambda c: -c[1]))
+        except ValueError as exc:  # the set's rules: some candidate, probabilities sum <= 1
+            raise ParseError(str(exc), line=cur_line) from exc
         sentences.append(Sentence(cur_id, tokens))
-        sets.append(CandidateSet(cur_id, gold, ordered))
+        sets.append(cs)
         cur_id, tokens, gold = None, None, None
         cands = []
 
@@ -226,7 +222,7 @@ def parse_nbest(text: str) -> NBestCorpus:
             flush()
             parts = line.split()
             digits = parts[-1].removeprefix("-")
-            if len(parts) != 2 or not (digits.isascii() and digits.isdigit()):
+            if parts[0] != "#SENT" or len(parts) != 2 or not (digits.isascii() and digits.isdigit()):
                 raise ParseError(f"malformed sentence header {line!r}", line=lineno)
             cur_id = int(parts[1])
             cur_line = lineno

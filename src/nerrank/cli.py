@@ -43,6 +43,7 @@ from .config import (
 )
 from .corpus import Dataset, format_conll, parse_conll, read_text
 from .errors import (
+    FILE_ERRORS,
     CheckpointMismatchError,
     ConfigError,
     NerrankError,
@@ -68,7 +69,7 @@ EXIT_BAD_DATA = 5
 
 # checked in order; first match decides the exit status
 EXIT_CODES = (
-    ((FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError), EXIT_MISSING_FILE),
+    (FILE_ERRORS, EXIT_MISSING_FILE),
     (ConfigError, EXIT_BAD_CONFIG),
     (CheckpointMismatchError, EXIT_CHECKPOINT),
     (ParseError, EXIT_BAD_DATA),
@@ -87,11 +88,20 @@ def _write_text(path, text: str, cfg: RunConfig):
         fh.write(text)
 
 
-def _file_digest(path) -> str:
+def _digest(path) -> str:
+    """12 hex of the sha256 of a file's bytes; for a directory (a bundle),
+    of its files in sorted name order, each as its name, NUL, its bytes."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
+    if os.path.isdir(path):
+        names = sorted(entry.name for entry in os.scandir(path) if entry.is_file())
+        parts = [(name.encode("utf-8") + b"\0", os.path.join(path, name)) for name in names]
+    else:
+        parts = [(b"", path)]
+    for prefix, file_path in parts:
+        digest.update(prefix)
+        with open(file_path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(block)
     return digest.hexdigest()[:12]
 
 
@@ -114,8 +124,8 @@ def _write_manifest(cfg: RunConfig, name: str, command: Command):
         if value is None:
             continue
         lines.append(f"input_{key} = {value}\n")
-        if os.path.isfile(value):
-            lines.append(f"input_{key}_sha256 = {_file_digest(value)}\n")
+        if os.path.exists(value):
+            lines.append(f"input_{key}_sha256 = {_digest(value)}\n")
     if output is not None:
         lines.append(f"output_{command.writes} = {output}\n")
     for line in format_config(cfg).splitlines():
@@ -271,9 +281,8 @@ def cmd_eval(cfg: RunConfig, explicit: frozenset):
 
 
 def cmd_oracle(cfg: RunConfig, explicit: frozenset):
-    corpus = read_nbest(cfg.nbest_path)
-    report = oracle(corpus, n_max=cfg.n_best)
-    _emit(cfg, oracle_csv(report))
+    corpus = read_nbest(cfg.nbest_path).truncated(cfg.n_best)
+    _emit(cfg, oracle_csv(oracle(corpus)))
 
 
 def cmd_alpha_search(cfg: RunConfig, explicit: frozenset):

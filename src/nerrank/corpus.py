@@ -188,16 +188,12 @@ def parse_conll(text: str) -> Dataset:
     return Dataset(sentences, gold)
 
 
-def format_conll(dataset: Dataset, predictions: list[LabelSeq] | None = None) -> str:
-    """Render two-column `token<TAB>tag` text (predictions override gold)."""
-    seqs = predictions if predictions is not None else dataset.gold
-    if len(seqs) != len(dataset.sentences):
-        raise ValueError("prediction/sentence count mismatch")
-    blocks = []
-    for sent, labels in zip(dataset.sentences, seqs):
-        if len(labels) != len(sent):
-            raise ValueError(f"sentence {sent.id}: label length mismatch")
-        blocks.append("\n".join(f"{t.surface}\t{l}" for t, l in zip(sent.tokens, labels)))
+def format_conll(dataset: Dataset) -> str:
+    """Render two-column `token<TAB>tag` text."""
+    blocks = [
+        "\n".join(f"{t.surface}\t{l}" for t, l in zip(sent.tokens, labels))
+        for sent, labels in dataset
+    ]
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 

@@ -3,6 +3,9 @@
 The CLI maps each class to a distinct exit code (see cli.EXIT_CODES).
 """
 
+# what opening a missing, unreadable or misplaced input path raises
+FILE_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
+
 
 class NerrankError(Exception):
     """Base class for all toolkit errors."""

@@ -1,6 +1,10 @@
 """Measurement: span precision/recall/F1, sentence-selection accuracy,
 oracle curves over n-best lists, and sentence-length breakdowns.
 
+`oracle` gives one `OracleRow` per depth n, up to the corpus's longest
+candidate set; `NBestCorpus.truncated(k)` is the one way to choose a
+smaller depth.
+
 A predicted span counts as a true positive only when an identical
 (start, end, type) span exists in gold — conlleval-style exact matching.
 Label sequences are normalized before span extraction, so raw decoder
@@ -76,17 +80,6 @@ class OracleRow:
 
 
 @dataclass(frozen=True)
-class OracleReport:
-    """Oracle curves per truncation depth n.
-
-    Decoder-generated n-best corpora give non-decreasing OBA/OBF and
-    non-increasing OWF; arbitrary hand-built candidate sets need not.
-    """
-
-    rows: list[OracleRow]
-
-
-@dataclass(frozen=True)
 class BucketRow:
     """Sentences of length in (upper - width, upper]."""
 
@@ -142,16 +135,20 @@ def ssa(selections: list[LabelSeq], gold: list[LabelSeq]) -> float:
     return correct / len(gold)
 
 
-def oracle(nbest: NBestCorpus, n_max: int | None = None) -> OracleReport:
-    """Oracle curves: for each n, pick per sentence the candidate among the
-    top n with the highest (OBA/OBF) or lowest (OWF) tag accuracy against
-    gold, ties going to the lower index, and measure the selections. An
-    empty corpus gives no rows."""
+def oracle(nbest: NBestCorpus) -> list[OracleRow]:
+    """Oracle curves, one row per depth n up to the longest candidate set:
+    for each n, pick per sentence the candidate among the top n with the
+    highest (OBA/OBF) or lowest (OWF) tag accuracy against gold, ties going
+    to the lower index, and measure the selections. An empty corpus gives
+    no rows; truncate the corpus to stop at a smaller depth.
+
+    Decoder-generated n-best corpora give non-decreasing OBA/OBF and
+    non-increasing OWF; arbitrary hand-built candidate sets need not.
+    """
     per_sentence = list(zip(nbest.accuracy, nbest.span_match))
     total_gold = sum(match.gold_spans for _, match in per_sentence)
 
-    kmax = max((len(accuracy) for accuracy, _ in per_sentence), default=0)
-    depth = min(n_max, kmax) if n_max is not None else kmax
+    depth = max((len(accuracy) for accuracy, _ in per_sentence), default=0)
     best = [0] * len(per_sentence)  # per-sentence argmax index so far
     worst = [0] * len(per_sentence)
     rows = []
@@ -176,7 +173,7 @@ def oracle(nbest: NBestCorpus, n_max: int | None = None) -> OracleReport:
                 owf=PrfCounts(tp_w, pred_w, total_gold).f1,
             )
         )
-    return OracleReport(rows)
+    return rows
 
 
 def length_bucket_ssa(
@@ -211,8 +208,8 @@ def format_metrics(values: dict) -> str:
     return "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
-def oracle_csv(report: OracleReport) -> str:
+def oracle_csv(rows: list[OracleRow]) -> str:
     lines = ["n,oba,obf,owf"]
-    for r in report.rows:
+    for r in rows:
         lines.append(f"{r.n},{r.oba!r},{r.obf!r},{r.owf!r}")
     return "\n".join(lines) + "\n"

@@ -325,8 +325,8 @@ def save_bundle(path, bundle: RerankerBundle, *, provenance: dict | None = None)
         "char_pad": bundle.scorer.char_pad,
         "config": asdict(bundle.config),
         "vocab": {
-            "words": bundle.scorer.vocab.word_list(),
-            "chars": bundle.scorer.vocab.char_list(),
+            "words": bundle.scorer.vocab.words,
+            "chars": bundle.scorer.vocab.chars,
         },
         "history": [asdict(h) for h in bundle.history],
     }
@@ -355,7 +355,7 @@ def load_bundle(path) -> RerankerBundle:
         _expect_keys("config", stored, [f.name for f in fields(TrainConfig)])
         _expect_keys("config.scorer", stored["scorer"], [f.name for f in fields(ScorerConfig)])
         config = TrainConfig(**{**stored, "scorer": ScorerConfig(**stored["scorer"])})
-        vocab = Vocab.from_lists(meta["vocab"]["words"], meta["vocab"]["chars"])
+        vocab = Vocab(tuple(meta["vocab"]["words"]), tuple(meta["vocab"]["chars"]))
         scorer = PatternScorer(
             vocab, config.scorer, char_pad=meta["char_pad"], seed=config.seed
         )

@@ -75,12 +75,13 @@ def init_embeddings(
     rng: np.random.Generator,
     pretrained: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Build the (num_words, dim) table: random within the bound, then copy
-    the pretrained vector of every token the file actually contains."""
+    """Build the (vocabulary size, dim) table: random within the bound,
+    then copy the pretrained vector of every token the file actually
+    contains."""
     bound = np.sqrt(3.0 / dim)
-    table = rng.uniform(-bound, bound, size=(vocab.num_words, dim))
+    table = rng.uniform(-bound, bound, size=(len(vocab.words), dim))
     if pretrained:
-        for token, tid in vocab.word_to_id.items():
+        for tid, token in enumerate(vocab.words):
             vec = pretrained.get(token)
             if vec is not None:
                 table[tid] = vec

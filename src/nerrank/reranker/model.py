@@ -118,7 +118,7 @@ class PatternScorer:
             cbound = np.sqrt(3.0 / cfg.char_dim)
             self.char_emb = store.add(
                 "char_emb",
-                rng.uniform(-cbound, cbound, size=(vocab.num_chars, cfg.char_dim)),
+                rng.uniform(-cbound, cbound, size=(len(vocab.chars), cfg.char_dim)),
             )
             self.char_cnn_w = store.add(
                 "char_cnn_w",

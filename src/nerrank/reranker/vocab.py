@@ -1,14 +1,17 @@
 """Word and character vocabularies for the pattern scorer.
 
-Both maps carry fixed reserved entries at the front so that ids are stable
-across runs: words reserve <unk>=0, <pad>=1 and the four entity type tokens
-PER=2, LOC=3, ORG=4, MISC=5; characters reserve <unk_char>=0, <pad_char>=1.
-Any lookup succeeds — unseen strings fall back to the unknown id.
+A vocabulary is its word list and its character list, each in id order
+(an entry's id is its position). Both lists start with fixed reserved
+entries so that ids are stable across runs: words reserve <unk>=0,
+<pad>=1 and the four entity type tokens PER=2, LOC=3, ORG=4, MISC=5;
+characters reserve <unk_char>=0, <pad_char>=1. Any lookup succeeds —
+unseen strings fall back to the unknown id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..collapse import TYPE_TOKENS
 from ..errors import ConfigError
@@ -28,55 +31,37 @@ CHAR_PAD_ID = 1
 
 @dataclass(frozen=True)
 class Vocab:
-    """Immutable word→id and char→id maps with the reserved prefix."""
+    """Immutable id-ordered word and char lists with the reserved prefix."""
 
-    word_to_id: dict[str, int]
-    char_to_id: dict[str, int]
+    words: tuple[str, ...]
+    chars: tuple[str, ...]
 
     def __post_init__(self):
-        for mapping, reserved, what in (
-            (self.word_to_id, RESERVED_WORDS, "word"),
-            (self.char_to_id, RESERVED_CHARS, "char"),
+        if len(set(self.words)) != len(self.words) or len(set(self.chars)) != len(self.chars):
+            raise ConfigError("vocabulary lists contain duplicates")
+        for items, reserved, what in (
+            (self.words, RESERVED_WORDS, "word"),
+            (self.chars, RESERVED_CHARS, "char"),
         ):
             for i, token in enumerate(reserved):
-                if mapping.get(token) != i:
+                if i >= len(items) or items[i] != token:
                     raise ConfigError(
                         f"{what} vocabulary must map {token!r} to id {i}"
                     )
-            ids = sorted(mapping.values())
-            if ids != list(range(len(mapping))):
-                raise ConfigError(f"{what} vocabulary ids are not contiguous from 0")
 
-    @property
-    def num_words(self) -> int:
-        return len(self.word_to_id)
+    @cached_property
+    def word_to_id(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self.words)}
 
-    @property
-    def num_chars(self) -> int:
-        return len(self.char_to_id)
+    @cached_property
+    def char_to_id(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(self.chars)}
 
     def word_id(self, token: str) -> int:
         return self.word_to_id.get(token, WORD_UNK_ID)
 
     def char_id(self, ch: str) -> int:
         return self.char_to_id.get(ch, CHAR_UNK_ID)
-
-    def word_list(self) -> list[str]:
-        """All words ordered by id (a serializable description of the map)."""
-        return sorted(self.word_to_id, key=self.word_to_id.get)
-
-    def char_list(self) -> list[str]:
-        return sorted(self.char_to_id, key=self.char_to_id.get)
-
-    @classmethod
-    def from_lists(cls, words: list[str], chars: list[str]) -> "Vocab":
-        """Rebuild a vocabulary from its id-ordered word and char lists."""
-        if len(set(words)) != len(words) or len(set(chars)) != len(chars):
-            raise ConfigError("vocabulary lists contain duplicates")
-        return cls(
-            word_to_id={w: i for i, w in enumerate(words)},
-            char_to_id={c: i for i, c in enumerate(chars)},
-        )
 
 
 def build_vocab(pattern_token_lists) -> Vocab:
@@ -93,6 +78,7 @@ def build_vocab(pattern_token_lists) -> Vocab:
         for token in tokens:
             words.add(token)
             chars.update(token)
-    word_list = list(RESERVED_WORDS) + sorted(words - set(RESERVED_WORDS))
-    char_list = list(RESERVED_CHARS) + sorted(chars - set(RESERVED_CHARS))
-    return Vocab.from_lists(word_list, char_list)
+    return Vocab(
+        RESERVED_WORDS + tuple(sorted(words - set(RESERVED_WORDS))),
+        RESERVED_CHARS + tuple(sorted(chars - set(RESERVED_CHARS))),
+    )

@@ -201,8 +201,7 @@ def test_oracle_curves_monotone_with_exact_endpoints():
         dataset = make_corpus(120, seed=seed, split="train")
         model = crf_train(dataset, WORD_ONLY, epochs=3, seed=seed)
         nbest = decode_corpus(model, dataset, 10)
-        report = oracle(nbest, n_max=10)
-        rows = report.rows
+        rows = oracle(nbest.truncated(10))
         assert [r.n for r in rows] == list(range(1, 11))
         for prev, cur in zip(rows, rows[1:]):
             assert cur.oba >= prev.oba, f"OBA fell at n={cur.n} (seed {seed})"
@@ -476,5 +475,5 @@ def test_real_corpus_nondegradation(tmp_path):
     reranked_f1 = chunk_prf(test_ds.gold, predictions).f1
 
     assert reranked_f1 >= base_f1 - 0.001  # within 0.1 points
-    bounds = oracle(test_nb, n_max=10).rows[-1]
+    bounds = oracle(test_nb.truncated(10))[-1]
     assert bounds.owf <= reranked_f1 <= bounds.obf

@@ -318,9 +318,21 @@ def read_manifest(path):
     )
 
 
+def digest_of(path):
+    """12 hex of the sha256 of a file, or of a directory's files in name
+    order, each as its name, NUL, its bytes."""
+    h = hashlib.sha256()
+    if path.is_dir():
+        for f in sorted(f for f in path.iterdir() if f.is_file()):
+            h.update(f.name.encode("utf-8") + b"\0" + f.read_bytes())
+    else:
+        h.update(path.read_bytes())
+    return h.hexdigest()[:12]
+
+
 def check_manifest(path, command, inputs, outputs):
     """The manifest names exactly these inputs, with the digest of every
-    input that is a file, and these outputs."""
+    input (a bundle directory included), and these outputs."""
     lines = read_manifest(path)
     assert lines["command"] == command
     assert lines["version"] == __version__
@@ -329,8 +341,7 @@ def check_manifest(path, command, inputs, outputs):
     named = {k[len("input_"):]: v for k, v in lines.items() if k.startswith("input_")}
     expected = {name: str(value) for name, value in inputs.items()}
     for name, value in inputs.items():
-        if value.is_file():
-            expected[f"{name}_sha256"] = hashlib.sha256(value.read_bytes()).hexdigest()[:12]
+        expected[f"{name}_sha256"] = digest_of(value)
     assert named == expected
     assert {k: v for k, v in lines.items() if k.startswith("output_")} == {
         f"output_{name}": str(value) for name, value in outputs.items()
@@ -366,6 +377,22 @@ def test_pipeline_manifests(pipeline_dir):
         {"bundle_path": p["bundle"], "nbest_path": p["test_nbest"]},
         {"output_path": p["pred"]},
     )
+
+
+def test_manifest_bundle_digest_follows_its_contents(pipeline_dir, tmp_path, capsys):
+    bundle, pred = tmp_path / "bundle", tmp_path / "p.conll"
+    shutil.copytree(pipeline_dir["bundle"], bundle)
+    argv = ["rerank-decode", "--bundle-path", str(bundle),
+            "--nbest-path", str(pipeline_dir["test_nbest"]), "--output-path", str(pred)]
+    digests = []
+    for _ in range(2):
+        assert main(argv) == EXIT_OK
+        digests.append(read_manifest(manifest_of(pred))["input_bundle_path_sha256"])
+        _edit_weights(lambda a: a.update(head_b=a["head_b"] + 1.0))(bundle)
+    capsys.readouterr()
+    # the same files under another path give the same digest
+    assert digests[0] == read_manifest(manifest_of(pipeline_dir["pred"]))["input_bundle_path_sha256"]
+    assert digests[1] != digests[0]
 
 
 def test_manifests_record_optional_inputs(pipeline_dir, tmp_path, capsys):
@@ -724,6 +751,11 @@ BUNDLE_MUTATIONS = {
     "config-missing-key": _edit_meta(lambda m: m["config"]["scorer"].pop("word_dim")),
     "config-unknown-key": _edit_meta(lambda m: m["config"].update(char_filters=4)),
     "vocab-missing-key": _edit_meta(lambda m: m["vocab"].pop("chars")),
+    # both keep the vocabulary's size, so the weights still fit it
+    "vocab-duplicate-word": _edit_meta(
+        lambda m: m["vocab"].update(words=m["vocab"]["words"][:-1] + m["vocab"]["words"][-2:-1])
+    ),
+    "vocab-reserved-moved": _edit_meta(lambda m: m["vocab"]["words"].reverse()),
     "history-unknown-key": _edit_meta(lambda m: m["history"][0].update(loss=0.1)),
     "alpha-off-grid": _edit_meta(lambda m: m.update(alpha=0.3333)),
     "weights-garbage": _write("weights.bin", b"not a checkpoint"),
@@ -842,6 +874,7 @@ NBEST_MUTATIONS = {
     "probability-zero": (_replaced(NBEST, 4, "CAND\t0.0\tB-PER\tO\tB-LOC"), "line 4"),
     "probabilities-over-one": (_replaced(NBEST, 4, "CAND\t0.9\tB-PER\tO\tB-LOC"), "line 1"),
     "candidates-missing": (_replaced(_replaced(NBEST, 5, None), 4, None), "line 1"),
+    "header-prefix": (_replaced(NBEST, 1, "#SENTX 5"), "line 1"),
     "not-utf8": (_latin1(NBEST, 2), "line 2"),
 }
 
@@ -989,22 +1022,35 @@ def test_alpha_search_without_gold_exit_code(pipeline_dir, tmp_path, capsys):
     assert "missing for sentence(s) [0, 1, 2, 3, 4]" in err
 
 
+def _decode_with_model(model, conll, tmp_path):
+    return ["baseline-decode", "--model-path", str(model), "--input-path", str(conll),
+            "--output-path", str(tmp_path / "t.nbest")]
+
+
 def test_directory_input_exit_code(tmp_path, capsys):
-    rc = main(["eval", "--gold-path", str(tmp_path), "--pred-path", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == EXIT_MISSING_FILE
-    assert err.startswith("nerrank: error:") and "Traceback" not in err
+    gold = tmp_path / "g.conll"
+    gold.write_text(CONLL, encoding="utf-8")
+    for argv in (
+        ["eval", "--gold-path", str(tmp_path), "--pred-path", str(tmp_path)],
+        _decode_with_model(tmp_path, gold, tmp_path),
+    ):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_MISSING_FILE, err
+        assert err.startswith("nerrank: error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("side", ["input", "output"])
+@pytest.mark.parametrize("side", ["input", "output", "model"])
 def test_path_through_a_file_exit_code(tmp_path, capsys, side):
     gold = tmp_path / "g.conll"
     gold.write_text(CONLL, encoding="utf-8")
     argv = ["eval", "--gold-path", str(gold), "--pred-path", str(gold)]
     if side == "input":
         argv[2] = str(gold / "x")
-    else:
+    elif side == "output":
         argv += ["--output-path", str(gold / "out")]
+    else:
+        argv = _decode_with_model(gold / "crf.npz", gold, tmp_path)
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == EXIT_MISSING_FILE

@@ -9,7 +9,6 @@ from nerrank.corpus import BioLabel, Sentence, Token, normalize_to_bio2, tag_acc
 from nerrank.errors import NerrankError
 from nerrank.evaluation import (
     BucketRow,
-    OracleReport,
     OracleRow,
     PrfCounts,
     PrfReport,
@@ -198,15 +197,15 @@ def three_sentence_corpus():
 
 def test_oracle_matches_hand_computation():
     nb = three_sentence_corpus()
-    report = oracle(nb)
-    assert [r.n for r in report.rows] == [1, 2, 3]
-    for row in report.rows:
+    rows = oracle(nb)
+    assert [r.n for r in rows] == [1, 2, 3]
+    for row in rows:
         assert (row.oba, row.obf, row.owf) == pytest.approx(hand_oracle(nb, row.n))
 
 
 def test_oracle_depth_one_equals_baseline():
     nb = three_sentence_corpus()
-    row = oracle(nb, n_max=1).rows[0]
+    row = oracle(nb.truncated(1))[0]
     top1 = [cs.candidates[0][0] for cs in nb.sets]
     gold = [cs.gold for cs in nb.sets]
     assert row.oba == ssa(top1, gold)
@@ -216,7 +215,7 @@ def test_oracle_depth_one_equals_baseline():
 
 def test_oracle_perfect_when_gold_in_every_set():
     nb = three_sentence_corpus()
-    last = oracle(nb).rows[-1]
+    last = oracle(nb)[-1]
     assert last.oba == 1.0
     assert last.obf == 1.0
 
@@ -227,7 +226,7 @@ def test_oracle_ties_choose_lower_index():
     a = labels("B-PER", "B-LOC")
     b = labels("O", "O")
     nb = NBestCorpus([sent(0, 2)], [cset(0, gold, [a, b])])
-    row = oracle(nb).rows[-1]
+    row = oracle(nb)[-1]
     spans_a = chunk_prf([gold], [a])
     assert tag_accuracy(gold, a) == tag_accuracy(gold, b) == 0.5
     assert row.obf == pytest.approx(spans_a.f1)
@@ -244,12 +243,12 @@ def test_oracle_requires_gold():
 
 
 def test_oracle_of_an_empty_corpus_has_no_rows():
-    report = oracle(NBestCorpus([], []))
-    assert report.rows == []
-    assert oracle_csv(report) == "n,oba,obf,owf\n"
+    rows = oracle(NBestCorpus([], []))
+    assert rows == []
+    assert oracle_csv(rows) == "n,oba,obf,owf\n"
 
 
-def test_oracle_handles_short_sets_and_n_max():
+def test_oracle_handles_short_sets_and_truncation():
     g = labels("B-PER",)
     nb = NBestCorpus(
         [sent(0, 1), sent(1, 1)],
@@ -258,10 +257,10 @@ def test_oracle_handles_short_sets_and_n_max():
             cset(1, g, [g]),  # only one candidate
         ],
     )
-    report = oracle(nb, n_max=5)
-    assert [r.n for r in report.rows] == [1, 2]
-    assert report.rows[1].oba == 1.0
-    assert report.rows[1].obf == 1.0
+    rows = oracle(nb.truncated(5))
+    assert [r.n for r in rows] == [1, 2]
+    assert rows[1].oba == 1.0
+    assert rows[1].obf == 1.0
 
 
 def test_sandwich_bounds_any_selection_policy():
@@ -281,7 +280,7 @@ def test_sandwich_bounds_any_selection_policy():
         sents.append(sent(sid, n))
         sets.append(cset(sid, gold, cands))
     nb = NBestCorpus(sents, sets)
-    deepest = oracle(nb).rows[-1]
+    deepest = oracle(nb)[-1]
     gold_all = [cs.gold for cs in sets]
     for trial in range(20):
         picks = [
@@ -335,6 +334,5 @@ def test_metrics_format_and_file():
 
 
 def test_csv_emitters_have_one_row_per_item():
-    oreport = OracleReport([OracleRow(1, 0.5, 0.5, 0.25)])
-    olines = oracle_csv(oreport).strip().split("\n")
+    olines = oracle_csv([OracleRow(1, 0.5, 0.5, 0.25)]).strip().split("\n")
     assert olines == ["n,oba,obf,owf", "1,0.5,0.5,0.25"]

@@ -526,9 +526,9 @@ def test_single_candidate_sets_ignore_alpha():
 def test_reranked_f1_sits_between_oracle_bounds():
     corpus = small_corpus()
     scorer = tiny_scorer(corpus_token_lists(corpus))
-    report = oracle(corpus)
+    rows = oracle(corpus)
     k = max(len(cs) for cs in corpus.sets)
-    bounds = report.rows[k - 1]
+    bounds = rows[k - 1]
     golds = [cs.gold for cs in corpus.sets]
     for alpha in (0.0, 0.5, 1.0):
         predictions = rerank(make_bundle(scorer, alpha), corpus)
@@ -787,7 +787,7 @@ def test_bundle_roundtrip(tmp_path):
     assert loaded.alpha == bundle.alpha
     assert loaded.config == bundle.config
     assert loaded.history == bundle.history
-    assert loaded.scorer.vocab.word_list() == bundle.scorer.vocab.word_list()
+    assert loaded.scorer.vocab == bundle.scorer.vocab
     assert_same_params(bundle.scorer, loaded.scorer)
     assert rerank(loaded, dev_corpus) == rerank(bundle, dev_corpus)
 

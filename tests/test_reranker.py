@@ -82,21 +82,27 @@ def test_build_vocab_deterministic_and_sorted():
     a = build_vocab([["zz", "aa"], ["mm"]])
     b = build_vocab([["mm"], ["aa", "zz"]])
     assert a == b
-    non_reserved = a.word_list()[6:]
-    assert non_reserved == sorted(non_reserved)
+    non_reserved = a.words[6:]
+    assert list(non_reserved) == sorted(non_reserved)
 
 
 def test_vocab_list_roundtrip():
     v = small_vocab()
-    again = Vocab.from_lists(v.word_list(), v.char_list())
-    assert again == v
+    assert list(v.word_to_id.values()) == list(range(len(v.words)))
+    assert list(v.char_to_id.values()) == list(range(len(v.chars)))
+    assert Vocab(tuple(v.word_to_id), tuple(v.char_to_id)) == v
 
 
 def test_vocab_rejects_broken_reserved_prefix():
-    with pytest.raises(ConfigError):
-        Vocab(word_to_id={"<unk>": 1, "<pad>": 0}, char_to_id={"<unk_char>": 0, "<pad_char>": 1})
-    with pytest.raises(ConfigError):
-        Vocab.from_lists(["<unk>", "<pad>"], ["<unk_char>", "<pad_char>"])  # no type tokens
+    v = small_vocab()
+    with pytest.raises(ConfigError, match="'<unk>' to id 0"):
+        Vocab(("<pad>", "<unk>") + v.words[2:], v.chars)
+    with pytest.raises(ConfigError, match="'PER' to id 2"):
+        Vocab(("<unk>", "<pad>"), v.chars)  # no type tokens
+    with pytest.raises(ConfigError, match="duplicates"):
+        Vocab(v.words + v.words[-1:], v.chars)
+    with pytest.raises(ConfigError, match="duplicates"):
+        Vocab(v.words, v.chars + ("<unk_char>",))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +114,7 @@ def test_oov_rows_stay_inside_bound():
     table = init_embeddings(v, 50, np.random.default_rng(0))
     bound = math.sqrt(3.0 / 50)
     assert abs(bound - 0.2449) < 1e-4
-    assert table.shape == (v.num_words, 50)
+    assert table.shape == (len(v.words), 50)
     assert np.all(np.abs(table) < bound)
 
 
@@ -671,7 +677,7 @@ def test_default_configuration_sizes_are_pinned():
     assert cfg.repr_dim == 100
     v = small_vocab()
     scorer = PatternScorer(v, ScorerConfig(), char_pad=8, seed=32)
-    assert scorer.word_emb.data.shape == (v.num_words, 50)
+    assert scorer.word_emb.data.shape == (len(v.words), 50)
     assert scorer.char_cnn_w.data.shape == (150, 50)
     assert scorer.word_cnn_w.data.shape == (300, 100)
     assert scorer.head_w.data.shape == (200, 1)
