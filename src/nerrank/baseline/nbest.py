@@ -134,9 +134,9 @@ class NBestCorpus:
     @cached_property
     def _gold(self) -> tuple[LabelSeq, ...]:
         """Each set's gold in BIO2."""
-        for cs in self.sets:
-            if cs.gold is None:
-                raise NerrankError(f"sentence {cs.sentence_id}: no gold labels to compare with")
+        missing = [cs.sentence_id for cs in self.sets if cs.gold is None]
+        if missing:
+            raise NerrankError(f"no gold labels to compare with; missing for sentence(s) {missing[:5]}")
         return tuple(normalize_to_bio2(cs.gold) for cs in self.sets)
 
     @cached_property
@@ -210,8 +210,7 @@ def parse_nbest(text: str) -> NBestCorpus:
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not seen_content and line.startswith(COMMENT_PREFIX):
             continue
         if not line.strip():
@@ -306,16 +305,15 @@ def jackknife(train: Dataset, folds: int) -> list[tuple[Dataset, Dataset]]:
 def build_nbest_corpus(dataset: Dataset, folds: int, k: int, templates, **train_kwargs) -> NBestCorpus:
     """Jackknifed n-best generation: every sentence is decoded by the one
     fold model that never saw it, so training-set candidates look like
-    held-out output rather than memorized gold."""
-    from .crf import crf_train, kbest_decode
+    held-out output rather than memorized gold. The folds' `decode_corpus`
+    sets line up end to end because `jackknife`'s blocks are contiguous."""
+    from .crf import crf_train
 
-    position = {s.id: i for i, s in enumerate(dataset.sentences)}
-    sets: list[CandidateSet | None] = [None] * len(dataset)
+    sets: list[CandidateSet] = []
     for fold, (train_part, held) in enumerate(jackknife(dataset, folds), 1):
         started = perf_counter()
         model = crf_train(train_part, templates, **train_kwargs)
-        for sent, gold in held:
-            sets[position[sent.id]] = kbest_decode(model, sent, k, gold=gold)
+        sets.extend(decode_corpus(model, held, k).sets)
         log.info(
             "jackknife fold %d/%d: trained on %d sentences, decoded %d held-out, %.2f s",
             fold,
@@ -328,8 +326,8 @@ def build_nbest_corpus(dataset: Dataset, folds: int, k: int, templates, **train_
 
 
 def decode_corpus(model, dataset: Dataset, k: int) -> NBestCorpus:
-    """Decode every sentence with one fixed model (for dev/test, which the
-    full-training-set model never saw)."""
+    """Decode every sentence with one fixed model that never saw them (dev,
+    test, or a jackknife fold's held-out block)."""
     from .crf import kbest_decode
 
     sets = [kbest_decode(model, sent, k, gold=gold) for sent, gold in dataset]

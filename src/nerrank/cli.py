@@ -252,7 +252,7 @@ def cmd_rerank_decode(cfg: RunConfig, explicit: frozenset):
     from .pipeline import rerank
 
     bundle = _load_bundle_checked(cfg, explicit)
-    if "alpha" in explicit and cfg.alpha is not None:
+    if cfg.alpha is not None:
         bundle = replace(bundle, alpha=cfg.alpha)
     corpus = read_nbest(cfg.nbest_path).truncated(cfg.n_best)
     predictions = rerank(bundle, corpus)

@@ -270,7 +270,8 @@ def _build(block, typed: dict):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """`key = value` per line; blank lines and `#` comments are ignored."""
+    """`key = value` per line; blank lines and `#` comments are ignored.
+    Values are keyed by field name: a key and its alias may not both appear."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -282,9 +283,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ConfigError(f"config line {lineno}: empty key")
-        if key in values:
+        name = ALIASES.get(key, key)
+        if name in values:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
-        values[key] = value.strip()
+        values[name] = value.strip()
     return values
 
 

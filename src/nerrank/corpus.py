@@ -160,8 +160,7 @@ def parse_conll(text: str) -> Dataset:
             tokens.clear()
             labels.clear()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not seen_content and line.startswith(COMMENT_PREFIX):
             continue
         if not line.strip():

@@ -21,9 +21,7 @@ class ParamStore:
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = data if isinstance(data, Tensor) else Tensor(data)
-        t.requires_grad = True
-        t.name = name
+        t = Tensor(data, requires_grad=True)
         self._params[name] = t
         return t
 
@@ -54,12 +52,12 @@ class ParamStore:
 class AdamState:
     """Adam with bias correction over a fixed parameter list.
 
-    update = lr * m_hat / (sqrt(v_hat) + eps). The default beta1 is 0.1,
-    the reranker's training default; pass 0.9 for the conventional
-    setting.
+    update = lr * m_hat / (sqrt(v_hat) + eps). Every hyperparameter is
+    given by the caller: the reranker passes its `TrainConfig` values
+    (beta1 = 0.1 by default there) and the CRF the conventional 0.9.
     """
 
-    def __init__(self, params: list[Tensor], lr=0.001, beta1=0.1, beta2=0.999, eps=1e-8):
+    def __init__(self, params: list[Tensor], *, lr: float, beta1: float, beta2: float, eps: float):
         self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)

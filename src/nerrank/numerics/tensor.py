@@ -28,15 +28,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
-        self.name = name
 
     @property
     def shape(self):
@@ -53,10 +52,10 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
-        tag = f" {self.name}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
+        return f"Tensor(shape={self.data.shape})"
 
-    # operator sugar; numbers multiply via scale
+    # operator sugar for the elementwise ops between two tensors; scaling
+    # by a number and matrix products are spelled `scale` and `matmul`
     def __add__(self, other):
         return add(self, other)
 
@@ -64,18 +63,7 @@ class Tensor:
         return sub(self, other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:

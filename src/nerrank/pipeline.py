@@ -25,9 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .baseline.nbest import NBestCorpus
-from .collapse import CollapsedSequence, collapsed_token_strings
+from .collapse import CollapsedSequence, collapsed_to_labels, collapsed_token_strings
 from .config import ALPHA_GRID, ScorerConfig, TrainConfig, _on_grid
-from .corpus import LabelSeq, normalize_to_bio2
+from .corpus import LabelSeq
 from .errors import CheckpointMismatchError, ConfigError, NerrankError
 from .evaluation import PrfCounts
 from .numerics import AdamState, Tensor, backward, scale, sum_all
@@ -184,11 +184,6 @@ def alpha_search(nbest: NBestCorpus, scores: list[list[float]]) -> AlphaSearchRe
     """
     if len(scores) != len(nbest):
         raise NerrankError(f"{len(scores)} scored sentences vs {len(nbest)} candidate sets")
-    missing = [cs.sentence_id for cs in nbest.sets if cs.gold is None]
-    if missing:
-        raise NerrankError(
-            f"alpha search needs gold labels; missing for sentence(s) {missing[:5]}"
-        )
     grid = np.array(ALPHA_GRID)
     tp = np.zeros(len(grid), dtype=np.int64)
     pred = np.zeros(len(grid), dtype=np.int64)
@@ -230,8 +225,6 @@ def train_reranker(
         raise NerrankError("no training examples")
     if len(dev) == 0:
         raise NerrankError("empty dev corpus")
-    if any(cs.gold is None for cs in dev.sets):
-        raise NerrankError("dev corpus needs gold labels for model selection")
 
     token_lists = [ex.tokens for ex in train_examples]
     vocab = build_vocab(token_lists)
@@ -301,11 +294,12 @@ def train_reranker(
 
 
 def rerank(bundle: RerankerBundle, nbest: NBestCorpus) -> list[LabelSeq]:
-    """Mixture-select a candidate per sentence and return its label sequence."""
+    """Mixture-select a candidate per sentence and return its BIO2 label
+    sequence, read from the corpus's collapsed candidates."""
     predictions = []
-    for cs, row in zip(nbest.sets, score_sets(bundle.scorer, nbest)):
+    for cs, row, collapsed in zip(nbest.sets, score_sets(bundle.scorer, nbest), nbest.collapsed):
         (pick,) = mixture_select(row, [prob for _, prob in cs.candidates], [bundle.alpha])
-        predictions.append(normalize_to_bio2(cs.candidates[pick][0]))
+        predictions.append(collapsed_to_labels(collapsed[pick]))
     return predictions
 
 
@@ -356,6 +350,10 @@ def load_bundle(path) -> RerankerBundle:
         _expect_keys("config.scorer", stored["scorer"], [f.name for f in fields(ScorerConfig)])
         config = TrainConfig(**{**stored, "scorer": ScorerConfig(**stored["scorer"])})
         vocab = Vocab(tuple(meta["vocab"]["words"]), tuple(meta["vocab"]["chars"]))
+        if meta["char_pad"] > config.char_pad_cap:
+            raise ConfigError(
+                f"char_pad {meta['char_pad']} exceeds char_pad_cap {config.char_pad_cap}"
+            )
         scorer = PatternScorer(
             vocab, config.scorer, char_pad=meta["char_pad"], seed=config.seed
         )

