@@ -327,17 +327,18 @@ def crf_train(
     train: Dataset,
     templates: FeatureTemplateSet,
     *,
-    epochs: int = 20,
-    batch_size: int = 8,
-    lr: float = 0.05,
-    l2: float = 1e-4,
-    seed: int = 0,
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    l2: float,
+    seed: int,
 ) -> CrfModel:
     """Minimize L2-regularized NLL with mini-batch Adam on exact gradients.
 
-    Weights start at zero, so zero epochs yield the uniform model. The
-    returned model records mean full-data NLL after each epoch in
-    nll_history (the entry at index 0 is the pre-training NLL).
+    The keyword settings are those of `RunConfig.crf_options()`, which
+    holds their defaults. Weights start at zero, so zero epochs yield the
+    uniform model. The returned model records mean full-data NLL after each
+    epoch in nll_history (the entry at index 0 is the pre-training NLL).
     """
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -415,7 +416,7 @@ def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
             name
             for name, _ in sorted(model.feature_vocab.items(), key=lambda kv: kv[1])
         ],
-        "templates": _templates_to_dict(model.templates),
+        "templates": asdict(model.templates),
         "nll_history": list(model.nll_history),
     }
     if extra_meta:
@@ -436,12 +437,14 @@ def load_crf(path) -> CrfModel:
         with np.load(path, allow_pickle=False) as archive:
             arrays = {k: archive[k] for k in ("emit", "trans", "begin", "end")}
             meta = json.loads(str(archive["meta"]))
-        templates = _templates_from_dict(meta["templates"])
-        vocab = {name: i for i, name in enumerate(meta["features"])}
+        if not all(type(name) is str for name in meta["features"]):
+            raise ValueError("feature names are not all strings")
         return CrfModel(
             tags=tuple(meta["tags"]),
-            feature_vocab=vocab,
-            templates=templates,
+            feature_vocab={name: i for i, name in enumerate(meta["features"])},
+            templates=FeatureTemplateSet(
+                **{**meta["templates"], "offsets": tuple(meta["templates"]["offsets"])}
+            ),
             emit=arrays["emit"],
             trans=arrays["trans"],
             begin=arrays["begin"],
@@ -455,14 +458,3 @@ def load_crf(path) -> CrfModel:
             f"{path} is not a readable baseline model checkpoint: {exc}"
         ) from exc
 
-
-def _templates_to_dict(templates: FeatureTemplateSet) -> dict:
-    d = asdict(templates)
-    d["offsets"] = list(d["offsets"])
-    return d
-
-
-def _templates_from_dict(d: dict) -> FeatureTemplateSet:
-    d = dict(d)
-    d["offsets"] = tuple(d["offsets"])
-    return FeatureTemplateSet(**d)

@@ -41,7 +41,7 @@ from .config import (
     parse_config_text,
     resolve_config,
 )
-from .corpus import Dataset, format_conll, parse_conll, read_text
+from .corpus import COMMENT_PREFIX, Dataset, format_conll, parse_conll, read_text
 from .errors import (
     FILE_ERRORS,
     CheckpointMismatchError,
@@ -79,7 +79,7 @@ EXIT_CODES = (
 
 
 def _header(cfg: RunConfig) -> str:
-    return f"# nerrank {__version__} config {config_hash(cfg)}\n"
+    return f"{COMMENT_PREFIX} {__version__} config {config_hash(cfg)}\n"
 
 
 def _write_text(path, text: str, cfg: RunConfig):

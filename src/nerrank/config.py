@@ -33,8 +33,13 @@ _FALSE_WORDS = frozenset({"false", "no", "off", "0"})
 _EXPECTED = {int: "an integer", float: "a number"}
 
 
-def _on_grid(alpha: float) -> bool:
-    return abs(alpha * 200.0 - round(alpha * 200.0)) < 1e-9 and 0.0 <= alpha <= 1.0
+def check_alpha(alpha: float):
+    """Raise ConfigError unless alpha is a point of ALPHA_GRID. The integers
+    0 and 1 are grid points; a boolean is not."""
+    if type(alpha) is bool or not (
+        abs(alpha * 200.0 - round(alpha * 200.0)) < 1e-9 and 0.0 <= alpha <= 1.0
+    ):
+        raise ConfigError(f"alpha {alpha} is outside the 0.005 search grid")
 
 
 # marks a scorer setting that shapes training only, not the parameter set
@@ -121,6 +126,8 @@ class TrainConfig:
             raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.char_pad_cap < 1:
             raise ConfigError(f"char_pad_cap must be positive, got {self.char_pad_cap}")
+        if self.seed < 0:
+            raise ConfigError(f"seed cannot be negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -191,8 +198,8 @@ class RunConfig:
             raise ConfigError(f"n_best must be positive, got {self.n_best}")
         if self.bucket_width < 1:
             raise ConfigError(f"bucket_width must be positive, got {self.bucket_width}")
-        if self.alpha is not None and not _on_grid(self.alpha):
-            raise ConfigError(f"alpha {self.alpha} is outside the 0.005 search grid")
+        if self.alpha is not None:
+            check_alpha(self.alpha)
 
     def crf_options(self) -> dict:
         """Keyword arguments of `crf_train` for the baseline settings."""

@@ -179,7 +179,7 @@ def oracle(nbest: NBestCorpus) -> list[OracleRow]:
 def length_bucket_ssa(
     selections: list[LabelSeq],
     gold: list[LabelSeq],
-    bucket_width: int = 5,
+    bucket_width: int,
 ) -> list[BucketRow]:
     """Sentence-selection accuracy per length bucket (low, high], labeled
     by the upper bound; buckets with no sentences are omitted."""

@@ -3,14 +3,13 @@
 from .tensor import (
     Tensor,
     backward,
-    concat_cols,
+    concat,
     dropout,
     lookup_rows,
     matmul,
     max_pool_time,
     scale,
     sigmoid,
-    stack_rows,
     sum_all,
     tanh,
 )
@@ -21,14 +20,13 @@ __all__ = [
     "ParamStore",
     "Tensor",
     "backward",
-    "concat_cols",
+    "concat",
     "dropout",
     "lookup_rows",
     "matmul",
     "max_pool_time",
     "scale",
     "sigmoid",
-    "stack_rows",
     "sum_all",
     "tanh",
 ]

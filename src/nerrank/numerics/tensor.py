@@ -3,7 +3,7 @@
 Each op records its parents and a closure that routes the output gradient
 back to them; `backward` walks the recorded graph in reverse topological
 order. The op set is exactly what a recurrent/convolutional sentence scorer
-needs: matmul, elementwise arithmetic, sigmoid/tanh, row/column assembly,
+needs: matmul, elementwise arithmetic, sigmoid/tanh, concatenation,
 row gather with scatter-add gradients, temporal max-pooling, and inverted
 dropout. Activations are matrices with one row per item; a batch of
 sequences lays its items end to end as the rows of one matrix, and
@@ -164,48 +164,21 @@ def tanh(a: Tensor) -> Tensor:
     return _node(out, (a,), bw)
 
 
-def concat_cols(parts: list) -> Tensor:
-    """Join matrices side by side (same row count)."""
-    if not parts:
-        raise ValueError("concat_cols of nothing")
-    rows = parts[0].data.shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[0] != rows:
-            raise ShapeMismatchError(
-                f"concat_cols: {p.data.shape} does not stack beside ({rows}, *)"
-            )
-    data = np.concatenate([p.data for p in parts], axis=1)
-    widths = [p.data.shape[1] for p in parts]
+def concat(parts: list, axis: int) -> Tensor:
+    """Join matrices top to bottom (axis 0) or side by side (axis 1) in one
+    node; the backward pass gives each part its own slice of the gradient."""
+    try:
+        data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        raise ShapeMismatchError(
+            f"concat on axis {axis}: {[p.data.shape for p in parts]}"
+        ) from None
+    cuts = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
 
     def bw(g):
-        at = 0
-        for p, w in zip(parts, widths):
+        for p, piece in zip(parts, np.split(g, cuts, axis=axis)):
             if p.requires_grad:
-                p._accum(g[:, at : at + w])
-            at += w
-
-    return _node(data, tuple(parts), bw)
-
-
-def stack_rows(parts: list) -> Tensor:
-    """Join matrices top to bottom (same column count)."""
-    if not parts:
-        raise ValueError("stack_rows of nothing")
-    cols = parts[0].data.shape[1]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[1] != cols:
-            raise ShapeMismatchError(
-                f"stack_rows: {p.data.shape} does not stack above (*, {cols})"
-            )
-    data = np.concatenate([p.data for p in parts], axis=0)
-    heights = [p.data.shape[0] for p in parts]
-
-    def bw(g):
-        at = 0
-        for p, h in zip(parts, heights):
-            if p.requires_grad:
-                p._accum(g[at : at + h])
-            at += h
+                p._accum(piece)
 
     return _node(data, tuple(parts), bw)
 

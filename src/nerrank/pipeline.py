@@ -26,7 +26,7 @@ import numpy as np
 
 from .baseline.nbest import NBestCorpus
 from .collapse import CollapsedSequence, collapsed_to_labels, collapsed_token_strings
-from .config import ALPHA_GRID, ScorerConfig, TrainConfig, _on_grid
+from .config import ALPHA_GRID, ScorerConfig, TrainConfig, check_alpha
 from .corpus import LabelSeq
 from .errors import CheckpointMismatchError, ConfigError, NerrankError
 from .evaluation import PrfCounts
@@ -85,10 +85,7 @@ class RerankerBundle:
     history: list[EpochEval]
 
     def __post_init__(self):
-        if not _on_grid(self.alpha):
-            raise ConfigError(
-                f"alpha {self.alpha} is outside the 0.005 search grid"
-            )
+        check_alpha(self.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ def train_reranker(
     )
 
     history: list[EpochEval] = []
-    best: tuple[float, int, float, dict] | None = None
+    best: tuple[float, float, dict] | None = None
 
     def evaluate(epoch: int, losses: list[float], norms: list[float]):
         nonlocal best
@@ -261,7 +258,7 @@ def train_reranker(
             result.alpha,
         )
         if best is None or result.f1 > best[0]:
-            best = (result.f1, epoch, result.alpha, scorer.params.copy_arrays())
+            best = (result.f1, result.alpha, scorer.params.copy_arrays())
 
     evaluate(0, [], [])
     rng = np.random.default_rng([config.seed, SHUFFLE_STREAM])
@@ -283,9 +280,9 @@ def train_reranker(
             adam.step()
         evaluate(epoch, losses, norms)
 
-    scorer.params.load_arrays(best[3])
+    scorer.params.load_arrays(best[2])
     return RerankerBundle(
-        scorer=scorer, alpha=best[2], config=config, history=history
+        scorer=scorer, alpha=best[1], config=config, history=history
     )
 
 

@@ -36,13 +36,12 @@ from ..errors import ConfigError, NerrankError, ShapeMismatchError
 from ..numerics import (
     ParamStore,
     Tensor,
-    concat_cols,
+    concat,
     dropout,
     lookup_rows,
     matmul,
     max_pool_time,
     sigmoid,
-    stack_rows,
     tanh,
 )
 from .embeddings import init_embeddings
@@ -77,7 +76,7 @@ def _conv_pool(source: Tensor, ids, lengths, w: Tensor, b: Tensor) -> Tensor:
     the whole batch shares one matmul.
     """
     ids = np.asarray(ids, dtype=np.intp)
-    table = stack_rows([Tensor(np.zeros((1, source.shape[1]))), source])
+    table = concat([Tensor(np.zeros((1, source.shape[1]))), source], 0)
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
     ends = starts + np.repeat(lengths, lengths)
     half = w.shape[0] // source.shape[1] // 2
@@ -87,23 +86,29 @@ def _conv_pool(source: Tensor, ids, lengths, w: Tensor, b: Tensor) -> Tensor:
         inside = (at >= starts) & (at < ends)
         rows = np.where(inside, ids[np.clip(at, 0, len(ids) - 1)] + 1, 0)
         cols.append(lookup_rows(table, rows))
-    return max_pool_time(matmul(concat_cols(cols), w) + b, lengths)
+    return max_pool_time(matmul(concat(cols, 1), w) + b, lengths)
 
 
 class PatternScorer:
-    """Scores collapsed candidate sequences; owns its parameters and vocab."""
+    """Scores collapsed candidate sequences; owns its parameters and vocab.
+
+    `config` sizes the network; `char_pad` is the characters each word is
+    padded or cut to (at most `TrainConfig.char_pad_cap`) and `seed` seeds
+    the initial weights and the dropout masks. The config blocks hold the
+    defaults of all three.
+    """
 
     def __init__(
         self,
         vocab: Vocab,
-        config: ScorerConfig | None = None,
+        config: ScorerConfig,
         *,
-        char_pad: int = 32,
-        seed: int = 0,
+        char_pad: int,
+        seed: int,
         pretrained: dict[str, np.ndarray] | None = None,
     ):
         self.vocab = vocab
-        self.config = cfg = config if config is not None else ScorerConfig()
+        self.config = cfg = config
         if type(char_pad) is not int or char_pad < 1:
             raise ConfigError(f"char_pad must be a positive integer, got {char_pad!r}")
         self.char_pad = char_pad
@@ -164,7 +169,7 @@ class PatternScorer:
             self.char_cnn_w,
             self.char_cnn_b,
         )
-        return concat_cols([emb, chars])
+        return concat([emb, chars], 1)
 
     # -- sequence encoders ----------------------------------------------
 
@@ -199,7 +204,7 @@ class PatternScorer:
             o = sigmoid(matmul(h, w7) + lookup_rows(x_o, at) + b4)
             h = tanh(m) * o
             steps.append(h)
-        return lookup_rows(stack_rows(steps), (lengths - 1) * len(lengths) + np.arange(len(lengths)))
+        return lookup_rows(concat(steps, 0), (lengths - 1) * len(lengths) + np.arange(len(lengths)))
 
     def word_cnn_encode(self, x: Tensor, lengths) -> Tensor:
         """Max-pooled window responses over each run of rows, shape
@@ -232,7 +237,7 @@ class PatternScorer:
             parts.append(self.lstm_encode(x, lengths))
         if cfg.use_word_cnn:
             parts.append(self.word_cnn_encode(x, lengths))
-        h = parts[0] if len(parts) == 1 else concat_cols(parts)
+        h = parts[0] if len(parts) == 1 else concat(parts, 1)
         return sigmoid(matmul(h, self.head_w) + self.head_b)
 
     def trainable(self):

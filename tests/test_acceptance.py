@@ -20,7 +20,7 @@ from nerrank.baseline.features import FeatureTemplateSet, featurize
 from nerrank.baseline.nbest import build_nbest_corpus, decode_corpus
 from nerrank.cli import EXIT_OK, main
 from nerrank.collapse import collapse, collapsed_to_labels, collapsed_token_strings
-from nerrank.config import ScorerConfig, TrainConfig
+from nerrank.config import RunConfig, ScorerConfig, TrainConfig
 from nerrank.corpus import (
     BioLabel,
     Dataset,
@@ -47,6 +47,9 @@ from nerrank.reranker import PatternScorer, build_vocab
 from gradcheck import grad_check
 from test_corpus import conlleval_segments
 from toycorpus import make_corpus
+
+# crf_train's settings at their config defaults; tests override what they pin
+CRF = RunConfig().crf_options()
 
 # current-word-only features: deliberately too weak to resolve entities
 # whose type depends on sentence context
@@ -199,7 +202,7 @@ def test_oracle_curves_monotone_with_exact_endpoints():
     baseline F1 exactly."""
     for seed in (0, 1):
         dataset = make_corpus(120, seed=seed, split="train")
-        model = crf_train(dataset, WORD_ONLY, epochs=3, seed=seed)
+        model = crf_train(dataset, WORD_ONLY, **dict(CRF, epochs=3, seed=seed))
         nbest = decode_corpus(model, dataset, 10)
         rows = oracle(nbest.truncated(10))
         assert [r.n for r in rows] == list(range(1, 11))
@@ -221,7 +224,7 @@ def test_alpha_zero_identity_and_search_grid():
     to baseline 1-best extraction on a 500-sentence corpus; the weight
     search evaluates exactly 201 grid points and lands on the grid."""
     train_ds = make_corpus(160, seed=0, split="train")
-    model = crf_train(train_ds, WORD_ONLY, epochs=3, seed=0)
+    model = crf_train(train_ds, WORD_ONLY, **dict(CRF, epochs=3, seed=0))
     big = decode_corpus(model, make_corpus(500, seed=0, split="dev"), 10)
     assert len(big) == 500
 
@@ -261,10 +264,10 @@ def test_end_to_end_improvement_and_ablation_order():
     dev_ds = make_corpus(400, seed=0, split="dev")
     test_ds = make_corpus(400, seed=0, split="test")
 
-    model = crf_train(train_ds, WORD_ONLY, epochs=6, seed=0)
+    model = crf_train(train_ds, WORD_ONLY, **dict(CRF, epochs=6, seed=0))
     dev_nb = decode_corpus(model, dev_ds, 10)
     test_nb = decode_corpus(model, test_ds, 10)
-    train_nb = build_nbest_corpus(train_ds, 2, 10, WORD_ONLY, epochs=6, seed=0)
+    train_nb = build_nbest_corpus(train_ds, 2, 10, WORD_ONLY, **dict(CRF, epochs=6, seed=0))
 
     base_f1 = chunk_prf(test_ds.gold, top_one(test_nb)).f1
     examples = make_examples(train_nb)
@@ -463,10 +466,10 @@ def test_real_corpus_nondegradation(tmp_path):
 
     train_ds, dev_ds, test_ds = read(train_file), read(dev_file), read(test_file)
     templates = FeatureTemplateSet()  # POS templates self-disable without a POS column
-    model = crf_train(train_ds, templates, epochs=8, seed=0)
+    model = crf_train(train_ds, templates, **dict(CRF, epochs=8, seed=0))
     dev_nb = decode_corpus(model, dev_ds, 10)
     test_nb = decode_corpus(model, test_ds, 10)
-    train_nb = build_nbest_corpus(train_ds, 5, 10, templates, epochs=8, seed=0)
+    train_nb = build_nbest_corpus(train_ds, 5, 10, templates, **dict(CRF, epochs=8, seed=0))
 
     base_f1 = chunk_prf(test_ds.gold, top_one(test_nb)).f1
     config = TrainConfig(epochs=3, seed=0)

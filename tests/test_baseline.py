@@ -36,9 +36,13 @@ from nerrank.corpus import (
     parse_conll,
     tag_accuracy,
 )
+from nerrank.config import RunConfig
 from nerrank.errors import ParseError
 from strategies import label_seqs, sentences
 from toycorpus import simple_corpus
+
+# crf_train's settings at their config defaults; tests override what they pin
+CRF = RunConfig().crf_options()
 
 WORD_ONLY = FeatureTemplateSet(
     word_bigrams=False,
@@ -460,13 +464,13 @@ def test_kbest_beyond_the_path_count_equals_the_tuple_beam():
 
 def test_train_memorizes_single_sentence():
     ds = parse_conll("Johnar x B-PER\nwent x O\n\n")
-    model = crf_train(ds, FeatureTemplateSet(), epochs=60, lr=0.1, seed=1)
+    model = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=60, lr=0.1, seed=1))
     assert kbest_decode(model, ds.sentences[0], 1).candidates[0][0] == ds.gold[0]
 
 
 def test_train_zero_epochs_is_uniform():
     ds = simple_corpus(8, seed=4)
-    model = crf_train(ds, FeatureTemplateSet(), epochs=0)
+    model = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=0))
     s = ds.sentences[0]
     k = len(ALL_TAGS)
     expected = 1.0 / k ** len(s)
@@ -475,7 +479,7 @@ def test_train_zero_epochs_is_uniform():
 
 def test_train_nll_strictly_decreases():
     ds = simple_corpus(200, seed=5)
-    model = crf_train(ds, FeatureTemplateSet(), epochs=5, lr=0.005, seed=2)
+    model = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=5, lr=0.005, seed=2))
     h = model.nll_history
     assert len(h) == 6
     for a, b in zip(h, h[1:]):
@@ -484,22 +488,22 @@ def test_train_nll_strictly_decreases():
 
 def test_train_is_deterministic():
     ds = simple_corpus(40, seed=6)
-    m1 = crf_train(ds, FeatureTemplateSet(), epochs=2, seed=3)
-    m2 = crf_train(ds, FeatureTemplateSet(), epochs=2, seed=3)
+    m1 = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=2, seed=3))
+    m2 = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=2, seed=3))
     assert m1.emit.tobytes() == m2.emit.tobytes()
     assert m1.trans.tobytes() == m2.trans.tobytes()
-    m3 = crf_train(ds, FeatureTemplateSet(), epochs=2, seed=4)
+    m3 = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=2, seed=4))
     assert m1.emit.tobytes() != m3.emit.tobytes()
 
 
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError):
-        crf_train(Dataset([], []), FeatureTemplateSet())
+        crf_train(Dataset([], []), FeatureTemplateSet(), **CRF)
 
 
 def test_train_learns_simple_corpus():
     ds = simple_corpus(120, seed=7)
-    model = crf_train(ds, FeatureTemplateSet(), epochs=8, seed=0)
+    model = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=8, seed=0))
     wrong = sum(
         1 for s, g in ds if kbest_decode(model, s, 1).candidates[0][0] != g
     )
@@ -696,7 +700,7 @@ def test_batch_nll_equals_the_per_sentence_reference(batch, zero_start):
 def test_train_equals_the_per_sentence_reference(monkeypatch):
     ds = simple_corpus(30, seed=12)
     # 30 sentences in batches of 4: the last batch holds 2
-    options = dict(epochs=2, batch_size=4, lr=0.05, seed=5)
+    options = dict(CRF, epochs=2, batch_size=4, lr=0.05, seed=5)
     model = crf_train(ds, FeatureTemplateSet(), **options)
     monkeypatch.setattr(CrfModel, "batch_nll", reference_batch_nll)
     reference = crf_train(ds, FeatureTemplateSet(), **options)
@@ -716,7 +720,7 @@ def test_each_crf_epoch_is_logged_when_it_is_computed(caplog, monkeypatch):
 
     monkeypatch.setattr(CrfModel, "batch_nll", traced)
     with caplog.at_level(logging.INFO, logger="nerrank.baseline.crf"):
-        model = crf_train(ds, FeatureTemplateSet(), epochs=2, batch_size=4)
+        model = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=2, batch_size=4))
     lines = [r.getMessage() for r in caplog.records if r.name == "nerrank.baseline.crf"]
     # 10 sentences in batches of 4: each epoch's line follows its 3 batches
     assert [line.split(":")[0] for line in lines] == (
@@ -792,7 +796,7 @@ def test_jackknife_errors():
 
 def test_build_nbest_covers_every_sentence_once():
     ds = simple_corpus(20, seed=8)
-    corpus = build_nbest_corpus(ds, folds=5, k=4, templates=FeatureTemplateSet(), epochs=2)
+    corpus = build_nbest_corpus(ds, folds=5, k=4, templates=FeatureTemplateSet(), **dict(CRF, epochs=2))
     assert len(corpus) == 20
     for sent_obj, cs in corpus:
         assert cs.sentence_id == sent_obj.id
@@ -803,7 +807,7 @@ def test_build_nbest_covers_every_sentence_once():
 def test_each_jackknife_fold_is_logged_when_it_ends(caplog):
     ds = simple_corpus(11, seed=8)
     with caplog.at_level(logging.INFO, logger="nerrank.baseline"):
-        build_nbest_corpus(ds, folds=3, k=2, templates=FeatureTemplateSet(), epochs=1)
+        build_nbest_corpus(ds, folds=3, k=2, templates=FeatureTemplateSet(), **dict(CRF, epochs=1))
     lines = [r.getMessage() for r in caplog.records if r.name.startswith("nerrank.baseline")]
     # held-out blocks of 4, 4 and 3; each fold's line follows its training
     assert [line.split(":")[0] for line in lines] == [
@@ -820,7 +824,7 @@ def test_each_jackknife_fold_is_logged_when_it_ends(caplog):
 
 def test_decode_corpus_attaches_gold():
     ds = simple_corpus(10, seed=9)
-    model = crf_train(ds, FeatureTemplateSet(), epochs=2)
+    model = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=2))
     corpus = decode_corpus(model, ds, 3)
     for (s, g), cs in zip(ds, corpus.sets):
         assert cs.gold == g

@@ -46,6 +46,9 @@ from toycorpus import make_corpus
 
 HEADER_PREFIX = f"# nerrank {__version__} config "
 
+# crf_train's settings at their config defaults; tests override what they pin
+CRF = RunConfig().crf_options()
+
 
 # ---------------------------------------------------------------------------
 # config parsing and resolution
@@ -192,6 +195,10 @@ def test_runconfig_validation():
         RunConfig(n_best=0)
     with pytest.raises(ConfigError, match="0.005 search grid"):
         RunConfig(alpha=0.3333)
+    with pytest.raises(ConfigError, match="alpha True is outside the 0.005 search grid"):
+        RunConfig(alpha=True)
+    with pytest.raises(ConfigError, match="seed cannot be negative, got -1"):
+        resolve_config({"seed": "-1"})  # checked by the training block
     with pytest.raises(ConfigError):
         resolve_config({"epochs": "-1"})  # checked by the training block
     with pytest.raises(ConfigError):
@@ -223,7 +230,7 @@ def test_runconfig_validation():
 def tiny_crf():
     train = make_corpus(12, seed=5, split="train")
     templates = FeatureTemplateSet(clusters=None)
-    return train, crf_train(train, templates, epochs=2, seed=5)
+    return train, crf_train(train, templates, **dict(CRF, epochs=2, seed=5))
 
 
 def test_crf_checkpoint_roundtrip(tmp_path, tiny_crf):
@@ -650,6 +657,16 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     assert rc == EXIT_BAD_CONFIG
 
 
+def test_negative_seed_exits_3(tmp_path, capsys):
+    train = tmp_path / "t.conll"
+    train.write_text(CONLL, encoding="utf-8")
+    rc = main(["baseline-train", "--train-path", str(train),
+               "--model-path", str(tmp_path / "m.npz"), "--seed", "-1"])
+    *_, last = capsys.readouterr().err.splitlines()
+    assert rc == EXIT_BAD_CONFIG
+    assert last == "nerrank: error: seed cannot be negative, got -1"
+
+
 def _exit_code(argv) -> int:
     """main's status, or the status of the SystemExit it raised."""
     try:
@@ -761,6 +778,8 @@ BUNDLE_MUTATIONS = {
     "vocab-reserved-moved": _edit_meta(lambda m: m["vocab"]["words"].reverse()),
     "history-unknown-key": _edit_meta(lambda m: m["history"][0].update(loss=0.1)),
     "alpha-off-grid": _edit_meta(lambda m: m.update(alpha=0.3333)),
+    "alpha-bool": _edit_meta(lambda m: m.update(alpha=True)),
+    "seed-negative": _edit_meta(lambda m: m["config"].update(seed=-1)),
     "char-pad-float": _edit_meta(lambda m: m.update(char_pad=3.5)),
     "char-pad-bool": _edit_meta(lambda m: m.update(char_pad=True)),
     "char-pad-above-cap": _edit_meta(lambda m: m.update(char_pad=m["config"]["char_pad_cap"] + 1)),
@@ -812,6 +831,8 @@ CRF_MUTATIONS = {
     "offsets-float": _edit_crf(lambda a, m: m["templates"].update(offsets=[0.5])),
     "clusters-not-a-map": _edit_crf(lambda a, m: m["templates"].update(clusters=[1])),
     "switch-not-bool": _edit_crf(lambda a, m: m["templates"].update(shape="yes")),
+    # every shape still fits, but no featurized string would match an int
+    "features-not-strings": _edit_crf(lambda a, m: m.update(features=list(range(len(m["features"]))))),
 }
 
 

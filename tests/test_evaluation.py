@@ -316,7 +316,7 @@ def test_bucket_ssa_values_and_absent_buckets():
 
 
 def test_empty_corpus_has_no_buckets():
-    assert length_bucket_ssa([], []) == []
+    assert length_bucket_ssa([], [], bucket_width=5) == []
 
 
 def test_bucket_width_must_be_positive():

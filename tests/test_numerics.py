@@ -7,14 +7,13 @@ from nerrank.numerics import (
     ParamStore,
     Tensor,
     backward,
-    concat_cols,
+    concat,
     dropout,
     lookup_rows,
     matmul,
     max_pool_time,
     scale,
     sigmoid,
-    stack_rows,
     sum_all,
     tanh,
 )
@@ -156,8 +155,8 @@ def test_gradcheck_assembly_ops():
     mask = Tensor(rng.normal(size=(6, 6)))
 
     def loss():
-        wide = concat_cols([a, b])
-        tall = stack_rows([wide, wide])
+        wide = concat([a, b], 1)
+        tall = concat([wide, wide], 0)
         shifted = lookup_rows(tall, [0, 0, 1, 2, 3, 4])
         return sum_all(shifted * mask)
 

@@ -538,11 +538,11 @@ def test_reranked_f1_sits_between_oracle_bounds():
 
 def test_bundle_requires_alpha_on_grid():
     scorer = tiny_scorer([["w"]])
-    make_bundle(scorer, 0.305)  # fine
-    with pytest.raises(ConfigError):
-        make_bundle(scorer, 0.3033)
-    with pytest.raises(ConfigError):
-        make_bundle(scorer, -0.005)
+    for alpha in (0.305, 0, 1):  # fine; the integers 0 and 1 are grid points
+        make_bundle(scorer, alpha)
+    for alpha in (0.3033, -0.005, True):
+        with pytest.raises(ConfigError, match="outside the 0.005 search grid"):
+            make_bundle(scorer, alpha)
 
 
 # ---------------------------------------------------------------------------

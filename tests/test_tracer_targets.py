@@ -44,6 +44,7 @@ def test_pipeline_counter_hooks_read_real_results(monkeypatch):
         build_vocab([ex.tokens for ex in examples]),
         ScorerConfig(word_dim=3, char_dim=2, lstm_hidden=2, char_cnn_filters=2, word_cnn_filters=2),
         char_pad=4,
+        seed=0,
     )
     scores = score_sets(scorer, corpus)
     tr = tracer.Tracer()
