@@ -30,20 +30,21 @@ The reductions inside the recursions (over the previous tag forward, the
 next tag backward) run along the same axes and lengths as one sentence's
 would, so each sentence's numbers do not depend on its batch.
 
-`kbest_decode` keeps a beam of up to k survivors per state as numpy
-arrays. Two things make its ranking equal brute-force enumeration's, bit
-for bit: the survivors' lexicographic ranks make (-score, rank) a total
-order that prunes nothing enumeration would rank higher, and each step
-adds `(s + trans) + e` in float64, the operations and order of
-`CrfModel.score_tag_ids`. Its docstring gives the argument and the one
-exception, a tie that rounding creates.
+`kbest_decode` decodes a batch of sentences as one beam of up to k
+survivors per sentence and state, held in numpy arrays with a leading
+batch axis. Two things make its ranking equal brute-force enumeration's,
+bit for bit: the survivors' lexicographic ranks make (-score, rank) a
+total order that prunes nothing enumeration would rank higher, and each
+step adds `(s + trans) + e` in float64, the operations and order of
+`CrfModel.score_tag_ids`. `_kbest_chunk`'s docstring gives the argument
+and the one exception, a tie that rounding creates.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import NamedTuple
 
@@ -53,7 +54,6 @@ from ..corpus import ENTITY_TYPES, BioLabel, Dataset, LabelSeq, Sentence
 from ..errors import FILE_ERRORS, CheckpointMismatchError, NerrankError
 from ..numerics import AdamState, Tensor
 from .features import FeatureTemplateSet, featurize
-from .nbest import CandidateSet
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +62,13 @@ log = logging.getLogger(__name__)
 # one batch of all of them grew peak RSS by 10.7 MB and batches of 32 by
 # 0.5 MB, and batches of 32 were also faster (0.027 s against 0.032 s)
 NLL_CHUNK = 32
+# sentences times k per batch of the k-best beam, whose arrays are
+# (B, K, K*k): NLL_CHUNK sentences up to k = 20, fewer above, so a batch
+# at large k holds no more than one at k = 20. A peak-memory guard only:
+# decoding crf-wide's 80 test sentences at k = 1000, chunks of 32 peaked
+# at 112 MB of numpy and Python allocations, one sentence at a time at
+# 29 MB.
+BEAM_SLOTS = NLL_CHUNK * 20
 
 ALL_TAGS = tuple(sorted(["O"] + [f"{p}-{t}" for p in "BI" for t in ENTITY_TYPES]))
 
@@ -106,9 +113,9 @@ class CrfModel:
     def feature_ids(self, features: list[list[str]]) -> list[np.ndarray]:
         """Known feature ids per position of `featurize` output; unseen
         strings are dropped."""
-        vocab = self.feature_vocab
+        get = self.feature_vocab.get
         return [
-            np.array([vocab[f] for f in position if f in vocab], dtype=np.intp)
+            np.array([i for i in map(get, position) if i is not None], dtype=np.intp)
             for position in features
         ]
 
@@ -261,66 +268,106 @@ def sequence_prob(model: CrfModel, sentence: Sentence, labels: LabelSeq) -> floa
     return min(1.0, float(np.exp(model.score_tag_ids(e, ids) - model.log_partition(e))))
 
 
-def kbest_decode(model: CrfModel, sentence: Sentence, k: int, gold: LabelSeq | None = None) -> CandidateSet:
-    """The k highest-scoring sequences with exact probabilities.
+def kbest_decode(model: CrfModel, ids: list[list[np.ndarray]], k: int) -> list[list[tuple[LabelSeq, float]]]:
+    """Per sentence, given its per-position feature ids, the k
+    highest-scoring label sequences with their exact probabilities.
 
     Ranked by descending score, ties by lexicographic tag-id order; fewer
     than k come back only when the lattice has fewer than k paths in total.
+    Sentences are decoded NLL_CHUNK at a time (fewer when k exceeds 20,
+    see BEAM_SLOTS), each chunk as one batched beam (`_kbest_chunk`); a
+    sentence's candidates do not depend on the sentences decoded with it.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    size = max(1, min(NLL_CHUNK, BEAM_SLOTS // k))
+    out = []
+    for start in range(0, len(ids), size):
+        out.extend(_kbest_chunk(model, ids[start : start + size], k))
+    return out
 
-    After step t the beam holds up to k paths per end state: their scores
-    (K, w), backpointers into step t-1's flattened (state, slot) grid, and
-    the flat indices of all K*w survivors in lexicographic order of their
-    paths. Each state's row of grown paths contains every survivor once as
-    a prefix, so a stable sort of the row's scores with its columns in that
-    order ranks by (-score, path). Rank keys make the pruning exact: a path
-    cut from a state's beam has k survivors in that state that beat it, and
+
+def _kbest_chunk(model: CrfModel, ids: list[list[np.ndarray]], k: int) -> list[list[tuple[LabelSeq, float]]]:
+    """The beam over a batch of sentences, sorted longest first so that the
+    sentences still running at step t are a prefix of the batch.
+
+    After step t the beam holds, per sentence, up to k paths per end
+    state: their scores (K, w), backpointers into step t-1's flattened
+    (state, slot) grid, and the flat indices of all K*w survivors in
+    lexicographic order of their paths. The width w depends only on t, K
+    and k, so every running sentence's beam has the same shape. Each
+    state's row of grown paths contains every survivor once as a prefix,
+    so a stable sort of the row's scores with its columns in that order
+    ranks by (-score, path). Rank keys make the pruning exact: a path cut
+    from a state's beam has k survivors in that state that beat it, and
     extending both by the same tags adds the same numbers, which rounding
     cannot reorder. Rounding can make two different scores equal, though:
     with begin (1, 1 + 2**-52), end (1, -100), all else zero, T=2 and k=1,
     the beam returns (1, 0) where enumeration ranks (0, 0) first.
     Scores accumulate as `(s + trans) + e` in float64, the order
     `CrfModel.score_tag_ids` uses, so every score matches its enumerated
-    path score to the bit.
+    path score to the bit. Every operation acts on each sentence's rows
+    alone, so a sentence's candidates are those it gets in a batch of one.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    e = model.emission_scores(sentence)
+    order = np.argsort([-len(sentence) for sentence in ids], kind="stable")
+    batch = _pack([ids[i] for i in order])
+    lengths = batch.lengths
+    e = model._emissions(batch)  # (B, T, K)
+    log_z = model.forward(e, lengths)[1]
+    n_sent, width = batch.valid.shape
     n_tags = len(model.tags)
     tags = np.arange(n_tags)
     trans_in = model.trans.T[:, :, None]  # [y, prev, 1] = trans[prev, y]
 
-    scores = (model.begin + e[0])[:, None]  # (K, 1): one path per state
-    lex = tags  # flat survivor indices in lexicographic order of their paths
+    scores = (model.begin + e[:, 0])[:, :, None]  # (B, K, 1): one path per state
+    # flat survivor indices in lexicographic order of their paths
+    lex = np.broadcast_to(tags, (n_sent, n_tags))
     backpointers = []
-    for t in range(1, len(sentence)):
-        grown = ((scores[None] + trans_in) + e[t][:, None, None]).reshape(n_tags, -1)
+    best = np.zeros((n_sent, k), dtype=np.intp)  # each sentence's top flat indices
+    top = np.full((n_sent, k), -np.inf)  # and their final scores
+    found = np.zeros(n_sent, dtype=np.intp)  # how many it has
+    running = n_sent
+    for t in range(1, width + 1):
+        n = int(np.count_nonzero(lengths > t))
+        if n < running:  # sentences of length t end here
+            final = (scores[n:] + model.end[:, None]).reshape(running - n, -1)
+            rank = np.argsort(-np.take_along_axis(final, lex[n:], axis=1), axis=1, kind="stable")[:, :k]
+            picked = np.take_along_axis(lex[n:], rank, axis=1)
+            found[n:running] = picked.shape[1]
+            best[n:running, : picked.shape[1]] = picked
+            top[n:running, : picked.shape[1]] = np.take_along_axis(final, picked, axis=1)
+        if n == 0:
+            break
+        scores, lex, running = scores[:n], lex[:n], n
+        grown = ((scores[:, None] + trans_in) + e[:n, t, :, None, None]).reshape(n, n_tags, -1)
         # every row holds each survivor once; with the columns in lex order,
         # a stable sort on -score ranks by (-score, prefix), and the
         # position it returns is the prefix's rank
-        prefix_rank = np.argsort(-grown[:, lex], axis=1, kind="stable")[:, :k]
-        keep = lex[prefix_rank]
-        scores = grown[tags[:, None], keep]
+        prefix_rank = np.argsort(
+            -np.take_along_axis(grown, lex[:, None, :], axis=2), axis=2, kind="stable"
+        )[:, :, :k]
+        keep = np.take_along_axis(lex[:, None, :], prefix_rank, axis=2)
+        scores = np.take_along_axis(grown, keep, axis=2)
         # a new path is its prefix then y: the unique key (prefix rank, y)
         # orders the new survivors lexicographically
-        lex = np.argsort(prefix_rank * n_tags + tags[:, None], axis=None)
+        lex = np.argsort((prefix_rank * n_tags + tags[:, None]).reshape(n, -1), axis=1)
         backpointers.append(keep)
 
-    final = (scores + model.end[:, None]).reshape(-1)
-    best = lex[np.argsort(-final[lex], kind="stable")[:k]]
-    seqs = np.empty((best.size, len(sentence)), dtype=np.intp)
-    at = best  # flat (state, slot) indices into the last step's beam
-    for t in range(len(sentence) - 1, 0, -1):
-        keep = backpointers[t - 1]
-        seqs[:, t] = at // keep.shape[1]
-        at = keep.reshape(-1)[at]
-    seqs[:, 0] = at  # step 0 holds one path per state
+    seqs = np.empty((n_sent, k, width), dtype=np.intp)
+    at = best  # flat (state, slot) indices into each sentence's last beam
+    for t in range(width - 1, 0, -1):
+        keep = backpointers[t - 1]  # the sentences longer than t
+        n = len(keep)
+        seqs[:n, :, t] = at[:n] // keep.shape[2]
+        at[:n] = np.take_along_axis(keep.reshape(n, -1), at[:n], axis=1)
+    seqs[:, :, 0] = at  # step 0 holds one path per state
+    probs = np.maximum(np.minimum(1.0, np.exp(top - log_z[:, None])), 1e-300)
 
-    log_z = model.log_partition(e)
-    candidates = []
-    for score, seq in zip(final[best].tolist(), seqs.tolist()):
-        prob = min(1.0, float(np.exp(score - log_z)))
-        candidates.append(([model.labels[y] for y in seq], max(prob, 1e-300)))
-    return CandidateSet(sentence.id, gold, candidates)
+    out = [None] * n_sent
+    for j, i in enumerate(order.tolist()):
+        rows = zip(seqs[j, : found[j], : lengths[j]].tolist(), probs[j, : found[j]].tolist())
+        out[i] = [([model.labels[y] for y in seq], prob) for seq, prob in rows]
+    return out
 
 
 def crf_train(
@@ -332,19 +379,26 @@ def crf_train(
     lr: float,
     l2: float,
     seed: int,
+    features: list[list[list[str]]] | None = None,
 ) -> CrfModel:
     """Minimize L2-regularized NLL with mini-batch Adam on exact gradients.
 
-    The keyword settings are those of `RunConfig.crf_options()`, which
-    holds their defaults. Weights start at zero, so zero epochs yield the
-    uniform model. The returned model records mean full-data NLL after each
-    epoch in nll_history (the entry at index 0 is the pre-training NLL).
+    The other keyword settings are those of `RunConfig.crf_options()`,
+    which holds their defaults. `features`, when given, is each training
+    sentence's `featurize(sentence, templates)`, in order, so a caller
+    that trains on overlapping sets featurizes each sentence once.
+    Weights start at zero, so zero epochs yield the uniform model. The
+    returned model records mean full-data NLL after each epoch in
+    nll_history (the entry at index 0 is the pre-training NLL).
     """
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")
+    if features is None:
+        features = [featurize(s, templates) for s in train.sentences]
+    elif len(features) != len(train):
+        raise ValueError(f"{len(features)} feature lists for {len(train)} sentences")
     n_tags = len(ALL_TAGS)
-    feats_per_sent = [featurize(s, templates) for s in train.sentences]
-    vocab = {f: i for i, f in enumerate(sorted({f for fs in feats_per_sent for pos in fs for f in pos}))}
+    vocab = {f: i for i, f in enumerate(sorted({f for fs in features for pos in fs for f in pos}))}
     model = CrfModel(
         tags=ALL_TAGS,
         feature_vocab=vocab,
@@ -354,7 +408,7 @@ def crf_train(
         begin=np.zeros(n_tags),
         end=np.zeros(n_tags),
     )
-    feat_ids = [model.feature_ids(fs) for fs in feats_per_sent]
+    feat_ids = [model.feature_ids(fs) for fs in features]
     gold_ids = [[model.tag_id(l) for l in labels] for labels in train.gold]
 
     # Tensor wraps each array without copying, so Adam updates the model
@@ -363,6 +417,10 @@ def crf_train(
         for a in (model.emit, model.trans, model.begin, model.end)
     ]
     opt = AdamState(params, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8)
+    # every batch sums its gradient into `grads` from zero; `decay` holds
+    # l2 * p, so each p.grad = grads / b + l2 * p is formed without temporaries
+    grads = tuple(np.empty_like(p.data) for p in params)
+    decay = tuple(np.empty_like(p.data) for p in params)
     model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
     rng = np.random.default_rng([seed, 17])
     for epoch in range(epochs):
@@ -370,7 +428,8 @@ def crf_train(
         order = rng.permutation(len(train))
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]
-            grads = tuple(np.zeros_like(p.data) for p in params)
+            for g in grads:
+                g.fill(0.0)
             nlls = model.batch_nll([feat_ids[i] for i in batch], [gold_ids[i] for i in batch], grads)
             b = len(batch)
             batch_nll = sum(nlls.tolist()) / b
@@ -379,8 +438,10 @@ def crf_train(
                     f"non-finite training loss ({batch_nll}) at epoch {epoch}, "
                     f"batch starting at {start}"
                 )
-            for p, g in zip(params, grads):
-                p.grad = g / b + l2 * p.data
+            for p, g, d in zip(params, grads, decay):
+                g /= b
+                g += np.multiply(p.data, l2, out=d)
+                p.grad = g
             opt.step()
         model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
         log.info(
@@ -416,7 +477,9 @@ def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
             name
             for name, _ in sorted(model.feature_vocab.items(), key=lambda kv: kv[1])
         ],
-        "templates": asdict(model.templates),
+        # the switches and the cluster map as they are; `asdict` would
+        # deep-copy the map, one call per entry
+        "templates": vars(model.templates),
         "nll_history": list(model.nll_history),
     }
     if extra_meta:

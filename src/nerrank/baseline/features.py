@@ -86,7 +86,9 @@ def featurize(sentence: Sentence, templates: FeatureTemplateSet) -> list[list[st
     """Expand templates into per-position feature strings.
 
     Deterministic: same sentence and templates give the same strings in
-    the same order. POS templates skip tokens without a POS column.
+    the same order. POS templates skip tokens without a POS column. Each
+    token's word attributes (shape, capital flag, connect class, cluster)
+    are computed once, however many offsets reach it.
     """
     words = sentence.surfaces
     poss = [t.pos for t in sentence.tokens]
@@ -99,6 +101,15 @@ def featurize(sentence: Sentence, templates: FeatureTemplateSet) -> list[list[st
             return WORD_END
         return words[p]
 
+    shapes = [word_shape(w) for w in words] if templates.shape else None
+    use_caps = templates.capital or templates.capital_word or templates.capital_connect
+    caps = [capital_flag(w) for w in words] if use_caps else None
+    use_conns = templates.connect or templates.capital_connect
+    conns = [connect_class(w) for w in words] if use_conns else None
+    if templates.cluster_grams and templates.clusters is not None:
+        cls = [templates.clusters.get(w, "<unk>") for w in words]
+    else:
+        cls = None
     out = []
     for t in range(t_count):
         feats: list[str] = []
@@ -112,20 +123,19 @@ def featurize(sentence: Sentence, templates: FeatureTemplateSet) -> list[list[st
             if not 0 <= p < t_count:
                 continue
             if templates.shape:
-                feats.append(f"sh[{i}]={word_shape(w)}")
+                feats.append(f"sh[{i}]={shapes[p]}")
             if templates.capital:
-                feats.append(f"ca[{i}]={capital_flag(w)}")
+                feats.append(f"ca[{i}]={caps[p]}")
             if templates.capital_word:
-                feats.append(f"caw[{i}]={capital_flag(w)}|{w}")
+                feats.append(f"caw[{i}]={caps[p]}|{w}")
             if templates.connect:
-                feats.append(f"co[{i}]={connect_class(w)}")
+                feats.append(f"co[{i}]={conns[p]}")
             if templates.capital_connect:
-                feats.append(f"caco[{i}]={capital_flag(w)}|{connect_class(w)}")
-            if templates.cluster_grams and templates.clusters is not None:
-                cl = templates.clusters.get(w, "<unk>")
-                feats.append(f"cl[{i}]={cl}")
+                feats.append(f"caco[{i}]={caps[p]}|{conns[p]}")
+            if cls is not None:
+                feats.append(f"cl[{i}]={cls[p]}")
                 if p + 1 < t_count:
-                    feats.append(f"clb[{i}]={cl}|{templates.clusters.get(words[p + 1], '<unk>')}")
+                    feats.append(f"clb[{i}]={cls[p]}|{cls[p + 1]}")
             if templates.prefix_suffix:
                 for l in range(1, min(4, len(w)) + 1):
                     feats.append(f"pre{l}[{i}]={w[:l]}")

@@ -42,6 +42,7 @@ from ..corpus import (
     tag_accuracy,
 )
 from ..errors import NerrankError, ParseError
+from .features import featurize
 
 log = logging.getLogger(__name__)
 
@@ -305,15 +306,20 @@ def jackknife(train: Dataset, folds: int) -> list[tuple[Dataset, Dataset]]:
 def build_nbest_corpus(dataset: Dataset, folds: int, k: int, templates, **train_kwargs) -> NBestCorpus:
     """Jackknifed n-best generation: every sentence is decoded by the one
     fold model that never saw it, so training-set candidates look like
-    held-out output rather than memorized gold. The folds' `decode_corpus`
-    sets line up end to end because `jackknife`'s blocks are contiguous."""
+    held-out output rather than memorized gold. Each sentence is
+    featurized once, and its strings serve every fold that trains on it
+    and the one that decodes it. The folds' `decode_corpus` sets line up
+    end to end because `jackknife`'s blocks are contiguous."""
     from .crf import crf_train
 
+    by_id = {s.id: featurize(s, templates) for s in dataset.sentences}
     sets: list[CandidateSet] = []
     for fold, (train_part, held) in enumerate(jackknife(dataset, folds), 1):
         started = perf_counter()
-        model = crf_train(train_part, templates, **train_kwargs)
-        sets.extend(decode_corpus(model, held, k).sets)
+        model = crf_train(
+            train_part, templates, features=[by_id[s.id] for s in train_part.sentences], **train_kwargs
+        )
+        sets.extend(decode_corpus(model, held, k, features=[by_id[s.id] for s in held.sentences]).sets)
         log.info(
             "jackknife fold %d/%d: trained on %d sentences, decoded %d held-out, %.2f s",
             fold,
@@ -325,10 +331,17 @@ def build_nbest_corpus(dataset: Dataset, folds: int, k: int, templates, **train_
     return NBestCorpus(list(dataset.sentences), sets)
 
 
-def decode_corpus(model, dataset: Dataset, k: int) -> NBestCorpus:
+def decode_corpus(model, dataset: Dataset, k: int, features: list[list[list[str]]] | None = None) -> NBestCorpus:
     """Decode every sentence with one fixed model that never saw them (dev,
-    test, or a jackknife fold's held-out block)."""
+    test, or a jackknife fold's held-out block), as batches of sentences
+    (`kbest_decode`). `features`, when given, is each sentence's
+    `featurize(sentence, model.templates)`, in order."""
     from .crf import kbest_decode
 
-    sets = [kbest_decode(model, sent, k, gold=gold) for sent, gold in dataset]
+    if features is None:
+        features = (featurize(s, model.templates) for s in dataset.sentences)
+    elif len(features) != len(dataset):
+        raise ValueError(f"{len(features)} feature lists for {len(dataset)} sentences")
+    rows = kbest_decode(model, [model.feature_ids(f) for f in features], k)
+    sets = [CandidateSet(s.id, gold, candidates) for (s, gold), candidates in zip(dataset, rows)]
     return NBestCorpus(list(dataset.sentences), sets)

@@ -35,9 +35,10 @@ _EXPECTED = {int: "an integer", float: "a number"}
 
 def check_alpha(alpha: float):
     """Raise ConfigError unless alpha is a point of ALPHA_GRID. The integers
-    0 and 1 are grid points; a boolean is not."""
+    0 and 1 are grid points; a boolean is not. The range is tested first:
+    NaN and infinities fail it, where rounding them would raise."""
     if type(alpha) is bool or not (
-        abs(alpha * 200.0 - round(alpha * 200.0)) < 1e-9 and 0.0 <= alpha <= 1.0
+        0.0 <= alpha <= 1.0 and abs(alpha * 200.0 - round(alpha * 200.0)) < 1e-9
     ):
         raise ConfigError(f"alpha {alpha} is outside the 0.005 search grid")
 

@@ -55,6 +55,13 @@ class AdamState:
     update = lr * m_hat / (sqrt(v_hat) + eps). Every hyperparameter is
     given by the caller: the reranker passes its `TrainConfig` values
     (beta1 = 0.1 by default there) and the CRF the conventional 0.9.
+
+    A step allocates nothing: each parameter's update is formed with
+    ufunc `out=` in two scratch buffers of the largest parameter's size,
+    shared by all parameters, by the operations of
+    `m = m * beta1 + (1 - beta1) * g`, `v = v * beta2 + ((1 - beta2) * g) * g`
+    and `p -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)` in their order, so
+    the weights equal those of these expressions to the bit.
     """
 
     def __init__(self, params: list[Tensor], *, lr: float, beta1: float, beta2: float, eps: float):
@@ -66,6 +73,8 @@ class AdamState:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        size = max((p.data.size for p in self.params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self):
         self.t += 1
@@ -75,8 +84,16 @@ class AdamState:
             g = p.grad
             if g is None:
                 continue
+            a = self._scratch[0][: m.size].reshape(m.shape)
+            b = self._scratch[1][: m.size].reshape(m.shape)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            p.data -= np.divide(a, b, out=a)

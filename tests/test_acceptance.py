@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nerrank.baseline.crf import CrfModel, crf_train, kbest_decode, sequence_prob
+from nerrank.baseline.crf import CrfModel, crf_train, sequence_prob
 from nerrank.baseline.features import FeatureTemplateSet, featurize
 from nerrank.baseline.nbest import build_nbest_corpus, decode_corpus
 from nerrank.cli import EXIT_OK, main
@@ -45,6 +45,7 @@ from nerrank.pipeline import (
 from nerrank.reranker import PatternScorer, build_vocab
 
 from gradcheck import grad_check
+from test_baseline import decode_one
 from test_corpus import conlleval_segments
 from toycorpus import make_corpus
 
@@ -146,7 +147,7 @@ def test_crf_probability_mass_and_kbest_exactness():
     expected = [[tags[y] for y in ids] for _, ids in brute]
     got = [
         [str(l) for l in cand]
-        for cand, _ in kbest_decode(model, sentence, 10).candidates
+        for cand, _ in decode_one(model, sentence, 10).candidates
     ]
     assert got == expected
     elapsed = time.monotonic() - start

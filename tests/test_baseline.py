@@ -92,6 +92,12 @@ def zero_model(tags=ALL_TAGS):
     )
 
 
+def decode_one(model, sentence, k, gold=None):
+    """`kbest_decode` on a batch of one sentence, as a candidate set."""
+    ids = model.feature_ids(featurize(sentence, model.templates))
+    return CandidateSet(sentence.id, gold, kbest_decode(model, [ids], k)[0])
+
+
 def enumerate_ranked(model, sentence):
     """Brute-force oracle: score every tag sequence, rank by (-score, seq)."""
     e = model.emission_scores(sentence)
@@ -175,6 +181,60 @@ def test_featurize_word_bigram_toggle():
     assert feats[1] == ["w[0]=b"]
 
 
+def test_featurize_order_is_pinned():
+    # every template on, offsets (-1, 0): the strings and their order as
+    # featurize gave them when it formatted each (position, offset) anew
+    s = Sentence(0, (Token("Li", "NNP"), Token("of", "IN"), Token("U.N", "NNP"), Token("-")))
+    feats = featurize(s, FeatureTemplateSet(clusters={"Li": "0110", "of": "10"}))
+    assert feats == [
+        ["w[-1]=<s>", "ww[-1]=<s>|Li", "w[0]=Li", "ww[0]=Li|of", "sh[0]=Aa", "ca[0]=1",
+         "caw[0]=1|Li", "co[0]=other", "caco[0]=1|other", "cl[0]=0110", "clb[0]=0110|10",
+         "pre1[0]=L", "suf1[0]=i", "pre2[0]=Li", "suf2[0]=Li", "pos[0]=NNP",
+         "posb[0]=NNP|IN", "posw=NNP|Li"],
+        ["w[-1]=Li", "ww[-1]=Li|of", "sh[-1]=Aa", "ca[-1]=1", "caw[-1]=1|Li", "co[-1]=other",
+         "caco[-1]=1|other", "cl[-1]=0110", "clb[-1]=0110|10", "pre1[-1]=L", "suf1[-1]=i",
+         "pre2[-1]=Li", "suf2[-1]=Li", "pos[-1]=NNP", "posb[-1]=NNP|IN", "w[0]=of",
+         "ww[0]=of|U.N", "sh[0]=a", "ca[0]=0", "caw[0]=0|of", "co[0]=of", "caco[0]=0|of",
+         "cl[0]=10", "clb[0]=10|<unk>", "pre1[0]=o", "suf1[0]=f", "pre2[0]=of", "suf2[0]=of",
+         "pos[0]=IN", "posb[0]=IN|NNP", "post[0]=NNP|IN|NNP", "posw=IN|of"],
+        ["w[-1]=of", "ww[-1]=of|U.N", "sh[-1]=a", "ca[-1]=0", "caw[-1]=0|of", "co[-1]=of",
+         "caco[-1]=0|of", "cl[-1]=10", "clb[-1]=10|<unk>", "pre1[-1]=o", "suf1[-1]=f",
+         "pre2[-1]=of", "suf2[-1]=of", "pos[-1]=IN", "posb[-1]=IN|NNP", "post[-1]=NNP|IN|NNP",
+         "w[0]=U.N", "ww[0]=U.N|-", "sh[0]=AoA", "ca[0]=1", "caw[0]=1|U.N", "co[0]=other",
+         "caco[0]=1|other", "cl[0]=<unk>", "clb[0]=<unk>|<unk>", "pre1[0]=U", "suf1[0]=N",
+         "pre2[0]=U.", "suf2[0]=.N", "pre3[0]=U.N", "suf3[0]=U.N", "pos[0]=NNP",
+         "posw=NNP|U.N"],
+        ["w[-1]=U.N", "ww[-1]=U.N|-", "sh[-1]=AoA", "ca[-1]=1", "caw[-1]=1|U.N",
+         "co[-1]=other", "caco[-1]=1|other", "cl[-1]=<unk>", "clb[-1]=<unk>|<unk>",
+         "pre1[-1]=U", "suf1[-1]=N", "pre2[-1]=U.", "suf2[-1]=.N", "pre3[-1]=U.N",
+         "suf3[-1]=U.N", "pos[-1]=NNP", "w[0]=-", "ww[0]=-|</s>", "sh[0]=o", "ca[0]=0",
+         "caw[0]=0|-", "co[0]=-", "caco[0]=0|-", "cl[0]=<unk>", "pre1[0]=-", "suf1[0]=-"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "switch, prefixes",
+    [
+        ("shape", ("sh[",)),
+        ("capital", ("ca[",)),
+        ("capital_word", ("caw[",)),
+        ("connect", ("co[",)),
+        ("capital_connect", ("caco[",)),
+        ("cluster_grams", ("cl[", "clb[")),
+    ],
+)
+def test_featurize_one_switch_gives_its_part_of_the_full_output(switch, prefixes):
+    # featurize computes a word attribute only when a switch that reads it
+    # is on; each switch alone must still give its strings of the full set
+    s = Sentence(0, (Token("Li", "NNP"), Token("of", "IN"), Token("U.N", "NNP"), Token("-")))
+    clusters = {"Li": "0110", "of": "10"}
+    full = featurize(s, FeatureTemplateSet(clusters=clusters))
+    off = {f.name: False for f in dataclasses.fields(FeatureTemplateSet) if f.type == "bool"}
+    alone = featurize(s, FeatureTemplateSet(**{**off, switch: True}, clusters=clusters))
+    assert alone == [[f for f in row if f.startswith(prefixes)] for row in full]
+    assert any(alone)
+
+
 def test_featurize_deterministic():
     s = sent("One", "two", "of", "Three")
     t = FeatureTemplateSet()
@@ -213,7 +273,7 @@ def test_viterbi_is_argmax():
         model = toy_model(seed=seed)
         s = sent("a", "c", "b")
         best_score, best_seq = enumerate_ranked(model, s)[0]
-        vit = kbest_decode(model, s, 1).candidates[0][0]
+        vit = decode_one(model, s, 1).candidates[0][0]
         assert [model.tag_id(l) for l in vit] == list(best_seq)
         any_prob = sequence_prob(model, s, [BioLabel.parse("O")] * 3)
         assert sequence_prob(model, s, vit) >= any_prob
@@ -237,7 +297,7 @@ def test_kbest_matches_enumeration_exactly():
         model = toy_model(seed=seed)
         s = sent("b", "a", "d")
         ranked = enumerate_ranked(model, s)[:10]
-        cs = kbest_decode(model, s, 10)
+        cs = decode_one(model, s, 10)
         got = [tuple(model.tag_id(l) for l in labels) for labels, _ in cs.candidates]
         assert got == [seq for _, seq in ranked]
         log_z = model.log_partition(model.emission_scores(s))
@@ -249,7 +309,7 @@ def test_kbest_tie_breaking_is_lexicographic():
     # zero weights: every sequence ties, so ranking is pure tag-id order
     model = zero_model(tags=("B-PER", "I-PER", "O"))
     s = sent("x", "y")
-    cs = kbest_decode(model, s, 5)
+    cs = decode_one(model, s, 5)
     got = [tuple(model.tag_id(l) for l in labels) for labels, _ in cs.candidates]
     assert got == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
 
@@ -260,7 +320,7 @@ def test_kbest_tie_breaking_is_lexicographic():
     "(ROADMAP open item 4, exact k-best under rounding)",
 )
 def test_kbest_keeps_a_tie_that_rounding_creates():
-    # the lattice of kbest_decode's docstring: (0, 0) scores 1 + 1 and
+    # the lattice of _kbest_chunk's docstring: (0, 0) scores 1 + 1 and
     # (1, 0) scores (1 + 2**-52) + 1, which rounds to the same 2.0; the
     # beam of one kept (1, 0) at step 1, which beat (0, 0) there
     model = CrfModel(
@@ -274,7 +334,7 @@ def test_kbest_keeps_a_tie_that_rounding_creates():
     )
     s = sent("x", "y")
     assert enumerate_ranked(model, s)[0] == (2.0, (0, 0))
-    got = kbest_decode(model, s, 1).candidates[0][0]
+    got = decode_one(model, s, 1).candidates[0][0]
     assert tuple(model.tag_id(l) for l in got) == (0, 0)
 
 
@@ -282,13 +342,13 @@ def test_kbest_k1_equals_viterbi():
     # the Viterbi path, a beam of one, heads every wider beam's list too
     model = toy_model(seed=9)
     s = sent("d", "c", "a", "b")
-    assert kbest_decode(model, s, 1).candidates[0][0] == kbest_decode(model, s, 20).candidates[0][0]
+    assert decode_one(model, s, 1).candidates[0][0] == decode_one(model, s, 20).candidates[0][0]
 
 
 def test_kbest_exhausts_small_lattices():
     model = toy_model(seed=2)
     s = sent("a", "b")
-    cs = kbest_decode(model, s, 50)
+    cs = decode_one(model, s, 50)
     assert len(cs) == 9
     probs = [p for _, p in cs.candidates]
     assert sum(probs) == pytest.approx(1.0, abs=1e-10)
@@ -297,12 +357,12 @@ def test_kbest_exhausts_small_lattices():
 
 def test_kbest_rejects_bad_k():
     with pytest.raises(ValueError):
-        kbest_decode(toy_model(), sent("a"), 0)
+        decode_one(toy_model(), sent("a"), 0)
 
 
 def test_kbest_carries_gold():
     gold = [BioLabel.parse("O")]
-    cs = kbest_decode(toy_model(), sent("a"), 3, gold=gold)
+    cs = decode_one(toy_model(), sent("a"), 3, gold=gold)
     assert cs.gold == gold
 
 
@@ -314,10 +374,10 @@ WEIGHTS = st.one_of(
 
 
 @st.composite
-def lattices(draw):
-    """A random-weight model over `toy_model`'s word features and a 1-4
-    token sentence of those words."""
-    k = draw(st.integers(2, 4))
+def lattices(draw, max_tags=4):
+    """A random-weight model with 2 to `max_tags` tags over `toy_model`'s
+    word features and a 1-4 token sentence of those words."""
+    k = draw(st.integers(2, max_tags))
     words = ("a", "b", "c", "d")
 
     def vec(n):
@@ -343,11 +403,54 @@ def test_kbest_equals_enumeration_on_random_lattices(lattice, k):
     log_z = model.log_partition(model.emission_scores(s))
     probs = [min(1.0, float(np.exp(score - log_z))) for score, _ in ranked]
     assert abs(sum(probs) - 1.0) < 1e-10
-    cs = kbest_decode(model, s, k)
+    cs = decode_one(model, s, k)
     got = [
         (tuple(model.tag_id(l) for l in labels), prob) for labels, prob in cs.candidates
     ]
     assert got == [(seq, prob) for (_, seq), prob in zip(ranked[:k], probs)]
+
+
+@st.composite
+def ragged_lattices(draw):
+    """A `lattices` model with at most 3 tags and 2-6 sentences of 1-6
+    tokens of its words (at most 729 paths each), to decode as one batch."""
+    model, _ = draw(lattices(max_tags=3))
+    words = st.lists(st.sampled_from(("a", "b", "c", "d")), min_size=1, max_size=6)
+    sentences = [sent(*tokens, sid=i) for i, tokens in enumerate(draw(st.lists(words, min_size=2, max_size=6)))]
+    return model, sentences
+
+
+@given(ragged_lattices(), st.integers(1, 40))
+def test_kbest_batch_equals_each_sentence_alone(lattice, k):
+    # k falls below the path count of the long sentences and above that of
+    # the short ones in the same batch
+    model, sentences = lattice
+    ids = [model.feature_ids(featurize(s, model.templates)) for s in sentences]
+    batch = kbest_decode(model, ids, k)
+    for s, candidates in zip(sentences, batch):
+        alone = decode_one(model, s, k).candidates
+        assert candidates == alone
+        ranked = enumerate_ranked(model, s)[:k]
+        log_z = model.log_partition(model.emission_scores(s))
+        assert [(tuple(model.tag_id(l) for l in labels), prob) for labels, prob in candidates] == [
+            (seq, max(min(1.0, float(np.exp(score - log_z))), 1e-300)) for score, seq in ranked
+        ]
+
+
+def test_decode_corpus_across_chunks_equals_single_decodes():
+    # 70 sentences of 1-12 tokens: batches of 32, 32 and 6 at k = 10, and
+    # of 25, 25 and 20 at k = 25 (BEAM_SLOTS // 25 sentences each)
+    rng = np.random.default_rng(12)
+    model = toy_model(tags=ALL_TAGS, seed=5)
+    sentences = [
+        sent(*rng.choice(["a", "b", "c", "d", "e"], size=int(rng.integers(1, 13))), sid=i)
+        for i in range(70)
+    ]
+    gold = [[BioLabel.parse("O")] * len(s) for s in sentences]
+    dataset = Dataset(sentences, gold)
+    for k in (10, 25):
+        single = NBestCorpus(sentences, [decode_one(model, s, k, g) for s, g in dataset])
+        assert format_nbest(decode_corpus(model, dataset, k)) == format_nbest(single)
 
 
 def reference_kbest(model, sentence, k):
@@ -384,7 +487,7 @@ def assert_kbest_equals_reference(model, s, k):
         (seq, max(min(1.0, float(np.exp(score - log_z))), 1e-300))
         for score, seq in reference_kbest(model, s, k)
     ]
-    cs = kbest_decode(model, s, k)
+    cs = decode_one(model, s, k)
     got = [(tuple(model.tag_id(l) for l in labels), prob) for labels, prob in cs.candidates]
     assert got == expected
 
@@ -436,7 +539,7 @@ def test_kbest_single_token_equals_the_tuple_beam():
         model = toy_model(tags=ALL_TAGS, seed=seed)
         for k in (1, 4, 9, 20):
             assert_kbest_equals_reference(model, sent("c"), k)
-    cs = kbest_decode(zero_model(), sent("x"), 20)
+    cs = decode_one(zero_model(), sent("x"), 20)
     assert [str(l[0]) for l, _ in cs.candidates] == list(ALL_TAGS)
 
 
@@ -444,7 +547,7 @@ def test_kbest_single_tag_equals_the_tuple_beam():
     model = toy_model(tags=("O",), seed=4)
     for k in (1, 3):
         assert_kbest_equals_reference(model, sent("a", "b", "d"), k)
-    (labels, prob), = kbest_decode(model, sent("a", "b", "d"), 3).candidates
+    (labels, prob), = decode_one(model, sent("a", "b", "d"), 3).candidates
     assert [str(l) for l in labels] == ["O"] * 3
     assert prob == 1.0
 
@@ -454,7 +557,7 @@ def test_kbest_beyond_the_path_count_equals_the_tuple_beam():
     s = sent("d", "a", "c")
     for k in (26, 27, 28, 100):
         assert_kbest_equals_reference(model, s, k)
-    assert len(kbest_decode(model, s, 100)) == 27
+    assert len(decode_one(model, s, 100)) == 27
     zero = zero_model(tags=("B-PER", "I-PER", "O"))
     assert_kbest_equals_reference(zero, sent("x", "y", "z"), 40)
 
@@ -465,7 +568,7 @@ def test_kbest_beyond_the_path_count_equals_the_tuple_beam():
 def test_train_memorizes_single_sentence():
     ds = parse_conll("Johnar x B-PER\nwent x O\n\n")
     model = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=60, lr=0.1, seed=1))
-    assert kbest_decode(model, ds.sentences[0], 1).candidates[0][0] == ds.gold[0]
+    assert decode_one(model, ds.sentences[0], 1).candidates[0][0] == ds.gold[0]
 
 
 def test_train_zero_epochs_is_uniform():
@@ -505,7 +608,7 @@ def test_train_learns_simple_corpus():
     ds = simple_corpus(120, seed=7)
     model = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=8, seed=0))
     wrong = sum(
-        1 for s, g in ds if kbest_decode(model, s, 1).candidates[0][0] != g
+        1 for s, g in ds if decode_one(model, s, 1).candidates[0][0] != g
     )
     assert wrong <= len(ds) * 0.05
 
@@ -820,6 +923,25 @@ def test_each_jackknife_fold_is_logged_when_it_ends(caplog):
         assert re.fullmatch(
             rf".*: trained on {train} sentences, decoded {held} held-out, \d+\.\d\d s", line
         )
+
+
+def test_jackknife_with_shared_features_equals_independent_folds():
+    # build_nbest_corpus featurizes each sentence once and hands its strings
+    # to every fold; each fold must equal a model trained and decoded alone
+    ds = simple_corpus(12, seed=3)
+    templates = FeatureTemplateSet()
+    opts = dict(CRF, epochs=1)
+    corpus = build_nbest_corpus(ds, folds=3, k=4, templates=templates, **opts)
+    sets = []
+    for train_part, held in jackknife(ds, 3):
+        model = crf_train(train_part, templates, **opts)
+        sets += [decode_one(model, s, 4, g) for s, g in held]
+    assert format_nbest(corpus) == format_nbest(NBestCorpus(ds.sentences, sets))
+    three = [featurize(s, templates) for s in ds.sentences[:3]]
+    with pytest.raises(ValueError, match="3 feature lists for 12 sentences"):
+        crf_train(ds, templates, features=three, **opts)
+    with pytest.raises(ValueError, match="3 feature lists for 12 sentences"):
+        decode_corpus(model, ds, 4, features=three)
 
 
 def test_decode_corpus_attaches_gold():

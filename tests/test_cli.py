@@ -17,7 +17,7 @@ import pytest
 
 import nerrank
 from nerrank import __version__
-from nerrank.baseline.crf import crf_train, kbest_decode, load_crf, save_crf
+from nerrank.baseline.crf import crf_train, load_crf, save_crf
 from nerrank.baseline.features import FeatureTemplateSet
 from nerrank.baseline.nbest import read_nbest
 from nerrank.cli import (
@@ -42,6 +42,7 @@ from nerrank.config import (
 from nerrank.corpus import Dataset, format_conll, normalize_to_bio2, parse_conll
 from nerrank.errors import CheckpointMismatchError, ConfigError
 
+from test_baseline import decode_one
 from toycorpus import make_corpus
 
 HEADER_PREFIX = f"# nerrank {__version__} config "
@@ -197,6 +198,9 @@ def test_runconfig_validation():
         RunConfig(alpha=0.3333)
     with pytest.raises(ConfigError, match="alpha True is outside the 0.005 search grid"):
         RunConfig(alpha=True)
+    for alpha in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match=f"alpha {alpha} is outside the 0.005 search grid"):
+            RunConfig(alpha=alpha)
     with pytest.raises(ConfigError, match="seed cannot be negative, got -1"):
         resolve_config({"seed": "-1"})  # checked by the training block
     with pytest.raises(ConfigError):
@@ -244,8 +248,8 @@ def test_crf_checkpoint_roundtrip(tmp_path, tiny_crf):
     assert np.array_equal(loaded.emit, model.emit)
     assert np.array_equal(loaded.trans, model.trans)
     sentence = train.sentences[0]
-    a = kbest_decode(model, sentence, 5)
-    b = kbest_decode(loaded, sentence, 5)
+    a = decode_one(model, sentence, 5)
+    b = decode_one(loaded, sentence, 5)
     assert a.candidates == b.candidates
 
 
@@ -779,6 +783,9 @@ BUNDLE_MUTATIONS = {
     "history-unknown-key": _edit_meta(lambda m: m["history"][0].update(loss=0.1)),
     "alpha-off-grid": _edit_meta(lambda m: m.update(alpha=0.3333)),
     "alpha-bool": _edit_meta(lambda m: m.update(alpha=True)),
+    # json writes these as NaN and Infinity and reads them back as floats
+    "alpha-nan": _edit_meta(lambda m: m.update(alpha=float("nan"))),
+    "alpha-inf": _edit_meta(lambda m: m.update(alpha=float("inf"))),
     "seed-negative": _edit_meta(lambda m: m["config"].update(seed=-1)),
     "char-pad-float": _edit_meta(lambda m: m.update(char_pad=3.5)),
     "char-pad-bool": _edit_meta(lambda m: m.update(char_pad=True)),
@@ -789,6 +796,11 @@ BUNDLE_MUTATIONS = {
     "param-renamed": _edit_weights(lambda a: a.update(head_v=a.pop("head_w"))),
     "param-missing": _edit_weights(lambda a: a.pop("head_b")),
     "param-reshaped": _edit_weights(lambda a: a.update(head_w=a["head_w"][:-1])),
+}
+# the reason a mutated bundle's error line must give, where a test pins it
+BUNDLE_MESSAGES = {
+    "alpha-nan": "alpha nan is outside the 0.005 search grid",
+    "alpha-inf": "alpha inf is outside the 0.005 search grid",
 }
 
 
@@ -805,6 +817,7 @@ def test_malformed_bundle_exit_code(pipeline_dir, tmp_path, capsys, mutation):
     err = capsys.readouterr().err
     assert rc == EXIT_CHECKPOINT
     assert str(bundle) in err
+    assert BUNDLE_MESSAGES.get(mutation, "") in err
 
 
 def _edit_crf(edit):

@@ -315,6 +315,38 @@ def test_adam_skips_params_without_grads():
     assert p.data.tolist() != [[1.0]]
 
 
+def test_adam_step_equals_the_update_expression_bit_for_bit():
+    # the update as one numpy expression per line, temporaries and all;
+    # `step` forms it in scratch buffers and must give the same bits
+    rng = np.random.default_rng(21)
+    shapes = [(40, 9), (9, 9), (9,)]
+    start = [rng.normal(size=shape) for shape in shapes]
+    params = [Tensor(a.copy(), requires_grad=True) for a in start]
+    lr, beta1, beta2, eps = 0.05, 0.9, 0.999, 1e-8
+    opt = AdamState(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    data = [a.copy() for a in start]
+    m = [np.zeros(shape) for shape in shapes]
+    v = [np.zeros(shape) for shape in shapes]
+    for t in range(1, 6):
+        grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3) for shape in shapes]
+        grads[1] = None  # a parameter the loss did not reach
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            m[i] *= beta1
+            m[i] += (1.0 - beta1) * g
+            v[i] *= beta2
+            v[i] += (1.0 - beta2) * g * g
+            data[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+    for p, expected in zip(params, data):
+        assert p.data.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # grad_check itself
 
