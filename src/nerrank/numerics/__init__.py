@@ -5,13 +5,14 @@ from .tensor import (
     backward,
     concat,
     dropout,
+    l2_penalty,
     lookup_rows,
+    lstm,
     matmul,
     max_pool_time,
     scale,
     sigmoid,
     sum_all,
-    tanh,
 )
 from .optim import AdamState, ParamStore
 
@@ -22,11 +23,12 @@ __all__ = [
     "backward",
     "concat",
     "dropout",
+    "l2_penalty",
     "lookup_rows",
+    "lstm",
     "matmul",
     "max_pool_time",
     "scale",
     "sigmoid",
     "sum_all",
-    "tanh",
 ]

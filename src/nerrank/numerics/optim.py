@@ -46,6 +46,8 @@ class ParamStore:
                 raise CheckpointMismatchError(
                     f"parameter {name!r}: shape {arr.shape} vs expected {t.data.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise CheckpointMismatchError(f"parameter {name!r} holds a non-finite value")
             t.data = arr.copy()
 
 

@@ -30,7 +30,7 @@ from .config import ALPHA_GRID, ScorerConfig, TrainConfig, check_alpha
 from .corpus import LabelSeq
 from .errors import CheckpointMismatchError, ConfigError, NerrankError
 from .evaluation import PrfCounts
-from .numerics import AdamState, Tensor, backward, scale, sum_all
+from .numerics import AdamState, Tensor, backward, l2_penalty, scale, sum_all
 from .reranker import PatternScorer, Vocab, build_vocab
 
 SHUFFLE_STREAM = 23
@@ -120,11 +120,7 @@ def batch_loss(
     diff = scores - Tensor(np.array([[ex.target] for ex in batch]))
     loss = scale(sum_all(diff * diff), 1.0 / len(batch))
     if l2 > 0.0:
-        reg = None
-        for _, p in scorer.trainable():
-            term = sum_all(p * p)
-            reg = term if reg is None else reg + term
-        loss = loss + scale(reg, l2 / 2.0)
+        loss = loss + l2_penalty([p for _, p in scorer.trainable()], l2)
     return loss
 
 

@@ -22,9 +22,11 @@ representations.  The LSTM is the standard cell
     o = sigmoid(h W7 + x W8 + b4)        h = tanh(M) * o
 
 with h_0 = M_0 = 0; setting ``peepholes`` adds mu1 * M_prev and mu2 * M_prev
-inside the input and forget gates.  All sequences of a batch step together
-on one (B, lstm_hidden) state; each sequence's final state is read at its
-own last step.
+inside the input and forget gates.  The input projections x W2, x W4, x W6,
+x W8 are one matmul each over all rows; the recurrence over them is one
+``numerics.lstm`` node, which steps all sequences of a batch together on
+one (B, lstm_hidden) state in plain numpy, reads each sequence's final
+state at its own last step and backpropagates through time by hand.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from ..numerics import (
     concat,
     dropout,
     lookup_rows,
+    lstm,
     matmul,
     max_pool_time,
     sigmoid,
-    tanh,
 )
 from .embeddings import init_embeddings
 from .vocab import CHAR_PAD_ID, Vocab
@@ -178,33 +180,18 @@ class PatternScorer:
         shape (B, lstm_hidden).
 
         The input projections x W2, x W4, x W6, x W8 are one matmul each over
-        all rows; step t gathers row t of every run, or its last row once it
-        has ended. Run b's final state is row b of step ``lengths[b] - 1``;
-        the steps an ended run takes past that are never read.
+        all rows; the recurrence over them is the one `lstm` node.
         """
         lengths = _runs(x, lengths)
-        cfg = self.config
         w1, w2, w3, w4, w5, w6, w7, w8 = self.lstm_w
-        b1, b2, b3, b4 = self.lstm_b
-        x_i, x_f, x_m, x_o = (matmul(x, w) for w in (w2, w4, w6, w8))
-        starts = np.cumsum(lengths) - lengths
-        h = m = Tensor(np.zeros((len(lengths), cfg.lstm_hidden)))
-        steps = []
-        for t in range(lengths.max()):
-            at = starts + np.minimum(t, lengths - 1)
-            gate_i = matmul(h, w1) + lookup_rows(x_i, at) + b1
-            gate_f = matmul(h, w3) + lookup_rows(x_f, at) + b2
-            if cfg.peepholes:
-                gate_i = gate_i + self.lstm_mu1 * m
-                gate_f = gate_f + self.lstm_mu2 * m
-            i = sigmoid(gate_i)
-            f = sigmoid(gate_f)
-            cand = tanh(matmul(h, w5) + lookup_rows(x_m, at) + b3)
-            m = i * cand + f * m
-            o = sigmoid(matmul(h, w7) + lookup_rows(x_o, at) + b4)
-            h = tanh(m) * o
-            steps.append(h)
-        return lookup_rows(concat(steps, 0), (lengths - 1) * len(lengths) + np.arange(len(lengths)))
+        peepholes = (self.lstm_mu1, self.lstm_mu2) if self.config.peepholes else None
+        return lstm(
+            [matmul(x, w) for w in (w2, w4, w6, w8)],
+            [w1, w3, w5, w7],
+            self.lstm_b,
+            peepholes,
+            lengths,
+        )
 
     def word_cnn_encode(self, x: Tensor, lengths) -> Tensor:
         """Max-pooled window responses over each run of rows, shape

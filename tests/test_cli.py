@@ -796,11 +796,15 @@ BUNDLE_MUTATIONS = {
     "param-renamed": _edit_weights(lambda a: a.update(head_v=a.pop("head_w"))),
     "param-missing": _edit_weights(lambda a: a.pop("head_b")),
     "param-reshaped": _edit_weights(lambda a: a.update(head_w=a["head_w"][:-1])),
+    "weights-nan": _edit_weights(lambda a: a["lstm_w1"].fill(np.nan)),
+    "weights-inf": _edit_weights(lambda a: a["lstm_w1"].fill(np.inf)),
 }
 # the reason a mutated bundle's error line must give, where a test pins it
 BUNDLE_MESSAGES = {
     "alpha-nan": "alpha nan is outside the 0.005 search grid",
     "alpha-inf": "alpha inf is outside the 0.005 search grid",
+    "weights-nan": "parameter 'lstm_w1' holds a non-finite value",
+    "weights-inf": "parameter 'lstm_w1' holds a non-finite value",
 }
 
 

@@ -9,13 +9,14 @@ from nerrank.numerics import (
     backward,
     concat,
     dropout,
+    l2_penalty,
     lookup_rows,
+    lstm,
     matmul,
     max_pool_time,
     scale,
     sigmoid,
     sum_all,
-    tanh,
 )
 from gradcheck import grad_check
 
@@ -37,10 +38,9 @@ def two_branch_sigmoid(x):
     return out
 
 
-def test_sigmoid_tanh_at_zero(recwarn):
+def test_sigmoid_at_zero_and_extremes(recwarn):
     z = Tensor(np.zeros((1, 3)))
     assert np.allclose(sigmoid(z).data, 0.5)
-    assert np.allclose(tanh(z).data, 0.0)
 
     # extreme inputs give exactly the two-branch values, inside [0, 1]
     x = np.array(
@@ -143,7 +143,7 @@ def test_gradcheck_activations():
     w = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
 
     def loss():
-        return sum_all(sigmoid(w) * tanh(w))
+        return sum_all(sigmoid(w) * w)
 
     check(loss, [("w", w)], tol=1e-4)
 
@@ -173,6 +173,48 @@ def test_gradcheck_pool_and_lookup():
         return sum_all(max_pool_time(rows, [4, 1, 2])) + sum_all(lookup_rows(table, [1]))
 
     check(loss, [("table", table)])
+
+
+@pytest.mark.parametrize("peepholes", [True, False])
+def test_gradcheck_fused_lstm(peepholes):
+    # ragged runs, one of length 1, and nonzero peephole weights; every
+    # input of the op is a leaf: the four input projections, W1/W3/W5/W7,
+    # b1..b4 and mu1, mu2
+    rng = np.random.default_rng(9)
+    hidden, lengths = 3, [3, 1, 4]
+
+    def leaf(*shape):
+        return Tensor(rng.normal(scale=0.7, size=shape), requires_grad=True)
+
+    inputs = [leaf(sum(lengths), hidden) for _ in range(4)]
+    recurrent = [leaf(hidden, hidden) for _ in range(4)]
+    biases = [leaf(1, hidden) for _ in range(4)]
+    mu = (leaf(1, hidden), leaf(1, hidden)) if peepholes else None
+    readout = Tensor(rng.normal(size=(len(lengths), hidden)))
+
+    def loss():
+        return sum_all(lstm(inputs, recurrent, biases, mu, lengths) * readout)
+
+    named = [
+        (f"{kind}{k}", t)
+        for kind, group in (("x", inputs), ("w", recurrent), ("b", biases), ("mu", mu or ()))
+        for k, t in enumerate(group)
+    ]
+    report = grad_check(loss, named, h=1e-4)
+    assert report.ok(1e-6), str(report)
+    with pytest.raises(ShapeMismatchError):
+        lstm(inputs, recurrent, biases, mu, [3, 1, 3])
+
+
+def test_l2_penalty_value_and_gradient():
+    rng = np.random.default_rng(10)
+    a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+    out = l2_penalty([a, b], 0.3)
+    assert out.item() == (0.0 + (a.data * a.data).sum() + (b.data * b.data).sum()) * 0.15
+    backward(out)
+    assert np.array_equal(a.grad, a.data * 0.3) and np.array_equal(b.grad, b.data * 0.3)
+    check(lambda: l2_penalty([a, b], 0.3) * l2_penalty([a], 2.0), [("a", a), ("b", b)])
 
 
 def test_gradcheck_scale_and_neg():
@@ -429,6 +471,15 @@ def test_checkpoint_rejects_structure_mismatch():
         wrong_shape.load_arrays(arrays)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_weights(bad):
+    arrays = make_store().copy_arrays()
+    name = next(iter(arrays))
+    arrays[name].flat[-1] = bad
+    with pytest.raises(CheckpointMismatchError, match=f"parameter {name!r} holds a non-finite"):
+        make_store().load_arrays(arrays)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -437,7 +488,7 @@ def run_once(seed):
     w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     x = Tensor(rng.normal(size=(1, 4)))
     drop_rng = np.random.default_rng([seed, 1])
-    h = dropout(tanh(matmul(x, w)), 0.3, drop_rng, training=True)
+    h = dropout(sigmoid(matmul(x, w)), 0.3, drop_rng, training=True)
     loss = sum_all(h * h)
     backward(loss)
     return loss.data.tobytes(), w.grad.tobytes()

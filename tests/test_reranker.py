@@ -374,11 +374,61 @@ def graph_size(root) -> int:
 
 
 def test_ragged_runs_cost_no_extra_graph_nodes():
+    # the whole recurrence is one node, so the graph does not grow with
+    # run length or raggedness
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=17)
     words = ["ab", "ba", "xy", "visited"]
-    equal = scorer.score_batch([words, words[::-1], words])
-    ragged = scorer.score_batch([words, words[:1], words[:2]])
-    assert graph_size(ragged) == graph_size(equal)
+    long = (words * 8)[:30]
+    sizes = [
+        graph_size(scorer.score_batch(lists))
+        for lists in ([words[:3]], [long], [long, words[:3]], [words, words[:1], words[:2]])
+    ]
+    assert sizes == sizes[:1] * len(sizes)
+
+
+def test_clamped_steps_carry_no_gradient():
+    """The gradients of the batch [long, short] are the sums of each run's
+    gradients scored alone: the steps the short run takes on its clamped
+    last row after it has ended add exactly nothing."""
+    cfg = replace(SMALL, peepholes=True)
+    scorer = PatternScorer(small_vocab(), cfg, char_pad=SMALL_PAD, seed=19)
+    rng = np.random.default_rng(8)
+    scorer.lstm_mu1.data[:] = rng.normal(size=(1, cfg.lstm_hidden))
+    scorer.lstm_mu2.data[:] = rng.normal(size=(1, cfg.lstm_hidden))
+    params = [t for n, t in scorer.params.items() if n.startswith("lstm_")]
+    x = rng.normal(size=(7, cfg.repr_dim))
+    readout = rng.normal(size=(2, cfg.lstm_hidden))
+
+    def grads(rows, lengths, weights):
+        scorer.params.zero_grad()
+        inputs = Tensor(rows, requires_grad=True)
+        backward(sum_all(scorer.lstm_encode(inputs, lengths) * Tensor(weights)))
+        return [t.grad.copy() for t in params], inputs.grad
+
+    batch, batch_x = grads(x, [5, 2], readout)
+    long, long_x = grads(x[:5], [5], readout[:1])
+    short, short_x = grads(x[5:], [2], readout[1:])
+    for got, a, b in zip(batch, long, short):
+        assert np.allclose(got, a + b, rtol=0.0, atol=1e-12)
+    assert np.allclose(batch_x, np.concatenate([long_x, short_x]), rtol=0.0, atol=1e-12)
+
+
+def test_lstm_ragged_gradients_with_peepholes_and_narrow_state():
+    # lstm_hidden 2 below repr_dim 5; the input rows are checked too
+    cfg = replace(SMALL, lstm_hidden=2, peepholes=True)
+    scorer = PatternScorer(small_vocab(), cfg, char_pad=SMALL_PAD, seed=20)
+    rng = np.random.default_rng(9)
+    scorer.lstm_mu1.data[:] = rng.normal(size=(1, 2))
+    scorer.lstm_mu2.data[:] = rng.normal(size=(1, 2))
+    x = Tensor(rng.normal(size=(7, cfg.repr_dim)), requires_grad=True)
+    readout = Tensor(rng.normal(size=(3, 2)))
+    params = [(n, t) for n, t in scorer.params.items() if n.startswith("lstm_")]
+
+    def loss():
+        return sum_all(scorer.lstm_encode(x, [4, 1, 2]) * readout)
+
+    report = grad_check(loss, params + [("x", x)])
+    assert report.ok(1e-6), str(report)
 
 
 def test_lstm_rejects_empty_sequence():
