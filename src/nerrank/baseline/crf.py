@@ -469,7 +469,8 @@ def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
     """Write the model as a single .npz archive.
 
     Weight matrices go in as arrays; tags, the feature vocabulary (in id
-    order), templates, and the NLL history ride along as one JSON entry.
+    order), templates, and the NLL history ride along as one JSON entry,
+    stored as its UTF-8 bytes (a uint8 array).
     """
     meta = {
         "tags": list(model.tags),
@@ -491,7 +492,7 @@ def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
             trans=model.trans,
             begin=model.begin,
             end=model.end,
-            meta=np.array(json.dumps(meta)),
+            meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
         )
 
 
@@ -499,7 +500,10 @@ def load_crf(path) -> CrfModel:
     try:
         with np.load(path, allow_pickle=False) as archive:
             arrays = {k: archive[k] for k in ("emit", "trans", "begin", "end")}
-            meta = json.loads(str(archive["meta"]))
+            raw = archive["meta"]
+            if raw.dtype != np.uint8:
+                raise ValueError(f"its meta is {raw.dtype}, not UTF-8 bytes (an older format: retrain it)")
+            meta = json.loads(raw.tobytes().decode())
         if not all(type(name) is str for name in meta["features"]):
             raise ValueError("feature names are not all strings")
         return CrfModel(

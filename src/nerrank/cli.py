@@ -264,6 +264,10 @@ def cmd_rerank_decode(cfg: RunConfig, explicit: frozenset):
 def cmd_eval(cfg: RunConfig, explicit: frozenset):
     gold_ds = parse_conll(read_text(cfg.gold_path))
     pred_ds = parse_conll(read_text(cfg.pred_path))
+    for i, (gold, pred) in enumerate(zip(gold_ds.sentences, pred_ds.sentences)):
+        for j, (g, p) in enumerate(zip(gold.surfaces, pred.surfaces)):
+            if g != p:
+                raise NerrankError(f"corpus misalignment: sentence {i} token {j} is {g!r} in gold, {p!r} predicted")
     report = chunk_prf(gold_ds.gold, pred_ds.gold)
     values = {
         "precision": _pct(report.precision),

@@ -4,12 +4,12 @@ from .tensor import (
     Tensor,
     backward,
     concat,
+    conv_pool,
     dropout,
     l2_penalty,
     lookup_rows,
     lstm,
     matmul,
-    max_pool_time,
     scale,
     sigmoid,
     sum_all,
@@ -22,12 +22,12 @@ __all__ = [
     "Tensor",
     "backward",
     "concat",
+    "conv_pool",
     "dropout",
     "l2_penalty",
     "lookup_rows",
     "lstm",
     "matmul",
-    "max_pool_time",
     "scale",
     "sigmoid",
     "sum_all",

@@ -4,12 +4,13 @@ Each op records its parents and a closure that routes the output gradient
 back to them; `backward` walks the recorded graph in reverse topological
 order. The op set is exactly what a recurrent/convolutional sentence scorer
 needs: matmul, elementwise arithmetic, sigmoid, concatenation, row gather
-with scatter-add gradients, temporal max-pooling, inverted dropout, a whole
-LSTM recurrence as one node (its backward pass is hand-written
-backpropagation through time), and the L2 penalty of a parameter list as
-one node. Activations are matrices with one row per item; a batch of
-sequences lays its items end to end as the rows of one matrix, and
-`max_pool_time` and `lstm` read it as runs of given lengths.
+with scatter-add gradients, inverted dropout, and one node per scorer
+layer, each with a hand-written backward pass: a windowed convolution with
+max-pooling over time (`conv_pool`), a whole LSTM with its input
+projections and recurrence (`lstm`, backpropagation through time), and the
+L2 penalty of a parameter list. Activations are matrices with one row per
+item; a batch of sequences lays its items end to end as the rows of one
+matrix, and `conv_pool` and `lstm` read it as runs of given lengths.
 """
 
 from __future__ import annotations
@@ -179,34 +180,6 @@ def concat(parts: list, axis: int) -> Tensor:
     return _node(data, tuple(parts), bw)
 
 
-def max_pool_time(a: Tensor, lengths) -> Tensor:
-    """Per-column max over each run of rows: (sum(lengths), C) -> (B, C) for
-    B runs laid end to end; the gradient goes to the argmax row of each
-    column within its run (first row on ties)."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if a.data.ndim != 2 or lengths.ndim != 1 or lengths.sum() != a.data.shape[0]:
-        raise ShapeMismatchError(
-            f"max_pool_time: runs of lengths {lengths.tolist()} over {a.data.shape}"
-        )
-    if lengths.size == 0 or lengths.min() < 1:
-        raise ShapeMismatchError("max_pool_time needs runs of at least one row")
-    # (B, max length) row ids; a short run repeats its last row, which the
-    # first-occurrence argmax never prefers over the real one
-    starts = np.cumsum(lengths) - lengths
-    ids = starts[:, None] + np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
-    best = np.argmax(a.data[ids], axis=1)
-    rows = np.take_along_axis(ids, best, axis=1)
-    cols = np.arange(a.data.shape[1])
-    data = a.data[rows, cols]
-
-    def bw(g):
-        back = np.zeros_like(a.data)
-        back[rows, cols] = g
-        a._accum(back)
-
-    return _node(data, (a,), bw)
-
-
 def lookup_rows(table: Tensor, ids) -> Tensor:
     """Gather rows by index; gradients scatter-add back (sparse: only the
     touched rows are updated, without materializing a dense table)."""
@@ -225,14 +198,80 @@ def lookup_rows(table: Tensor, ids) -> Tensor:
     return _node(data, (table,), bw)
 
 
-def lstm(inputs, recurrent, biases, peepholes, lengths) -> Tensor:
-    """Final hidden state of each of B runs of rows, shape (B, h), in one node.
+def _runs(lengths, rows: int, op: str):
+    """Checked lengths of B >= 1 runs of at least one row that tile `rows`
+    rows, and the row each run is at on each step of the longest one,
+    (steps, B): a run that has ended stays on its last row."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.size == 0 or lengths.min() < 1:
+        raise ShapeMismatchError(f"{op} cannot read an empty sequence")
+    if lengths.ndim != 1 or lengths.sum() != rows:
+        raise ShapeMismatchError(f"{op}: runs of lengths {lengths.tolist()} over {rows} rows")
+    starts = np.cumsum(lengths) - lengths
+    return lengths, starts + np.minimum(np.arange(lengths.max())[:, None], lengths - 1)
 
-    `inputs` are the input projections x W2, x W4, x W6, x W8 of the runs'
-    rows laid end to end, each (sum(lengths), h); `recurrent` are W1, W3,
-    W5, W7, each (h, h); `biases` are b1..b4, each (1, h); `peepholes` is
-    (mu1, mu2), each (1, h), or None. All runs step together on one (B, h)
-    state from h = M = 0:
+
+def conv_pool(source: Tensor, ids, lengths, w: Tensor, b: Tensor) -> Tensor:
+    """Max-pooled window responses of B runs, shape (B, filters), in one node.
+
+    Position p of the runs laid end to end reads row ``ids[p]`` of source;
+    its response is [x_{p-half}, ..., x_{p+half}] @ w + b, with zero vectors
+    beyond the edges of p's run, and each run keeps each column's max (the
+    first on ties). The node keeps the window matrix and the argmax rows;
+    its backward pass scatter-adds the window gradient into the source rows
+    one window position after another, -half first.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    width, filters = source.data.shape[-1], b.data.shape[-1]
+    taps = w.data.shape[0] // width if width else 0
+    if (ids.ndim != 1 or source.data.ndim != 2 or taps % 2 == 0
+            or w.data.shape != (taps * width, filters) or b.data.shape != (1, filters)):
+        raise ShapeMismatchError(f"conv_pool: source {source.data.shape}, w {w.data.shape}, b {b.data.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= source.data.shape[0]):
+        raise IndexError(f"row id out of range for source with {source.data.shape[0]} rows")
+    n = ids.size
+    lengths, at = _runs(lengths, n, "conv_pool")
+    first = np.repeat(at[0], lengths)
+    end = first + np.repeat(lengths, lengths)
+    windows = np.zeros((n, taps * width))
+    gathers = []  # per window position: the positions inside their run and the rows they read
+    for j in range(taps):
+        pos = np.arange(n) + (j - taps // 2)
+        inside = (pos >= first) & (pos < end)
+        read = ids[pos[inside]]
+        windows[inside, j * width:(j + 1) * width] = source.data[read]
+        gathers.append((inside, read))
+    resp = windows @ w.data + b.data
+    # the first-occurrence argmax never prefers an ended run's repeated last row
+    rows = np.take_along_axis(at.T, np.argmax(resp[at.T], axis=1), axis=1)
+    cols = np.arange(filters)
+    data = resp[rows, cols]
+
+    def bw(g):
+        d_resp = np.zeros((n, filters))
+        d_resp[rows, cols] = g
+        if b.requires_grad:
+            b._accum(d_resp.sum(axis=0, keepdims=True))
+        if w.requires_grad:
+            w._accum(windows.T @ d_resp)
+        if source.requires_grad:
+            d_windows = d_resp @ w.data.T
+            back = np.zeros_like(source.data)
+            for j, (inside, read) in enumerate(gathers):
+                np.add.at(back, read, d_windows[inside, j * width:(j + 1) * width])
+            source._accum(back)
+
+    return _node(data, (source, w, b), bw)
+
+
+def lstm(x: Tensor, weights, biases, peepholes, lengths) -> Tensor:
+    """Final hidden state of each of B runs of rows of x, shape (B, h), in
+    one node.
+
+    x holds the runs' rows laid end to end; `weights` are W1..W8; `biases`
+    are b1..b4, each (1, h); `peepholes` is (mu1, mu2), each (1, h), or
+    None. The input projections x W2, x W4, x W6, x W8 are one matmul each,
+    and all runs step together on one (B, h) state from h = M = 0:
 
         i = sigmoid(h W1 + x W2 + b1 [+ mu1 * M])
         f = sigmoid(h W3 + x W4 + b2 [+ mu2 * M])
@@ -245,20 +284,16 @@ def lstm(inputs, recurrent, biases, peepholes, lengths) -> Tensor:
     ``lengths[b] - 1``, so the steps an ended run takes past that get
     exactly zero gradient. The node keeps each step's gates and the (h, M)
     it started from, and its backward pass runs backpropagation through
-    time over them.
+    time over them; x's gradients are added in the order W2, W4, W6, W8.
     """
-    lengths = np.asarray(lengths, dtype=np.intp)
-    rows, hidden = inputs[0].shape
-    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != rows:
-        raise ShapeMismatchError(f"lstm: runs of lengths {lengths.tolist()} over {rows} rows")
-    batch, steps = len(lengths), int(lengths.max())
-    starts = np.cumsum(lengths) - lengths
-    # row of x each run reads at each step, (steps, B)
-    at = starts + np.minimum(np.arange(steps)[:, None], lengths - 1)
+    rows, hidden = x.data.shape[0], weights[0].data.shape[0]
+    lengths, at = _runs(lengths, rows, "lstm")  # at: the row of x each run reads at each step
+    recurrent, projections = weights[0::2], weights[1::2]
+    steps, batch = at.shape
     # the gates are kept in the order i, f, o, m~ (arguments 0, 1, 3, 2),
     # so that the three sigmoid gates are one contiguous block
     order = (0, 1, 3, 2)
-    xs = [inputs[k].data for k in order]
+    xs = [x.data @ projections[k].data for k in order]
     ws = [recurrent[k].data for k in order]
     bias = np.stack([biases[k].data for k in order])
     mu = None if peepholes is None else np.stack([p.data for p in peepholes])
@@ -303,22 +338,28 @@ def lstm(inputs, recurrent, biases, peepholes, lengths) -> Tensor:
             if mu is not None:
                 dm += dt[:, cols[0]] * mu[0] + dt[:, cols[1]] * mu[1]
             dh = dt @ w_t
-        # each row of x is read at exactly one step before its run ends
-        valid = np.arange(steps)[:, None] < lengths
-        d_x = np.empty((rows, 4 * hidden))
-        d_x[at[valid]] = d[valid]
         d_w = hs[:-1].reshape(-1, hidden).T @ d.reshape(-1, 4 * hidden)
         d_b = d.reshape(-1, 4 * hidden).sum(axis=0, keepdims=True)
         for col, k in zip(cols, order):
-            for p, grad in ((inputs[k], d_x[:, col]), (recurrent[k], d_w[:, col]), (biases[k], d_b[:, col])):
+            for p, grad in ((recurrent[k], d_w[:, col]), (biases[k], d_b[:, col])):
                 if p.requires_grad:
                     p._accum(grad)
         if peepholes is not None:
             for p, col in zip(peepholes, cols):
                 if p.requires_grad:
                     p._accum((d[:, :, col] * ms[:-1]).reshape(-1, hidden).sum(axis=0, keepdims=True))
+        # each row of x is read at exactly one step before its run ends
+        valid = np.arange(steps)[:, None] < lengths
+        d_x = np.empty((rows, 4 * hidden))
+        d_x[at[valid]] = d[valid]
+        for k in range(4):
+            d_xk = np.ascontiguousarray(d_x[:, cols[order.index(k)]])
+            if x.requires_grad:
+                x._accum(d_xk @ projections[k].data.T)
+            if projections[k].requires_grad:
+                projections[k]._accum(x.data.T @ d_xk)
 
-    parents = (*inputs, *recurrent, *biases, *(peepholes or ()))
+    parents = (x, *weights, *biases, *(peepholes or ()))
     return _node(data, parents, bw)
 
 

@@ -9,24 +9,24 @@ sigmoid unit maps the result to a score in (0, 1).
 All activations are matrices with one row per item, so every affine map is
 ``x @ W + b`` with W shaped (inputs, outputs).  A minibatch of sequences is
 scored in one pass: their items are laid end to end as the rows of one
-(n_items, repr_dim) matrix, read as runs of the sequences' lengths.  Both
-CNNs are the same conv-pool: each row's window of neighbours within its run
-(zero vectors beyond the run's edges) is gathered into one row, multiplied
-by the filters in one matmul and max-pooled over time per run.  The
-character CNN sees each word as a run of ``char_pad`` characters (padded
-with <pad_char>), the word CNN each sequence as a run of item
-representations.  The LSTM is the standard cell
+(n_items, repr_dim) matrix, read as runs of the sequences' lengths.  Each
+layer is one autodiff node.  Both CNNs are one ``numerics.conv_pool``: each
+row's window of neighbours within its run (zero vectors beyond the run's
+edges) is gathered into one row, multiplied by the filters in one matmul
+and max-pooled over time per run.  The character CNN sees each word as a
+run of ``char_pad`` characters (padded with <pad_char>), the word CNN each
+sequence as a run of item representations.  The LSTM is the standard cell
 
     i = sigmoid(h W1 + x W2 + b1)        f = sigmoid(h W3 + x W4 + b2)
     m~ = tanh(h W5 + x W6 + b3)          M = i * m~ + f * M_prev
     o = sigmoid(h W7 + x W8 + b4)        h = tanh(M) * o
 
 with h_0 = M_0 = 0; setting ``peepholes`` adds mu1 * M_prev and mu2 * M_prev
-inside the input and forget gates.  The input projections x W2, x W4, x W6,
-x W8 are one matmul each over all rows; the recurrence over them is one
-``numerics.lstm`` node, which steps all sequences of a batch together on
-one (B, lstm_hidden) state in plain numpy, reads each sequence's final
-state at its own last step and backpropagates through time by hand.
+inside the input and forget gates.  It is one ``numerics.lstm`` node,
+which forms the input projections x W2, x W4, x W6, x W8 with one matmul
+each over all rows, steps all sequences of a batch together on one
+(B, lstm_hidden) state in plain numpy, reads each sequence's final state
+at its own last step and backpropagates through time by hand.
 """
 
 from __future__ import annotations
@@ -34,16 +34,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import ScorerConfig
-from ..errors import ConfigError, NerrankError, ShapeMismatchError
+from ..errors import ConfigError, NerrankError
 from ..numerics import (
     ParamStore,
     Tensor,
     concat,
+    conv_pool,
     dropout,
     lookup_rows,
     lstm,
     matmul,
-    max_pool_time,
     sigmoid,
 )
 from .embeddings import init_embeddings
@@ -56,39 +56,6 @@ DROPOUT_STREAM = 22
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
-def _runs(x: Tensor, lengths) -> np.ndarray:
-    """Checked run lengths of the rows of x."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.size == 0 or lengths.min() < 1:
-        raise NerrankError("cannot encode an empty sequence")
-    if lengths.sum() != x.shape[0]:
-        raise ShapeMismatchError(f"runs of lengths {lengths.tolist()} over {x.shape}")
-    return lengths
-
-
-def _conv_pool(source: Tensor, ids, lengths, w: Tensor, b: Tensor) -> Tensor:
-    """Max-pooled window responses of each run, shape (B, filters).
-
-    Position p of the runs laid end to end reads row ``ids[p]`` of source;
-    the response at p is [x_{p-half}, ..., x_{p+half}] @ w + b, with zero
-    vectors beyond the edges of p's run (w has one block of rows per window
-    position).  The windows are gathered from source under a zero row, so
-    the whole batch shares one matmul.
-    """
-    ids = np.asarray(ids, dtype=np.intp)
-    table = concat([Tensor(np.zeros((1, source.shape[1]))), source], 0)
-    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    ends = starts + np.repeat(lengths, lengths)
-    half = w.shape[0] // source.shape[1] // 2
-    cols = []
-    for o in range(-half, half + 1):
-        at = np.arange(len(ids)) + o
-        inside = (at >= starts) & (at < ends)
-        rows = np.where(inside, ids[np.clip(at, 0, len(ids) - 1)] + 1, 0)
-        cols.append(lookup_rows(table, rows))
-    return max_pool_time(matmul(concat(cols, 1), w) + b, lengths)
 
 
 class PatternScorer:
@@ -164,40 +131,23 @@ class PatternScorer:
         emb = lookup_rows(self.word_emb, [self.vocab.word_id(w) for w in words])
         if not self.config.use_char_cnn:
             return emb
-        chars = _conv_pool(
-            self.char_emb,
-            [i for w in words for i in self._char_ids(w)],
-            np.full(len(words), self.char_pad),
-            self.char_cnn_w,
-            self.char_cnn_b,
-        )
+        char_ids = [i for w in words for i in self._char_ids(w)]
+        runs = np.full(len(words), self.char_pad)
+        chars = conv_pool(self.char_emb, char_ids, runs, self.char_cnn_w, self.char_cnn_b)
         return concat([emb, chars], 1)
 
     # -- sequence encoders ----------------------------------------------
 
     def lstm_encode(self, x: Tensor, lengths) -> Tensor:
         """Final hidden state of each run of rows read top to bottom,
-        shape (B, lstm_hidden).
-
-        The input projections x W2, x W4, x W6, x W8 are one matmul each over
-        all rows; the recurrence over them is the one `lstm` node.
-        """
-        lengths = _runs(x, lengths)
-        w1, w2, w3, w4, w5, w6, w7, w8 = self.lstm_w
+        shape (B, lstm_hidden), as one `lstm` node."""
         peepholes = (self.lstm_mu1, self.lstm_mu2) if self.config.peepholes else None
-        return lstm(
-            [matmul(x, w) for w in (w2, w4, w6, w8)],
-            [w1, w3, w5, w7],
-            self.lstm_b,
-            peepholes,
-            lengths,
-        )
+        return lstm(x, self.lstm_w, self.lstm_b, peepholes, lengths)
 
     def word_cnn_encode(self, x: Tensor, lengths) -> Tensor:
         """Max-pooled window responses over each run of rows, shape
         (B, word_cnn_filters)."""
-        lengths = _runs(x, lengths)
-        return _conv_pool(x, np.arange(x.shape[0]), lengths, self.word_cnn_w, self.word_cnn_b)
+        return conv_pool(x, np.arange(x.shape[0]), lengths, self.word_cnn_w, self.word_cnn_b)
 
     # -- scoring ---------------------------------------------------------
 

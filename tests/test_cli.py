@@ -253,6 +253,21 @@ def test_crf_checkpoint_roundtrip(tmp_path, tiny_crf):
     assert a.candidates == b.candidates
 
 
+def test_crf_checkpoint_roundtrips_non_ascii_features(tmp_path):
+    # the meta is stored as UTF-8 bytes; feature strings outside ASCII come
+    # back unchanged
+    train = parse_conll("Zürich\tB-LOC\nliegt\tO\n\n東京\tB-LOC\nist\tO\nweit\tO\n")
+    model = crf_train(train, FeatureTemplateSet(clusters=None), **dict(CRF, epochs=1, seed=0))
+    assert "w[0]=Zürich" in model.feature_vocab and "w[0]=東京" in model.feature_vocab
+    path = tmp_path / "model.npz"
+    save_crf(path, model)
+    with np.load(path) as archive:
+        assert archive["meta"].dtype == np.uint8
+    loaded = load_crf(path)
+    assert loaded.feature_vocab == model.feature_vocab
+    assert np.array_equal(loaded.emit, model.emit)
+
+
 def test_crf_checkpoint_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_crf(tmp_path / "absent.npz")
@@ -521,6 +536,18 @@ def test_eval_identical_files_reports_perfect(pipeline_dir, capsys):
     assert rc == EXIT_OK
     assert "F1 = 100.00" in out
     assert "ssa = 100.00" in out
+
+
+def test_eval_rejects_predictions_of_other_tokens(tmp_path, capsys):
+    # same labels, so the spans alone would score F1 100
+    gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+    gold.write_text("Rome\tB-LOC\nis\tO\n\nParis\tB-LOC\nwas\tO\n", encoding="utf-8")
+    pred.write_text("Rome\tB-LOC\nis\tO\n\nParis\tB-LOC\nis\tO\n", encoding="utf-8")
+    rc = main(["eval", "--gold-path", str(gold), "--pred-path", str(pred)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_FAILURE
+    assert "F1" not in captured.out
+    assert "corpus misalignment: sentence 1 token 1 is 'was' in gold, 'is' predicted" in captured.err
 
 
 def test_eval_writes_metrics_file(pipeline_dir, capsys):
@@ -824,13 +851,13 @@ def test_malformed_bundle_exit_code(pipeline_dir, tmp_path, capsys, mutation):
     assert BUNDLE_MESSAGES.get(mutation, "") in err
 
 
-def _edit_crf(edit):
+def _edit_crf(edit, encode=lambda text: np.frombuffer(text.encode(), np.uint8)):
     def apply(model):
         with np.load(model) as archive:
             arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(str(arrays["meta"]))
+        meta = json.loads(arrays["meta"].tobytes().decode())
         edit(arrays, meta)
-        arrays["meta"] = np.array(json.dumps(meta))
+        arrays["meta"] = encode(json.dumps(meta))
         with open(model, "wb") as fh:
             np.savez(fh, **arrays)
     return apply
@@ -850,6 +877,11 @@ CRF_MUTATIONS = {
     "switch-not-bool": _edit_crf(lambda a, m: m["templates"].update(shape="yes")),
     # every shape still fits, but no featurized string would match an int
     "features-not-strings": _edit_crf(lambda a, m: m.update(features=list(range(len(m["features"]))))),
+    # the older format: the same JSON as a numpy unicode string
+    "meta-unicode-string": _edit_crf(lambda a, m: None, encode=np.array),
+}
+CRF_MESSAGES = {
+    "meta-unicode-string": "not UTF-8 bytes (an older format: retrain it)",
 }
 
 
@@ -866,6 +898,7 @@ def test_malformed_crf_exit_code(pipeline_dir, tmp_path, capsys, mutation):
     err = capsys.readouterr().err
     assert rc == EXIT_CHECKPOINT
     assert str(model) in err
+    assert CRF_MESSAGES.get(mutation, "") in err
 
 
 # ---------------------------------------------------------------------------

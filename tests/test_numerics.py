@@ -8,12 +8,12 @@ from nerrank.numerics import (
     Tensor,
     backward,
     concat,
+    conv_pool,
     dropout,
     l2_penalty,
     lookup_rows,
     lstm,
     matmul,
-    max_pool_time,
     scale,
     sigmoid,
     sum_all,
@@ -55,9 +55,18 @@ def test_sigmoid_at_zero_and_extremes(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def max_pool(x, lengths):
+    """conv_pool as a plain per-run max-pool of x's rows: a one-position
+    window, identity filters and a zero bias."""
+    width = x.shape[1] if x.data.ndim == 2 else 1
+    return conv_pool(
+        x, np.arange(x.shape[0]), lengths, Tensor(np.eye(width)), Tensor(np.zeros((1, width)))
+    )
+
+
 def test_max_pool_values_and_routing():
     x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]), requires_grad=True)
-    out = max_pool_time(x, [2])
+    out = max_pool(x, [2])
     assert out.data.tolist() == [[3.0, 5.0]]
     # pick out channel 1 only; its gradient must land on x[0][1]
     loss = sum_all(out * Tensor(np.array([[0.0, 1.0]])))
@@ -69,7 +78,7 @@ def test_max_pool_values_and_routing():
         np.array([[-9.0, -9.0], [7.0, 1.0], [7.0, 4.0], [2.0, 4.0], [0.5, 8.0], [6.0, 8.0]]),
         requires_grad=True,
     )
-    out = max_pool_time(x, [1, 3, 2])
+    out = max_pool(x, [1, 3, 2])
     # the one-row run keeps its own row although the rows after its end are larger
     assert out.data.tolist() == [[-9.0, -9.0], [7.0, 4.0], [6.0, 8.0]]
     backward(sum_all(out * Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))))
@@ -85,7 +94,42 @@ def test_max_pool_values_and_routing():
     ]
     for a, lengths in cases:
         with pytest.raises(ShapeMismatchError):
-            max_pool_time(a, lengths)
+            max_pool(a, lengths)
+
+
+def test_conv_pool_ties_route_to_the_first_window():
+    # rows x0, x1, x0, x1, x0 give positions 1 and 3 the same window
+    # [x0, x1, x0], the largest response of both filters; the gradient goes
+    # to the rows position 1 reads, 0 to 2, and rows 3 and 4 get none
+    source = Tensor(np.array([[1.0, 2.0], [3.0, -1.0]] * 2 + [[1.0, 2.0]]), requires_grad=True)
+    w = Tensor(np.arange(12.0).reshape(6, 2), requires_grad=True)
+    b = Tensor(np.array([[0.5, -0.5]]), requires_grad=True)
+    out = conv_pool(source, np.arange(5), [5], w, b)
+    window = np.array([[1.0, 2.0, 3.0, -1.0, 1.0, 2.0]])
+    assert out.data.tolist() == (window @ w.data + b.data).tolist()
+    backward(sum_all(out * Tensor(np.array([[1.0, 2.0]]))))
+    assert w.grad.tolist() == (window.T @ np.array([[1.0, 2.0]])).tolist()
+    assert b.grad.tolist() == [[1.0, 2.0]]
+    taps = (w.data @ np.array([1.0, 2.0])).reshape(3, 2)
+    assert source.grad.tolist() == taps.tolist() + [[0.0, 0.0]] * 2
+
+
+def test_conv_pool_rejects_malformed_shapes():
+    source = Tensor(np.zeros((3, 2)))
+    w, b = Tensor(np.zeros((6, 4))), Tensor(np.zeros((1, 4)))
+    cases = [
+        ([0, 1, 2], [3], Tensor(np.zeros((4, 4))), b),  # an even window
+        ([0, 1, 2], [3], Tensor(np.zeros((5, 4))), b),  # rows not whole positions
+        ([0, 1, 2], [3], w, Tensor(np.zeros((1, 3)))),  # one bias per filter
+        ([0, 1, 2], [3], w, Tensor(np.zeros(4))),
+        ([[0, 1, 2]], [3], w, b),  # ids not one list
+        ([0, 1, 2], [2], w, b),
+    ]
+    for ids, lengths, w_, b_ in cases:
+        with pytest.raises(ShapeMismatchError):
+            conv_pool(source, ids, lengths, w_, b_)
+    with pytest.raises(IndexError):
+        conv_pool(source, [0, 3], [2], w, b)
 
 
 def test_lookup_rows_gather():
@@ -165,45 +209,48 @@ def test_gradcheck_assembly_ops():
 
 def test_gradcheck_pool_and_lookup():
     rng = np.random.default_rng(4)
-    table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    source = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(15, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
 
     def loss():
-        # runs of 4, 1 and 2 rows; the repeated row 2 ties with itself
-        rows = lookup_rows(table, [0, 2, 2, 5, 4, 1, 3])
-        return sum_all(max_pool_time(rows, [4, 1, 2])) + sum_all(lookup_rows(table, [1]))
+        # runs of 4, 1 and 2 positions under a five-position window, with
+        # repeated source rows; positions outside a run read zeros
+        out = conv_pool(source, [0, 2, 2, 5, 4, 1, 2], [4, 1, 2], w, b)
+        return sum_all(out * out) + sum_all(lookup_rows(source, [1]))
 
-    check(loss, [("table", table)])
+    check(loss, [("source", source), ("w", w), ("b", b)])
 
 
 @pytest.mark.parametrize("peepholes", [True, False])
 def test_gradcheck_fused_lstm(peepholes):
-    # ragged runs, one of length 1, and nonzero peephole weights; every
-    # input of the op is a leaf: the four input projections, W1/W3/W5/W7,
-    # b1..b4 and mu1, mu2
+    # ragged runs, one of length 1, inputs narrower than the state and
+    # nonzero peephole weights; every input of the op is a leaf: x,
+    # W1..W8, b1..b4 and mu1, mu2
     rng = np.random.default_rng(9)
-    hidden, lengths = 3, [3, 1, 4]
+    width, hidden, lengths = 2, 3, [3, 1, 4]
 
     def leaf(*shape):
         return Tensor(rng.normal(scale=0.7, size=shape), requires_grad=True)
 
-    inputs = [leaf(sum(lengths), hidden) for _ in range(4)]
-    recurrent = [leaf(hidden, hidden) for _ in range(4)]
+    x = leaf(sum(lengths), width)
+    weights = [leaf(hidden if k % 2 == 0 else width, hidden) for k in range(8)]
     biases = [leaf(1, hidden) for _ in range(4)]
     mu = (leaf(1, hidden), leaf(1, hidden)) if peepholes else None
     readout = Tensor(rng.normal(size=(len(lengths), hidden)))
 
     def loss():
-        return sum_all(lstm(inputs, recurrent, biases, mu, lengths) * readout)
+        return sum_all(lstm(x, weights, biases, mu, lengths) * readout)
 
-    named = [
-        (f"{kind}{k}", t)
-        for kind, group in (("x", inputs), ("w", recurrent), ("b", biases), ("mu", mu or ()))
+    named = [("x", x)] + [
+        (f"{kind}{k + 1}", t)
+        for kind, group in (("w", weights), ("b", biases), ("mu", mu or ()))
         for k, t in enumerate(group)
     ]
     report = grad_check(loss, named, h=1e-4)
     assert report.ok(1e-6), str(report)
     with pytest.raises(ShapeMismatchError):
-        lstm(inputs, recurrent, biases, mu, [3, 1, 3])
+        lstm(x, weights, biases, mu, [3, 1, 3])
 
 
 def test_l2_penalty_value_and_gradient():

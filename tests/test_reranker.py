@@ -20,7 +20,7 @@ from nerrank.errors import (
 )
 from nerrank.config import ScorerConfig, TrainConfig
 from nerrank.numerics import Tensor, backward, sum_all
-from nerrank.pipeline import RerankerBundle, load_bundle, save_bundle
+from nerrank.pipeline import RerankExample, RerankerBundle, batch_loss, load_bundle, save_bundle
 from nerrank.reranker import (
     CHAR_PAD_ID,
     CHAR_UNK_ID,
@@ -362,28 +362,56 @@ def test_lstm_five_step_gradients():
     assert report.ok(1e-4), str(report)
 
 
-def graph_size(root) -> int:
-    """Nodes in the autodiff graph that ends in `root`."""
-    seen, stack = set(), [root]
+def graph_size(root) -> tuple[int, int]:
+    """(op nodes, leaves) of the autodiff graph that ends in `root`."""
+    seen, stack, ops = set(), [root], 0
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
+            ops += bool(node._parents)
             stack.extend(node._parents)
-    return len(seen)
+    return ops, len(seen) - ops
 
 
 def test_ragged_runs_cost_no_extra_graph_nodes():
-    # the whole recurrence is one node, so the graph does not grow with
-    # run length or raggedness
+    # the recurrence and each conv-pool are one node each, so the graph
+    # does not grow with the number, length or raggedness of the word runs
+    # (sequences) or of the character runs (words, short, long or cut at
+    # char_pad): ten op nodes over the twenty parameters
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=17)
     words = ["ab", "ba", "xy", "visited"]
     long = (words * 8)[:30]
+    chars = [".", "ab", "visited", "unseenword", "PER", "x"]
     sizes = [
         graph_size(scorer.score_batch(lists))
-        for lists in ([words[:3]], [long], [long, words[:3]], [words, words[:1], words[:2]])
+        for lists in (
+            [words[:3]], [long], [long, words[:3]], [words, words[:1], words[:2]],
+            [["."]], [chars], [chars[::-1], chars[2:4], ["."]],
+        )
     ]
-    assert sizes == sizes[:1] * len(sizes)
+    assert sizes == [(10, 20)] * len(sizes)
+
+
+def test_training_batch_graph_has_one_node_per_layer():
+    """An acceptance-size training batch (64 examples of 1-6 tokens, the
+    acceptance test's scorer with dropout, l2 on) builds 17 op nodes over
+    its 20 parameters: word lookup, char conv-pool, concat, token gather,
+    dropout, LSTM, word conv-pool, concat, head matmul, bias add, sigmoid,
+    then sub, mul, sum, scale, l2 penalty and add in the loss."""
+    rng = np.random.default_rng(0)
+    words = ["Rome", "is", "far", "a", "visited", "Paris", "."]
+    examples = []
+    for i, n in enumerate(rng.integers(1, 7, size=64)):
+        tokens = [str(w) for w in rng.choice(words, size=n)]
+        seq = collapse(sentence(i, *tokens), labels(*["O"] * n))
+        examples.append(RerankExample(collapsed=seq, target=float(rng.random())))
+    config = ScorerConfig(
+        word_dim=16, char_dim=8, lstm_hidden=16, char_cnn_filters=8, word_cnn_filters=16,
+        dropout=0.1,
+    )
+    scorer = PatternScorer(build_vocab([ex.tokens for ex in examples]), config, char_pad=8, seed=0)
+    assert graph_size(batch_loss(scorer, examples, 1e-4)) == (17, 20)
 
 
 def test_clamped_steps_carry_no_gradient():
