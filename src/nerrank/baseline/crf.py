@@ -259,15 +259,6 @@ def _minus_one_hots(index: np.ndarray, size: int) -> np.ndarray:
     return hits
 
 
-def sequence_prob(model: CrfModel, sentence: Sentence, labels: LabelSeq) -> float:
-    """Exact probability exp(score - logZ) of one label sequence."""
-    if len(labels) != len(sentence):
-        raise ValueError(f"{len(labels)} labels for {len(sentence)} tokens")
-    e = model.emission_scores(sentence)
-    ids = [model.tag_id(l) for l in labels]
-    return min(1.0, float(np.exp(model.score_tag_ids(e, ids) - model.log_partition(e))))
-
-
 def kbest_decode(model: CrfModel, ids: list[list[np.ndarray]], k: int) -> list[list[tuple[LabelSeq, float]]]:
     """Per sentence, given its per-position feature ids, the k
     highest-scoring label sequences with their exact probabilities.
@@ -412,10 +403,7 @@ def crf_train(
     gold_ids = [[model.tag_id(l) for l in labels] for labels in train.gold]
 
     # Tensor wraps each array without copying, so Adam updates the model
-    params = [
-        Tensor(a, requires_grad=True)
-        for a in (model.emit, model.trans, model.begin, model.end)
-    ]
+    params = [Tensor(a) for a in (model.emit, model.trans, model.begin, model.end)]
     opt = AdamState(params, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8)
     # every batch sums its gradient into `grads` from zero; `decay` holds
     # l2 * p, so each p.grad = grads / b + l2 * p is formed without temporaries
@@ -492,7 +480,7 @@ def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
             trans=model.trans,
             begin=model.begin,
             end=model.end,
-            meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
+            meta=np.frombuffer(json.dumps(meta, ensure_ascii=False).encode(), np.uint8),
         )
 
 

@@ -153,9 +153,15 @@ def _emit(cfg: RunConfig, text: str, *, echo: bool = False):
         _write_text(cfg.output_path, text, cfg)
 
 
-def _load_bundle_checked(cfg: RunConfig, explicit: frozenset):
+def _provenance(cfg: RunConfig) -> dict:
+    """What a saved model records of the run that made it."""
+    return {"version": __version__, "config_hash": config_hash(cfg)}
+
+
+def _load_bundle_and_nbest(cfg: RunConfig, explicit: frozenset):
     """The bundle at bundle_path, unless an architecture key given
-    explicitly disagrees with it."""
+    explicitly disagrees with it, and then the n-best corpus at
+    nbest_path cut to n_best."""
     from .pipeline import load_bundle
 
     if not os.path.exists(cfg.bundle_path):
@@ -171,7 +177,7 @@ def _load_bundle_checked(cfg: RunConfig, explicit: frozenset):
         raise CheckpointMismatchError(
             "config disagrees with the loaded model on: " + ", ".join(clashes)
         )
-    return bundle
+    return bundle, read_nbest(cfg.nbest_path).truncated(cfg.n_best)
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +190,7 @@ def cmd_baseline_train(cfg: RunConfig, explicit: frozenset):
     dataset = parse_conll(read_text(cfg.train_path))
     templates = cfg.template_set(_load_clusters(cfg))
     model = crf_train(dataset, templates, **cfg.crf_options())
-    save_crf(
-        cfg.model_path,
-        model,
-        extra_meta={"version": __version__, "config_hash": config_hash(cfg)},
-    )
+    save_crf(cfg.model_path, model, extra_meta=_provenance(cfg))
     log.info(
         "trained on %d sentences, %d features, final NLL %.4f",
         len(dataset),
@@ -240,21 +242,16 @@ def cmd_rerank_train(cfg: RunConfig, explicit: frozenset):
     bundle = train_reranker(
         make_examples(train_nb), dev_nb, cfg.train, pretrained=pretrained
     )
-    save_bundle(
-        cfg.bundle_path,
-        bundle,
-        provenance={"version": __version__, "config_hash": config_hash(cfg)},
-    )
+    save_bundle(cfg.bundle_path, bundle, provenance=_provenance(cfg))
     log.info("selected alpha = %s", bundle.alpha)
 
 
 def cmd_rerank_decode(cfg: RunConfig, explicit: frozenset):
     from .pipeline import rerank
 
-    bundle = _load_bundle_checked(cfg, explicit)
+    bundle, corpus = _load_bundle_and_nbest(cfg, explicit)
     if cfg.alpha is not None:
         bundle = replace(bundle, alpha=cfg.alpha)
-    corpus = read_nbest(cfg.nbest_path).truncated(cfg.n_best)
     predictions = rerank(bundle, corpus)
     dataset = Dataset(list(corpus.sentences), predictions)
     _write_text(cfg.output_path, format_conll(dataset), cfg)
@@ -292,8 +289,7 @@ def cmd_oracle(cfg: RunConfig, explicit: frozenset):
 def cmd_alpha_search(cfg: RunConfig, explicit: frozenset):
     from .pipeline import alpha_search, score_sets
 
-    bundle = _load_bundle_checked(cfg, explicit)
-    corpus = read_nbest(cfg.nbest_path).truncated(cfg.n_best)
+    bundle, corpus = _load_bundle_and_nbest(cfg, explicit)
     result = alpha_search(corpus, score_sets(bundle.scorer, corpus))
     values = {
         "alpha": result.alpha,

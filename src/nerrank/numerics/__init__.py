@@ -2,17 +2,16 @@
 
 from .tensor import (
     Tensor,
+    add,
     backward,
     concat,
     conv_pool,
     dropout,
+    head,
     l2_penalty,
     lookup_rows,
     lstm,
-    matmul,
-    scale,
-    sigmoid,
-    sum_all,
+    mse,
 )
 from .optim import AdamState, ParamStore
 
@@ -20,15 +19,14 @@ __all__ = [
     "AdamState",
     "ParamStore",
     "Tensor",
+    "add",
     "backward",
     "concat",
     "conv_pool",
     "dropout",
+    "head",
     "l2_penalty",
     "lookup_rows",
     "lstm",
-    "matmul",
-    "scale",
-    "sigmoid",
-    "sum_all",
+    "mse",
 ]

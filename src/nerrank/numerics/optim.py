@@ -21,7 +21,7 @@ class ParamStore:
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=True)
+        t = Tensor(data)
         self._params[name] = t
         return t
 

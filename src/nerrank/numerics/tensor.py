@@ -2,15 +2,17 @@
 
 Each op records its parents and a closure that routes the output gradient
 back to them; `backward` walks the recorded graph in reverse topological
-order. The op set is exactly what a recurrent/convolutional sentence scorer
-needs: matmul, elementwise arithmetic, sigmoid, concatenation, row gather
-with scatter-add gradients, inverted dropout, and one node per scorer
-layer, each with a hand-written backward pass: a windowed convolution with
-max-pooling over time (`conv_pool`), a whole LSTM with its input
-projections and recurrence (`lstm`, backpropagation through time), and the
-L2 penalty of a parameter list. Activations are matrices with one row per
-item; a batch of sequences lays its items end to end as the rows of one
-matrix, and `conv_pool` and `lstm` read it as runs of given lengths.
+order. The op set is exactly what the pattern scorer and its loss need,
+one node per layer, each with a hand-written backward pass: row gather
+with scatter-add gradients (`lookup_rows`), concatenation, inverted
+dropout, a windowed convolution with max-pooling over time (`conv_pool`),
+a whole LSTM with its input projections and recurrence (`lstm`,
+backpropagation through time), the sigmoid output unit (`head`), the
+batch's mean squared error (`mse`), the L2 penalty of a parameter list
+and the sum of two same-shaped tensors (`add`). Activations are matrices
+with one row per item; a batch of sequences lays its items end to end as
+the rows of one matrix, and `conv_pool` and `lstm` read it as runs of
+given lengths.
 """
 
 from __future__ import annotations
@@ -20,23 +22,12 @@ import numpy as np
 from ..errors import ShapeMismatchError
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the parent's shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
 
@@ -47,7 +38,7 @@ class Tensor:
     def _accum(self, g: np.ndarray):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += _unbroadcast(g, self.data.shape)
+        self.grad += g
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -57,108 +48,18 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
-    # operator sugar for the elementwise ops between two tensors; scaling
-    # by a number and matrix products are spelled `scale` and `matmul`
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
 
 def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward_fn
+    out._parents = parents
+    out._backward = backward_fn
     return out
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeMismatchError(f"add: {a.data.shape} vs {b.data.shape}") from None
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(g)
-
-    return _node(data, (a, b), bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeMismatchError(f"sub: {a.data.shape} vs {b.data.shape}") from None
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(-g)
-
-    return _node(data, (a, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeMismatchError(f"mul: {a.data.shape} vs {b.data.shape}") from None
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * b.data)
-        if b.requires_grad:
-            b._accum(g * a.data)
-
-    return _node(data, (a, b), bw)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bw(g):
-        a._accum(g * c)
-
-    return _node(a.data * c, (a,), bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatchError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g @ b.data.T)
-        if b.requires_grad:
-            b._accum(a.data.T @ g)
-
-    return _node(data, (a, b), bw)
 
 
 def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     # the stable two-branch form in one expression: exp(min(x, 0)) is 1 for
     # x >= 0 and exp(x) below, exp(-|x|) never overflows
     return np.divide(np.exp(np.minimum(x, 0.0)), 1.0 + np.exp(-np.abs(x)), out=out)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
-
-    def bw(g):
-        a._accum(g * out * (1.0 - out))
-
-    return _node(out, (a,), bw)
 
 
 def concat(parts: list, axis: int) -> Tensor:
@@ -174,8 +75,7 @@ def concat(parts: list, axis: int) -> Tensor:
 
     def bw(g):
         for p, piece in zip(parts, np.split(g, cuts, axis=axis)):
-            if p.requires_grad:
-                p._accum(piece)
+            p._accum(piece)
 
     return _node(data, tuple(parts), bw)
 
@@ -250,16 +150,13 @@ def conv_pool(source: Tensor, ids, lengths, w: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         d_resp = np.zeros((n, filters))
         d_resp[rows, cols] = g
-        if b.requires_grad:
-            b._accum(d_resp.sum(axis=0, keepdims=True))
-        if w.requires_grad:
-            w._accum(windows.T @ d_resp)
-        if source.requires_grad:
-            d_windows = d_resp @ w.data.T
-            back = np.zeros_like(source.data)
-            for j, (inside, read) in enumerate(gathers):
-                np.add.at(back, read, d_windows[inside, j * width:(j + 1) * width])
-            source._accum(back)
+        b._accum(d_resp.sum(axis=0, keepdims=True))
+        w._accum(windows.T @ d_resp)
+        d_windows = d_resp @ w.data.T
+        back = np.zeros_like(source.data)
+        for j, (inside, read) in enumerate(gathers):
+            np.add.at(back, read, d_windows[inside, j * width:(j + 1) * width])
+        source._accum(back)
 
     return _node(data, (source, w, b), bw)
 
@@ -341,23 +238,19 @@ def lstm(x: Tensor, weights, biases, peepholes, lengths) -> Tensor:
         d_w = hs[:-1].reshape(-1, hidden).T @ d.reshape(-1, 4 * hidden)
         d_b = d.reshape(-1, 4 * hidden).sum(axis=0, keepdims=True)
         for col, k in zip(cols, order):
-            for p, grad in ((recurrent[k], d_w[:, col]), (biases[k], d_b[:, col])):
-                if p.requires_grad:
-                    p._accum(grad)
+            recurrent[k]._accum(d_w[:, col])
+            biases[k]._accum(d_b[:, col])
         if peepholes is not None:
             for p, col in zip(peepholes, cols):
-                if p.requires_grad:
-                    p._accum((d[:, :, col] * ms[:-1]).reshape(-1, hidden).sum(axis=0, keepdims=True))
+                p._accum((d[:, :, col] * ms[:-1]).reshape(-1, hidden).sum(axis=0, keepdims=True))
         # each row of x is read at exactly one step before its run ends
         valid = np.arange(steps)[:, None] < lengths
         d_x = np.empty((rows, 4 * hidden))
         d_x[at[valid]] = d[valid]
         for k in range(4):
             d_xk = np.ascontiguousarray(d_x[:, cols[order.index(k)]])
-            if x.requires_grad:
-                x._accum(d_xk @ projections[k].data.T)
-            if projections[k].requires_grad:
-                projections[k]._accum(x.data.T @ d_xk)
+            x._accum(d_xk @ projections[k].data.T)
+            projections[k]._accum(x.data.T @ d_xk)
 
     parents = (x, *weights, *biases, *(peepholes or ()))
     return _node(data, parents, bw)
@@ -382,13 +275,37 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     return _node(a.data * mask, (a,), bw)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    data = np.array([[a.data.sum()]])
+def head(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The sigmoid unit sigmoid(h @ w + b) of each row of h, shape
+    (B, outputs), in one node; b is one row (1, outputs)."""
+    if (h.data.ndim != 2 or w.data.ndim != 2 or h.data.shape[1] != w.data.shape[0]
+            or b.data.shape != (1, w.data.shape[1])):
+        raise ShapeMismatchError(f"head: {h.data.shape} @ {w.data.shape} + {b.data.shape}")
+    out = _sigmoid(h.data @ w.data + b.data)
 
     def bw(g):
-        a._accum(np.full_like(a.data, g[0, 0]))
+        d = g * out * (1.0 - out)
+        b._accum(d.sum(axis=0, keepdims=True))
+        w._accum(h.data.T @ d)
+        h._accum(d @ w.data.T)
 
-    return _node(data, (a,), bw)
+    return _node(out, (h, w, b), bw)
+
+
+def mse(scores: Tensor, targets) -> Tensor:
+    """sum((scores - targets)^2) / rows, the mean over a batch of its rows'
+    squared errors, as a (1, 1) node; `targets` is a plain array of the
+    scores' shape."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if scores.data.ndim != 2 or targets.shape != scores.data.shape:
+        raise ShapeMismatchError(f"mse: scores {scores.data.shape} vs targets {targets.shape}")
+    diff = scores.data - targets
+    c = 1.0 / diff.shape[0]
+
+    def bw(g):
+        scores._accum(2.0 * (diff * (g[0, 0] * c)))
+
+    return _node(np.array([[(diff * diff).sum() * c]]), (scores,), bw)
 
 
 def l2_penalty(params, l2: float) -> Tensor:
@@ -402,10 +319,21 @@ def l2_penalty(params, l2: float) -> Tensor:
 
     def bw(g):
         for p in params:
-            if p.requires_grad:
-                p._accum(p.data * (l2 * g[0, 0]))
+            p._accum(p.data * (l2 * g[0, 0]))
 
     return _node(np.array([[total * (l2 / 2.0)]]), tuple(params), bw)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for two tensors of one shape (the loss and its L2 term)."""
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatchError(f"add: {a.data.shape} vs {b.data.shape}")
+
+    def bw(g):
+        a._accum(g)
+        b._accum(g)
+
+    return _node(a.data + b.data, (a, b), bw)
 
 
 def backward(loss: Tensor):

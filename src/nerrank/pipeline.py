@@ -30,7 +30,7 @@ from .config import ALPHA_GRID, ScorerConfig, TrainConfig, check_alpha
 from .corpus import LabelSeq
 from .errors import CheckpointMismatchError, ConfigError, NerrankError
 from .evaluation import PrfCounts
-from .numerics import AdamState, Tensor, backward, l2_penalty, scale, sum_all
+from .numerics import AdamState, Tensor, add, backward, l2_penalty, mse
 from .reranker import PatternScorer, Vocab, build_vocab
 
 SHUFFLE_STREAM = 23
@@ -117,10 +117,9 @@ def batch_loss(
     if not batch:
         raise NerrankError("cannot compute the loss of an empty batch")
     scores = scorer.score_batch([ex.tokens for ex in batch], train=train)
-    diff = scores - Tensor(np.array([[ex.target] for ex in batch]))
-    loss = scale(sum_all(diff * diff), 1.0 / len(batch))
+    loss = mse(scores, np.array([[ex.target] for ex in batch]))
     if l2 > 0.0:
-        loss = loss + l2_penalty([p for _, p in scorer.trainable()], l2)
+        loss = add(loss, l2_penalty([p for _, p in scorer.trainable()], l2))
     return loss
 
 

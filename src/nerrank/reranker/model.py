@@ -26,7 +26,8 @@ inside the input and forget gates.  It is one ``numerics.lstm`` node,
 which forms the input projections x W2, x W4, x W6, x W8 with one matmul
 each over all rows, steps all sequences of a batch together on one
 (B, lstm_hidden) state in plain numpy, reads each sequence's final state
-at its own last step and backpropagates through time by hand.
+at its own last step and backpropagates through time by hand.  The sigmoid
+unit is one ``numerics.head`` node.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ from ..numerics import (
     concat,
     conv_pool,
     dropout,
+    head,
     lookup_rows,
     lstm,
-    matmul,
-    sigmoid,
 )
 from .embeddings import init_embeddings
 from .vocab import CHAR_PAD_ID, Vocab
@@ -175,7 +175,7 @@ class PatternScorer:
         if cfg.use_word_cnn:
             parts.append(self.word_cnn_encode(x, lengths))
         h = parts[0] if len(parts) == 1 else concat(parts, 1)
-        return sigmoid(matmul(h, self.head_w) + self.head_b)
+        return head(h, self.head_w, self.head_b)
 
     def trainable(self):
         """(name, tensor) pairs the optimizer should update."""

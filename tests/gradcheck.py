@@ -1,4 +1,5 @@
-"""Central-difference gradient verification for the autodiff tests."""
+"""Central-difference gradient verification for the autodiff tests, and a
+linear scalarizer for tests that read exact gradients."""
 
 from __future__ import annotations
 
@@ -85,3 +86,14 @@ def grad_check(loss_fn, params, h=1e-5, max_coords_per_param=None, rng=None) -> 
                 worst_param = name
                 worst_index = np.unravel_index(i, t.data.shape)
     return GradCheckReport(worst, worst_param, tuple(int(j) for j in worst_index), checked)
+
+
+def weighted_sum(out: Tensor, w) -> Tensor:
+    """sum(out * w) as a (1, 1) node whose backward pass hands `out` the
+    gradient `w` exactly: tests that assert where and how much gradient
+    lands use it, since the scorer's own loss (`mse`) is not linear."""
+    w = np.asarray(w, dtype=np.float64)
+    loss = Tensor(np.array([[(out.data * w).sum()]]))
+    loss._parents = (out,)
+    loss._backward = lambda g: out._accum(g[0, 0] * w)
+    return loss

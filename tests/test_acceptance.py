@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nerrank.baseline.crf import CrfModel, crf_train, sequence_prob
+from nerrank.baseline.crf import CrfModel, crf_train
 from nerrank.baseline.features import FeatureTemplateSet, featurize
 from nerrank.baseline.nbest import build_nbest_corpus, decode_corpus
 from nerrank.cli import EXIT_OK, main
@@ -45,7 +45,7 @@ from nerrank.pipeline import (
 from nerrank.reranker import PatternScorer, build_vocab
 
 from gradcheck import grad_check
-from test_baseline import decode_one
+from test_baseline import decode_one, sequence_prob
 from test_corpus import conlleval_segments
 from toycorpus import make_corpus
 
@@ -330,7 +330,7 @@ def test_objective_formula_and_adam_step_size():
     expected = mse * (1.0 / len(examples)) + reg * (lam / 2.0)
     assert abs(got - expected) < 1e-12
 
-    param = Tensor(np.array([[0.25]]), requires_grad=True)
+    param = Tensor(np.array([[0.25]]))
     opt = AdamState([param], lr=0.001, beta1=0.1, beta2=0.999, eps=1e-8)
     param.grad = np.array([[2.0]])
     before = float(param.data[0, 0])

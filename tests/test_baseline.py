@@ -13,7 +13,6 @@ from nerrank.baseline.crf import (
     CrfModel,
     crf_train,
     kbest_decode,
-    sequence_prob,
 )
 from nerrank.baseline.features import FeatureTemplateSet, featurize, read_clusters, word_shape
 from nerrank.baseline.nbest import (
@@ -90,6 +89,15 @@ def zero_model(tags=ALL_TAGS):
         begin=np.zeros(len(tags)),
         end=np.zeros(len(tags)),
     )
+
+
+def sequence_prob(model, sentence, labels) -> float:
+    """Exact probability exp(score - logZ) of one label sequence."""
+    if len(labels) != len(sentence):
+        raise ValueError(f"{len(labels)} labels for {len(sentence)} tokens")
+    e = model.emission_scores(sentence)
+    ids = [model.tag_id(l) for l in labels]
+    return min(1.0, float(np.exp(model.score_tag_ids(e, ids) - model.log_partition(e))))
 
 
 def decode_one(model, sentence, k, gold=None):

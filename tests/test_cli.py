@@ -254,8 +254,8 @@ def test_crf_checkpoint_roundtrip(tmp_path, tiny_crf):
 
 
 def test_crf_checkpoint_roundtrips_non_ascii_features(tmp_path):
-    # the meta is stored as UTF-8 bytes; feature strings outside ASCII come
-    # back unchanged
+    # the meta is stored as UTF-8 bytes, each character as itself rather
+    # than a \uXXXX escape; feature strings outside ASCII come back unchanged
     train = parse_conll("Zürich\tB-LOC\nliegt\tO\n\n東京\tB-LOC\nist\tO\nweit\tO\n")
     model = crf_train(train, FeatureTemplateSet(clusters=None), **dict(CRF, epochs=1, seed=0))
     assert "w[0]=Zürich" in model.feature_vocab and "w[0]=東京" in model.feature_vocab
@@ -263,6 +263,9 @@ def test_crf_checkpoint_roundtrips_non_ascii_features(tmp_path):
     save_crf(path, model)
     with np.load(path) as archive:
         assert archive["meta"].dtype == np.uint8
+        meta = archive["meta"].tobytes()
+    assert "w[0]=東京".encode("utf-8") in meta and "w[0]=Zürich".encode("utf-8") in meta
+    assert b"\\u" not in meta
     loaded = load_crf(path)
     assert loaded.feature_vocab == model.feature_vocab
     assert np.array_equal(loaded.emit, model.emit)

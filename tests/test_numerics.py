@@ -6,19 +6,18 @@ from nerrank.numerics import (
     AdamState,
     ParamStore,
     Tensor,
+    add,
     backward,
     concat,
     conv_pool,
     dropout,
+    head,
     l2_penalty,
     lookup_rows,
     lstm,
-    matmul,
-    scale,
-    sigmoid,
-    sum_all,
+    mse,
 )
-from gradcheck import grad_check
+from gradcheck import grad_check, weighted_sum
 
 
 def check(loss_fn, named_params, tol=1e-6):
@@ -38,16 +37,21 @@ def two_branch_sigmoid(x):
     return out
 
 
+def sigmoid(x):
+    """The head's sigmoid of each entry of x: a unit weight, zero bias."""
+    out = head(Tensor(x.reshape(-1, 1)), Tensor(np.ones((1, 1))), Tensor(np.zeros((1, 1))))
+    return out.data.reshape(x.shape)
+
+
 def test_sigmoid_at_zero_and_extremes(recwarn):
-    z = Tensor(np.zeros((1, 3)))
-    assert np.allclose(sigmoid(z).data, 0.5)
+    assert np.allclose(sigmoid(np.zeros((1, 3))), 0.5)
 
     # extreme inputs give exactly the two-branch values, inside [0, 1]
     x = np.array(
         [[800.0, -800.0, -745.0, -746.0, 0.0, -0.0, 36.0, 37.0, 38.0, 39.0, 40.0],
          [-36.0, -40.0, 709.0, -709.0, 710.0, -710.0, 1e-300, -1e-300, 0.5, -0.5, 3.0]]
     )
-    got = sigmoid(Tensor(x)).data
+    got = sigmoid(x)
     assert got.tobytes() == two_branch_sigmoid(x).tobytes()
     assert got[0, :4].tolist() == [1.0, 0.0, 5e-324, 0.0]
     assert got[0, 4] == got[0, 5] == 0.5
@@ -65,23 +69,22 @@ def max_pool(x, lengths):
 
 
 def test_max_pool_values_and_routing():
-    x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]), requires_grad=True)
+    x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]))
     out = max_pool(x, [2])
     assert out.data.tolist() == [[3.0, 5.0]]
     # pick out channel 1 only; its gradient must land on x[0][1]
-    loss = sum_all(out * Tensor(np.array([[0.0, 1.0]])))
+    loss = weighted_sum(out, [[0.0, 1.0]])
     backward(loss)
     assert x.grad.tolist() == [[0.0, 1.0], [0.0, 0.0]]
 
     # three runs of 1, 3 and 2 rows laid end to end
     x = Tensor(
-        np.array([[-9.0, -9.0], [7.0, 1.0], [7.0, 4.0], [2.0, 4.0], [0.5, 8.0], [6.0, 8.0]]),
-        requires_grad=True,
+        np.array([[-9.0, -9.0], [7.0, 1.0], [7.0, 4.0], [2.0, 4.0], [0.5, 8.0], [6.0, 8.0]])
     )
     out = max_pool(x, [1, 3, 2])
     # the one-row run keeps its own row although the rows after its end are larger
     assert out.data.tolist() == [[-9.0, -9.0], [7.0, 4.0], [6.0, 8.0]]
-    backward(sum_all(out * Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))))
+    backward(weighted_sum(out, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     # each run's gradient lands on its own argmax row, the first one on ties
     assert x.grad.tolist() == [
         [1.0, 2.0], [3.0, 0.0], [0.0, 4.0], [0.0, 0.0], [0.0, 6.0], [5.0, 0.0],
@@ -101,13 +104,13 @@ def test_conv_pool_ties_route_to_the_first_window():
     # rows x0, x1, x0, x1, x0 give positions 1 and 3 the same window
     # [x0, x1, x0], the largest response of both filters; the gradient goes
     # to the rows position 1 reads, 0 to 2, and rows 3 and 4 get none
-    source = Tensor(np.array([[1.0, 2.0], [3.0, -1.0]] * 2 + [[1.0, 2.0]]), requires_grad=True)
-    w = Tensor(np.arange(12.0).reshape(6, 2), requires_grad=True)
-    b = Tensor(np.array([[0.5, -0.5]]), requires_grad=True)
+    source = Tensor(np.array([[1.0, 2.0], [3.0, -1.0]] * 2 + [[1.0, 2.0]]))
+    w = Tensor(np.arange(12.0).reshape(6, 2))
+    b = Tensor(np.array([[0.5, -0.5]]))
     out = conv_pool(source, np.arange(5), [5], w, b)
     window = np.array([[1.0, 2.0, 3.0, -1.0, 1.0, 2.0]])
     assert out.data.tolist() == (window @ w.data + b.data).tolist()
-    backward(sum_all(out * Tensor(np.array([[1.0, 2.0]]))))
+    backward(weighted_sum(out, [[1.0, 2.0]]))
     assert w.grad.tolist() == (window.T @ np.array([[1.0, 2.0]])).tolist()
     assert b.grad.tolist() == [[1.0, 2.0]]
     taps = (w.data @ np.array([1.0, 2.0])).reshape(3, 2)
@@ -140,9 +143,9 @@ def test_lookup_rows_gather():
 
 
 def test_lookup_rows_repeated_ids_accumulate():
-    table = Tensor(np.zeros((4, 2)), requires_grad=True)
+    table = Tensor(np.zeros((4, 2)))
     out = lookup_rows(table, [1, 1, 3])
-    backward(sum_all(out))
+    backward(weighted_sum(out, np.ones((3, 2))))
     assert table.grad[1].tolist() == [2.0, 2.0]
     assert table.grad[3].tolist() == [1.0, 1.0]
     assert table.grad[0].tolist() == [0.0, 0.0]
@@ -152,18 +155,16 @@ def test_shape_errors_name_both_shapes():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor(np.zeros((4, 5)))
     with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(4, 5\)"):
-        matmul(a, b)
+        head(a, b, Tensor(np.zeros((1, 5))))
+    with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(4, 5\)"):
+        add(a, b)
+    with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(4, 5\)"):
+        mse(a, np.zeros((4, 5)))
+    # add does not broadcast, and the head's bias is one row
     with pytest.raises(ShapeMismatchError):
-        a + b
-
-
-def test_broadcast_add_bias_row():
-    # (T, C) + (1, C): bias gradient sums over rows
-    x = Tensor(np.ones((3, 2)), requires_grad=True)
-    b = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-    backward(sum_all(x + b))
-    assert b.grad.tolist() == [[3.0, 3.0]]
-    assert x.grad.tolist() == np.ones((3, 2)).tolist()
+        add(a, Tensor(np.zeros((1, 3))))
+    with pytest.raises(ShapeMismatchError):
+        head(a, Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,53 +172,81 @@ def test_broadcast_add_bias_row():
 
 def test_gradcheck_arithmetic_and_matmul():
     rng = np.random.default_rng(1)
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    c = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    mask = Tensor(rng.normal(size=(3, 2)))
+    a = Tensor(rng.normal(size=(3, 4)))
+    b = Tensor(rng.normal(size=(4, 2)))
+    c = Tensor(rng.normal(size=(3, 2)))
+    bias = Tensor(rng.normal(size=(1, 2)))
+    mask = rng.normal(size=(3, 2))
 
     def loss():
-        return sum_all((matmul(a, b) - c) * mask + c * c)
+        return mse(add(head(a, b, bias), c), mask)
 
-    check(loss, [("a", a), ("b", b), ("c", c)])
+    check(loss, [("a", a), ("b", b), ("c", c), ("bias", bias)])
 
 
 def test_gradcheck_activations():
     rng = np.random.default_rng(2)
-    w = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 5)))
+    # pre-activations up to about 9 either way: the sigmoid's middle and tails
+    x = Tensor(np.linspace(-9.0, 9.0, 10).reshape(5, 2))
+    targets = rng.random(size=(5, 5))
 
     def loss():
-        return sum_all(sigmoid(w) * w)
+        return mse(head(x, w, Tensor(np.zeros((1, 5)))), targets)
 
     check(loss, [("w", w)], tol=1e-4)
 
 
+@pytest.mark.parametrize("rows", [1, 4])
+def test_gradcheck_head(rows):
+    # the scorer's shape: one output, a (1, 1) bias summed over the rows
+    rng = np.random.default_rng(11)
+    h = Tensor(rng.normal(size=(rows, 3)))
+    w = Tensor(rng.normal(size=(3, 1)))
+    b = Tensor(rng.normal(size=(1, 1)))
+    targets = rng.random(size=(rows, 1))
+    check(lambda: mse(head(h, w, b), targets), [("h", h), ("w", w), ("b", b)])
+
+
+def test_gradcheck_mse():
+    rng = np.random.default_rng(12)
+    scores = Tensor(rng.random(size=(5, 2)))
+    targets = rng.random(size=(5, 2))
+    out = mse(scores, targets)
+    assert out.item() == ((scores.data - targets) ** 2).sum() * (1.0 / 5)
+    backward(out)
+    assert np.allclose(scores.grad, 2.0 * (scores.data - targets) / 5, rtol=0.0, atol=1e-15)
+    check(lambda: mse(scores, targets), [("scores", scores)])
+    # a non-unit upstream gradient scales the backward pass
+    check(lambda: weighted_sum(mse(scores, targets), [[2.5]]), [("scores", scores)])
+
+
 def test_gradcheck_assembly_ops():
     rng = np.random.default_rng(3)
-    a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    mask = Tensor(rng.normal(size=(6, 6)))
+    a = Tensor(rng.normal(size=(3, 2)))
+    b = Tensor(rng.normal(size=(3, 4)))
+    mask = rng.normal(size=(6, 6))
 
     def loss():
         wide = concat([a, b], 1)
         tall = concat([wide, wide], 0)
         shifted = lookup_rows(tall, [0, 0, 1, 2, 3, 4])
-        return sum_all(shifted * mask)
+        return mse(shifted, mask)
 
     check(loss, [("a", a), ("b", b)])
 
 
 def test_gradcheck_pool_and_lookup():
     rng = np.random.default_rng(4)
-    source = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(15, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+    source = Tensor(rng.normal(size=(6, 3)))
+    w = Tensor(rng.normal(size=(15, 4)))
+    b = Tensor(rng.normal(size=(1, 4)))
 
     def loss():
         # runs of 4, 1 and 2 positions under a five-position window, with
         # repeated source rows; positions outside a run read zeros
         out = conv_pool(source, [0, 2, 2, 5, 4, 1, 2], [4, 1, 2], w, b)
-        return sum_all(out * out) + sum_all(lookup_rows(source, [1]))
+        return add(mse(out, np.zeros((3, 4))), mse(lookup_rows(source, [1]), np.ones((1, 3))))
 
     check(loss, [("source", source), ("w", w), ("b", b)])
 
@@ -231,16 +260,16 @@ def test_gradcheck_fused_lstm(peepholes):
     width, hidden, lengths = 2, 3, [3, 1, 4]
 
     def leaf(*shape):
-        return Tensor(rng.normal(scale=0.7, size=shape), requires_grad=True)
+        return Tensor(rng.normal(scale=0.7, size=shape))
 
     x = leaf(sum(lengths), width)
     weights = [leaf(hidden if k % 2 == 0 else width, hidden) for k in range(8)]
     biases = [leaf(1, hidden) for _ in range(4)]
     mu = (leaf(1, hidden), leaf(1, hidden)) if peepholes else None
-    readout = Tensor(rng.normal(size=(len(lengths), hidden)))
+    readout = rng.normal(size=(len(lengths), hidden))
 
     def loss():
-        return sum_all(lstm(x, weights, biases, mu, lengths) * readout)
+        return weighted_sum(lstm(x, weights, biases, mu, lengths), readout)
 
     named = [("x", x)] + [
         (f"{kind}{k + 1}", t)
@@ -255,38 +284,34 @@ def test_gradcheck_fused_lstm(peepholes):
 
 def test_l2_penalty_value_and_gradient():
     rng = np.random.default_rng(10)
-    a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    b = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+    a = Tensor(rng.normal(size=(3, 2)))
+    b = Tensor(rng.normal(size=(1, 4)))
     out = l2_penalty([a, b], 0.3)
     assert out.item() == (0.0 + (a.data * a.data).sum() + (b.data * b.data).sum()) * 0.15
     backward(out)
     assert np.array_equal(a.grad, a.data * 0.3) and np.array_equal(b.grad, b.data * 0.3)
-    check(lambda: l2_penalty([a, b], 0.3) * l2_penalty([a], 2.0), [("a", a), ("b", b)])
-
-
-def test_gradcheck_scale_and_neg():
-    rng = np.random.default_rng(5)
-    w = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-
-    def loss():
-        return sum_all(scale(w * w, 0.5) - scale(w, -1.0))
-
-    check(loss, [("w", w)])
+    # under an mse against a far target each penalty's upstream gradient is
+    # 2 * (sum - target), far from 1, so the backward's g[0, 0] is exercised
+    check(
+        lambda: mse(add(l2_penalty([a, b], 0.3), l2_penalty([a], 2.0)), [[-5.0]]),
+        [("a", a), ("b", b)],
+    )
 
 
 # ---------------------------------------------------------------------------
 # backward semantics
 
 def test_backward_sum_gives_ones():
-    p = Tensor(np.zeros((2, 3)), requires_grad=True)
-    backward(sum_all(p))
+    # a unit difference over two rows: 2 * (p - t) / 2 is one everywhere
+    p = Tensor(np.zeros((2, 3)))
+    backward(mse(p, -np.ones((2, 3))))
     assert p.grad.tolist() == np.ones((2, 3)).tolist()
 
 
 def test_backward_sigmoid_closed_form():
-    w = Tensor(np.array([[0.3, -0.7]]), requires_grad=True)
+    w = Tensor(np.array([[0.3, -0.7]]))
     x = np.array([[2.0], [0.5]])
-    loss = sigmoid(matmul(w, Tensor(x)))
+    loss = head(w, Tensor(x), Tensor(np.zeros((1, 1))))
     backward(loss)
     z = float((w.data @ x)[0, 0])
     s = 1.0 / (1.0 + np.exp(-z))
@@ -295,23 +320,23 @@ def test_backward_sigmoid_closed_form():
 
 
 def test_backward_off_path_param_untouched():
-    used = Tensor(np.ones((1, 1)), requires_grad=True)
-    unused = Tensor(np.ones((1, 1)), requires_grad=True)
-    backward(used * used)
+    used = Tensor(np.ones((1, 1)))
+    unused = Tensor(np.ones((1, 1)))
+    backward(mse(used, np.zeros((1, 1))))
     assert unused.grad is None
     assert used.grad is not None
 
 
 def test_backward_rejects_non_scalar():
-    p = Tensor(np.ones((2, 2)), requires_grad=True)
+    p = Tensor(np.ones((2, 2)))
     with pytest.raises(ShapeMismatchError):
-        backward(p + p)
+        backward(add(p, p))
 
 
 def test_backward_shared_node_counted_once_per_use():
     # y = x + x uses the same node twice; dy/dx = 2
-    x = Tensor(np.array([[1.5]]), requires_grad=True)
-    backward(x + x)
+    x = Tensor(np.array([[1.5]]))
+    backward(add(x, x))
     assert x.grad.tolist() == [[2.0]]
 
 
@@ -319,7 +344,7 @@ def test_backward_shared_node_counted_once_per_use():
 # dropout
 
 def test_dropout_rate_zero_identity_both_modes():
-    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    x = Tensor(np.ones((2, 2)))
     rng = np.random.default_rng(0)
     assert dropout(x, 0.0, rng, training=True) is x
     assert dropout(x, 0.0, rng, training=False) is x
@@ -338,9 +363,9 @@ def test_dropout_preserves_expectation():
 
 
 def test_dropout_gradient_uses_same_mask():
-    x = Tensor(np.ones((50, 50)), requires_grad=True)
+    x = Tensor(np.ones((50, 50)))
     out = dropout(x, 0.4, np.random.default_rng(3), training=True)
-    backward(sum_all(out))
+    backward(weighted_sum(out, np.ones((50, 50))))
     assert np.array_equal(x.grad, out.data)  # mask * 1 either way
 
 
@@ -353,10 +378,10 @@ def test_dropout_rejects_bad_rate():
 
 
 def test_dropout_rate_one_drops_everything():
-    x = Tensor(np.ones((3, 4)), requires_grad=True)
+    x = Tensor(np.ones((3, 4)))
     out = dropout(x, 1.0, np.random.default_rng(0), training=True)
     assert np.array_equal(out.data, np.zeros((3, 4)))
-    backward(sum_all(out))
+    backward(weighted_sum(out, np.ones((3, 4))))
     assert np.array_equal(x.grad, np.zeros((3, 4)))
 
 
@@ -365,7 +390,7 @@ def test_dropout_rate_one_drops_everything():
 
 def test_adam_first_step_magnitude():
     rng = np.random.default_rng(9)
-    p = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    p = Tensor(rng.normal(size=(4, 3)))
     before = p.data.copy()
     opt = AdamState([p], lr=0.001, beta1=0.1, beta2=0.999, eps=1e-8)
     p.grad = rng.uniform(0.001, 5.0, size=(4, 3)) * np.sign(rng.normal(size=(4, 3)))
@@ -375,7 +400,7 @@ def test_adam_first_step_magnitude():
 
 
 def test_adam_zero_gradient_no_motion():
-    p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+    p = Tensor(np.array([[1.0, -2.0]]))
     opt = AdamState([p], lr=0.001, beta1=0.1, beta2=0.999, eps=1e-8)
     for _ in range(50):
         p.grad = np.zeros_like(p.data)
@@ -384,19 +409,18 @@ def test_adam_zero_gradient_no_motion():
 
 
 def test_adam_quadratic_convergence():
-    theta = Tensor(np.array([[0.0]]), requires_grad=True)
+    theta = Tensor(np.array([[0.0]]))
     opt = AdamState([theta], lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
     for _ in range(2000):
         theta.grad = None
-        d = theta - Tensor(np.array([[3.0]]))
-        backward(d * d)
+        backward(mse(theta, [[3.0]]))
         opt.step()
     assert abs(theta.item() - 3.0) < 1e-3
 
 
 def test_adam_skips_params_without_grads():
-    p = Tensor(np.array([[1.0]]), requires_grad=True)
-    q = Tensor(np.array([[2.0]]), requires_grad=True)
+    p = Tensor(np.array([[1.0]]))
+    q = Tensor(np.array([[2.0]]))
     opt = AdamState([p, q], lr=0.001, beta1=0.1, beta2=0.999, eps=1e-8)
     p.grad = np.array([[1.0]])
     opt.step()
@@ -410,7 +434,7 @@ def test_adam_step_equals_the_update_expression_bit_for_bit():
     rng = np.random.default_rng(21)
     shapes = [(40, 9), (9, 9), (9,)]
     start = [rng.normal(size=shape) for shape in shapes]
-    params = [Tensor(a.copy(), requires_grad=True) for a in start]
+    params = [Tensor(a.copy()) for a in start]
     lr, beta1, beta2, eps = 0.05, 0.9, 0.999, 1e-8
     opt = AdamState(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
     data = [a.copy() for a in start]
@@ -441,33 +465,32 @@ def test_adam_step_equals_the_update_expression_bit_for_bit():
 
 def test_gradcheck_linear_model_exact():
     rng = np.random.default_rng(6)
-    w = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
-    x = Tensor(rng.normal(size=(4, 1)))
-    report = grad_check(lambda: matmul(w, x), [("w", w)])
+    w = Tensor(rng.normal(size=(1, 4)))
+    x = rng.normal(size=(1, 4))
+    report = grad_check(lambda: weighted_sum(w, x), [("w", w)])
     assert report.max_rel_err < 1e-9
 
 
 def test_gradcheck_catches_wrong_gradient():
-    t = Tensor(np.array([[0.7, -1.2]]), requires_grad=True)
+    t = Tensor(np.array([[0.7, -1.2]]))
 
     def bad_square():
         out = Tensor(t.data**2)
-        out.requires_grad = True
         out._parents = (t,)
         out._backward = lambda g: t._accum(g * 3.0 * t.data)  # should be 2x
-        return sum_all(out)
+        return weighted_sum(out, np.ones((1, 2)))
 
     report = grad_check(bad_square, [("t", t)])
     assert not report.ok(1e-4)
 
 
 def test_gradcheck_detects_nondeterminism():
-    t = Tensor(np.array([[1.0]]), requires_grad=True)
+    t = Tensor(np.array([[1.0]]))
     calls = []
 
     def jittery():
         calls.append(1)
-        return scale(t, 1.0 + 0.001 * len(calls))
+        return l2_penalty([t], 1.0 + 0.001 * len(calls))
 
     with pytest.raises(NerrankError, match="deterministic"):
         grad_check(jittery, [("t", t)])
@@ -475,8 +498,8 @@ def test_gradcheck_detects_nondeterminism():
 
 def test_gradcheck_sampling_limits_work():
     rng = np.random.default_rng(8)
-    w = Tensor(rng.normal(size=(20, 20)), requires_grad=True)
-    report = grad_check(lambda: sum_all(w * w), [("w", w)], max_coords_per_param=10)
+    w = Tensor(rng.normal(size=(20, 20)))
+    report = grad_check(lambda: mse(w, np.zeros((20, 20))), [("w", w)], max_coords_per_param=10)
     assert report.checked == 10
     assert report.ok(1e-6)
 
@@ -499,7 +522,7 @@ def test_param_store_basics():
     assert [t.data.size for _, t in store.items()] == [15, 6, 2]
     with pytest.raises(ValueError):
         store.add("w", np.zeros((1, 1)))
-    assert all(t.requires_grad for _, t in store.items())
+    assert all(t.grad is None for _, t in store.items())
 
 
 def test_checkpoint_rejects_structure_mismatch():
@@ -532,11 +555,11 @@ def test_checkpoint_rejects_non_finite_weights(bad):
 
 def run_once(seed):
     rng = np.random.default_rng([seed, 0])
-    w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 4)))
     x = Tensor(rng.normal(size=(1, 4)))
     drop_rng = np.random.default_rng([seed, 1])
-    h = dropout(sigmoid(matmul(x, w)), 0.3, drop_rng, training=True)
-    loss = sum_all(h * h)
+    h = dropout(head(x, w, Tensor(np.zeros((1, 4)))), 0.3, drop_rng, training=True)
+    loss = mse(h, np.zeros((1, 4)))
     backward(loss)
     return loss.data.tobytes(), w.grad.tobytes()
 

@@ -19,7 +19,7 @@ from nerrank.errors import (
     ShapeMismatchError,
 )
 from nerrank.config import ScorerConfig, TrainConfig
-from nerrank.numerics import Tensor, backward, sum_all
+from nerrank.numerics import Tensor, backward, mse
 from nerrank.pipeline import RerankExample, RerankerBundle, batch_loss, load_bundle, save_bundle
 from nerrank.reranker import (
     CHAR_PAD_ID,
@@ -32,7 +32,7 @@ from nerrank.reranker import (
     parse_embeddings,
 )
 from nerrank.reranker.model import DROPOUT_STREAM
-from gradcheck import grad_check
+from gradcheck import grad_check, weighted_sum
 
 SMALL = ScorerConfig(
     word_dim=3,
@@ -358,7 +358,7 @@ def test_lstm_five_step_gradients():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=14)
     x = rows(np.random.default_rng(6), 5, SMALL.repr_dim)
     params = [(n, t) for n, t in scorer.params.items() if n.startswith("lstm_")]
-    report = grad_check(lambda: sum_all(scorer.lstm_encode(x, [5])), params)
+    report = grad_check(lambda: mse(scorer.lstm_encode(x, [5]), np.ones((1, 4))), params)
     assert report.ok(1e-4), str(report)
 
 
@@ -378,7 +378,7 @@ def test_ragged_runs_cost_no_extra_graph_nodes():
     # the recurrence and each conv-pool are one node each, so the graph
     # does not grow with the number, length or raggedness of the word runs
     # (sequences) or of the character runs (words, short, long or cut at
-    # char_pad): ten op nodes over the twenty parameters
+    # char_pad): eight op nodes over the twenty parameters
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=17)
     words = ["ab", "ba", "xy", "visited"]
     long = (words * 8)[:30]
@@ -390,15 +390,15 @@ def test_ragged_runs_cost_no_extra_graph_nodes():
             [["."]], [chars], [chars[::-1], chars[2:4], ["."]],
         )
     ]
-    assert sizes == [(10, 20)] * len(sizes)
+    assert sizes == [(8, 20)] * len(sizes)
 
 
 def test_training_batch_graph_has_one_node_per_layer():
     """An acceptance-size training batch (64 examples of 1-6 tokens, the
-    acceptance test's scorer with dropout, l2 on) builds 17 op nodes over
+    acceptance test's scorer with dropout, l2 on) builds 12 op nodes over
     its 20 parameters: word lookup, char conv-pool, concat, token gather,
-    dropout, LSTM, word conv-pool, concat, head matmul, bias add, sigmoid,
-    then sub, mul, sum, scale, l2 penalty and add in the loss."""
+    dropout, LSTM, word conv-pool, concat and head, then mse, l2 penalty
+    and add in the loss."""
     rng = np.random.default_rng(0)
     words = ["Rome", "is", "far", "a", "visited", "Paris", "."]
     examples = []
@@ -411,7 +411,7 @@ def test_training_batch_graph_has_one_node_per_layer():
         dropout=0.1,
     )
     scorer = PatternScorer(build_vocab([ex.tokens for ex in examples]), config, char_pad=8, seed=0)
-    assert graph_size(batch_loss(scorer, examples, 1e-4)) == (17, 20)
+    assert graph_size(batch_loss(scorer, examples, 1e-4)) == (12, 20)
 
 
 def test_clamped_steps_carry_no_gradient():
@@ -429,8 +429,8 @@ def test_clamped_steps_carry_no_gradient():
 
     def grads(rows, lengths, weights):
         scorer.params.zero_grad()
-        inputs = Tensor(rows, requires_grad=True)
-        backward(sum_all(scorer.lstm_encode(inputs, lengths) * Tensor(weights)))
+        inputs = Tensor(rows)
+        backward(weighted_sum(scorer.lstm_encode(inputs, lengths), weights))
         return [t.grad.copy() for t in params], inputs.grad
 
     batch, batch_x = grads(x, [5, 2], readout)
@@ -448,12 +448,12 @@ def test_lstm_ragged_gradients_with_peepholes_and_narrow_state():
     rng = np.random.default_rng(9)
     scorer.lstm_mu1.data[:] = rng.normal(size=(1, 2))
     scorer.lstm_mu2.data[:] = rng.normal(size=(1, 2))
-    x = Tensor(rng.normal(size=(7, cfg.repr_dim)), requires_grad=True)
-    readout = Tensor(rng.normal(size=(3, 2)))
+    x = Tensor(rng.normal(size=(7, cfg.repr_dim)))
+    readout = rng.normal(size=(3, 2))
     params = [(n, t) for n, t in scorer.params.items() if n.startswith("lstm_")]
 
     def loss():
-        return sum_all(scorer.lstm_encode(x, [4, 1, 2]) * readout)
+        return mse(scorer.lstm_encode(x, [4, 1, 2]), readout)
 
     report = grad_check(loss, params + [("x", x)])
     assert report.ok(1e-6), str(report)
@@ -718,11 +718,10 @@ def test_full_model_gradients_match_finite_differences():
     scorer.lstm_mu2.data[:] = [[-0.2, 0.6, 0.1]]
     # lengths 1, 2 and 5: the short runs carry their state through steps 2-5
     lists = [["PER"], ["ab", "LOC"], ["xy", "PER", "ab", "visited", "LOC"]]
-    target = Tensor(np.array([[0.3], [0.6], [0.1]]))
+    target = np.array([[0.3], [0.6], [0.1]])
 
     def loss():
-        diff = scorer.score_batch(lists) - target
-        return sum_all(diff * diff)
+        return mse(scorer.score_batch(lists), target)
 
     report = grad_check(loss, scorer.params)
     assert report.ok(1e-4), str(report)
