@@ -12,6 +12,7 @@ from .tensor import (
     lookup_rows,
     lstm,
     mse,
+    no_tape,
 )
 from .optim import AdamState, ParamStore
 
@@ -29,4 +30,5 @@ __all__ = [
     "lookup_rows",
     "lstm",
     "mse",
+    "no_tape",
 ]

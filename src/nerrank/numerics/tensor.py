@@ -13,13 +13,22 @@ and the sum of two same-shaped tensors (`add`). Activations are matrices
 with one row per item; a batch of sequences lays its items end to end as
 the rows of one matrix, and `conv_pool` and `lstm` read it as runs of
 given lengths.
+
+Inside `no_tape()` the ops compute the same values to the bit but record
+nothing: a result has no parents and no backward closure, so evaluation
+keeps no graph, and `conv_pool` and `lstm` drop each intermediate (the
+window matrix, each step's gates and state) as soon as the forward pass
+is done with it.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
 
-from ..errors import ShapeMismatchError
+from ..errors import NerrankError, ShapeMismatchError
 
 
 class Tensor:
@@ -49,10 +58,26 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
+_TAPE = ContextVar("nerrank_tape", default=True)
+
+
+@contextmanager
+def no_tape():
+    """Run ops without recording them: for a forward pass that no
+    `backward` follows. Results carry no graph, and `backward` rejects
+    them."""
+    token = _TAPE.set(False)
+    try:
+        yield
+    finally:
+        _TAPE.reset(token)
+
+
 def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor(data)
-    out._parents = parents
-    out._backward = backward_fn
+    if _TAPE.get():
+        out._parents = parents
+        out._backward = backward_fn
     return out
 
 
@@ -117,9 +142,9 @@ def conv_pool(source: Tensor, ids, lengths, w: Tensor, b: Tensor) -> Tensor:
     Position p of the runs laid end to end reads row ``ids[p]`` of source;
     its response is [x_{p-half}, ..., x_{p+half}] @ w + b, with zero vectors
     beyond the edges of p's run, and each run keeps each column's max (the
-    first on ties). The node keeps the window matrix and the argmax rows;
-    its backward pass scatter-adds the window gradient into the source rows
-    one window position after another, -half first.
+    first on ties). A recorded node keeps the window matrix and the argmax
+    rows; its backward pass scatter-adds the window gradient into the
+    source rows one window position after another, -half first.
     """
     ids = np.asarray(ids, dtype=np.intp)
     width, filters = source.data.shape[-1], b.data.shape[-1]
@@ -133,6 +158,7 @@ def conv_pool(source: Tensor, ids, lengths, w: Tensor, b: Tensor) -> Tensor:
     lengths, at = _runs(lengths, n, "conv_pool")
     first = np.repeat(at[0], lengths)
     end = first + np.repeat(lengths, lengths)
+    taped = _TAPE.get()
     windows = np.zeros((n, taps * width))
     gathers = []  # per window position: the positions inside their run and the rows they read
     for j in range(taps):
@@ -140,8 +166,11 @@ def conv_pool(source: Tensor, ids, lengths, w: Tensor, b: Tensor) -> Tensor:
         inside = (pos >= first) & (pos < end)
         read = ids[pos[inside]]
         windows[inside, j * width:(j + 1) * width] = source.data[read]
-        gathers.append((inside, read))
+        if taped:
+            gathers.append((inside, read))
     resp = windows @ w.data + b.data
+    if not taped:
+        del windows  # only the backward pass reads it again
     # the first-occurrence argmax never prefers an ended run's repeated last row
     rows = np.take_along_axis(at.T, np.argmax(resp[at.T], axis=1), axis=1)
     cols = np.arange(filters)
@@ -179,9 +208,11 @@ def lstm(x: Tensor, weights, biases, peepholes, lengths) -> Tensor:
     expressions to the bit. Step t reads row t of every run, or its last
     row once the run has ended; run b's result is its state after step
     ``lengths[b] - 1``, so the steps an ended run takes past that get
-    exactly zero gradient. The node keeps each step's gates and the (h, M)
-    it started from, and its backward pass runs backpropagation through
-    time over them; x's gradients are added in the order W2, W4, W6, W8.
+    exactly zero gradient. A recorded node keeps each step's gates and the
+    (h, M) it started from, and its backward pass runs backpropagation
+    through time over them; x's gradients are added in the order W2, W4,
+    W6, W8. Under `no_tape` the same loop cycles through one gate buffer
+    and two state slots instead, copying each run's h out at its last step.
     """
     rows, hidden = x.data.shape[0], weights[0].data.shape[0]
     lengths, at = _runs(lengths, rows, "lstm")  # at: the row of x each run reads at each step
@@ -194,25 +225,31 @@ def lstm(x: Tensor, weights, biases, peepholes, lengths) -> Tensor:
     ws = [recurrent[k].data for k in order]
     bias = np.stack([biases[k].data for k in order])
     mu = None if peepholes is None else np.stack([p.data for p in peepholes])
-    gates = np.empty((steps, 4, batch, hidden))
-    hs = np.zeros((steps + 1, batch, hidden))  # hs[t], ms[t]: the state step t reads
-    ms = np.zeros((steps + 1, batch, hidden))
+    # recorded: one gate slot per step and hs[t], ms[t], the state step t
+    # reads; under no_tape, step t uses gate slot 0 and state slots t % 2
+    kept = steps if _TAPE.get() else 1
+    gates = np.empty((kept, 4, batch, hidden))
+    hs = np.zeros((kept + 1, batch, hidden))
+    ms = np.zeros((kept + 1, batch, hidden))
     pre = np.empty((4, batch, hidden))
+    data = np.empty((batch, hidden))
     for t in range(steps):
+        gate, a, z = gates[t % kept], t % (kept + 1), (t + 1) % (kept + 1)
         for k in range(4):
-            np.matmul(hs[t], ws[k], out=pre[k])
+            np.matmul(hs[a], ws[k], out=pre[k])
             pre[k] += xs[k][at[t]]
         pre += bias
         if mu is not None:
-            pre[:2] += mu * ms[t]
-        i, f, o, cand = gates[t]
-        _sigmoid(pre[:3], out=gates[t, :3])
+            pre[:2] += mu * ms[a]
+        i, f, o, cand = gate
+        _sigmoid(pre[:3], out=gate[:3])
         np.tanh(pre[3], out=cand)
-        np.multiply(i, cand, out=ms[t + 1])
-        ms[t + 1] += f * ms[t]
-        np.tanh(ms[t + 1], out=hs[t + 1])
-        hs[t + 1] *= o
-    data = hs[lengths, np.arange(batch)]
+        np.multiply(i, cand, out=ms[z])
+        ms[z] += f * ms[a]
+        np.tanh(ms[z], out=hs[z])
+        hs[z] *= o
+        ends = lengths == t + 1
+        data[ends] = hs[z, ends]
 
     def bw(g):
         cols = [slice(j * hidden, (j + 1) * hidden) for j in range(4)]
@@ -341,6 +378,10 @@ def backward(loss: Tensor):
     topological order, accumulating into .grad on the way down."""
     if loss.data.size != 1:
         raise ShapeMismatchError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    if loss._backward is None:
+        raise NerrankError(
+            "backward needs a result recorded on the tape, not a leaf or an op run under no_tape()"
+        )
     topo = []
     visited = set()
     stack = [(loss, False)]

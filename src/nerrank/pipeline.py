@@ -30,7 +30,7 @@ from .config import ALPHA_GRID, ScorerConfig, TrainConfig, check_alpha
 from .corpus import LabelSeq
 from .errors import CheckpointMismatchError, ConfigError, NerrankError
 from .evaluation import PrfCounts
-from .numerics import AdamState, Tensor, add, backward, l2_penalty, mse
+from .numerics import AdamState, Tensor, add, backward, l2_penalty, mse, no_tape
 from .reranker import PatternScorer, Vocab, build_vocab
 
 SHUFFLE_STREAM = 23
@@ -133,14 +133,16 @@ def score_sets(scorer: PatternScorer, nbest: NBestCorpus) -> list[list[float]]:
 
     Each distinct collapsed pattern (`NBestCorpus.patterns`) is scored once,
     in first-occurrence order; duplicates (very common after collapsing)
-    reuse the cached value.
+    reuse the cached value. No `backward` follows, so the chunks are
+    scored under `no_tape` and keep no graph.
     """
     keys = nbest.patterns
     order = list(dict.fromkeys(key for row in keys for key in row))
     values: dict[tuple[str, ...], float] = {}
     for start in range(0, len(order), SCORE_CHUNK):
         chunk = order[start : start + SCORE_CHUNK]
-        scores = scorer.score_batch([list(k) for k in chunk]).data[:, 0]
+        with no_tape():
+            scores = scorer.score_batch([list(k) for k in chunk]).data[:, 0]
         outside = scores[~((scores > 0.0) & (scores < 1.0))]
         if outside.size:
             raise NerrankError(f"candidate score must be inside (0, 1): {outside[0]}")
@@ -273,6 +275,7 @@ def train_reranker(
             backward(loss)
             norms.append(_grad_norm(adam.params))
             adam.step()
+            del loss  # the graph goes before the next batch or evaluate builds its own
         evaluate(epoch, losses, norms)
 
     scorer.params.load_arrays(best[2])

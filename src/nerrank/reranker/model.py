@@ -27,7 +27,9 @@ which forms the input projections x W2, x W4, x W6, x W8 with one matmul
 each over all rows, steps all sequences of a batch together on one
 (B, lstm_hidden) state in plain numpy, reads each sequence's final state
 at its own last step and backpropagates through time by hand.  The sigmoid
-unit is one ``numerics.head`` node.
+unit is one ``numerics.head`` node.  Evaluation scoring runs the same ops
+under ``numerics.no_tape`` and records nothing: no node, no gate or state
+history, no window matrix beyond its matmul.
 """
 
 from __future__ import annotations

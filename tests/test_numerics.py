@@ -16,6 +16,7 @@ from nerrank.numerics import (
     lookup_rows,
     lstm,
     mse,
+    no_tape,
 )
 from gradcheck import grad_check, weighted_sum
 
@@ -331,6 +332,22 @@ def test_backward_rejects_non_scalar():
     p = Tensor(np.ones((2, 2)))
     with pytest.raises(ShapeMismatchError):
         backward(add(p, p))
+
+
+def test_backward_rejects_a_result_with_no_recorded_graph():
+    # seeding grad = 1 on such a root would let a training step run Adam
+    # with every gradient None
+    w = Tensor(np.array([[0.5]]))
+    with no_tape():
+        loss = mse(w, [[1.0]])
+    for root in (loss, w):
+        with pytest.raises(NerrankError, match="recorded on the tape"):
+            backward(root)
+    assert w.grad is None
+    with pytest.raises(ShapeMismatchError), no_tape():
+        mse(w, [[1.0, 2.0]])
+    backward(mse(w, [[1.0]]))  # recording resumes, also after an error
+    assert w.grad.tolist() == [[-1.0]]
 
 
 def test_backward_shared_node_counted_once_per_use():

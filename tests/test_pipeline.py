@@ -412,6 +412,40 @@ def test_score_sets_matches_single_scoring():
             assert score == pytest.approx(direct, abs=1e-12)
 
 
+def test_score_sets_equals_recorded_scoring_chunk_by_chunk():
+    """score_sets scores under no_tape; its output is, to the bit, the
+    recorded score_batch of each SCORE_CHUNK of patterns in first-occurrence
+    order, over more than one chunk, and its batches keep no graph."""
+    rng = np.random.default_rng(7)
+    words = ["in", "Rome", "Oslo", "John", "met", "today", "."]
+    tags = ["O", "B-LOC", "I-LOC", "B-PER", "B-ORG"]
+    rows = []
+    for i in range(30):
+        n = int(rng.integers(1, 9))
+        cands = [([str(t) for t in rng.choice(tags, size=n)], 0.2) for _ in range(4)]
+        rows.append((sent(i, *(str(w) for w in rng.choice(words, size=n))), ["O"] * n, cands))
+    corpus = nbest_from(rows)
+    scorer = tiny_scorer(corpus_token_lists(corpus))
+    order = list(dict.fromkeys(key for row in corpus.patterns for key in row))
+    assert len(order) > pipeline.SCORE_CHUNK
+    values = {}
+    for start in range(0, len(order), pipeline.SCORE_CHUNK):
+        chunk = order[start : start + pipeline.SCORE_CHUNK]
+        scores = scorer.score_batch([list(k) for k in chunk])
+        values.update(zip(chunk, scores.data[:, 0].tolist()))
+    batches = []
+    recorded_batch = scorer.score_batch
+
+    def keep(lists):
+        batches.append(recorded_batch(lists))
+        return batches[-1]
+
+    scorer.score_batch = keep
+    assert score_sets(scorer, corpus) == [[values[key] for key in row] for row in corpus.patterns]
+    assert len(batches) == len(range(0, len(order), pipeline.SCORE_CHUNK))
+    assert not any(scores._parents for scores in batches)
+
+
 def test_identical_patterns_share_a_score():
     corpus = nbest_from(
         [
