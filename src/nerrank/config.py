@@ -33,6 +33,19 @@ _FALSE_WORDS = frozenset({"false", "no", "off", "0"})
 _EXPECTED = {int: "an integer", float: "a number"}
 
 
+# what a key of each checked annotation takes, and its name in errors: a
+# bool is no integer here; the optional keys (`alpha`, the paths) are not
+# checked by type
+_TYPES = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (
+        lambda v: type(v) is int or isinstance(v, float) and math.isfinite(v),
+        "a finite number",
+    ),
+    bool: (lambda v: type(v) is bool, "a boolean"),
+}
+
+
 def check_alpha(alpha: float):
     """Raise ConfigError unless alpha is a point of ALPHA_GRID. The integers
     0 and 1 are grid points; a boolean is not. The range is tested first:
@@ -43,39 +56,55 @@ def check_alpha(alpha: float):
         raise ConfigError(f"alpha {alpha} is outside the 0.005 search grid")
 
 
+# field metadata bounding a number: the test its value must pass, and the
+# wording of the error when it does not
+_NON_NEGATIVE = {"bound": (lambda v: v >= 0, "cannot be negative")}
+_POSITIVE = {"bound": (lambda v: v > 0, "must be positive")}
+_AT_LEAST_2 = {"bound": (lambda v: v >= 2, "must be at least 2")}
+_BELOW_ONE = {"bound": (lambda v: 0 <= v < 1, "must be in [0, 1)")}
+_UNIT = {"bound": (lambda v: 0 <= v <= 1, "must be in [0, 1]")}
+_POSITIVE_ODD = {"bound": (lambda v: v > 0 and v % 2 == 1, "must be a positive odd number")}
+
 # marks a scorer setting that shapes training only, not the parameter set
 TRAINING_ONLY = {"arch": False}
+
+
+def _check_fields(block):
+    """Raise ConfigError unless each key of a config block has its annotated
+    type and keeps its field's bound, whichever route the value came by."""
+    for f in fields(block):
+        if f.name not in _KEYS:  # a nested block, checked when it was built
+            continue
+        value = getattr(block, f.name)
+        kind = _KEYS[f.name][1]
+        if kind in _TYPES and not _TYPES[kind][0](value):
+            raise ConfigError(f"{f.name}: expected {_TYPES[kind][1]}, got {value!r}")
+        if "bound" in f.metadata:
+            holds, wording = f.metadata["bound"]
+            if not holds(value):
+                raise ConfigError(f"{f.name} {wording}, got {value}")
 
 
 @dataclass(frozen=True)
 class ScorerConfig:
     """Sizes and switches of the pattern scorer, under their config-key names."""
 
-    word_dim: int = 50
-    char_dim: int = 50
-    lstm_hidden: int = 100
-    char_cnn_filters: int = 50
-    word_cnn_filters: int = 100
-    char_cnn_window: int = 3
-    word_cnn_window: int = 3
+    word_dim: int = field(default=50, metadata=_POSITIVE)
+    char_dim: int = field(default=50, metadata=_POSITIVE)
+    lstm_hidden: int = field(default=100, metadata=_POSITIVE)
+    char_cnn_filters: int = field(default=50, metadata=_POSITIVE)
+    word_cnn_filters: int = field(default=100, metadata=_POSITIVE)
+    char_cnn_window: int = field(default=3, metadata=_POSITIVE_ODD)
+    word_cnn_window: int = field(default=3, metadata=_POSITIVE_ODD)
     use_lstm: bool = True
     use_char_cnn: bool = True
     use_word_cnn: bool = True
     peepholes: bool = False
-    dropout: float = field(default=0.2, metadata=TRAINING_ONLY)
+    dropout: float = field(default=0.2, metadata={**_UNIT, **TRAINING_ONLY})
     freeze_embeddings: bool = field(default=False, metadata=TRAINING_ONLY)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is not int:  # sizes and windows; bools are switches
-                continue
-            if f.name.endswith("_window") and (value < 1 or value % 2 == 0):
-                raise ConfigError(f"{f.name} must be a positive odd number, got {value}")
-            if value < 1:
-                raise ConfigError(f"{f.name} must be positive, got {value}")
-        if not 0.0 <= self.dropout <= 1.0:
-            raise ConfigError(f"dropout must be in [0, 1], got {self.dropout}")
+        _check_fields(self)
         if not (self.use_lstm or self.use_word_cnn):
             raise ConfigError("at least one of the LSTM and word CNN must be enabled")
 
@@ -100,35 +129,18 @@ class TrainConfig:
     """Reranker training run: optimizer and run settings around the scorer."""
 
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
-    learning_rate: float = 0.001
-    batch_size: int = 128
-    l2: float = 0.001
-    adam_beta1: float = 0.1
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    epochs: int = 5
-    seed: int = 0
-    char_pad_cap: int = 32
+    learning_rate: float = field(default=0.001, metadata=_POSITIVE)
+    batch_size: int = field(default=128, metadata=_POSITIVE)
+    l2: float = field(default=0.001, metadata=_NON_NEGATIVE)
+    adam_beta1: float = field(default=0.1, metadata=_BELOW_ONE)
+    adam_beta2: float = field(default=0.999, metadata=_BELOW_ONE)
+    adam_eps: float = field(default=1e-8, metadata=_POSITIVE)
+    epochs: int = field(default=5, metadata=_NON_NEGATIVE)
+    seed: int = field(default=0, metadata=_NON_NEGATIVE)
+    char_pad_cap: int = field(default=32, metadata=_POSITIVE)
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError(f"epochs cannot be negative, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 cannot be negative, got {self.l2}")
-        for name in ("adam_beta1", "adam_beta2"):
-            beta = getattr(self, name)
-            if not 0.0 <= beta < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {beta}")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if self.char_pad_cap < 1:
-            raise ConfigError(f"char_pad_cap must be positive, got {self.char_pad_cap}")
-        if self.seed < 0:
-            raise ConfigError(f"seed cannot be negative, got {self.seed}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -155,11 +167,11 @@ class RunConfig:
     manifest_path: str | None = None
 
     # baseline tagger
-    crf_epochs: int = 20
-    crf_batch_size: int = 8
-    crf_lr: float = 0.05
-    crf_l2: float = 1e-4
-    folds: int = 5
+    crf_epochs: int = field(default=20, metadata=_NON_NEGATIVE)
+    crf_batch_size: int = field(default=8, metadata=_POSITIVE)
+    crf_lr: float = field(default=0.05, metadata=_POSITIVE)
+    crf_l2: float = field(default=1e-4, metadata=_NON_NEGATIVE)
+    folds: int = field(default=5, metadata=_AT_LEAST_2)
 
     # baseline feature templates
     feat_word_grams: bool = True
@@ -175,30 +187,15 @@ class RunConfig:
     feat_pos_word: bool = True
 
     # candidates per sentence, decoding / evaluation
-    n_best: int = 10
+    n_best: int = field(default=10, metadata=_POSITIVE)
     alpha: float | None = None
-    bucket_width: int = 5
+    bucket_width: int = field(default=5, metadata=_POSITIVE)
 
     # reranker training (holds `seed`, also used by the baseline) and scorer
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ConfigError(f"folds must be at least 2, got {self.folds}")
-        if self.crf_epochs < 0:
-            raise ConfigError(f"crf_epochs cannot be negative, got {self.crf_epochs}")
-        if not self.crf_lr > 0:
-            raise ConfigError(f"crf_lr must be positive, got {self.crf_lr}")
-        if self.crf_l2 < 0:
-            raise ConfigError(f"crf_l2 cannot be negative, got {self.crf_l2}")
-        if self.crf_batch_size < 1:
-            raise ConfigError(
-                f"crf_batch_size must be positive, got {self.crf_batch_size}"
-            )
-        if self.n_best < 1:
-            raise ConfigError(f"n_best must be positive, got {self.n_best}")
-        if self.bucket_width < 1:
-            raise ConfigError(f"bucket_width must be positive, got {self.bucket_width}")
+        _check_fields(self)
         if self.alpha is not None:
             check_alpha(self.alpha)
 

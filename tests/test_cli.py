@@ -226,6 +226,23 @@ def test_runconfig_validation():
             resolve_config({}, {key: raw})
 
 
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        (TrainConfig, "learning_rate", float("nan")),
+        (TrainConfig, "epochs", 1.5),
+        (ScorerConfig, "word_dim", 50.0),
+        (ScorerConfig, "dropout", True),
+        (RunConfig, "n_best", 2.5),
+        (RunConfig, "crf_l2", float("nan")),
+    ],
+)
+def test_config_blocks_reject_a_wrong_typed_or_non_finite_value(block, key, value):
+    # library code gets the same checks as a command line or a bundle
+    with pytest.raises(ConfigError, match=f"^{key}: expected "):
+        block(**{key: value})
+
+
 # ---------------------------------------------------------------------------
 # baseline model persistence
 
@@ -817,6 +834,10 @@ BUNDLE_MUTATIONS = {
     "alpha-nan": _edit_meta(lambda m: m.update(alpha=float("nan"))),
     "alpha-inf": _edit_meta(lambda m: m.update(alpha=float("inf"))),
     "seed-negative": _edit_meta(lambda m: m["config"].update(seed=-1)),
+    "config-learning-rate-nan": _edit_meta(lambda m: m["config"].update(learning_rate=float("nan"))),
+    "config-l2-inf": _edit_meta(lambda m: m["config"].update(l2=float("inf"))),
+    "config-epochs-fraction": _edit_meta(lambda m: m["config"].update(epochs=1.5)),
+    "config-batch-size-bool": _edit_meta(lambda m: m["config"].update(batch_size=True)),
     "char-pad-float": _edit_meta(lambda m: m.update(char_pad=3.5)),
     "char-pad-bool": _edit_meta(lambda m: m.update(char_pad=True)),
     "char-pad-above-cap": _edit_meta(lambda m: m.update(char_pad=m["config"]["char_pad_cap"] + 1)),
@@ -833,6 +854,10 @@ BUNDLE_MUTATIONS = {
 BUNDLE_MESSAGES = {
     "alpha-nan": "alpha nan is outside the 0.005 search grid",
     "alpha-inf": "alpha inf is outside the 0.005 search grid",
+    "config-learning-rate-nan": "learning_rate: expected a finite number, got nan",
+    "config-l2-inf": "l2: expected a finite number, got inf",
+    "config-epochs-fraction": "epochs: expected an integer, got 1.5",
+    "config-batch-size-bool": "batch_size: expected an integer, got True",
     "weights-nan": "parameter 'lstm_w1' holds a non-finite value",
     "weights-inf": "parameter 'lstm_w1' holds a non-finite value",
 }

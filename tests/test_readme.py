@@ -1,9 +1,11 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its Configuration
+section names every config key."""
 
 import pathlib
 import re
 
 from nerrank.baseline.features import FeatureTemplateSet
+from nerrank.config import FIELD_NAMES
 
 from toycorpus import make_corpus
 
@@ -24,3 +26,12 @@ def test_readme_library_example_runs(capsys):
         exec(block, namespace)
     assert len(namespace["predictions"]) == 20
     assert capsys.readouterr().out.startswith("n,oba,obf,owf\n")
+
+
+def test_readme_configuration_names_every_key():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Configuration") : text.index("## File formats")]
+    named = set(re.findall(r"`(\w+)`", section))
+    # the paths and the `feat_*` template switches are named as groups
+    keys = {k for k in FIELD_NAMES if not k.endswith("_path") and not k.startswith("feat_")}
+    assert sorted(keys - named) == []
