@@ -53,6 +53,7 @@ import numpy as np
 from ..corpus import ENTITY_TYPES, BioLabel, Dataset, LabelSeq, Sentence
 from ..errors import FILE_ERRORS, CheckpointMismatchError, NerrankError
 from ..numerics import AdamState, Tensor
+from ..numerics.optim import BLOCK
 from .features import FeatureTemplateSet, featurize
 
 log = logging.getLogger(__name__)
@@ -76,6 +77,29 @@ ALL_TAGS = tuple(sorted(["O"] + [f"{p}-{t}" for p in "BI" for t in ENTITY_TYPES]
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = a.max(axis=axis, keepdims=True)
     return (np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m).squeeze(axis)
+
+
+class InternedFeatures(NamedTuple):
+    """Featurized sentences with each distinct feature string held once:
+    `names` lists the strings in first-seen order, and `ids[s][t]` holds
+    position t of sentence s as indices into `names`, in `featurize`
+    order."""
+
+    names: list[str]
+    ids: list[list[np.ndarray]]
+
+
+def intern_features(sentences, templates: FeatureTemplateSet) -> InternedFeatures:
+    """`featurize` each sentence once and keep ids, not strings: one dict
+    numbers the strings in first-seen order, and each sentence's strings
+    are dropped once they are numbered."""
+    index: dict[str, int] = {}
+    number = index.setdefault
+    ids = [
+        [np.array([number(f, len(index)) for f in pos], dtype=np.intp) for pos in featurize(s, templates)]
+        for s in sentences
+    ]
+    return InternedFeatures(list(index), ids)
 
 
 @dataclass
@@ -118,6 +142,18 @@ class CrfModel:
             np.array([i for i in map(get, position) if i is not None], dtype=np.intp)
             for position in features
         ]
+
+    def interned_ids(self, features: InternedFeatures) -> list[list[np.ndarray]]:
+        """`feature_ids` of every sentence of `features`, through one index
+        from its ids to this model's: ids of strings the model lacks are
+        dropped, in position order."""
+        get = self.feature_vocab.get
+        index = np.array([get(name, -1) for name in features.names], dtype=np.intp)
+        out = []
+        for sentence in features.ids:
+            rows = [index[row] for row in sentence]
+            out.append([row[row >= 0] for row in rows])
+        return out
 
     def emissions_from_ids(self, ids: list[np.ndarray]) -> np.ndarray:
         """(T, K) matrix: row t sums the emit rows of position t's ids."""
@@ -370,26 +406,36 @@ def crf_train(
     lr: float,
     l2: float,
     seed: int,
-    features: list[list[list[str]]] | None = None,
+    features: InternedFeatures | None = None,
 ) -> CrfModel:
     """Minimize L2-regularized NLL with mini-batch Adam on exact gradients.
 
     The other keyword settings are those of `RunConfig.crf_options()`,
-    which holds their defaults. `features`, when given, is each training
-    sentence's `featurize(sentence, templates)`, in order, so a caller
-    that trains on overlapping sets featurizes each sentence once.
+    which holds their defaults. `features`, when given, is
+    `intern_features` of the training sentences, in order, or of a corpus
+    that holds them (`ids` then lists the training sentences' rows alone),
+    so a caller that trains on overlapping sets featurizes each sentence
+    once. The feature vocabulary is the sorted set of the strings the
+    training sentences carry, and one index maps their interned ids to it.
     Weights start at zero, so zero epochs yield the uniform model. The
     returned model records mean full-data NLL after each epoch in
     nll_history (the entry at index 0 is the pre-training NLL).
+
+    Each batch's gradient, averaged and with `l2 * p` added BLOCK values
+    at a time, goes to `AdamState`: training holds no array of the emit
+    table's size beyond the table, its gradient and Adam's two moments.
     """
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")
     if features is None:
-        features = [featurize(s, templates) for s in train.sentences]
-    elif len(features) != len(train):
-        raise ValueError(f"{len(features)} feature lists for {len(train)} sentences")
+        features = intern_features(train.sentences, templates)
+    elif len(features.ids) != len(train):
+        raise ValueError(f"{len(features.ids)} feature lists for {len(train)} sentences")
     n_tags = len(ALL_TAGS)
-    vocab = {f: i for i, f in enumerate(sorted({f for fs in features for pos in fs for f in pos}))}
+    used = np.zeros(len(features.names), dtype=bool)
+    used[np.concatenate([row for sentence in features.ids for row in sentence])] = True
+    names = sorted(map(features.names.__getitem__, np.flatnonzero(used).tolist()))
+    vocab = {name: i for i, name in enumerate(names)}
     model = CrfModel(
         tags=ALL_TAGS,
         feature_vocab=vocab,
@@ -399,16 +445,15 @@ def crf_train(
         begin=np.zeros(n_tags),
         end=np.zeros(n_tags),
     )
-    feat_ids = [model.feature_ids(fs) for fs in features]
+    feat_ids = model.interned_ids(features)
+    del features  # frees the corpus ids when this call interned them
     gold_ids = [[model.tag_id(l) for l in labels] for labels in train.gold]
 
     # Tensor wraps each array without copying, so Adam updates the model
     params = [Tensor(a) for a in (model.emit, model.trans, model.begin, model.end)]
     opt = AdamState(params, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8)
-    # every batch sums its gradient into `grads` from zero; `decay` holds
-    # l2 * p, so each p.grad = grads / b + l2 * p is formed without temporaries
+    # every batch sums its gradient into `grads` from zero
     grads = tuple(np.empty_like(p.data) for p in params)
-    decay = tuple(np.empty_like(p.data) for p in params)
     model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
     rng = np.random.default_rng([seed, 17])
     for epoch in range(epochs):
@@ -426,9 +471,11 @@ def crf_train(
                     f"non-finite training loss ({batch_nll}) at epoch {epoch}, "
                     f"batch starting at {start}"
                 )
-            for p, g, d in zip(params, grads, decay):
+            for p, g in zip(params, grads):
                 g /= b
-                g += np.multiply(p.data, l2, out=d)
+                flat_g, flat_p = g.reshape(-1), p.data.reshape(-1)  # views: both are C-ordered
+                for at in range(0, g.size, BLOCK):
+                    flat_g[at : at + BLOCK] += flat_p[at : at + BLOCK] * l2
                 p.grad = g
             opt.step()
         model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))

@@ -25,7 +25,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from time import perf_counter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..collapse import CollapsedSequence, collapse, collapsed_to_labels, collapsed_token_strings
 from ..corpus import (
@@ -43,6 +43,9 @@ from ..corpus import (
 )
 from ..errors import NerrankError, ParseError
 from .features import featurize
+
+if TYPE_CHECKING:
+    from .crf import InternedFeatures
 
 log = logging.getLogger(__name__)
 
@@ -306,20 +309,25 @@ def jackknife(train: Dataset, folds: int) -> list[tuple[Dataset, Dataset]]:
 def build_nbest_corpus(dataset: Dataset, folds: int, k: int, templates, **train_kwargs) -> NBestCorpus:
     """Jackknifed n-best generation: every sentence is decoded by the one
     fold model that never saw it, so training-set candidates look like
-    held-out output rather than memorized gold. Each sentence is
-    featurized once, and its strings serve every fold that trains on it
-    and the one that decodes it. The folds' `decode_corpus` sets line up
-    end to end because `jackknife`'s blocks are contiguous."""
-    from .crf import crf_train
+    held-out output rather than memorized gold. The corpus is interned
+    once (`intern_features`): each sentence is featurized once, and its
+    ids serve every fold that trains on it and the one that decodes it,
+    each fold mapping them to its own vocabulary with one index. The
+    folds' `decode_corpus` sets line up end to end because `jackknife`'s
+    blocks are contiguous."""
+    from .crf import crf_train, intern_features
 
-    by_id = {s.id: featurize(s, templates) for s in dataset.sentences}
+    features = intern_features(dataset.sentences, templates)
+    at = {s.id: i for i, s in enumerate(dataset.sentences)}
+
+    def rows(part: Dataset) -> InternedFeatures:
+        return features._replace(ids=[features.ids[at[s.id]] for s in part.sentences])
+
     sets: list[CandidateSet] = []
     for fold, (train_part, held) in enumerate(jackknife(dataset, folds), 1):
         started = perf_counter()
-        model = crf_train(
-            train_part, templates, features=[by_id[s.id] for s in train_part.sentences], **train_kwargs
-        )
-        sets.extend(decode_corpus(model, held, k, features=[by_id[s.id] for s in held.sentences]).sets)
+        model = crf_train(train_part, templates, features=rows(train_part), **train_kwargs)
+        sets.extend(decode_corpus(model, held, k, features=rows(held)).sets)
         log.info(
             "jackknife fold %d/%d: trained on %d sentences, decoded %d held-out, %.2f s",
             fold,
@@ -331,17 +339,22 @@ def build_nbest_corpus(dataset: Dataset, folds: int, k: int, templates, **train_
     return NBestCorpus(list(dataset.sentences), sets)
 
 
-def decode_corpus(model, dataset: Dataset, k: int, features: list[list[list[str]]] | None = None) -> NBestCorpus:
+def decode_corpus(model, dataset: Dataset, k: int, features: InternedFeatures | None = None) -> NBestCorpus:
     """Decode every sentence with one fixed model that never saw them (dev,
     test, or a jackknife fold's held-out block), as batches of sentences
-    (`kbest_decode`). `features`, when given, is each sentence's
-    `featurize(sentence, model.templates)`, in order."""
+    (`kbest_decode`). `features`, when given, is `intern_features` of the
+    dataset's sentences, in order, or of a corpus that holds them (`ids`
+    then lists these sentences' rows alone). Without it, each sentence is
+    featurized and looked up in turn, so no corpus-wide dict is built.
+    Strings the model never saw are dropped."""
     from .crf import kbest_decode
 
     if features is None:
-        features = (featurize(s, model.templates) for s in dataset.sentences)
-    elif len(features) != len(dataset):
-        raise ValueError(f"{len(features)} feature lists for {len(dataset)} sentences")
-    rows = kbest_decode(model, [model.feature_ids(f) for f in features], k)
+        ids = [model.feature_ids(featurize(s, model.templates)) for s in dataset.sentences]
+    elif len(features.ids) != len(dataset):
+        raise ValueError(f"{len(features.ids)} feature lists for {len(dataset)} sentences")
+    else:
+        ids = model.interned_ids(features)
+    rows = kbest_decode(model, ids, k)
     sets = [CandidateSet(s.id, gold, candidates) for (s, gold), candidates in zip(dataset, rows)]
     return NBestCorpus(list(dataset.sentences), sets)

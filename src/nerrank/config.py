@@ -219,16 +219,30 @@ class RunConfig:
         return FeatureTemplateSet(clusters=clusters, **switches)
 
 
+def _field_types(block) -> dict:
+    """{block: {field name: type}} for a config dataclass and every block
+    nested in it, each in field order; a field typed as a dataclass is a
+    nested block."""
+    hints = get_type_hints(block)
+    table = {block: {f.name: hints[f.name] for f in fields(block)}}
+    for kind in table[block].values():
+        if is_dataclass(kind):
+            table.update(_field_types(kind))
+    return table
+
+
+# built once: `get_type_hints` costs more than building the config itself
+_FIELD_TYPES = _field_types(RunConfig)
+
+
 def _keys(block, path=()):
     """(key, (attribute path, type)) for every leaf field under a config
-    dataclass; a field typed as a dataclass is a nested block."""
-    hints = get_type_hints(block)
-    for f in fields(block):
-        kind = hints[f.name]
+    block."""
+    for name, kind in _FIELD_TYPES[block].items():
         if is_dataclass(kind):
-            yield from _keys(kind, path + (f.name,))
+            yield from _keys(kind, path + (name,))
         else:
-            yield f.name, (path + (f.name,), kind)
+            yield name, (path + (name,), kind)
 
 
 _KEYS = dict(_keys(RunConfig))
@@ -264,13 +278,12 @@ def _coerce(name: str, raw: str):
 def _build(block, typed: dict):
     """Instantiate a config block from flat typed values; keys not given
     keep their defaults."""
-    hints = get_type_hints(block)
     kwargs = {}
-    for f in fields(block):
-        if is_dataclass(hints[f.name]):
-            kwargs[f.name] = _build(hints[f.name], typed)
-        elif f.name in typed:
-            kwargs[f.name] = typed[f.name]
+    for name, kind in _FIELD_TYPES[block].items():
+        if is_dataclass(kind):
+            kwargs[name] = _build(kind, typed)
+        elif name in typed:
+            kwargs[name] = typed[name]
     return block(**kwargs)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -66,6 +67,14 @@ class EpochEval:
     epoch: int
     alpha: float
     dev_f1: float
+
+    def __post_init__(self):
+        if type(self.epoch) is not int:
+            raise ConfigError(f"history epoch: expected an integer, got {self.epoch!r}")
+        for name in ("alpha", "dev_f1"):
+            value = getattr(self, name)
+            if not (type(value) is int or isinstance(value, float) and math.isfinite(value)):
+                raise ConfigError(f"history {name}: expected a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -339,6 +348,8 @@ def load_bundle(path) -> RerankerBundle:
         with open(os.path.join(path, META_FILE), encoding="utf-8") as fh:
             meta = json.load(fh)
         _expect_keys(META_FILE, meta, _META_KEYS)
+        if type(meta["provenance"]) is not dict:
+            raise ConfigError(f"provenance: expected a JSON object, got {meta['provenance']!r}")
         _expect_keys("vocab", meta["vocab"], ("words", "chars"))
         stored = meta["config"]
         _expect_keys("config", stored, [f.name for f in fields(TrainConfig)])

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nerrank.baseline import crf as crf_module
 from nerrank.baseline.crf import (
     ALL_TAGS,
     CrfModel,
     crf_train,
+    intern_features,
     kbest_decode,
 )
 from nerrank.baseline.features import FeatureTemplateSet, featurize, read_clusters, word_shape
@@ -37,6 +39,7 @@ from nerrank.corpus import (
 )
 from nerrank.config import RunConfig
 from nerrank.errors import ParseError
+from nerrank.numerics import optim
 from strategies import label_seqs, sentences
 from toycorpus import simple_corpus
 
@@ -820,6 +823,20 @@ def test_train_equals_the_per_sentence_reference(monkeypatch):
     assert model.nll_history == reference.nll_history
 
 
+def test_crf_weights_do_not_depend_on_the_update_block_size(monkeypatch):
+    # Adam and the L2 term go through the weights BLOCK values at a time;
+    # here every table fits one block, and blocks of 5 split every emit row
+    ds = simple_corpus(12, seed=5)
+    opts = dict(CRF, epochs=2, l2=0.01)
+    whole = crf_train(ds, FeatureTemplateSet(), **opts)
+    assert whole.emit.size < optim.BLOCK
+    monkeypatch.setattr(crf_module, "BLOCK", 5)
+    monkeypatch.setattr(optim, "BLOCK", 5)
+    blocked = crf_train(ds, FeatureTemplateSet(), **opts)
+    for name in ("emit", "trans", "begin", "end"):
+        assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+
+
 def test_each_crf_epoch_is_logged_when_it_is_computed(caplog, monkeypatch):
     ds = simple_corpus(10, seed=13)
     batch_nll = CrfModel.batch_nll
@@ -934,8 +951,8 @@ def test_each_jackknife_fold_is_logged_when_it_ends(caplog):
 
 
 def test_jackknife_with_shared_features_equals_independent_folds():
-    # build_nbest_corpus featurizes each sentence once and hands its strings
-    # to every fold; each fold must equal a model trained and decoded alone
+    # build_nbest_corpus interns each sentence once and hands its ids to
+    # every fold; each fold must equal a model trained and decoded alone
     ds = simple_corpus(12, seed=3)
     templates = FeatureTemplateSet()
     opts = dict(CRF, epochs=1)
@@ -945,11 +962,32 @@ def test_jackknife_with_shared_features_equals_independent_folds():
         model = crf_train(train_part, templates, **opts)
         sets += [decode_one(model, s, 4, g) for s, g in held]
     assert format_nbest(corpus) == format_nbest(NBestCorpus(ds.sentences, sets))
-    three = [featurize(s, templates) for s in ds.sentences[:3]]
+    three = intern_features(ds.sentences[:3], templates)
     with pytest.raises(ValueError, match="3 feature lists for 12 sentences"):
         crf_train(ds, templates, features=three, **opts)
     with pytest.raises(ValueError, match="3 feature lists for 12 sentences"):
         decode_corpus(model, ds, 4, features=three)
+
+
+def test_jackknife_drops_a_held_out_feature_its_fold_never_saw():
+    # the first sentence carries a word no other sentence has; its fold maps
+    # corpus ids to its own and must drop that word's features, as a model
+    # trained on the fold alone drops their strings
+    ds = simple_corpus(6, seed=4)
+    first = ds.sentences[0]
+    rare = Sentence(first.id, (Token("Qzxv"),) + first.tokens[1:])
+    ds = Dataset([rare, *ds.sentences[1:]], ds.gold)
+    templates = FeatureTemplateSet()
+    opts = dict(CRF, epochs=1)
+    corpus = build_nbest_corpus(ds, folds=2, k=4, templates=templates, **opts)
+    train_part, held = jackknife(ds, 2)[0]
+    model = crf_train(train_part, templates, **opts)
+    assert "w[0]=Qzxv" in featurize(rare, templates)[0]
+    assert "w[0]=Qzxv" not in model.feature_vocab
+    alone = [decode_one(model, s, 4, g) for s, g in held]
+    assert format_nbest(NBestCorpus(held.sentences, corpus.sets[: len(held)])) == format_nbest(
+        NBestCorpus(held.sentences, alone)
+    )
 
 
 def test_decode_corpus_attaches_gold():

@@ -827,7 +827,11 @@ BUNDLE_MUTATIONS = {
         lambda m: m["vocab"].update(words=m["vocab"]["words"][:-1] + m["vocab"]["words"][-2:-1])
     ),
     "vocab-reserved-moved": _edit_meta(lambda m: m["vocab"]["words"].reverse()),
+    "vocab-word-not-string": _edit_meta(lambda m: m["vocab"]["words"].__setitem__(-1, 5)),
     "history-unknown-key": _edit_meta(lambda m: m["history"][0].update(loss=0.1)),
+    "history-epoch-not-int": _edit_meta(lambda m: m["history"][0].update(epoch="x")),
+    "history-f1-not-number": _edit_meta(lambda m: m["history"][0].update(dev_f1="high")),
+    "provenance-not-object": _edit_meta(lambda m: m.update(provenance=7)),
     "alpha-off-grid": _edit_meta(lambda m: m.update(alpha=0.3333)),
     "alpha-bool": _edit_meta(lambda m: m.update(alpha=True)),
     # json writes these as NaN and Infinity and reads them back as floats
@@ -858,6 +862,10 @@ BUNDLE_MESSAGES = {
     "config-l2-inf": "l2: expected a finite number, got inf",
     "config-epochs-fraction": "epochs: expected an integer, got 1.5",
     "config-batch-size-bool": "batch_size: expected an integer, got True",
+    "vocab-word-not-string": "word vocabulary holds 5, which is not a string",
+    "history-epoch-not-int": "history epoch: expected an integer, got 'x'",
+    "history-f1-not-number": "history dev_f1: expected a finite number, got 'high'",
+    "provenance-not-object": "provenance: expected a JSON object, got 7",
     "weights-nan": "parameter 'lstm_w1' holds a non-finite value",
     "weights-inf": "parameter 'lstm_w1' holds a non-finite value",
 }

@@ -18,6 +18,7 @@ from nerrank.numerics import (
     mse,
     no_tape,
 )
+from nerrank.numerics.optim import BLOCK
 from gradcheck import grad_check, weighted_sum
 
 
@@ -475,6 +476,39 @@ def test_adam_step_equals_the_update_expression_bit_for_bit():
             data[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
     for p, expected in zip(params, data):
         assert p.data.tobytes() == expected.tobytes()
+
+
+def test_adam_step_across_blocks_equals_the_update_expression_bit_for_bit():
+    # sizes one below, at and one above a block, one spanning three blocks,
+    # and a 2-D one whose rows straddle a block boundary, with a Fortran-
+    # ordered gradient; the blocked step must equal whole-array expressions
+    rng = np.random.default_rng(22)
+    shapes = [(BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (2 * BLOCK + 3,), (3, BLOCK // 2 + 1)]
+    start = [rng.normal(size=shape) for shape in shapes]
+    params = [Tensor(a.copy()) for a in start]
+    lr, beta1, beta2, eps = 0.05, 0.9, 0.999, 1e-8
+    opt = AdamState(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    assert max(buffer.size for buffer in opt._scratch) == BLOCK
+    data = [a.copy() for a in start]
+    m = [np.zeros(shape) for shape in shapes]
+    v = [np.zeros(shape) for shape in shapes]
+    for t in range(1, 4):
+        grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3) for shape in shapes]
+        grads[-1] = np.asfortranarray(grads[-1])
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for i, g in enumerate(grads):
+            m[i] = m[i] * beta1 + (1.0 - beta1) * g
+            v[i] = v[i] * beta2 + (1.0 - beta2) * g * g
+            data[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+    for p, expected in zip(params, data):
+        assert p.data.tobytes() == expected.tobytes()
+    params[0].grad = np.zeros(BLOCK)
+    with pytest.raises(ValueError, match="differ"):
+        opt.step()
 
 
 # ---------------------------------------------------------------------------
