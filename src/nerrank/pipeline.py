@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import os
+import time
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
@@ -38,7 +39,7 @@ SHUFFLE_STREAM = 23
 WEIGHTS_FILE = "weights.bin"
 META_FILE = "meta.json"
 _META_KEYS = ("provenance", "alpha", "char_pad", "config", "vocab", "history")
-SCORE_CHUNK = 64
+SCORE_ITEMS = 512
 
 log = logging.getLogger(__name__)
 
@@ -140,22 +141,43 @@ def score_sets(scorer: PatternScorer, nbest: NBestCorpus) -> list[list[float]]:
     """Evaluation-mode scores for every candidate in the corpus, one list
     per sentence in `cs.candidates` order.
 
-    Each distinct collapsed pattern (`NBestCorpus.patterns`) is scored once,
-    in first-occurrence order; duplicates (very common after collapsing)
-    reuse the cached value. No `backward` follows, so the chunks are
+    Each distinct collapsed pattern (`NBestCorpus.patterns`) is scored once;
+    duplicates (very common after collapsing) reuse the cached value. The
+    distinct patterns are sorted by (length, tokens) and packed greedily
+    into chunks of at most `SCORE_ITEMS` items (a longer pattern is a chunk
+    of its own), so a chunk's arrays are bounded by the budget, runs that
+    share a chunk have similar lengths, and which patterns share a chunk
+    depends only on the set of patterns: the scores do not depend on the
+    order of the sentences. No `backward` follows, so the chunks are
     scored under `no_tape` and keep no graph.
     """
+    started = time.perf_counter()
     keys = nbest.patterns
-    order = list(dict.fromkeys(key for row in keys for key in row))
+    order = sorted({key for row in keys for key in row}, key=lambda k: (len(k), k))
+    chunks: list[list[tuple[str, ...]]] = []
+    items: list[int] = []  # per chunk
+    for key in order:
+        if not chunks or items[-1] + len(key) > SCORE_ITEMS:
+            chunks.append([])
+            items.append(0)
+        chunks[-1].append(key)
+        items[-1] += len(key)
     values: dict[tuple[str, ...], float] = {}
-    for start in range(0, len(order), SCORE_CHUNK):
-        chunk = order[start : start + SCORE_CHUNK]
+    for chunk in chunks:
         with no_tape():
             scores = scorer.score_batch([list(k) for k in chunk]).data[:, 0]
         outside = scores[~((scores > 0.0) & (scores < 1.0))]
         if outside.size:
             raise NerrankError(f"candidate score must be inside (0, 1): {outside[0]}")
         values.update(zip(chunk, scores.tolist()))
+    log.info(
+        "scored %d candidates: %d distinct patterns in %d chunks, largest %d items, %.3f s",
+        sum(map(len, keys)),
+        len(order),
+        len(chunks),
+        max(items, default=0),
+        time.perf_counter() - started,
+    )
     return [[values[key] for key in row] for row in keys]
 
 

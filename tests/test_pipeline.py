@@ -2,7 +2,9 @@
 decoding, the interpolation grid search, training, and bundle persistence."""
 
 import logging
+import re
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +19,7 @@ from nerrank.config import ALPHA_GRID, ScorerConfig, TrainConfig
 from nerrank.corpus import BioLabel, Sentence, Token, extract_spans, normalize_to_bio2
 from nerrank.errors import CheckpointMismatchError, ConfigError, NerrankError
 from nerrank.evaluation import PrfCounts, chunk_prf, oracle
-from nerrank.numerics import AdamState
+from nerrank.numerics import AdamState, no_tape
 from nerrank.pipeline import (
     AlphaSearchResult,
     EpochEval,
@@ -412,38 +414,144 @@ def test_score_sets_matches_single_scoring():
             assert score == pytest.approx(direct, abs=1e-12)
 
 
-def test_score_sets_equals_recorded_scoring_chunk_by_chunk():
-    """score_sets scores under no_tape; its output is, to the bit, the
-    recorded score_batch of each SCORE_CHUNK of patterns in first-occurrence
-    order, over more than one chunk, and its batches keep no graph."""
-    rng = np.random.default_rng(7)
-    words = ["in", "Rome", "Oslo", "John", "met", "today", "."]
-    tags = ["O", "B-LOC", "I-LOC", "B-PER", "B-ORG"]
+def random_rows(seed, count, lengths):
+    """`count` sentences of random words, `lengths` = (shortest, longest + 1)
+    tokens, each with four random candidates and no gold."""
+    rng = np.random.default_rng(seed)
+    words = ["in", "Rome", "Oslo", "John", "met", "today", ".", "visited", "the", "of"]
+    tags = ["O", "O", "O", "B-LOC", "I-LOC", "B-PER", "B-ORG"]
     rows = []
-    for i in range(30):
-        n = int(rng.integers(1, 9))
+    for i in range(count):
+        n = int(rng.integers(*lengths))
+        sentence = sent(i, *(str(w) for w in rng.choice(words, size=n)))
         cands = [([str(t) for t in rng.choice(tags, size=n)], 0.2) for _ in range(4)]
-        rows.append((sent(i, *(str(w) for w in rng.choice(words, size=n))), ["O"] * n, cands))
-    corpus = nbest_from(rows)
-    scorer = tiny_scorer(corpus_token_lists(corpus))
-    order = list(dict.fromkeys(key for row in corpus.patterns for key in row))
-    assert len(order) > pipeline.SCORE_CHUNK
-    values = {}
-    for start in range(0, len(order), pipeline.SCORE_CHUNK):
-        chunk = order[start : start + pipeline.SCORE_CHUNK]
-        scores = scorer.score_batch([list(k) for k in chunk])
-        values.update(zip(chunk, scores.data[:, 0].tolist()))
-    batches = []
-    recorded_batch = scorer.score_batch
+        rows.append((sentence, None, cands))
+    return rows
 
-    def keep(lists):
-        batches.append(recorded_batch(lists))
-        return batches[-1]
+
+def chunk_rule(corpus):
+    """The chunks score_sets should form: the distinct patterns sorted by
+    (length, tokens), each appended to the last chunk while that stays
+    within SCORE_ITEMS items, else starting a new one."""
+    chunks = []
+    for key in sorted({k for row in corpus.patterns for k in row}, key=lambda k: (len(k), k)):
+        if chunks and sum(map(len, chunks[-1])) + len(key) <= pipeline.SCORE_ITEMS:
+            chunks[-1].append(list(key))
+        else:
+            chunks.append([list(key)])
+    return chunks
+
+
+def record_batches(scorer):
+    """Make `scorer.score_batch` keep each token list it is given, with its
+    result; returns the list of (lists, result) pairs."""
+    batches = []
+    score_batch = scorer.score_batch
+
+    def keep(lists, **kwargs):
+        batches.append((lists, score_batch(lists, **kwargs)))
+        return batches[-1][1]
 
     scorer.score_batch = keep
+    return batches
+
+
+def peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_score_sets_equals_recorded_scoring_chunk_by_chunk():
+    """score_sets scores under no_tape; the lists it passes to score_batch
+    are exactly the chunk rule's chunks, more than one; its output is, to
+    the bit, the recorded score_batch of each chunk; and its batches keep
+    no graph."""
+    corpus = nbest_from(random_rows(7, 60, (1, 13)))
+    scorer = tiny_scorer(corpus_token_lists(corpus))
+    chunks = chunk_rule(corpus)
+    assert len(chunks) > 1
+    values = {}
+    for chunk in chunks:
+        scores = scorer.score_batch(chunk)
+        values.update(zip(map(tuple, chunk), scores.data[:, 0].tolist()))
+    batches = record_batches(scorer)
     assert score_sets(scorer, corpus) == [[values[key] for key in row] for row in corpus.patterns]
-    assert len(batches) == len(range(0, len(order), pipeline.SCORE_CHUNK))
-    assert not any(scores._parents for scores in batches)
+    assert [lists for lists, _ in batches] == chunks
+    assert not any(scores._parents for _, scores in batches)
+
+
+def test_score_sets_does_not_depend_on_sentence_order():
+    """Which patterns share a chunk depends only on the set of patterns, so
+    the same corpus with its sentences reversed gets the same score bits
+    (default sizes, more than one chunk). Chunked in first-occurrence
+    order instead, some candidates of this corpus change bits."""
+    rows = random_rows(3, 40, (1, 12))
+    forward, reversed_ = nbest_from(rows), nbest_from(rows[::-1])
+    scorer = tiny_scorer(corpus_token_lists(forward), config=ScorerConfig())
+    batches = record_batches(scorer)
+    scores = np.array(score_sets(scorer, forward))
+    assert len(batches) > 1
+    assert np.array(score_sets(scorer, reversed_)[::-1]).tobytes() == scores.tobytes()
+
+
+def test_score_sets_memory_is_bounded_by_the_item_budget():
+    """120 distinct patterns of about 40 items at default sizes: scoring
+    them all peaks below half of one no_tape score_batch of the first 64
+    (what a chunk of 64 patterns in first-occurrence order would hold),
+    since no chunk's arrays outgrow SCORE_ITEMS items."""
+    corpus = nbest_from(random_rows(11, 30, (38, 47)))
+    patterns = [list(key) for row in corpus.patterns for key in row]
+    assert len({tuple(p) for p in patterns}) == 120
+    assert 36 <= np.mean([len(p) for p in patterns]) <= 44
+    scorer = tiny_scorer(patterns, config=ScorerConfig())
+
+    def first_64():
+        with no_tape():
+            scorer.score_batch(patterns[:64])
+
+    assert peak_bytes(lambda: score_sets(scorer, corpus)) < 0.5 * peak_bytes(first_64)
+
+
+def test_a_pattern_longer_than_the_budget_is_scored_alone():
+    """Two patterns of SCORE_ITEMS / 2 items fill one chunk exactly; a
+    pattern of more than SCORE_ITEMS items forms a chunk of its own, and its
+    score is, to the bit, a recorded score_batch of it alone."""
+    half, n = pipeline.SCORE_ITEMS // 2, pipeline.SCORE_ITEMS + 40
+    rows = [
+        (sent(i, *words * (size // 2)), None, [(["O"] * size, 0.5)])
+        for i, (words, size) in enumerate(
+            [(["met", "Oslo"], half), (["in", "Rome"], half), (["met", "Oslo"], n)]
+        )
+    ]
+    corpus = nbest_from(rows)
+    scorer = tiny_scorer(corpus_token_lists(corpus), config=ScorerConfig())
+    first, second, longest = (list(row[0]) for row in corpus.patterns)
+    assert len(longest) == n
+    alone = scorer.score_batch([longest]).data[:, 0]
+    batches = record_batches(scorer)
+    scores = score_sets(scorer, corpus)
+    assert [lists for lists, _ in batches] == [[second, first], [longest]]
+    assert np.array(scores[2]).tobytes() == alone.tobytes()
+
+
+def test_score_sets_logs_its_counts_when_it_ends(caplog):
+    corpus = nbest_from(random_rows(7, 60, (1, 13)))
+    scorer = tiny_scorer(corpus_token_lists(corpus))
+    chunks = chunk_rule(corpus)
+    with caplog.at_level(logging.INFO, logger="nerrank.pipeline"):
+        score_sets(scorer, corpus)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "nerrank.pipeline"]
+    largest = max(sum(map(len, chunk)) for chunk in chunks)
+    distinct = sum(map(len, chunks))
+    assert re.fullmatch(
+        rf"scored 240 candidates: {distinct} distinct patterns in {len(chunks)} chunks,"
+        rf" largest {largest} items, \d+\.\d{{3}} s",
+        line,
+    )
 
 
 def test_identical_patterns_share_a_score():
@@ -643,6 +751,10 @@ def test_each_epoch_is_logged_when_it_is_evaluated(caplog, monkeypatch):
     with caplog.at_level(logging.INFO, logger="nerrank.pipeline"):
         bundle = train_reranker(make_examples(train_corpus), dev_corpus, TINY)
     lines = [r.getMessage() for r in caplog.records if r.name == "nerrank.pipeline"]
+    # each evaluation's scoring line comes right before its epoch line
+    scored = [i + 1 for i, line in enumerate(lines) if line.startswith("scored ")]
+    assert scored == [i for i, line in enumerate(lines) if line.startswith("epoch ")]
+    lines = [line for line in lines if not line.startswith("scored ")]
     # 32 examples in batches of 16: two batches per epoch, each epoch's line
     # follows its own batches and precedes the next epoch's
     assert [line.split(":")[0] for line in lines] == [
