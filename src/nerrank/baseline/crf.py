@@ -24,8 +24,9 @@ one-tag (n, 1) column pairwise, and the scatter below adds in sequence):
 - the transition, begin and end gradients keep each sentence's
   interleaving of `+= marginal` and `-= 1` through `np.add.accumulate`,
   which adds strictly in sequence where a reduction may sum pairwise;
-- the path score is a running sum in `score_tag_ids`' order, and NLLs are
-  summed sentence by sentence in Python.
+- the path score is a running sum in its pinned order, begin[y_0] + e_0,
+  then `(s + trans) + e` per step, then `+ end`, and NLLs are summed
+  sentence by sentence in Python.
 The reductions inside the recursions (over the previous tag forward, the
 next tag backward) run along the same axes and lengths as one sentence's
 would, so each sentence's numbers do not depend on its batch.
@@ -35,9 +36,9 @@ survivors per sentence and state, held in numpy arrays with a leading
 batch axis. Two things make its ranking equal brute-force enumeration's,
 bit for bit: the survivors' lexicographic ranks make (-score, rank) a
 total order that prunes nothing enumeration would rank higher, and each
-step adds `(s + trans) + e` in float64, the operations and order of
-`CrfModel.score_tag_ids`. `_kbest_chunk`'s docstring gives the argument
-and the one exception, a tie that rounding creates.
+step adds `(s + trans) + e` in float64, the pinned order of a path score.
+`_kbest_chunk`'s docstring gives the argument and the one exception, a
+tie that rounding creates.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..config import finite_number
 from ..corpus import ENTITY_TYPES, BioLabel, Dataset, LabelSeq, Sentence
 from ..errors import FILE_ERRORS, CheckpointMismatchError, NerrankError
 from ..numerics import AdamState, Tensor
@@ -134,19 +136,11 @@ class CrfModel:
             raise ValueError(f"label {text} is not in this model's tag set")
         return self._tag_index[text]
 
-    def feature_ids(self, features: list[list[str]]) -> list[np.ndarray]:
-        """Known feature ids per position of `featurize` output; unseen
-        strings are dropped."""
-        get = self.feature_vocab.get
-        return [
-            np.array([i for i in map(get, position) if i is not None], dtype=np.intp)
-            for position in features
-        ]
-
     def interned_ids(self, features: InternedFeatures) -> list[list[np.ndarray]]:
-        """`feature_ids` of every sentence of `features`, through one index
-        from its ids to this model's: ids of strings the model lacks are
-        dropped, in position order."""
+        """Per sentence of `features` and position, this model's ids of the
+        position's strings in `featurize` order, through one index from
+        `features`' ids to this model's. Strings the model lacks are
+        dropped."""
         get = self.feature_vocab.get
         index = np.array([get(name, -1) for name in features.names], dtype=np.intp)
         out = []
@@ -155,10 +149,6 @@ class CrfModel:
             out.append([row[row >= 0] for row in rows])
         return out
 
-    def emissions_from_ids(self, ids: list[np.ndarray]) -> np.ndarray:
-        """(T, K) matrix: row t sums the emit rows of position t's ids."""
-        return self._emissions(_pack([ids]))[0]
-
     def _emissions(self, batch: _Batch) -> np.ndarray:
         """(B, T, K) emissions of a packed batch, zero past each sentence's
         end: one gather of the ids' emit rows, one scatter that adds them in
@@ -166,22 +156,6 @@ class CrfModel:
         e = np.zeros((batch.valid.size, len(self.tags)))
         _scatter_rows(e, batch.slots, np.take(self.emit, batch.ids, axis=0))
         return e.reshape(*batch.valid.shape, -1)
-
-    def emission_scores(self, sentence: Sentence) -> np.ndarray:
-        """(T, K) matrix of summed feature weights per position."""
-        return self.emissions_from_ids(self.feature_ids(featurize(sentence, self.templates)))
-
-    def score_tag_ids(self, emissions: np.ndarray, tag_ids: list[int]) -> float:
-        """Path score with a pinned accumulation order (matters only for
-        bitwise agreement between decoders and enumeration oracles)."""
-        begin = self.begin.tolist()
-        end = self.end.tolist()
-        trans = self.trans.tolist()
-        e = emissions.tolist()
-        s = begin[tag_ids[0]] + e[0][tag_ids[0]]
-        for t in range(1, len(tag_ids)):
-            s = (s + trans[tag_ids[t - 1]][tag_ids[t]]) + e[t][tag_ids[t]]
-        return s + end[tag_ids[-1]]
 
     def forward(self, emissions: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Forward algorithm over a padded batch: (B, T, K) emissions and
@@ -193,6 +167,12 @@ class CrfModel:
             alpha[:, t] = logsumexp(alpha[:, t - 1, :, None] + self.trans, axis=1) + emissions[:, t]
         last = alpha[np.arange(len(lengths)), lengths - 1]
         return alpha, logsumexp(last + self.end, axis=1)
+
+    # nothing in the package calls `emission_scores` or `log_partition`;
+    # they stay because perfbench/tracer.py wraps both by name
+    def emission_scores(self, sentence: Sentence) -> np.ndarray:
+        """(T, K) matrix of summed feature weights per position."""
+        return self._emissions(_pack(self.interned_ids(intern_features([sentence], self.templates))))[0]
 
     def log_partition(self, emissions: np.ndarray) -> float:
         """log Z of one sentence's (T, K) emissions."""
@@ -213,7 +193,7 @@ class CrfModel:
         e = self._emissions(batch)
         alpha, log_z = self.forward(e, batch.lengths)
 
-        # the path score as a running sum in `score_tag_ids`' order:
+        # the path score as a running sum in its pinned order:
         # begin, e_0, trans_01, e_1, trans_12, ..., then end
         terms = np.empty((n, 2 * width))
         terms[:, 0] = self.begin[y[:, 0]]
@@ -331,10 +311,11 @@ def _kbest_chunk(model: CrfModel, ids: list[list[np.ndarray]], k: int) -> list[l
     cannot reorder. Rounding can make two different scores equal, though:
     with begin (1, 1 + 2**-52), end (1, -100), all else zero, T=2 and k=1,
     the beam returns (1, 0) where enumeration ranks (0, 0) first.
-    Scores accumulate as `(s + trans) + e` in float64, the order
-    `CrfModel.score_tag_ids` uses, so every score matches its enumerated
-    path score to the bit. Every operation acts on each sentence's rows
-    alone, so a sentence's candidates are those it gets in a batch of one.
+    Scores accumulate in float64 as begin[y_0] + e_0, then
+    `(s + trans) + e` per step, then `+ end`: the pinned order of a path
+    score, so every score equals its path's score summed in that order,
+    to the bit. Every operation acts on each sentence's rows alone, so a
+    sentence's candidates are those it gets in a batch of one.
     """
     order = np.argsort([-len(sentence) for sentence in ids], kind="stable")
     batch = _pack([ids[i] for i in order])
@@ -541,6 +522,12 @@ def load_crf(path) -> CrfModel:
             meta = json.loads(raw.tobytes().decode())
         if not all(type(name) is str for name in meta["features"]):
             raise ValueError("feature names are not all strings")
+        history = meta["nll_history"]
+        if type(history) is not list:
+            raise ValueError(f"nll_history: expected a JSON array, got {history!r}")
+        for value in history:
+            if not finite_number(value):
+                raise ValueError(f"nll_history: expected a finite number, got {value!r}")
         return CrfModel(
             tags=tuple(meta["tags"]),
             feature_vocab={name: i for i, name in enumerate(meta["features"])},
@@ -551,7 +538,7 @@ def load_crf(path) -> CrfModel:
             trans=arrays["trans"],
             begin=arrays["begin"],
             end=arrays["end"],
-            nll_history=list(meta["nll_history"]),
+            nll_history=history,
         )
     except FILE_ERRORS:
         raise

@@ -42,7 +42,6 @@ from ..corpus import (
     tag_accuracy,
 )
 from ..errors import NerrankError, ParseError
-from .features import featurize
 
 if TYPE_CHECKING:
     from .crf import InternedFeatures
@@ -344,17 +343,17 @@ def decode_corpus(model, dataset: Dataset, k: int, features: InternedFeatures | 
     test, or a jackknife fold's held-out block), as batches of sentences
     (`kbest_decode`). `features`, when given, is `intern_features` of the
     dataset's sentences, in order, or of a corpus that holds them (`ids`
-    then lists these sentences' rows alone). Without it, each sentence is
-    featurized and looked up in turn, so no corpus-wide dict is built.
-    Strings the model never saw are dropped."""
-    from .crf import kbest_decode
+    then lists these sentences' rows alone); omitted, it is
+    `intern_features` of the dataset. Strings the model never saw are
+    dropped."""
+    from .crf import intern_features, kbest_decode
 
     if features is None:
-        ids = [model.feature_ids(featurize(s, model.templates)) for s in dataset.sentences]
+        features = intern_features(dataset.sentences, model.templates)
     elif len(features.ids) != len(dataset):
         raise ValueError(f"{len(features.ids)} feature lists for {len(dataset)} sentences")
-    else:
-        ids = model.interned_ids(features)
+    ids = model.interned_ids(features)
+    del features  # frees the dataset's ids when this call interned them
     rows = kbest_decode(model, ids, k)
     sets = [CandidateSet(s.id, gold, candidates) for (s, gold), candidates in zip(dataset, rows)]
     return NBestCorpus(list(dataset.sentences), sets)

@@ -33,15 +33,17 @@ _FALSE_WORDS = frozenset({"false", "no", "off", "0"})
 _EXPECTED = {int: "an integer", float: "a number"}
 
 
+def finite_number(value) -> bool:
+    """An int (a bool is none here) or a finite float."""
+    return type(value) is int or isinstance(value, float) and math.isfinite(value)
+
+
 # what a key of each checked annotation takes, and its name in errors: a
 # bool is no integer here; the optional keys (`alpha`, the paths) are not
 # checked by type
 _TYPES = {
     int: (lambda v: type(v) is int, "an integer"),
-    float: (
-        lambda v: type(v) is int or isinstance(v, float) and math.isfinite(v),
-        "a finite number",
-    ),
+    float: (finite_number, "a finite number"),
     bool: (lambda v: type(v) is bool, "a boolean"),
 }
 

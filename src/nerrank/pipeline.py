@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import time
 from dataclasses import asdict, dataclass, fields
@@ -28,7 +27,7 @@ import numpy as np
 
 from .baseline.nbest import NBestCorpus
 from .collapse import CollapsedSequence, collapsed_to_labels, collapsed_token_strings
-from .config import ALPHA_GRID, ScorerConfig, TrainConfig, check_alpha
+from .config import ALPHA_GRID, ScorerConfig, TrainConfig, check_alpha, finite_number
 from .corpus import LabelSeq
 from .errors import CheckpointMismatchError, ConfigError, NerrankError
 from .evaluation import PrfCounts
@@ -74,7 +73,7 @@ class EpochEval:
             raise ConfigError(f"history epoch: expected an integer, got {self.epoch!r}")
         for name in ("alpha", "dev_f1"):
             value = getattr(self, name)
-            if not (type(value) is int or isinstance(value, float) and math.isfinite(value)):
+            if not finite_number(value):
                 raise ConfigError(f"history {name}: expected a finite number, got {value!r}")
 
 
@@ -387,6 +386,8 @@ def load_bundle(path) -> RerankerBundle:
         )
         with np.load(os.path.join(path, WEIGHTS_FILE), allow_pickle=False) as archive:
             scorer.params.load_arrays({name: archive[name] for name in archive.files})
+        if type(meta["history"]) is not list:
+            raise ConfigError(f"history: expected a JSON array, got {meta['history']!r}")
         history = [EpochEval(**h) for h in meta["history"]]
         return RerankerBundle(
             scorer=scorer, alpha=meta["alpha"], config=config, history=history

@@ -45,7 +45,7 @@ from nerrank.pipeline import (
 from nerrank.reranker import PatternScorer, build_vocab
 
 from gradcheck import grad_check
-from test_baseline import decode_one, sequence_prob
+from test_baseline import decode_one, score_tag_ids, sequence_prob
 from test_corpus import conlleval_segments
 from toycorpus import make_corpus
 
@@ -141,7 +141,7 @@ def test_crf_probability_mass_and_kbest_exactness():
 
     emissions = model.emission_scores(sentence)
     brute = sorted(
-        ((model.score_tag_ids(emissions, list(ids)), ids) for ids in seqs),
+        ((score_tag_ids(model, emissions, list(ids)), ids) for ids in seqs),
         key=lambda item: (-item[0], item[1]),
     )[:10]
     expected = [[tags[y] for y in ids] for _, ids in brute]

@@ -94,19 +94,50 @@ def zero_model(tags=ALL_TAGS):
     )
 
 
+def string_ids(model, sentence) -> list[np.ndarray]:
+    """The reference for `CrfModel.interned_ids`: the model's ids of each
+    position's `featurize` strings, looked up one string at a time, in
+    order. Strings the model never saw are dropped."""
+    get = model.feature_vocab.get
+    return [
+        np.array([i for i in map(get, position) if i is not None], dtype=np.intp)
+        for position in featurize(sentence, model.templates)
+    ]
+
+
+def sentence_emissions(model, ids) -> np.ndarray:
+    """(T, K) emissions of one sentence's per-position ids, through the
+    batched gather and scatter that training and decoding use."""
+    return model._emissions(crf_module._pack([ids]))[0]
+
+
+def score_tag_ids(model, emissions, tag_ids) -> float:
+    """The enumeration reference's path score, summed in the pinned order
+    begin[y_0] + e_0, then (s + trans) + e per step, then + end: the order
+    `batch_nll` and the k-best beam keep, so their scores equal it to the
+    bit."""
+    begin = model.begin.tolist()
+    end = model.end.tolist()
+    trans = model.trans.tolist()
+    e = emissions.tolist()
+    s = begin[tag_ids[0]] + e[0][tag_ids[0]]
+    for t in range(1, len(tag_ids)):
+        s = (s + trans[tag_ids[t - 1]][tag_ids[t]]) + e[t][tag_ids[t]]
+    return s + end[tag_ids[-1]]
+
+
 def sequence_prob(model, sentence, labels) -> float:
     """Exact probability exp(score - logZ) of one label sequence."""
     if len(labels) != len(sentence):
         raise ValueError(f"{len(labels)} labels for {len(sentence)} tokens")
     e = model.emission_scores(sentence)
     ids = [model.tag_id(l) for l in labels]
-    return min(1.0, float(np.exp(model.score_tag_ids(e, ids) - model.log_partition(e))))
+    return min(1.0, float(np.exp(score_tag_ids(model, e, ids) - model.log_partition(e))))
 
 
 def decode_one(model, sentence, k, gold=None):
     """`kbest_decode` on a batch of one sentence, as a candidate set."""
-    ids = model.feature_ids(featurize(sentence, model.templates))
-    return CandidateSet(sentence.id, gold, kbest_decode(model, [ids], k)[0])
+    return CandidateSet(sentence.id, gold, kbest_decode(model, [string_ids(model, sentence)], k)[0])
 
 
 def enumerate_ranked(model, sentence):
@@ -114,7 +145,7 @@ def enumerate_ranked(model, sentence):
     e = model.emission_scores(sentence)
     k = len(model.tags)
     ranked = [
-        (model.score_tag_ids(e, list(seq)), seq)
+        (score_tag_ids(model, e, list(seq)), seq)
         for seq in itertools.product(range(k), repeat=len(sentence))
     ]
     ranked.sort(key=lambda item: (-item[0], item[1]))
@@ -436,7 +467,7 @@ def test_kbest_batch_equals_each_sentence_alone(lattice, k):
     # k falls below the path count of the long sentences and above that of
     # the short ones in the same batch
     model, sentences = lattice
-    ids = [model.feature_ids(featurize(s, model.templates)) for s in sentences]
+    ids = [string_ids(model, s) for s in sentences]
     batch = kbest_decode(model, ids, k)
     for s, candidates in zip(sentences, batch):
         alone = decode_one(model, s, k).candidates
@@ -462,6 +493,42 @@ def test_decode_corpus_across_chunks_equals_single_decodes():
     for k in (10, 25):
         single = NBestCorpus(sentences, [decode_one(model, s, k, g) for s, g in dataset])
         assert format_nbest(decode_corpus(model, dataset, k)) == format_nbest(single)
+
+
+def test_decode_corpus_drops_the_strings_its_model_never_saw():
+    # decode_corpus interns the dataset itself; every position must keep the
+    # ids the string lookup keeps, in its order. The model knows the words
+    # a-d at offsets -1, 0 and 1; "yy" sits between two more unseen words,
+    # so its position loses all three of its ids
+    templates = dataclasses.replace(WORD_ONLY, offsets=(-1, 0, 1))
+    seen = [sent("a", "b", "c"), sent("d", "a")]
+    names = sorted({f for s in seen for position in featurize(s, templates) for f in position})
+    rng = np.random.default_rng(4)
+    f, k = len(names), len(ALL_TAGS)
+    model = CrfModel(
+        tags=ALL_TAGS,
+        feature_vocab={name: i for i, name in enumerate(names)},
+        templates=templates,
+        emit=rng.normal(size=(f, k)),
+        trans=rng.normal(size=(k, k)),
+        begin=rng.normal(size=k),
+        end=rng.normal(size=k),
+    )
+    sentences = [
+        sent("a", "zz", "b", sid=0),
+        sent("zz", "yy", "xx", "a", sid=1),
+        sent("q", sid=2),
+        sent("c", "a", "d", sid=3),
+    ]
+    assert len(featurize(sentences[1], templates)[1]) == 3
+    assert string_ids(model, sentences[1])[1].size == 0
+    dataset = Dataset(sentences, [[BioLabel.parse("O")] * len(s) for s in sentences])
+    got = decode_corpus(model, dataset, 5)
+    expected = NBestCorpus(sentences, [decode_one(model, s, 5, g) for s, g in dataset])
+    assert got.sets == expected.sets
+    assert format_nbest(got) == format_nbest(expected)
+    for s in sentences:
+        assert_same_bits(model.emission_scores(s), reference_emissions(model, string_ids(model, s)))
 
 
 def reference_kbest(model, sentence, k):
@@ -633,8 +700,8 @@ def test_sentence_nll_gradient_matches_finite_differences():
     nll = model.batch_nll([ids], [tags], grads)[0]
 
     def objective():
-        e = model.emissions_from_ids(ids)
-        return model.log_partition(e) - model.score_tag_ids(e, tags)
+        e = sentence_emissions(model, ids)
+        return model.log_partition(e) - score_tag_ids(model, e, tags)
 
     assert nll == objective()
     h = 1e-5
@@ -667,8 +734,8 @@ def test_batch_nll_gradient_matches_finite_differences_on_mixed_lengths():
     def objective():
         total = 0.0
         for ids, tags in zip(batch_ids, batch_tags):
-            e = model.emissions_from_ids(ids)
-            total += model.log_partition(e) - model.score_tag_ids(e, tags)
+            e = sentence_emissions(model, ids)
+            total += model.log_partition(e) - score_tag_ids(model, e, tags)
         return total
 
     assert sum(nlls.tolist()) == objective()
@@ -718,7 +785,7 @@ def reference_sentence_nll(model, ids, tag_ids, grads=None):
     for t in range(1, e.shape[0]):
         alpha[t] = reference_logsumexp(alpha[t - 1][:, None] + model.trans, axis=0) + e[t]
     log_z = float(reference_logsumexp(alpha[-1] + model.end))
-    nll = log_z - model.score_tag_ids(e, tag_ids)
+    nll = log_z - score_tag_ids(model, e, tag_ids)
     if grads is None:
         return nll
     g_emit, g_trans, g_begin, g_end = grads
@@ -808,7 +875,7 @@ def test_batch_nll_equals_the_per_sentence_reference(batch, zero_start):
         assert_same_bits(g, ref, name)
     for ids, tags, nll in zip(batch_ids, batch_tags, want.tolist()):
         assert model.batch_nll([ids], [tags])[0] == nll
-        assert_same_bits(model.emissions_from_ids(ids), reference_emissions(model, ids))
+        assert_same_bits(sentence_emissions(model, ids), reference_emissions(model, ids))
 
 
 def test_train_equals_the_per_sentence_reference(monkeypatch):

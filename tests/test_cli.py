@@ -831,6 +831,9 @@ BUNDLE_MUTATIONS = {
     "history-unknown-key": _edit_meta(lambda m: m["history"][0].update(loss=0.1)),
     "history-epoch-not-int": _edit_meta(lambda m: m["history"][0].update(epoch="x")),
     "history-f1-not-number": _edit_meta(lambda m: m["history"][0].update(dev_f1="high")),
+    # each would iterate as an empty history
+    "history-string": _edit_meta(lambda m: m.update(history="")),
+    "history-object": _edit_meta(lambda m: m.update(history={})),
     "provenance-not-object": _edit_meta(lambda m: m.update(provenance=7)),
     "alpha-off-grid": _edit_meta(lambda m: m.update(alpha=0.3333)),
     "alpha-bool": _edit_meta(lambda m: m.update(alpha=True)),
@@ -865,6 +868,8 @@ BUNDLE_MESSAGES = {
     "vocab-word-not-string": "word vocabulary holds 5, which is not a string",
     "history-epoch-not-int": "history epoch: expected an integer, got 'x'",
     "history-f1-not-number": "history dev_f1: expected a finite number, got 'high'",
+    "history-string": "history: expected a JSON array, got ''",
+    "history-object": "history: expected a JSON array, got {}",
     "provenance-not-object": "provenance: expected a JSON object, got 7",
     "weights-nan": "parameter 'lstm_w1' holds a non-finite value",
     "weights-inf": "parameter 'lstm_w1' holds a non-finite value",
@@ -915,9 +920,19 @@ CRF_MUTATIONS = {
     "features-not-strings": _edit_crf(lambda a, m: m.update(features=list(range(len(m["features"]))))),
     # the older format: the same JSON as a numpy unicode string
     "meta-unicode-string": _edit_crf(lambda a, m: None, encode=np.array),
+    # a string or an object would iterate as a list of its characters or keys
+    "nll-history-string": _edit_crf(lambda a, m: m.update(nll_history="abc")),
+    "nll-history-object": _edit_crf(lambda a, m: m.update(nll_history={"a": 1})),
+    "nll-history-not-numbers": _edit_crf(lambda a, m: m.update(nll_history=[None, "x"])),
+    # json writes it as NaN and reads it back as a float
+    "nll-history-nan": _edit_crf(lambda a, m: m["nll_history"].append(float("nan"))),
 }
 CRF_MESSAGES = {
     "meta-unicode-string": "not UTF-8 bytes (an older format: retrain it)",
+    "nll-history-string": "nll_history: expected a JSON array, got 'abc'",
+    "nll-history-object": "nll_history: expected a JSON array, got {'a': 1}",
+    "nll-history-not-numbers": "nll_history: expected a finite number, got None",
+    "nll-history-nan": "nll_history: expected a finite number, got nan",
 }
 
 
