@@ -45,15 +45,15 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
 
-from ..config import finite_number
+from ..config import decode
 from ..corpus import ENTITY_TYPES, BioLabel, Dataset, LabelSeq, Sentence
-from ..errors import FILE_ERRORS, CheckpointMismatchError, NerrankError
+from ..errors import NerrankError, checkpoint_errors
 from ..numerics import AdamState, Tensor
 from ..numerics.optim import BLOCK
 from .features import FeatureTemplateSet, featurize
@@ -481,26 +481,33 @@ def _mean_nll(model: CrfModel, feat_ids, gold_ids) -> float:
     return sum(nlls) / len(gold_ids)
 
 
+@dataclass(frozen=True)
+class CrfMeta:
+    """What a checkpoint's `meta` entry declares beside the weight arrays.
+    The writer's provenance keys sit beside these at its top level."""
+
+    tags: tuple[str, ...]
+    features: tuple[str, ...]
+    templates: FeatureTemplateSet
+    nll_history: tuple[float, ...]
+
+
 def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
     """Write the model as a single .npz archive.
 
-    Weight matrices go in as arrays; tags, the feature vocabulary (in id
-    order), templates, and the NLL history ride along as one JSON entry,
-    stored as its UTF-8 bytes (a uint8 array).
+    Weight matrices go in as arrays; the CrfMeta fields (the feature
+    vocabulary in id order) and `extra_meta` ride along as one JSON
+    object, stored as its UTF-8 bytes (a uint8 array).
     """
     meta = {
         "tags": list(model.tags),
-        "features": [
-            name
-            for name, _ in sorted(model.feature_vocab.items(), key=lambda kv: kv[1])
-        ],
+        "features": sorted(model.feature_vocab, key=model.feature_vocab.get),
         # the switches and the cluster map as they are; `asdict` would
         # deep-copy the map, one call per entry
         "templates": vars(model.templates),
         "nll_history": list(model.nll_history),
     }
-    if extra_meta:
-        meta.update(extra_meta)
+    meta.update(extra_meta or {})
     with open(path, "wb") as f:
         np.savez(
             f,
@@ -513,37 +520,21 @@ def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
 
 
 def load_crf(path) -> CrfModel:
-    try:
+    """Read a checkpoint written by save_crf, under `checkpoint_errors`: a
+    missing or unreadable file exits 2, a malformed one 4. The `meta` entry
+    is decoded as a CrfMeta; its other top-level keys are not read."""
+    with checkpoint_errors(path, "baseline model checkpoint"):
         with np.load(path, allow_pickle=False) as archive:
             arrays = {k: archive[k] for k in ("emit", "trans", "begin", "end")}
             raw = archive["meta"]
-            if raw.dtype != np.uint8:
-                raise ValueError(f"its meta is {raw.dtype}, not UTF-8 bytes (an older format: retrain it)")
-            meta = json.loads(raw.tobytes().decode())
-        if not all(type(name) is str for name in meta["features"]):
-            raise ValueError("feature names are not all strings")
-        history = meta["nll_history"]
-        if type(history) is not list:
-            raise ValueError(f"nll_history: expected a JSON array, got {history!r}")
-        for value in history:
-            if not finite_number(value):
-                raise ValueError(f"nll_history: expected a finite number, got {value!r}")
+        if raw.dtype != np.uint8:
+            raise ValueError(f"its meta is {raw.dtype}, not UTF-8 bytes (an older format: retrain it)")
+        stored = decode(dict, json.loads(raw.tobytes().decode()))
+        meta = decode(CrfMeta, {f.name: stored[f.name] for f in fields(CrfMeta) if f.name in stored})
         return CrfModel(
-            tags=tuple(meta["tags"]),
-            feature_vocab={name: i for i, name in enumerate(meta["features"])},
-            templates=FeatureTemplateSet(
-                **{**meta["templates"], "offsets": tuple(meta["templates"]["offsets"])}
-            ),
-            emit=arrays["emit"],
-            trans=arrays["trans"],
-            begin=arrays["begin"],
-            end=arrays["end"],
-            nll_history=history,
+            tags=meta.tags,
+            feature_vocab={name: i for i, name in enumerate(meta.features)},
+            templates=meta.templates,
+            nll_history=list(meta.nll_history),
+            **arrays,
         )
-    except FILE_ERRORS:
-        raise
-    except Exception as exc:
-        raise CheckpointMismatchError(
-            f"{path} is not a readable baseline model checkpoint: {exc}"
-        ) from exc
-

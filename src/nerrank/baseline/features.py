@@ -10,7 +10,7 @@ word grams only; the other templates need a real token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ..corpus import Sentence
 from ..errors import ParseError
@@ -67,19 +67,7 @@ class FeatureTemplateSet:
     pos_word: bool = True
     offsets: tuple[int, ...] = (-1, 0)
     # token -> cluster id; None disables cluster templates entirely
-    clusters: dict | None = field(default=None, hash=False)
-
-    def __post_init__(self):
-        for f in fields(self):
-            if f.type == "bool" and type(getattr(self, f.name)) is not bool:
-                raise ValueError(f"template switch {f.name} must be a boolean")
-        if type(self.offsets) is not tuple or any(type(o) is not int for o in self.offsets):
-            raise ValueError(f"offsets must be a tuple of integers, got {self.offsets!r}")
-        if self.clusters is not None and (
-            type(self.clusters) is not dict
-            or any(type(w) is not str or type(c) is not str for w, c in self.clusters.items())
-        ):
-            raise ValueError("clusters must map words to cluster ids, both strings")
+    clusters: dict[str, str] | None = field(default=None, hash=False)
 
 
 def featurize(sentence: Sentence, templates: FeatureTemplateSet) -> list[list[str]]:

@@ -164,8 +164,6 @@ def _load_bundle_and_nbest(cfg: RunConfig, explicit: frozenset):
     nbest_path cut to n_best."""
     from .pipeline import load_bundle
 
-    if not os.path.exists(cfg.bundle_path):
-        raise FileNotFoundError(cfg.bundle_path)
     bundle = load_bundle(cfg.bundle_path)
     mine, loaded = cfg.train.scorer, bundle.config.scorer
     clashes = [

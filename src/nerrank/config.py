@@ -6,9 +6,9 @@ from an optional config file plus command-line overrides, unknown keys are
 rejected, and the fully resolved config has a stable 12-hex digest that is
 stamped into every output file header.
 
-The reranker's blocks (`TrainConfig`, holding a `ScorerConfig`) and the
-alpha grid live here too, so every command can resolve its config without
-importing numpy.
+The reranker's blocks (`TrainConfig`, holding a `ScorerConfig`), the alpha
+grid and `decode`, which reads a saved model's meta by the same type rules,
+live here too, so every command can resolve its config without numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import reduce
-from typing import get_args, get_type_hints
+from functools import cache, reduce
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .baseline.features import FeatureTemplateSet
 from .errors import ConfigError
@@ -30,21 +31,16 @@ ALPHA_GRID = tuple(i / 200.0 for i in range(201))
 
 _TRUE_WORDS = frozenset({"true", "yes", "on", "1"})
 _FALSE_WORDS = frozenset({"false", "no", "off", "0"})
-_EXPECTED = {int: "an integer", float: "a number"}
 
 
-def finite_number(value) -> bool:
-    """An int (a bool is none here) or a finite float."""
-    return type(value) is int or isinstance(value, float) and math.isfinite(value)
-
-
-# what a key of each checked annotation takes, and its name in errors: a
-# bool is no integer here; the optional keys (`alpha`, the paths) are not
-# checked by type
+# what a value of each leaf annotation takes, and its name in errors: a
+# bool is no integer here, and a number is finite; the optional config keys
+# (`alpha`, the paths) are not checked by type
 _TYPES = {
     int: (lambda v: type(v) is int, "an integer"),
-    float: (finite_number, "a finite number"),
+    float: (lambda v: type(v) is int or isinstance(v, float) and math.isfinite(v), "a finite number"),
     bool: (lambda v: type(v) is bool, "a boolean"),
+    str: (lambda v: type(v) is str, "a string"),
 }
 
 
@@ -78,13 +74,66 @@ def _check_fields(block):
         if f.name not in _KEYS:  # a nested block, checked when it was built
             continue
         value = getattr(block, f.name)
-        kind = _KEYS[f.name][1]
-        if kind in _TYPES and not _TYPES[kind][0](value):
-            raise ConfigError(f"{f.name}: expected {_TYPES[kind][1]}, got {value!r}")
+        if _KEYS[f.name][1] in _TYPES:
+            _check_each(_KEYS[f.name][1], (value,), f.name)
         if "bound" in f.metadata:
             holds, wording = f.metadata["bound"]
             if not holds(value):
                 raise ConfigError(f"{f.name} {wording}, got {value}")
+
+
+class _Absent:  # stands in for a missing key; every check rejects it
+    def __repr__(self):
+        return "no value"
+
+
+def _unexpected(where: str, what: str, value) -> ConfigError:
+    return ConfigError(f"{where or 'meta'}: expected {what}, got {value!r}")
+
+
+def _check_each(kind, values, where: str):
+    """Check scalars against one leaf of `_TYPES`, in one loop."""
+    holds, what = _TYPES[kind]
+    for value in values:
+        if not holds(value):
+            raise _unexpected(where, what, value)
+
+
+def decode(kind, value, where: str = ""):
+    """Build `kind` from a JSON value: a dataclass by its constructor, from
+    an object holding exactly its fields; `tuple[X, ...]` from an array; a
+    `_TYPES` leaf, `dict`, `dict[K, V]` of leaves and `X | None` as written.
+    An error reads `<key>: expected <kind>, got <value>`, the key being the
+    dotted path below `where` (entries share their array's key); an
+    annotation of another form raises TypeError."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType and len(args) == 2 and type(None) in args:
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return None if value is None else decode(inner, value, where)
+    if kind in _TYPES:
+        _check_each(kind, (value,), where)
+        return value
+    if origin is tuple and args[1:] == (Ellipsis,):
+        if type(value) is not list:
+            raise _unexpected(where, "a JSON array", value)
+        if args[0] not in _TYPES:
+            return tuple(decode(args[0], item, where) for item in value)
+        _check_each(args[0], value, where)
+        return tuple(value)
+    if is_dataclass(kind) or kind is dict or (origin is dict and set(args) <= _TYPES.keys()):
+        if type(value) is not dict:
+            raise _unexpected(where, "a JSON object", value)
+        if not is_dataclass(kind):
+            for entries, leaf in zip((value.keys(), value.values()), args):
+                _check_each(leaf, entries, where)
+            return value
+        types, prefix = _field_types(kind), f"{where}." if where else ""
+        extra = next((name for name in value if name not in types), None)
+        if extra is not None:
+            raise _unexpected(prefix + extra, "no such key", value[extra])
+        absent = _Absent()
+        return kind(**{n: decode(t, value.get(n, absent), prefix + n) for n, t in types.items()})
+    raise TypeError(f"{where or 'meta'}: decode cannot read the annotation {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -221,26 +270,18 @@ class RunConfig:
         return FeatureTemplateSet(clusters=clusters, **switches)
 
 
+@cache
 def _field_types(block) -> dict:
-    """{block: {field name: type}} for a config dataclass and every block
-    nested in it, each in field order; a field typed as a dataclass is a
-    nested block."""
+    """{field name: type} of a dataclass, in field order; built once per
+    class, as `get_type_hints` costs more than building the config itself."""
     hints = get_type_hints(block)
-    table = {block: {f.name: hints[f.name] for f in fields(block)}}
-    for kind in table[block].values():
-        if is_dataclass(kind):
-            table.update(_field_types(kind))
-    return table
-
-
-# built once: `get_type_hints` costs more than building the config itself
-_FIELD_TYPES = _field_types(RunConfig)
+    return {f.name: hints[f.name] for f in fields(block)}
 
 
 def _keys(block, path=()):
     """(key, (attribute path, type)) for every leaf field under a config
     block."""
-    for name, kind in _FIELD_TYPES[block].items():
+    for name, kind in _field_types(block).items():
         if is_dataclass(kind):
             yield from _keys(kind, path + (name,))
         else:
@@ -271,9 +312,9 @@ def _coerce(name: str, raw: str):
     try:
         value = kind(text)
     except ValueError:
-        raise ConfigError(f"{name}: expected {_EXPECTED[kind]}, got {raw!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{name}: expected a finite number, got {raw!r}")
+        value = None
+    if not _TYPES[kind][0](value):
+        raise ConfigError(f"{name}: expected {_TYPES[kind][1]}, got {raw!r}")
     return value
 
 
@@ -281,7 +322,7 @@ def _build(block, typed: dict):
     """Instantiate a config block from flat typed values; keys not given
     keep their defaults."""
     kwargs = {}
-    for name, kind in _FIELD_TYPES[block].items():
+    for name, kind in _field_types(block).items():
         if is_dataclass(kind):
             kwargs[name] = _build(kind, typed)
         elif name in typed:

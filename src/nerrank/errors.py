@@ -3,6 +3,8 @@
 The CLI maps each class to a distinct exit code (see cli.EXIT_CODES).
 """
 
+from contextlib import contextmanager
+
 # what opening a missing, unreadable or misplaced input path raises
 FILE_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
 
@@ -31,3 +33,16 @@ class CheckpointMismatchError(NerrankError):
 
 class ShapeMismatchError(NerrankError):
     """Tensor operands have incompatible shapes."""
+
+
+@contextmanager
+def checkpoint_errors(path, model: str):
+    """The one error rule of the saved-model readers: FILE_ERRORS propagate
+    (exit 2); any other failure becomes a CheckpointMismatchError that names
+    the path and the model (exit 4)."""
+    try:
+        yield
+    except FILE_ERRORS:
+        raise
+    except Exception as exc:
+        raise CheckpointMismatchError(f"{path} is not a readable {model}: {exc}") from exc

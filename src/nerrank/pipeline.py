@@ -20,16 +20,16 @@ import json
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .baseline.nbest import NBestCorpus
 from .collapse import CollapsedSequence, collapsed_to_labels, collapsed_token_strings
-from .config import ALPHA_GRID, ScorerConfig, TrainConfig, check_alpha, finite_number
+from .config import ALPHA_GRID, TrainConfig, check_alpha, decode
 from .corpus import LabelSeq
-from .errors import CheckpointMismatchError, ConfigError, NerrankError
+from .errors import ConfigError, NerrankError, checkpoint_errors
 from .evaluation import PrfCounts
 from .numerics import AdamState, Tensor, add, backward, l2_penalty, mse, no_tape
 from .reranker import PatternScorer, Vocab, build_vocab
@@ -37,7 +37,6 @@ from .reranker import PatternScorer, Vocab, build_vocab
 SHUFFLE_STREAM = 23
 WEIGHTS_FILE = "weights.bin"
 META_FILE = "meta.json"
-_META_KEYS = ("provenance", "alpha", "char_pad", "config", "vocab", "history")
 SCORE_ITEMS = 512
 
 log = logging.getLogger(__name__)
@@ -68,13 +67,17 @@ class EpochEval:
     alpha: float
     dev_f1: float
 
-    def __post_init__(self):
-        if type(self.epoch) is not int:
-            raise ConfigError(f"history epoch: expected an integer, got {self.epoch!r}")
-        for name in ("alpha", "dev_f1"):
-            value = getattr(self, name)
-            if not finite_number(value):
-                raise ConfigError(f"history {name}: expected a finite number, got {value!r}")
+
+@dataclass(frozen=True)
+class BundleMeta:
+    """What a bundle's meta.json declares beside its weights."""
+
+    provenance: dict
+    alpha: float
+    char_pad: int
+    config: TrainConfig
+    vocab: Vocab
+    history: tuple[EpochEval, ...]
 
 
 @dataclass(frozen=True)
@@ -334,65 +337,33 @@ def rerank(bundle: RerankerBundle, nbest: NBestCorpus) -> list[LabelSeq]:
 
 def save_bundle(path, bundle: RerankerBundle, *, provenance: dict | None = None):
     """Write the bundle as a directory: the scorer parameters as an npz
-    archive of named float64 arrays, plus a JSON description."""
+    archive of named float64 arrays, plus its BundleMeta as JSON."""
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, WEIGHTS_FILE), "wb") as fh:
         np.savez(fh, **{name: t.data for name, t in bundle.scorer.params.items()})
-    meta = {
-        "provenance": provenance or {},
-        "alpha": bundle.alpha,
-        "char_pad": bundle.scorer.char_pad,
-        "config": asdict(bundle.config),
-        "vocab": {
-            "words": bundle.scorer.vocab.words,
-            "chars": bundle.scorer.vocab.chars,
-        },
-        "history": [asdict(h) for h in bundle.history],
-    }
+    meta = BundleMeta(
+        provenance=provenance or {},
+        alpha=bundle.alpha,
+        char_pad=bundle.scorer.char_pad,
+        config=bundle.config,
+        vocab=bundle.scorer.vocab,
+        history=tuple(bundle.history),
+    )
     with open(os.path.join(path, META_FILE), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(asdict(meta), fh, indent=2)
         fh.write("\n")
 
 
-def _expect_keys(what: str, values: dict, keys):
-    if set(values) != set(keys):
-        raise CheckpointMismatchError(
-            f"{what} keys differ (missing {sorted(set(keys) - set(values))},"
-            f" unknown {sorted(set(values) - set(keys))})"
-        )
-
-
 def load_bundle(path) -> RerankerBundle:
-    """Read a bundle written by save_bundle; a missing or malformed part
-    raises CheckpointMismatchError naming the path."""
-    try:
+    """Read a bundle written by save_bundle, under `checkpoint_errors`: a
+    missing or unreadable part exits 2, a malformed one 4."""
+    with checkpoint_errors(path, "reranker bundle"):
         with open(os.path.join(path, META_FILE), encoding="utf-8") as fh:
-            meta = json.load(fh)
-        _expect_keys(META_FILE, meta, _META_KEYS)
-        if type(meta["provenance"]) is not dict:
-            raise ConfigError(f"provenance: expected a JSON object, got {meta['provenance']!r}")
-        _expect_keys("vocab", meta["vocab"], ("words", "chars"))
-        stored = meta["config"]
-        _expect_keys("config", stored, [f.name for f in fields(TrainConfig)])
-        _expect_keys("config.scorer", stored["scorer"], [f.name for f in fields(ScorerConfig)])
-        config = TrainConfig(**{**stored, "scorer": ScorerConfig(**stored["scorer"])})
-        vocab = Vocab(tuple(meta["vocab"]["words"]), tuple(meta["vocab"]["chars"]))
-        if meta["char_pad"] > config.char_pad_cap:
-            raise ConfigError(
-                f"char_pad {meta['char_pad']} exceeds char_pad_cap {config.char_pad_cap}"
-            )
-        scorer = PatternScorer(
-            vocab, config.scorer, char_pad=meta["char_pad"], seed=config.seed
-        )
+            meta = decode(BundleMeta, json.load(fh))
+        config = meta.config
+        if meta.char_pad > config.char_pad_cap:
+            raise ConfigError(f"char_pad {meta.char_pad} exceeds char_pad_cap {config.char_pad_cap}")
+        scorer = PatternScorer(meta.vocab, config.scorer, char_pad=meta.char_pad, seed=config.seed)
         with np.load(os.path.join(path, WEIGHTS_FILE), allow_pickle=False) as archive:
             scorer.params.load_arrays({name: archive[name] for name in archive.files})
-        if type(meta["history"]) is not list:
-            raise ConfigError(f"history: expected a JSON array, got {meta['history']!r}")
-        history = [EpochEval(**h) for h in meta["history"]]
-        return RerankerBundle(
-            scorer=scorer, alpha=meta["alpha"], config=config, history=history
-        )
-    except Exception as exc:
-        raise CheckpointMismatchError(
-            f"{path} is not a readable reranker bundle: {exc}"
-        ) from exc
+        return RerankerBundle(scorer, meta.alpha, config, list(meta.history))

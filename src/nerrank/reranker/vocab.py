@@ -37,10 +37,6 @@ class Vocab:
     chars: tuple[str, ...]
 
     def __post_init__(self):
-        for items, what in ((self.words, "word"), (self.chars, "char")):
-            for item in items:
-                if type(item) is not str:
-                    raise ConfigError(f"{what} vocabulary holds {item!r}, which is not a string")
         if len(set(self.words)) != len(self.words) or len(set(self.chars)) != len(self.chars):
             raise ConfigError("vocabulary lists contain duplicates")
         for items, reserved, what in (

@@ -850,7 +850,6 @@ BUNDLE_MUTATIONS = {
     "char-pad-above-cap": _edit_meta(lambda m: m.update(char_pad=m["config"]["char_pad_cap"] + 1)),
     "weights-garbage": _write("weights.bin", b"not a checkpoint"),
     "weights-nrkc": _write("weights.bin", b"NRKC" + struct.pack("<II", 1, 0) + b"\0"),
-    "weights-missing": lambda bundle: (bundle / "weights.bin").unlink(),
     "param-renamed": _edit_weights(lambda a: a.update(head_v=a.pop("head_w"))),
     "param-missing": _edit_weights(lambda a: a.pop("head_b")),
     "param-reshaped": _edit_weights(lambda a: a.update(head_w=a["head_w"][:-1])),
@@ -859,15 +858,15 @@ BUNDLE_MUTATIONS = {
 }
 # the reason a mutated bundle's error line must give, where a test pins it
 BUNDLE_MESSAGES = {
-    "alpha-nan": "alpha nan is outside the 0.005 search grid",
-    "alpha-inf": "alpha inf is outside the 0.005 search grid",
+    "alpha-nan": "alpha: expected a finite number, got nan",
+    "alpha-inf": "alpha: expected a finite number, got inf",
     "config-learning-rate-nan": "learning_rate: expected a finite number, got nan",
     "config-l2-inf": "l2: expected a finite number, got inf",
     "config-epochs-fraction": "epochs: expected an integer, got 1.5",
     "config-batch-size-bool": "batch_size: expected an integer, got True",
-    "vocab-word-not-string": "word vocabulary holds 5, which is not a string",
-    "history-epoch-not-int": "history epoch: expected an integer, got 'x'",
-    "history-f1-not-number": "history dev_f1: expected a finite number, got 'high'",
+    "vocab-word-not-string": "vocab.words: expected a string, got 5",
+    "history-epoch-not-int": "history.epoch: expected an integer, got 'x'",
+    "history-f1-not-number": "history.dev_f1: expected a finite number, got 'high'",
     "history-string": "history: expected a JSON array, got ''",
     "history-object": "history: expected a JSON array, got {}",
     "provenance-not-object": "provenance: expected a JSON object, got 7",
@@ -918,6 +917,10 @@ CRF_MUTATIONS = {
     "switch-not-bool": _edit_crf(lambda a, m: m["templates"].update(shape="yes")),
     # every shape still fits, but no featurized string would match an int
     "features-not-strings": _edit_crf(lambda a, m: m.update(features=list(range(len(m["features"]))))),
+    # a string iterates as its characters, one per emit row
+    "features-string": _edit_crf(lambda a, m: (m.update(features="xyz"), a.update(emit=a["emit"][:3]))),
+    # a missing switch would take its default
+    "templates-missing-switch": _edit_crf(lambda a, m: m["templates"].pop("shape")),
     # the older format: the same JSON as a numpy unicode string
     "meta-unicode-string": _edit_crf(lambda a, m: None, encode=np.array),
     # a string or an object would iterate as a list of its characters or keys
@@ -928,6 +931,8 @@ CRF_MUTATIONS = {
     "nll-history-nan": _edit_crf(lambda a, m: m["nll_history"].append(float("nan"))),
 }
 CRF_MESSAGES = {
+    "features-string": "features: expected a JSON array, got 'xyz'",
+    "templates-missing-switch": "templates.shape: expected a boolean, got no value",
     "meta-unicode-string": "not UTF-8 bytes (an older format: retrain it)",
     "nll-history-string": "nll_history: expected a JSON array, got 'abc'",
     "nll-history-object": "nll_history: expected a JSON array, got {'a': 1}",
@@ -1111,14 +1116,28 @@ def test_malformed_text_input_exit_code(pipeline_dir, tmp_path, capsys, kind, mu
     assert "nerrank: error:" in err and names in err, err
 
 
-def test_missing_bundle_directory_exit_code(pipeline_dir, tmp_path, capsys):
+# each leaves a bundle path that cannot be read: opening a part raises one
+# of FILE_ERRORS, which a checkpoint reader passes on
+BUNDLE_FILE_ERRORS = {
+    "missing-directory": lambda bundle: shutil.rmtree(bundle),
+    "regular-file": lambda bundle: (shutil.rmtree(bundle), bundle.write_bytes(b"")),
+    "weights-missing": lambda bundle: (bundle / "weights.bin").unlink(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUNDLE_FILE_ERRORS))
+def test_unreadable_bundle_exit_code(pipeline_dir, tmp_path, capsys, case):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(pipeline_dir["bundle"], bundle)
+    BUNDLE_FILE_ERRORS[case](bundle)
     rc = main(
-        ["rerank-decode", "--bundle-path", str(tmp_path / "absent"),
+        ["rerank-decode", "--bundle-path", str(bundle),
          "--nbest-path", str(pipeline_dir["test_nbest"]),
          "--output-path", str(tmp_path / "p.conll")]
     )
-    capsys.readouterr()
-    assert rc == EXIT_MISSING_FILE
+    err = capsys.readouterr().err
+    assert rc == EXIT_MISSING_FILE, err
+    assert str(bundle) in err and "Traceback" not in err
 
 
 def test_off_grid_alpha_is_a_config_error(tmp_path, capsys):

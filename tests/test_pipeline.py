@@ -970,5 +970,5 @@ def test_bundle_rejects_garbage_weights(tmp_path):
 
 
 def test_load_bundle_missing_directory(tmp_path):
-    with pytest.raises(NerrankError):
+    with pytest.raises(FileNotFoundError):
         load_bundle(tmp_path / "nowhere")
