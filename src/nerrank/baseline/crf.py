@@ -44,9 +44,7 @@ tie that rounding creates.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field, fields
-from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
@@ -56,9 +54,8 @@ from ..corpus import ENTITY_TYPES, BioLabel, Dataset, LabelSeq, Sentence
 from ..errors import NerrankError, checkpoint_errors
 from ..numerics import AdamState, Tensor
 from ..numerics.optim import BLOCK
+from ..trace import stage
 from .features import FeatureTemplateSet, featurize
-
-log = logging.getLogger(__name__)
 
 # sentences per batch of the no-gradient NLL pass. It bounds the (ids, K)
 # gather of emit rows: on crf-wide's 200 training sentences (~760 ids each)
@@ -437,37 +434,30 @@ def crf_train(
     grads = tuple(np.empty_like(p.data) for p in params)
     model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
     rng = np.random.default_rng([seed, 17])
-    for epoch in range(epochs):
-        started = perf_counter()
-        order = rng.permutation(len(train))
-        for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            for g in grads:
-                g.fill(0.0)
-            nlls = model.batch_nll([feat_ids[i] for i in batch], [gold_ids[i] for i in batch], grads)
-            b = len(batch)
-            batch_nll = sum(nlls.tolist()) / b
-            if not np.isfinite(batch_nll):
-                raise NerrankError(
-                    f"non-finite training loss ({batch_nll}) at epoch {epoch}, "
-                    f"batch starting at {start}"
-                )
-            for p, g in zip(params, grads):
-                g /= b
-                flat_g, flat_p = g.reshape(-1), p.data.reshape(-1)  # views: both are C-ordered
-                for at in range(0, g.size, BLOCK):
-                    flat_g[at : at + BLOCK] += flat_p[at : at + BLOCK] * l2
-                p.grad = g
-            opt.step()
-        model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
-        log.info(
-            "CRF epoch %d/%d: mean NLL %.6f over %d sentences, %.2f s",
-            epoch + 1,
-            epochs,
-            model.nll_history[-1],
-            len(train),
-            perf_counter() - started,
-        )
+    for epoch in range(1, epochs + 1):
+        with stage(f"CRF epoch {epoch}/{epochs}", sentences=len(train)) as counts:
+            order = rng.permutation(len(train))
+            for batch_no, start in enumerate(range(0, len(order), batch_size), 1):
+                batch = order[start : start + batch_size]
+                for g in grads:
+                    g.fill(0.0)
+                nlls = model.batch_nll([feat_ids[i] for i in batch], [gold_ids[i] for i in batch], grads)
+                b = len(batch)
+                batch_nll = sum(nlls.tolist()) / b
+                if not np.isfinite(batch_nll):
+                    raise NerrankError(
+                        f"non-finite training loss ({batch_nll}) in CRF epoch {epoch}/{epochs}, "
+                        f"batch {batch_no}"
+                    )
+                for p, g in zip(params, grads):
+                    g /= b
+                    flat_g, flat_p = g.reshape(-1), p.data.reshape(-1)  # views: both are C-ordered
+                    for at in range(0, g.size, BLOCK):
+                        flat_g[at : at + BLOCK] += flat_p[at : at + BLOCK] * l2
+                    p.grad = g
+                opt.step()
+            model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
+            counts["mean_nll"] = model.nll_history[-1]
     return model
 
 

@@ -21,10 +21,8 @@ collapsed sequences; each set's gold is normalized once.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
-from time import perf_counter
 from typing import TYPE_CHECKING, NamedTuple
 
 from ..collapse import CollapsedSequence, collapse, collapsed_to_labels, collapsed_token_strings
@@ -42,11 +40,10 @@ from ..corpus import (
     tag_accuracy,
 )
 from ..errors import NerrankError, ParseError
+from ..trace import stage
 
 if TYPE_CHECKING:
     from .crf import InternedFeatures
-
-log = logging.getLogger(__name__)
 
 PROB_SLACK = 1e-6  # rounding headroom on the sum-to-at-most-one invariant
 
@@ -324,17 +321,9 @@ def build_nbest_corpus(dataset: Dataset, folds: int, k: int, templates, **train_
 
     sets: list[CandidateSet] = []
     for fold, (train_part, held) in enumerate(jackknife(dataset, folds), 1):
-        started = perf_counter()
-        model = crf_train(train_part, templates, features=rows(train_part), **train_kwargs)
-        sets.extend(decode_corpus(model, held, k, features=rows(held)).sets)
-        log.info(
-            "jackknife fold %d/%d: trained on %d sentences, decoded %d held-out, %.2f s",
-            fold,
-            folds,
-            len(train_part),
-            len(held),
-            perf_counter() - started,
-        )
+        with stage(f"jackknife fold {fold}/{folds}", trained=len(train_part), decoded=len(held)):
+            model = crf_train(train_part, templates, features=rows(train_part), **train_kwargs)
+            sets.extend(decode_corpus(model, held, k, features=rows(held)).sets)
     return NBestCorpus(list(dataset.sentences), sets)
 
 

@@ -10,8 +10,9 @@ Each command is one `COMMANDS` entry: the function it runs, its help
 text, the path keys it reads (in manifest order), the key of its primary
 output and which of those keys may be unset. For every command `main`
 checks that the other keys are set, runs the function, which only
-computes and writes its output, writes the manifest from the entry, and
-logs the command's wall time.
+computes and writes its output and returns its counts, writes the
+manifest from the entry, and logs the command's wall time and counts as
+one `trace.stage` line.
 
 Each command imports the numpy-backed modules it runs (`baseline.crf`,
 `pipeline`, `reranker`) inside its own body, so importing this module, and
@@ -26,7 +27,6 @@ import logging
 import os
 import sys
 from dataclasses import replace
-from time import perf_counter
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -57,6 +57,7 @@ from .evaluation import (
     oracle_csv,
     ssa,
 )
+from .trace import stage
 
 log = logging.getLogger("nerrank")
 
@@ -80,12 +81,6 @@ EXIT_CODES = (
 
 def _header(cfg: RunConfig) -> str:
     return f"{COMMENT_PREFIX} {__version__} config {config_hash(cfg)}\n"
-
-
-def _write_text(path, text: str, cfg: RunConfig):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(cfg))
-        fh.write(text)
 
 
 def _digest(path) -> str:
@@ -150,7 +145,9 @@ def _emit(cfg: RunConfig, text: str, *, echo: bool = False):
     if echo or cfg.output_path is None:
         sys.stdout.write(text)
     if cfg.output_path is not None:
-        _write_text(cfg.output_path, text, cfg)
+        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+            fh.write(_header(cfg))
+            fh.write(text)
 
 
 def _provenance(cfg: RunConfig) -> dict:
@@ -189,12 +186,11 @@ def cmd_baseline_train(cfg: RunConfig, explicit: frozenset):
     templates = cfg.template_set(_load_clusters(cfg))
     model = crf_train(dataset, templates, **cfg.crf_options())
     save_crf(cfg.model_path, model, extra_meta=_provenance(cfg))
-    log.info(
-        "trained on %d sentences, %d features, final NLL %.4f",
-        len(dataset),
-        len(model.feature_vocab),
-        model.nll_history[-1],
-    )
+    return {
+        "sentences": len(dataset),
+        "features": len(model.feature_vocab),
+        "final_nll": model.nll_history[-1],
+    }
 
 
 def cmd_baseline_decode(cfg: RunConfig, explicit: frozenset):
@@ -203,8 +199,8 @@ def cmd_baseline_decode(cfg: RunConfig, explicit: frozenset):
     model = load_crf(cfg.model_path)
     dataset = parse_conll(read_text(cfg.input_path))
     corpus = decode_corpus(model, dataset, cfg.n_best)
-    _write_text(cfg.output_path, format_nbest(corpus), cfg)
-    log.info("decoded %d sentences with k=%d", len(corpus), cfg.n_best)
+    _emit(cfg, format_nbest(corpus))
+    return {"sentences": len(corpus), "k": cfg.n_best}
 
 
 def cmd_jackknife(cfg: RunConfig, explicit: frozenset):
@@ -213,8 +209,8 @@ def cmd_jackknife(cfg: RunConfig, explicit: frozenset):
     corpus = build_nbest_corpus(
         dataset, cfg.folds, cfg.n_best, templates, **cfg.crf_options()
     )
-    _write_text(cfg.output_path, format_nbest(corpus), cfg)
-    log.info("jackknifed %d sentences over %d folds", len(corpus), cfg.folds)
+    _emit(cfg, format_nbest(corpus))
+    return {"sentences": len(corpus), "folds": cfg.folds}
 
 
 def cmd_collapse(cfg: RunConfig, explicit: frozenset):
@@ -241,7 +237,7 @@ def cmd_rerank_train(cfg: RunConfig, explicit: frozenset):
         make_examples(train_nb), dev_nb, cfg.train, pretrained=pretrained
     )
     save_bundle(cfg.bundle_path, bundle, provenance=_provenance(cfg))
-    log.info("selected alpha = %s", bundle.alpha)
+    return {"alpha": bundle.alpha}
 
 
 def cmd_rerank_decode(cfg: RunConfig, explicit: frozenset):
@@ -252,8 +248,8 @@ def cmd_rerank_decode(cfg: RunConfig, explicit: frozenset):
         bundle = replace(bundle, alpha=cfg.alpha)
     predictions = rerank(bundle, corpus)
     dataset = Dataset(list(corpus.sentences), predictions)
-    _write_text(cfg.output_path, format_conll(dataset), cfg)
-    log.info("reranked %d sentences at alpha = %s", len(corpus), bundle.alpha)
+    _emit(cfg, format_conll(dataset))
+    return {"sentences": len(corpus), "alpha": bundle.alpha}
 
 
 def cmd_eval(cfg: RunConfig, explicit: frozenset):
@@ -300,7 +296,7 @@ def cmd_alpha_search(cfg: RunConfig, explicit: frozenset):
 class Command(NamedTuple):
     """What a command runs and which path keys it reads and writes."""
 
-    run: Callable[[RunConfig, frozenset], None]
+    run: Callable[[RunConfig, frozenset], dict | None]  # returns the counts `main` logs
     help: str
     reads: tuple[str, ...]  # in manifest order
     writes: str = "output_path"
@@ -404,10 +400,9 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"{args.command}: missing required config key(s): {', '.join(missing)}"
             )
-        started = perf_counter()
-        command.run(cfg, explicit)
-        _write_manifest(cfg, args.command, command)
-        log.info("%s done in %.3f s", args.command, perf_counter() - started)
+        with stage(args.command) as counts:
+            counts.update(command.run(cfg, explicit) or {})
+            _write_manifest(cfg, args.command, command)
         return EXIT_OK
     except Exception as exc:  # mapped to stable exit codes
         for klass, code in EXIT_CODES:

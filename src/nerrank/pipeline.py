@@ -17,9 +17,7 @@ patterns and span counts on the first evaluation; later epochs reuse them.
 from __future__ import annotations
 
 import json
-import logging
 import os
-import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -33,13 +31,12 @@ from .errors import ConfigError, NerrankError, checkpoint_errors
 from .evaluation import PrfCounts
 from .numerics import AdamState, Tensor, add, backward, l2_penalty, mse, no_tape
 from .reranker import PatternScorer, Vocab, build_vocab
+from .trace import stage
 
 SHUFFLE_STREAM = 23
 WEIGHTS_FILE = "weights.bin"
 META_FILE = "meta.json"
 SCORE_ITEMS = 512
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -153,34 +150,32 @@ def score_sets(scorer: PatternScorer, nbest: NBestCorpus) -> list[list[float]]:
     order of the sentences. No `backward` follows, so the chunks are
     scored under `no_tape` and keep no graph.
     """
-    started = time.perf_counter()
-    keys = nbest.patterns
-    order = sorted({key for row in keys for key in row}, key=lambda k: (len(k), k))
-    chunks: list[list[tuple[str, ...]]] = []
-    items: list[int] = []  # per chunk
-    for key in order:
-        if not chunks or items[-1] + len(key) > SCORE_ITEMS:
-            chunks.append([])
-            items.append(0)
-        chunks[-1].append(key)
-        items[-1] += len(key)
-    values: dict[tuple[str, ...], float] = {}
-    for chunk in chunks:
-        with no_tape():
-            scores = scorer.score_batch([list(k) for k in chunk]).data[:, 0]
-        outside = scores[~((scores > 0.0) & (scores < 1.0))]
-        if outside.size:
-            raise NerrankError(f"candidate score must be inside (0, 1): {outside[0]}")
-        values.update(zip(chunk, scores.tolist()))
-    log.info(
-        "scored %d candidates: %d distinct patterns in %d chunks, largest %d items, %.3f s",
-        sum(map(len, keys)),
-        len(order),
-        len(chunks),
-        max(items, default=0),
-        time.perf_counter() - started,
-    )
-    return [[values[key] for key in row] for row in keys]
+    with stage("score_sets") as counts:
+        keys = nbest.patterns
+        order = sorted({key for row in keys for key in row}, key=lambda k: (len(k), k))
+        chunks: list[list[tuple[str, ...]]] = []
+        items: list[int] = []  # per chunk
+        for key in order:
+            if not chunks or items[-1] + len(key) > SCORE_ITEMS:
+                chunks.append([])
+                items.append(0)
+            chunks[-1].append(key)
+            items[-1] += len(key)
+        counts.update(
+            candidates=sum(map(len, keys)),
+            distinct=len(order),
+            chunks=len(chunks),
+            largest=max(items, default=0),
+        )
+        values: dict[tuple[str, ...], float] = {}
+        for chunk in chunks:
+            with no_tape():
+                scores = scorer.score_batch([list(k) for k in chunk]).data[:, 0]
+            outside = scores[~((scores > 0.0) & (scores < 1.0))]
+            if outside.size:
+                raise NerrankError(f"candidate score must be inside (0, 1): {outside[0]}")
+            values.update(zip(chunk, scores.tolist()))
+        return [[values[key] for key in row] for row in keys]
 
 
 def mixture_select(scores, probs, alphas) -> np.ndarray:
@@ -274,42 +269,32 @@ def train_reranker(
 
     history: list[EpochEval] = []
     best: tuple[float, float, dict] | None = None
-
-    def evaluate(epoch: int, losses: list[float], norms: list[float]):
-        nonlocal best
-        result = alpha_search(dev, score_sets(scorer, dev))
-        history.append(EpochEval(epoch=epoch, alpha=result.alpha, dev_f1=result.f1))
-        log.info(
-            "epoch %d: mean loss %s, grad norm %s, dev F1 %.4f at alpha %.3f",
-            epoch,
-            f"{sum(losses) / len(losses):.6f}" if losses else "-",
-            f"{sum(norms) / len(norms):.6g}" if norms else "-",
-            result.f1,
-            result.alpha,
-        )
-        if best is None or result.f1 > best[0]:
-            best = (result.f1, result.alpha, scorer.params.copy_arrays())
-
-    evaluate(0, [], [])
     rng = np.random.default_rng([config.seed, SHUFFLE_STREAM])
     order = np.arange(len(train_examples))
-    for epoch in range(1, config.epochs + 1):
-        rng.shuffle(order)
-        losses, norms = [], []
-        for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
-            batch = [train_examples[i] for i in order[start : start + config.batch_size]]
-            scorer.params.zero_grad()
-            loss = batch_loss(scorer, batch, config.l2, train=True)
-            if not np.isfinite(loss.data).all():
-                raise NerrankError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}"
-                )
-            losses.append(loss.item())
-            backward(loss)
-            norms.append(_grad_norm(adam.params))
-            adam.step()
-            del loss  # the graph goes before the next batch or evaluate builds its own
-        evaluate(epoch, losses, norms)
+    for epoch in range(config.epochs + 1):
+        with stage(f"rerank epoch {epoch}") as counts:
+            if epoch:  # epoch 0 evaluates the untrained model
+                rng.shuffle(order)
+                losses, norms = [], []
+                for batch_no, start in enumerate(range(0, len(order), config.batch_size), 1):
+                    batch = [train_examples[i] for i in order[start : start + config.batch_size]]
+                    scorer.params.zero_grad()
+                    loss = batch_loss(scorer, batch, config.l2, train=True)
+                    if not np.isfinite(loss.data).all():
+                        raise NerrankError(
+                            f"non-finite loss in rerank epoch {epoch}, batch {batch_no}"
+                        )
+                    losses.append(loss.item())
+                    backward(loss)
+                    norms.append(_grad_norm(adam.params))
+                    adam.step()
+                    del loss  # the graph goes before the next batch or the dev scoring
+                counts.update(mean_loss=sum(losses) / len(losses), grad_norm=sum(norms) / len(norms))
+            result = alpha_search(dev, score_sets(scorer, dev))
+            counts.update(dev_f1=result.f1, alpha=result.alpha)
+        history.append(EpochEval(epoch=epoch, alpha=result.alpha, dev_f1=result.f1))
+        if best is None or result.f1 > best[0]:
+            best = (result.f1, result.alpha, scorer.params.copy_arrays())
 
     scorer.params.load_arrays(best[2])
     return RerankerBundle(

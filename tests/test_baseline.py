@@ -38,7 +38,7 @@ from nerrank.corpus import (
     tag_accuracy,
 )
 from nerrank.config import RunConfig
-from nerrank.errors import ParseError
+from nerrank.errors import NerrankError, ParseError
 from nerrank.numerics import optim
 from strategies import label_seqs, sentences
 from toycorpus import simple_corpus
@@ -682,6 +682,17 @@ def test_train_rejects_empty_dataset():
         crf_train(Dataset([], []), FeatureTemplateSet(), **CRF)
 
 
+def test_non_finite_loss_names_the_crf_stage_and_batch():
+    # numbered from 1 as the stage lines number them: with a step this
+    # large the third batch of 4 in the first of 3 epochs overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NerrankError, match=r"\(nan\) in CRF epoch 1/3, batch 3$"):
+            crf_train(
+                simple_corpus(10, seed=1), FeatureTemplateSet(),
+                epochs=3, batch_size=4, lr=1e100, l2=1e-4, seed=0,
+            )
+
+
 def test_train_learns_simple_corpus():
     ds = simple_corpus(120, seed=7)
     model = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=8, seed=0))
@@ -910,20 +921,20 @@ def test_each_crf_epoch_is_logged_when_it_is_computed(caplog, monkeypatch):
 
     def traced(self, ids, tag_ids, grads=None):
         if grads is not None:
-            logging.getLogger("nerrank.baseline.crf").info("batch")
+            logging.getLogger("nerrank.trace").info("batch")
         return batch_nll(self, ids, tag_ids, grads)
 
     monkeypatch.setattr(CrfModel, "batch_nll", traced)
-    with caplog.at_level(logging.INFO, logger="nerrank.baseline.crf"):
+    with caplog.at_level(logging.INFO, logger="nerrank.trace"):
         model = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=2, batch_size=4))
-    lines = [r.getMessage() for r in caplog.records if r.name == "nerrank.baseline.crf"]
+    lines = [r.getMessage() for r in caplog.records if r.name == "nerrank.trace"]
     # 10 sentences in batches of 4: each epoch's line follows its 3 batches
     assert [line.split(":")[0] for line in lines] == (
         ["batch"] * 3 + ["CRF epoch 1/2"] + ["batch"] * 3 + ["CRF epoch 2/2"]
     )
     epoch_lines = [line for line in lines if line != "batch"]
     for line, nll in zip(epoch_lines, model.nll_history[1:]):
-        assert re.fullmatch(rf".*: mean NLL {nll:.6f} over 10 sentences, \d+\.\d\d s", line)
+        assert re.fullmatch(rf".*: \d+\.\d{{3}} s, sentences=10, mean_nll={nll:.6g}", line)
 
 
 MALFORMED_MODELS = {
@@ -1001,9 +1012,9 @@ def test_build_nbest_covers_every_sentence_once():
 
 def test_each_jackknife_fold_is_logged_when_it_ends(caplog):
     ds = simple_corpus(11, seed=8)
-    with caplog.at_level(logging.INFO, logger="nerrank.baseline"):
+    with caplog.at_level(logging.INFO, logger="nerrank.trace"):
         build_nbest_corpus(ds, folds=3, k=2, templates=FeatureTemplateSet(), **dict(CRF, epochs=1))
-    lines = [r.getMessage() for r in caplog.records if r.name.startswith("nerrank.baseline")]
+    lines = [r.getMessage() for r in caplog.records if r.name == "nerrank.trace"]
     # held-out blocks of 4, 4 and 3; each fold's line follows its training
     assert [line.split(":")[0] for line in lines] == [
         "CRF epoch 1/1", "jackknife fold 1/3",
@@ -1012,9 +1023,7 @@ def test_each_jackknife_fold_is_logged_when_it_ends(caplog):
     ]
     fold_lines = lines[1::2]
     for line, train, held in zip(fold_lines, (7, 7, 8), (4, 4, 3)):
-        assert re.fullmatch(
-            rf".*: trained on {train} sentences, decoded {held} held-out, \d+\.\d\d s", line
-        )
+        assert re.fullmatch(rf".*: \d+\.\d{{3}} s, trained={train}, decoded={held}", line)
 
 
 def test_jackknife_with_shared_features_equals_independent_folds():

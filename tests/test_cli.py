@@ -21,6 +21,7 @@ from nerrank.baseline.crf import crf_train, load_crf, save_crf
 from nerrank.baseline.features import FeatureTemplateSet
 from nerrank.baseline.nbest import read_nbest
 from nerrank.cli import (
+    COMMANDS,
     EXIT_BAD_CONFIG,
     EXIT_BAD_DATA,
     EXIT_CHECKPOINT,
@@ -1244,8 +1245,64 @@ def test_each_command_logs_its_wall_time_outside_the_manifest(pipeline_dir, tmp_
     out = tmp_path / "oracle.csv"
     argv = ["oracle", "--nbest-path", str(pipeline_dir["test_nbest"]), "--output-path", str(out)]
     assert main(argv) == EXIT_OK
-    assert re.fullmatch(r"oracle done in \d+\.\d{3} s", caplog.records[-1].getMessage())
-    assert "done in" not in manifest_of(out).read_text(encoding="utf-8")
+    assert caplog.records[-1].name == "nerrank.trace"
+    assert re.fullmatch(r"oracle: \d+\.\d{3} s", caplog.records[-1].getMessage())
+    assert not re.search(r"\d+\.\d{3} s$", manifest_of(out).read_text(encoding="utf-8"), re.M)
+
+
+STAGE_LINE = r"[\w /.-]+: \d+\.\d{3} s(, \w+=[^,]+)*"
+
+# the counts each command hands to its own stage line
+COMMAND_COUNTS = {
+    "baseline-train": ["sentences", "features", "final_nll"],
+    "baseline-decode": ["sentences", "k"],
+    "jackknife": ["sentences", "folds"],
+    "rerank-train": ["alpha"],
+    "rerank-decode": ["sentences", "alpha"],
+    "alpha-search": [],
+    "eval": [],
+    "oracle": [],
+    "collapse": [],
+}
+
+
+def test_every_info_line_after_the_config_is_a_stage_line(pipeline_dir, tmp_path, caplog, capsys):
+    p = {name: str(path) for name, path in pipeline_dir.items()}
+    fast_crf = ["--crf-epochs", "2", "--seed", "0"]
+    runs = [
+        ["baseline-train", "--train-path", p["train"], "--model-path", str(tmp_path / "crf.npz"),
+         *fast_crf],
+        ["baseline-decode", "--model-path", p["model"], "--input-path", p["dev"],
+         "--output-path", str(tmp_path / "dev.nbest"), "--n-best", "5"],
+        ["jackknife", "--train-path", p["train"], "--output-path", str(tmp_path / "jk.nbest"),
+         "--folds", "2", "--n-best", "5", *fast_crf],
+        ["rerank-train", "--train-nbest-path", p["jk"], "--dev-nbest-path", p["dev_nbest"],
+         "--bundle-path", str(tmp_path / "bundle"),
+         "--word-dim", "8", "--char-dim", "6", "--lstm-hidden", "8",
+         "--char-cnn-filters", "4", "--word-cnn-filters", "6", "--epochs", "1", "--seed", "0"],
+        ["rerank-decode", "--bundle-path", p["bundle"], "--nbest-path", p["test_nbest"],
+         "--output-path", str(tmp_path / "pred.conll")],
+        ["alpha-search", "--bundle-path", p["bundle"], "--nbest-path", p["dev_nbest"]],
+        ["eval", "--gold-path", p["test"], "--pred-path", p["pred"]],
+        ["oracle", "--nbest-path", p["test_nbest"]],
+        ["collapse", "--nbest-path", p["test_nbest"]],
+    ]
+    assert sorted(argv[0] for argv in runs) == sorted(COMMANDS)
+    caplog.set_level(logging.INFO, logger="nerrank")
+    for argv in runs:
+        caplog.clear()
+        assert main(argv) == EXIT_OK
+        records = [r for r in caplog.records if r.levelno == logging.INFO and r.name.startswith("nerrank")]
+        # the two start-up lines: the run's identity and its resolved config
+        assert [r.name for r in records[:2]] == ["nerrank", "nerrank"]
+        assert records[1].getMessage().startswith("resolved config:")
+        for record in records[2:]:
+            assert record.name == "nerrank.trace"
+            assert re.fullmatch(STAGE_LINE, record.getMessage())
+        name, _, rest = records[-1].getMessage().partition(": ")
+        assert name == argv[0]
+        assert [field.split("=")[0] for field in rest.split(", ")[1:]] == COMMAND_COUNTS[name]
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

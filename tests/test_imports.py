@@ -1,7 +1,10 @@
 """Every module under src/nerrank uses each name it imports. An import left
 behind by a refactor costs start-up time and misleads a reader about what
 the module depends on. A package's `__init__.py` is exempt: its imports
-are its re-exports."""
+are its re-exports.
+
+Only `trace.py` imports `time`: a stage times itself through
+`trace.stage`, so its seconds reach the log in the one stage-line form."""
 
 import ast
 from pathlib import Path
@@ -52,3 +55,34 @@ def test_the_scan_sees_what_an_import_binds():
         "    return os.getcwd()\n"
     )
     assert unused_imports(source) == ["line 7: featurize", "line 7: FeatureTemplateSet"]
+
+
+def clock_imports(source: str) -> list[str]:
+    """Each import of the `time` module or of a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name.split(".")[0] == "time"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "time":
+            found += [f"line {node.lineno}: time.{a.name}" for a in node.names]
+    return found
+
+
+def test_only_the_stage_reporter_imports_time():
+    found = {
+        str(path.relative_to(PACKAGE)): clock_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != PACKAGE / "trace.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_clock_scan_sees_every_form_of_import():
+    source = (
+        "import time as t\n"
+        "import os, time\n"
+        "from time import perf_counter as now\n"
+        "import timeit\n"
+        "from .time import x\n"
+    )
+    assert clock_imports(source) == ["line 1: time", "line 2: time", "line 3: time.perf_counter"]

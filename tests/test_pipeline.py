@@ -542,14 +542,14 @@ def test_score_sets_logs_its_counts_when_it_ends(caplog):
     corpus = nbest_from(random_rows(7, 60, (1, 13)))
     scorer = tiny_scorer(corpus_token_lists(corpus))
     chunks = chunk_rule(corpus)
-    with caplog.at_level(logging.INFO, logger="nerrank.pipeline"):
+    with caplog.at_level(logging.INFO, logger="nerrank.trace"):
         score_sets(scorer, corpus)
-    [line] = [r.getMessage() for r in caplog.records if r.name == "nerrank.pipeline"]
+    [line] = [r.getMessage() for r in caplog.records if r.name == "nerrank.trace"]
     largest = max(sum(map(len, chunk)) for chunk in chunks)
     distinct = sum(map(len, chunks))
     assert re.fullmatch(
-        rf"scored 240 candidates: {distinct} distinct patterns in {len(chunks)} chunks,"
-        rf" largest {largest} items, \d+\.\d{{3}} s",
+        rf"score_sets: \d+\.\d{{3}} s, candidates=240, distinct={distinct},"
+        rf" chunks={len(chunks)}, largest={largest}",
         line,
     )
 
@@ -738,7 +738,7 @@ def test_each_epoch_is_logged_when_it_is_evaluated(caplog, monkeypatch):
     def traced_loss(*args, **kwargs):
         loss = batch_loss(*args, **kwargs)
         losses.append(loss.item())
-        logging.getLogger("nerrank.pipeline").info("batch")
+        logging.getLogger("nerrank.trace").info("batch")
         return loss
 
     def traced_step(adam):
@@ -748,32 +748,43 @@ def test_each_epoch_is_logged_when_it_is_evaluated(caplog, monkeypatch):
 
     monkeypatch.setattr(pipeline, "batch_loss", traced_loss)
     monkeypatch.setattr(AdamState, "step", traced_step)
-    with caplog.at_level(logging.INFO, logger="nerrank.pipeline"):
+    with caplog.at_level(logging.INFO, logger="nerrank.trace"):
         bundle = train_reranker(make_examples(train_corpus), dev_corpus, TINY)
-    lines = [r.getMessage() for r in caplog.records if r.name == "nerrank.pipeline"]
+    lines = [r.getMessage() for r in caplog.records if r.name == "nerrank.trace"]
     # each evaluation's scoring line comes right before its epoch line
-    scored = [i + 1 for i, line in enumerate(lines) if line.startswith("scored ")]
-    assert scored == [i for i, line in enumerate(lines) if line.startswith("epoch ")]
-    lines = [line for line in lines if not line.startswith("scored ")]
+    scored = [i + 1 for i, line in enumerate(lines) if line.startswith("score_sets: ")]
+    assert scored == [i for i, line in enumerate(lines) if line.startswith("rerank epoch ")]
+    lines = [line for line in lines if not line.startswith("score_sets: ")]
     # 32 examples in batches of 16: two batches per epoch, each epoch's line
     # follows its own batches and precedes the next epoch's
     assert [line.split(":")[0] for line in lines] == [
-        "epoch 0", "batch", "batch", "epoch 1", "batch", "batch", "epoch 2",
+        "rerank epoch 0", "batch", "batch", "rerank epoch 1", "batch", "batch", "rerank epoch 2",
     ]
     epoch_lines = [line for line in lines if line != "batch"]
-    means = ["-", f"{np.mean(losses[:2]):.6f}", f"{np.mean(losses[2:]):.6f}"]
+    fields = [dict(f.split("=") for f in line.split(", ")[1:]) for line in epoch_lines]
     # the mean over the epoch's batches, read before each step; none for epoch 0
-    logged_norms = [line.split("grad norm ")[1].split(",")[0] for line in epoch_lines]
-    assert logged_norms[0] == "-"
-    assert [float(x) for x in logged_norms[1:]] == pytest.approx(
+    assert [list(f) for f in fields] == [
+        ["dev_f1", "alpha"], *[["mean_loss", "grad_norm", "dev_f1", "alpha"]] * 2
+    ]
+    means = [f"{sum(losses[:2]) / 2:.6g}", f"{sum(losses[2:]) / 2:.6g}"]
+    assert [f["mean_loss"] for f in fields[1:]] == means
+    assert [float(f["grad_norm"]) for f in fields[1:]] == pytest.approx(
         [np.mean(norms[:2]), np.mean(norms[2:])], rel=1e-5
     )
     assert all(n > 0 for n in norms)
-    assert epoch_lines == [
-        f"epoch {h.epoch}: mean loss {mean}, grad norm {norm},"
-        f" dev F1 {h.dev_f1:.4f} at alpha {h.alpha:.3f}"
-        for h, mean, norm in zip(bundle.history, means, logged_norms)
-    ]
+    for line, f, h in zip(epoch_lines, fields, bundle.history):
+        assert re.fullmatch(rf"rerank epoch {h.epoch}: \d+\.\d{{3}} s(, \w+=[^,]+)*", line)
+        assert (f["dev_f1"], f["alpha"]) == (f"{h.dev_f1:.6g}", f"{h.alpha:.6g}")
+
+
+def test_non_finite_loss_names_the_rerank_stage_and_batch():
+    # numbered from 1 as the stage lines number them: with a step this
+    # large the second batch of 16 in the first epoch overflows
+    examples = make_examples(cue_corpus(16, seed=6))
+    dev_corpus = cue_corpus(8, seed=7, start=1000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NerrankError, match=r"^non-finite loss in rerank epoch 1, batch 2$"):
+            train_reranker(examples, dev_corpus, replace(TINY, learning_rate=1e300))
 
 
 def test_epochs_zero_returns_initialized_model():
