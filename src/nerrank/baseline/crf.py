@@ -20,7 +20,12 @@ one-tag (n, 1) column pairwise, and the scatter below adds in sequence):
 - a position's emission adds its ids' emit rows in sequence (one gather,
   then `np.add.at`, which adds in index order; `np.add.reduceat` does not
   give the same bits);
-- the emit gradient is one such scatter in (sentence, position, id) order;
+- the emit gradient is one such scatter in (sentence, position, id) order,
+  into a dense table or into a training batch's compact rows (`RowGrad`:
+  the batch's sorted distinct ids and one row per id, from 0.0), whose
+  sums are the table rows' to the bit;
+- both scatters gather at most GATHER rows per chunk; `np.add.at` adds in
+  index order across the chunks as within one;
 - the transition, begin and end gradients keep each sentence's
   interleaving of `+= marginal` and `-= 1` through `np.add.accumulate`,
   which adds strictly in sequence where a reduction may sum pairwise;
@@ -52,22 +57,28 @@ import numpy as np
 from ..config import decode
 from ..corpus import ENTITY_TYPES, BioLabel, Dataset, LabelSeq, Sentence
 from ..errors import NerrankError, checkpoint_errors
-from ..numerics import AdamState, Tensor
+from ..numerics import AdamState, RowGrad, Tensor
 from ..numerics.optim import BLOCK
 from ..trace import stage
 from .features import FeatureTemplateSet, featurize
 
-# sentences per batch of the no-gradient NLL pass. It bounds the (ids, K)
-# gather of emit rows: on crf-wide's 200 training sentences (~760 ids each)
-# one batch of all of them grew peak RSS by 10.7 MB and batches of 32 by
-# 0.5 MB, and batches of 32 were also faster (0.027 s against 0.032 s)
+# feature ids whose (n, K) rows one gather takes, in the emissions and the
+# emit gradient: a batch's gather costs at most GATHER * K * 8 bytes
+# (295 KB at K = 9), however many sentences the batch holds
+GATHER = 4096
+# sentences per batch of the no-gradient NLL pass. It bounds the batch's
+# (B, T, K) lattice arrays and its id and slot lists (16 bytes per id);
+# GATHER bounds its gather of emit rows. Measured before GATHER, on
+# crf-wide's 200 training sentences (~760 ids each): one batch of all of
+# them grew peak RSS by 10.7 MB and batches of 32 by 0.5 MB, and batches
+# of 32 were also faster (0.027 s against 0.032 s)
 NLL_CHUNK = 32
 # sentences times k per batch of the k-best beam, whose arrays are
 # (B, K, K*k): NLL_CHUNK sentences up to k = 20, fewer above, so a batch
-# at large k holds no more than one at k = 20. A peak-memory guard only:
-# decoding crf-wide's 80 test sentences at k = 1000, chunks of 32 peaked
-# at 112 MB of numpy and Python allocations, one sentence at a time at
-# 29 MB.
+# at large k holds no more than one at k = 20 (its gather of emit rows is
+# GATHER-bounded whatever the batch). A peak-memory guard only: decoding
+# crf-wide's 80 test sentences at k = 1000, chunks of 32 peaked at 112 MB
+# of numpy and Python allocations, one sentence at a time at 29 MB.
 BEAM_SLOTS = NLL_CHUNK * 20
 
 ALL_TAGS = tuple(sorted(["O"] + [f"{p}-{t}" for p in "BI" for t in ENTITY_TYPES]))
@@ -148,10 +159,10 @@ class CrfModel:
 
     def _emissions(self, batch: _Batch) -> np.ndarray:
         """(B, T, K) emissions of a packed batch, zero past each sentence's
-        end: one gather of the ids' emit rows, one scatter that adds them in
-        id order, as summing each position's rows in sequence does."""
+        end: the ids' emit rows gathered and added in id order, as summing
+        each position's rows in sequence does."""
         e = np.zeros((batch.valid.size, len(self.tags)))
-        _scatter_rows(e, batch.slots, np.take(self.emit, batch.ids, axis=0))
+        _gather_add(e, batch.slots, self.emit, batch.ids)
         return e.reshape(*batch.valid.shape, -1)
 
     def forward(self, emissions: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +191,10 @@ class CrfModel:
         ids `ids[b]`, on one padded (B, T, K) lattice. With `grads`, a
         caller-owned (emit, trans, begin, end) tuple of arrays, also adds
         the exact gradient of every NLL into them, in the order one
-        sentence after another, position after position, would."""
+        sentence after another, position after position, would. The emit
+        entry may instead be a `RowGrad` whose rows hold every id of the
+        batch: the emit gradient is then added into its `values`, row i
+        standing for emit row `rows[i]`."""
         batch = _pack(ids)
         n, width = batch.valid.shape
         rows = np.arange(n)
@@ -212,7 +226,10 @@ class CrfModel:
         node = np.exp(alpha + beta - log_z[:, None, None])  # (B, T, K) marginals
         expected = node.copy()
         expected[(*np.nonzero(batch.valid), y[batch.valid])] -= 1.0
-        _scatter_rows(g_emit, batch.ids, np.take(expected.reshape(-1, n_tags), batch.slots, axis=0))
+        at = batch.ids
+        if isinstance(g_emit, RowGrad):
+            g_emit, at = g_emit.values, np.searchsorted(g_emit.rows, at)
+        _gather_add(g_emit, at, expected.reshape(-1, n_tags), batch.slots)
         _fold_into(g_begin, expected[:, 0])
         _fold_into(g_end, _interleave(node[rows, last], _minus_one_hots(y[rows, last], n_tags)))
         # (B, T-1, K, K) edge marginals; edge t joins positions t and t+1
@@ -246,11 +263,15 @@ def _pack(ids: list[list[np.ndarray]]) -> _Batch:
     return _Batch(lengths, valid, np.concatenate(rows), slots)
 
 
-def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray):
-    """out[index[i]] += rows[i] for i in order. A 1-D `np.add.at` per
-    column gives the same sums as a 2-D one, several times faster."""
-    for k in range(out.shape[1]):
-        np.add.at(out[:, k], index, rows[:, k])
+def _gather_add(out: np.ndarray, index: np.ndarray, source: np.ndarray, rows: np.ndarray):
+    """out[index[i]] += source[rows[i]] for i in order, gathering at most
+    GATHER rows of `source` at a time. A 1-D `np.add.at` per column gives
+    the same sums as a 2-D one, several times faster."""
+    for start in range(0, len(index), GATHER):
+        chunk = slice(start, start + GATHER)
+        gathered = np.take(source, rows[chunk], axis=0)
+        for k in range(out.shape[1]):
+            np.add.at(out[:, k], index[chunk], gathered[:, k])
 
 
 def _fold_into(g: np.ndarray, terms: np.ndarray):
@@ -399,9 +420,13 @@ def crf_train(
     returned model records mean full-data NLL after each epoch in
     nll_history (the entry at index 0 is the pre-training NLL).
 
-    Each batch's gradient, averaged and with `l2 * p` added BLOCK values
-    at a time, goes to `AdamState`: training holds no array of the emit
-    table's size beyond the table, its gradient and Adam's two moments.
+    Each batch's emit gradient is a `RowGrad`: the batch's sorted
+    distinct feature ids and one row per id, which `AdamState.step`
+    averages and adds `l2 * p` to one block at a time. The small tables'
+    gradients are dense, averaged and given `l2 * p` BLOCK values at a
+    time here. So training holds no array of the emit table's size beyond
+    the table and Adam's two moments, and its weights are those of a dense
+    gradient, to the bit.
     """
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -430,8 +455,9 @@ def crf_train(
     # Tensor wraps each array without copying, so Adam updates the model
     params = [Tensor(a) for a in (model.emit, model.trans, model.begin, model.end)]
     opt = AdamState(params, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8)
-    # every batch sums its gradient into `grads` from zero
-    grads = tuple(np.empty_like(p.data) for p in params)
+    # every batch sums its transition, begin and end gradients into
+    # `grads` from zero, its emit gradient into rows of its own
+    grads = tuple(np.empty_like(p.data) for p in params[1:])
     model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
     rng = np.random.default_rng([seed, 17])
     for epoch in range(1, epochs + 1):
@@ -439,17 +465,22 @@ def crf_train(
             order = rng.permutation(len(train))
             for batch_no, start in enumerate(range(0, len(order), batch_size), 1):
                 batch = order[start : start + batch_size]
+                batch_ids = [feat_ids[i] for i in batch]
+                b = len(batch)
+                rows = np.sort(np.concatenate([row for sentence in batch_ids for row in sentence]))
+                # distinct ids; np.unique would import numpy.ma on first use
+                rows = rows[np.flatnonzero(np.diff(rows, prepend=-1))]
+                params[0].grad = RowGrad(rows, np.zeros((rows.size, n_tags)), b, l2)
                 for g in grads:
                     g.fill(0.0)
-                nlls = model.batch_nll([feat_ids[i] for i in batch], [gold_ids[i] for i in batch], grads)
-                b = len(batch)
+                nlls = model.batch_nll(batch_ids, [gold_ids[i] for i in batch], (params[0].grad, *grads))
                 batch_nll = sum(nlls.tolist()) / b
                 if not np.isfinite(batch_nll):
                     raise NerrankError(
                         f"non-finite training loss ({batch_nll}) in CRF epoch {epoch}/{epochs}, "
                         f"batch {batch_no}"
                     )
-                for p, g in zip(params, grads):
+                for p, g in zip(params[1:], grads):
                     g /= b
                     flat_g, flat_p = g.reshape(-1), p.data.reshape(-1)  # views: both are C-ordered
                     for at in range(0, g.size, BLOCK):

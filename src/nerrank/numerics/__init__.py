@@ -14,11 +14,12 @@ from .tensor import (
     mse,
     no_tape,
 )
-from .optim import AdamState, ParamStore
+from .optim import AdamState, ParamStore, RowGrad
 
 __all__ = [
     "AdamState",
     "ParamStore",
+    "RowGrad",
     "Tensor",
     "add",
     "backward",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from math import prod
+from typing import NamedTuple
+
 import numpy as np
 
 from ..errors import CheckpointMismatchError
@@ -60,6 +63,36 @@ class ParamStore:
 BLOCK = 1 << 15
 
 
+class RowGrad(NamedTuple):
+    """A parameter's gradient held by the rows it touches. It stands for
+    the dense array g of the parameter's shape with g[rows] = values and
+    0.0 in every other row, then `g /= divisor`, then `g += p * l2` for
+    the parameter p: a batch's summed gradient, averaged, plus the L2
+    term's. `AdamState.step` forms g one block at a time, so a table whose
+    batch touches few rows needs no gradient array of the table's size."""
+
+    rows: np.ndarray  # sorted distinct row indices
+    values: np.ndarray  # (len(rows), *the parameter's row shape)
+    divisor: float
+    l2: float
+
+    def block(self, start: int, p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Flat elements start .. start + out.size of g, in `out`, by the
+        operations above in their order; `p` holds the parameter's same
+        elements and `scratch` is a buffer of their size."""
+        out.fill(0.0)
+        width = prod(self.values.shape[1:])
+        # the rows that overlap the block, then their elements inside it
+        lo, hi = np.searchsorted(self.rows, (start // width, -(-(start + out.size) // width)))
+        flat = (self.rows[lo:hi, None] * width + np.arange(width)).reshape(-1)
+        values = self.values[lo:hi].reshape(-1)
+        first, last = np.searchsorted(flat, (start, start + out.size))
+        out[flat[first:last] - start] = values[first:last]
+        out /= self.divisor
+        out += np.multiply(p, self.l2, out=scratch)
+        return out
+
+
 class AdamState:
     """Adam with bias correction over a fixed parameter list.
 
@@ -77,6 +110,11 @@ class AdamState:
     whole arrays to the bit. The moments are kept flat, in the C order of
     the parameter's elements; a gradient in another layout is copied to
     that order first.
+
+    A parameter's gradient is a dense array of its shape or a `RowGrad`,
+    whose block of g is formed in the second scratch buffer just before
+    the block's update reads it (only the index arrays of the block's
+    rows are allocated); the update is the same for both.
     """
 
     def __init__(self, params: list[Tensor], *, lr: float, beta1: float, beta2: float, eps: float):
@@ -99,17 +137,23 @@ class AdamState:
             g = p.grad
             if g is None:
                 continue
-            if g.shape != p.data.shape:
-                raise ValueError(f"gradient shape {g.shape} differs from the parameter's {p.data.shape}")
+            by_rows = isinstance(g, RowGrad)
+            shape = (len(p.data), *g.values.shape[1:]) if by_rows else g.shape
+            if shape != p.data.shape:
+                raise ValueError(f"gradient shape {shape} differs from the parameter's {p.data.shape}")
             if not p.data.flags.c_contiguous:  # its flat view is written below
                 raise ValueError("a parameter's data must be C-contiguous")
             data = p.data.reshape(-1)
-            g = g.reshape(-1)
+            if not by_rows:
+                g = g.reshape(-1)
             for start in range(0, m.size, BLOCK):
                 block = slice(start, start + BLOCK)
-                g_block, m_block, v_block = g[block], m[block], v[block]
-                a = self._scratch[0][: g_block.size]
-                b = self._scratch[1][: g_block.size]
+                m_block, v_block = m[block], v[block]
+                a = self._scratch[0][: m_block.size]
+                b = self._scratch[1][: m_block.size]
+                # a row gradient's block is formed in b, which is first
+                # written below after the last read of g_block
+                g_block = g.block(start, data[block], out=b, scratch=a) if by_rows else g[block]
                 m_block *= self.beta1
                 m_block += np.multiply(g_block, 1.0 - self.beta1, out=a)
                 v_block *= self.beta2

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from nerrank.corpus import (
 )
 from nerrank.config import RunConfig
 from nerrank.errors import NerrankError, ParseError
-from nerrank.numerics import optim
+from nerrank.numerics import AdamState, RowGrad, Tensor, optim
 from strategies import label_seqs, sentences
 from toycorpus import simple_corpus
 
@@ -823,6 +824,16 @@ def reference_sentence_nll(model, ids, tag_ids, grads=None):
 
 
 def reference_batch_nll(model, batch_ids, batch_tags, grads=None):
+    """The per-sentence reference over a batch. A `RowGrad` emit entry, as
+    training passes, stands for the dense table holding its values in its
+    rows: the reference adds into that table and copies the rows back."""
+    if grads is not None and isinstance(grads[0], RowGrad):
+        rows, values = grads[0].rows, grads[0].values
+        table = np.zeros_like(model.emit)
+        table[rows] = values
+        nlls = reference_batch_nll(model, batch_ids, batch_tags, (table, *grads[1:]))
+        values[...] = table[rows]
+        return nlls
     return np.array([
         reference_sentence_nll(model, ids, tags, grads)
         for ids, tags in zip(batch_ids, batch_tags)
@@ -889,9 +900,162 @@ def test_batch_nll_equals_the_per_sentence_reference(batch, zero_start):
         assert_same_bits(sentence_emissions(model, ids), reference_emissions(model, ids))
 
 
+@given(nll_batches(), st.integers(0, 2**32 - 1))
+def test_batch_nll_adds_into_a_row_gradient_as_into_its_table_rows(batch, seed):
+    model, batch_ids, batch_tags = batch
+    rng = np.random.default_rng(seed)
+    # every id of the batch and some the batch lacks, each row already
+    # holding a value that the gradient is added to
+    rows = np.flatnonzero(rng.random(len(model.emit)) < 0.5)
+    rows = np.union1d(rows, np.concatenate([r for ids in batch_ids for r in ids]))
+    values = rng.normal(size=(rows.size, len(model.tags)))
+    table = np.zeros_like(model.emit)
+    table[rows] = values
+    small = [np.zeros_like(w) for w in (model.trans, model.begin, model.end)]
+    want = model.batch_nll(batch_ids, batch_tags, (table, *small))
+    grad = RowGrad(rows, values.copy(), 1.0, 0.0)
+    got = model.batch_nll(batch_ids, batch_tags, (grad, *[np.zeros_like(g) for g in small]))
+    assert_same_bits(got, want)
+    assert_same_bits(grad.values, table[rows])
+
+
+def test_batch_nll_equals_the_per_sentence_reference_in_small_gathers(monkeypatch):
+    # a position holds up to 10 ids, so gathers of 2 split positions and
+    # sentences; np.add.at adds in index order across gathers as within one
+    monkeypatch.setattr(crf_module, "GATHER", 2)
+    test_batch_nll_equals_the_per_sentence_reference()
+
+
+def test_bounded_gathers_give_the_same_bits(monkeypatch):
+    ds = simple_corpus(20, seed=4)
+    model = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=1))
+    ids = model.interned_ids(intern_features(ds.sentences, model.templates))
+    tags = [[model.tag_id(label) for label in gold] for gold in ds.gold]
+    assert min(row.size for sentence in ids for row in sentence) > 3
+
+    def run():
+        grads = tuple(np.zeros_like(w) for w in (model.emit, model.trans, model.begin, model.end))
+        rows = RowGrad(np.arange(len(model.emit)), np.zeros_like(model.emit), 1.0, 0.0)
+        small = tuple(np.zeros_like(g) for g in grads[1:])
+        arrays = {
+            "nll": model.batch_nll(ids, tags),
+            "nll with grads": model.batch_nll(ids, tags, grads),
+            "nll with rows": model.batch_nll(ids, tags, (rows, *small)),
+            "rows": rows.values,
+        }
+        arrays.update(zip(("emit", "trans", "begin", "end"), grads))
+        return arrays, kbest_decode(model, ids, 5)
+
+    default, default_kbest = run()
+    # gathers of 3 ids split every position's ids
+    monkeypatch.setattr(crf_module, "GATHER", 3)
+    small, small_kbest = run()
+    for name, array in default.items():
+        assert_same_bits(small[name], array, name)
+    assert small_kbest == default_kbest
+
+
+def dense_reference_train(train, templates, *, epochs, batch_size, lr, l2, seed):
+    """`crf_train` with a dense emit gradient, as it was: every batch
+    fills four gradient tables with 0.0, sums its gradient into them,
+    divides them by the batch size and adds `l2 * p` BLOCK values at a time
+    before the Adam step. The vocabulary, ids and batch order are
+    crf_train's (its zero-epoch model)."""
+    model = crf_train(train, templates, epochs=0, batch_size=batch_size, lr=lr, l2=l2, seed=seed)
+    feat_ids = model.interned_ids(intern_features(train.sentences, templates))
+    gold_ids = [[model.tag_id(l) for l in labels] for labels in train.gold]
+    params = [Tensor(a) for a in (model.emit, model.trans, model.begin, model.end)]
+    opt = AdamState(params, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8)
+    grads = tuple(np.empty_like(p.data) for p in params)
+    rng = np.random.default_rng([seed, 17])
+    for _ in range(epochs):
+        order = rng.permutation(len(train))
+        for start in range(0, len(order), batch_size):
+            batch = order[start : start + batch_size]
+            for g in grads:
+                g.fill(0.0)
+            model.batch_nll([feat_ids[i] for i in batch], [gold_ids[i] for i in batch], grads)
+            for p, g in zip(params, grads):
+                g /= len(batch)
+                flat_g, flat_p = g.reshape(-1), p.data.reshape(-1)
+                for at in range(0, g.size, optim.BLOCK):
+                    flat_g[at : at + optim.BLOCK] += flat_p[at : at + optim.BLOCK] * l2
+                p.grad = g
+            opt.step()
+        model.nll_history.append(crf_module._mean_nll(model, feat_ids, gold_ids))
+    return model
+
+
+def test_train_equals_the_dense_gradient_reference(monkeypatch):
+    ds = simple_corpus(30, seed=12)
+    # 30 sentences in batches of 4: the last batch holds 2. Blocks of 5
+    # values split the emit rows of 9, so a batch's rows straddle blocks,
+    # and gathers of 3 split every position's ids
+    monkeypatch.setattr(optim, "BLOCK", 5)
+    monkeypatch.setattr(crf_module, "BLOCK", 5)
+    monkeypatch.setattr(crf_module, "GATHER", 3)
+    options = dict(CRF, epochs=2, batch_size=4, lr=0.05, l2=0.01, seed=5)
+    model = crf_train(ds, FeatureTemplateSet(), **options)
+    reference = dense_reference_train(ds, FeatureTemplateSet(), **options)
+    for name in ("emit", "trans", "begin", "end"):
+        assert_same_bits(getattr(model, name), getattr(reference, name), name)
+    assert model.nll_history == reference.nll_history
+
+
+def random_word_corpus(n_sentences: int, length: int, seed: int) -> Dataset:
+    """Sentences of random 8-letter words: nearly every word is new, so
+    each token adds about 20 features."""
+    rng = np.random.default_rng(seed)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    sentences, gold = [], []
+    for i in range(n_sentences):
+        words = ["".join(rng.choice(letters, 8)) for _ in range(length)]
+        sentences.append(Sentence(i, tuple(Token(w.capitalize() if j == 0 else w) for j, w in enumerate(words))))
+        gold.append([BioLabel.parse("B-PER")] + [BioLabel.parse("O")] * (length - 1))
+    return Dataset(sentences, gold)
+
+
+def test_train_holds_the_emit_table_and_two_moments_of_its_size():
+    ds = random_word_corpus(250, 10, seed=3)
+    features = intern_features(ds.sentences, FeatureTemplateSet())
+    options = dict(CRF, epochs=1)
+    # a first run imports what training uses, so the traced run allocates
+    # only its own arrays and objects
+    crf_train(simple_corpus(10, seed=1), FeatureTemplateSet(), **options)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model = crf_train(ds, FeatureTemplateSet(), **options, features=features)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        # what training holds besides the tables, measured by building it
+        # again: the vocabulary (the sorted names and the dict numbering
+        # them) and the per-position id arrays
+        before = tracemalloc.get_traced_memory()[0]
+        names = sorted(model.feature_vocab)
+        vocab = {name: i for i, name in enumerate(names)}
+        ids = model.interned_ids(features)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del names, vocab, ids
+    emit = model.emit.nbytes
+    assert emit >= 2 << 20
+    # slack: `held`; Adam's two scratch blocks (2 * BLOCK * 8 bytes); and
+    # the largest transient, a no-gradient batch of NLL_CHUNK sentences:
+    # one gather of emit rows (GATHER * K * 8 bytes) plus 1 MB for its
+    # lattice and id arrays and small objects (0.45 MB measured). The part
+    # not measured here is smaller than the emit table, so a fourth table
+    # of its size (a dense gradient) cannot fit
+    fixed = 2 * optim.BLOCK * 8 + crf_module.GATHER * len(ALL_TAGS) * 8 + (1 << 20)
+    assert fixed < emit
+    assert peak < 3 * emit + held + fixed, (peak, emit, held, fixed)
+
+
 def test_train_equals_the_per_sentence_reference(monkeypatch):
     ds = simple_corpus(30, seed=12)
-    # 30 sentences in batches of 4: the last batch holds 2
+    # 30 sentences in batches of 4: the last batch holds 2; the gradient
+    # of each batch's emit rows comes from the per-sentence reference
     options = dict(CRF, epochs=2, batch_size=4, lr=0.05, seed=5)
     model = crf_train(ds, FeatureTemplateSet(), **options)
     monkeypatch.setattr(CrfModel, "batch_nll", reference_batch_nll)

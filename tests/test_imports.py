@@ -4,7 +4,12 @@ the module depends on. A package's `__init__.py` is exempt: its imports
 are its re-exports.
 
 Only `trace.py` imports `time`: a stage times itself through
-`trace.stage`, so its seconds reach the log in the one stage-line form."""
+`trace.stage`, so its seconds reach the log in the one stage-line form.
+
+No module under `baseline/` multiplies through BLAS (`@`, `matmul`, `dot`,
+`einsum`, `tensordot`): the CRF's weights, candidates and probabilities
+are byte-identical across BLAS kernels because the CRF makes no BLAS
+call."""
 
 import ast
 from pathlib import Path
@@ -86,3 +91,47 @@ def test_the_clock_scan_sees_every_form_of_import():
         "from .time import x\n"
     )
     assert clock_imports(source) == ["line 1: time", "line 2: time", "line 3: time.perf_counter"]
+
+
+BLAS_NAMES = {"matmul", "dot", "einsum", "tensordot"}
+
+
+def blas_uses(source: str) -> list[str]:
+    """Each `@` (or `@=`) and each name, attribute or import of `matmul`,
+    `dot`, `einsum` or `tensordot`, so `np.dot(a, b)`, `a.dot(b)`,
+    `from numpy import dot as d` and `f = np.einsum` all count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in BLAS_NAMES]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_crf_makes_no_blas_call():
+    found = {
+        str(path.relative_to(PACKAGE)): blas_uses(path.read_text(encoding="utf-8"))
+        for path in sorted((PACKAGE / "baseline").rglob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_blas_scan_sees_every_form_of_product():
+    source = (
+        "import numpy as np\n"
+        "from numpy import dot as d, tensordot\n"
+        "x = a @ b\n"
+        "x @= b\n"
+        "y = np.matmul(a, b) + a.dot(b)\n"
+        "f = np.einsum\n"
+        "z = a * b + np.add.reduce(a) + dotted(a)\n"
+    )
+    assert blas_uses(source) == [
+        "line 2: dot", "line 2: tensordot", "line 3: @", "line 4: @",
+        "line 5: dot", "line 5: matmul", "line 6: einsum",
+    ]

@@ -5,6 +5,7 @@ from nerrank.errors import CheckpointMismatchError, NerrankError, ShapeMismatchE
 from nerrank.numerics import (
     AdamState,
     ParamStore,
+    RowGrad,
     Tensor,
     add,
     backward,
@@ -18,6 +19,7 @@ from nerrank.numerics import (
     mse,
     no_tape,
 )
+from nerrank.numerics import optim
 from nerrank.numerics.optim import BLOCK
 from gradcheck import grad_check, weighted_sum
 
@@ -509,6 +511,39 @@ def test_adam_step_across_blocks_equals_the_update_expression_bit_for_bit():
     params[0].grad = np.zeros(BLOCK)
     with pytest.raises(ValueError, match="differ"):
         opt.step()
+
+
+@pytest.mark.parametrize("block", [BLOCK, 9, 7, 5])
+def test_adam_step_on_a_row_gradient_equals_the_dense_gradient_bit_for_bit(monkeypatch, block):
+    # a RowGrad stands for the dense g with g[rows] = values and zeros
+    # elsewhere, then g /= divisor, then g += p * l2; blocks of 7 and 5
+    # split the rows of 9, and the first step touches no row at all
+    monkeypatch.setattr(optim, "BLOCK", block)
+    rng = np.random.default_rng(23)
+    shapes = [(50, 9), (30,)]
+    start = [rng.normal(size=shape) for shape in shapes]
+    dense = [Tensor(a.copy()) for a in start]
+    rows_given = [Tensor(a.copy()) for a in start]
+    options = dict(lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
+    dense_opt, rows_opt = AdamState(dense, **options), AdamState(rows_given, **options)
+    for t in range(4):
+        for p, q, shape in zip(dense, rows_given, shapes):
+            rows = np.flatnonzero(rng.random(shape[0]) < 0.3 * t)
+            values = rng.normal(size=(rows.size, *shape[1:]))
+            divisor, l2 = float(rng.integers(1, 9)), 0.01
+            g = np.zeros(shape)
+            g[rows] = values
+            g /= divisor
+            g += p.data * l2
+            p.grad = g
+            q.grad = RowGrad(rows, values, divisor, l2)
+        dense_opt.step()
+        rows_opt.step()
+    for p, q in zip(dense, rows_given):
+        assert p.data.tobytes() == q.data.tobytes()
+    rows_given[0].grad = RowGrad(np.arange(2), np.zeros((2, 8)), 1.0, 0.0)
+    with pytest.raises(ValueError, match="differ"):
+        rows_opt.step()
 
 
 # ---------------------------------------------------------------------------
