@@ -8,6 +8,15 @@ forward-backward pass reuses. `crf_train` builds a zero-weight model and
 trains it in place through those methods (exact NLL gradients, mini-batch
 Adam).
 
+Sentences reach the model as ids, not strings. `intern_features`
+featurizes them once and numbers each distinct string in a dict; each
+sentence is then one `SentenceIds`, a flat int32 array of its ids and one
+count per position. A model's vocabulary, `feature_vocab`, is the tuple
+of its feature strings in id order, as `crf.npz` stores it (`crf_train`
+numbers the strings it sees in sorted order), and
+`CrfModel.interned_ids` maps a corpus's ids to the model's through one
+index, built by looking the model's strings up in the corpus's dict.
+
 Training runs on batches. `CrfModel.batch_nll` lays a minibatch out as a
 padded (B, T, K) lattice with per-sentence lengths and computes the
 emissions, path scores, forward and masked backward recursions, node
@@ -49,7 +58,9 @@ tie that rounding creates.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -89,33 +100,43 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return (np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m).squeeze(axis)
 
 
+class SentenceIds(NamedTuple):
+    """One sentence's feature ids: `ids` holds every position's ids, in
+    position order and `featurize` order within a position, and
+    `counts[t]` how many of them belong to position t."""
+
+    ids: np.ndarray  # int32
+    counts: np.ndarray  # int32, one per position
+
+
 class InternedFeatures(NamedTuple):
     """Featurized sentences with each distinct feature string held once:
-    `names` lists the strings in first-seen order, and `ids[s][t]` holds
-    position t of sentence s as indices into `names`, in `featurize`
-    order."""
+    `names` numbers the strings in first-seen order, and `ids[s]` holds
+    sentence s as indices into it."""
 
-    names: list[str]
-    ids: list[list[np.ndarray]]
+    names: dict[str, int]
+    ids: list[SentenceIds]
 
 
 def intern_features(sentences, templates: FeatureTemplateSet) -> InternedFeatures:
     """`featurize` each sentence once and keep ids, not strings: one dict
     numbers the strings in first-seen order, and each sentence's strings
     are dropped once they are numbered."""
-    index: dict[str, int] = {}
-    number = index.setdefault
-    ids = [
-        [np.array([number(f, len(index)) for f in pos], dtype=np.intp) for pos in featurize(s, templates)]
-        for s in sentences
-    ]
-    return InternedFeatures(list(index), ids)
+    names: dict[str, int] = {}
+    number = names.setdefault
+    ids = []
+    for sentence in sentences:
+        positions = featurize(sentence, templates)
+        flat = [number(f, len(names)) for position in positions for f in position]
+        counts = [len(position) for position in positions]
+        ids.append(SentenceIds(np.array(flat, dtype=np.int32), np.array(counts, dtype=np.int32)))
+    return InternedFeatures(names, ids)
 
 
 @dataclass
 class CrfModel:
     tags: tuple[str, ...]
-    feature_vocab: dict[str, int]
+    feature_vocab: tuple[str, ...]  # feature strings in id order
     templates: FeatureTemplateSet
     emit: np.ndarray  # (F, K)
     trans: np.ndarray  # (K, K)
@@ -137,6 +158,8 @@ class CrfModel:
         self._tag_index = {t: i for i, t in enumerate(self.tags)}
         if len(self._tag_index) != k:
             raise ValueError(f"duplicate tags in {list(self.tags)}")
+        if len(set(self.feature_vocab)) != f:
+            raise ValueError("duplicate feature strings")
 
     def tag_id(self, label: BioLabel) -> int:
         text = str(label)
@@ -144,17 +167,27 @@ class CrfModel:
             raise ValueError(f"label {text} is not in this model's tag set")
         return self._tag_index[text]
 
-    def interned_ids(self, features: InternedFeatures) -> list[list[np.ndarray]]:
-        """Per sentence of `features` and position, this model's ids of the
-        position's strings in `featurize` order, through one index from
-        `features`' ids to this model's. Strings the model lacks are
-        dropped."""
-        get = self.feature_vocab.get
-        index = np.array([get(name, -1) for name in features.names], dtype=np.intp)
+    def interned_ids(self, features: InternedFeatures) -> list[SentenceIds]:
+        """Each sentence of `features` in this model's ids, through one
+        index from `features`' ids to this model's: the model's strings are
+        looked up in `features.names` once. Strings the model lacks are
+        dropped; the others keep their order."""
+        get = features.names.get
+        at = np.fromiter((get(name, -1) for name in self.feature_vocab), np.intp, len(self.feature_vocab))
+        known = at >= 0
+        index = np.full(len(features.names), -1, dtype=np.int32)
+        index[at[known]] = np.flatnonzero(known)
         out = []
         for sentence in features.ids:
-            rows = [index[row] for row in sentence]
-            out.append([row[row >= 0] for row in rows])
+            ids = index[sentence.ids]
+            kept = ids >= 0
+            if kept.all():
+                out.append(SentenceIds(ids, sentence.counts))
+            else:
+                n = len(sentence.counts)
+                position = np.repeat(np.arange(n), sentence.counts)
+                counts = np.bincount(position[kept], minlength=n).astype(np.int32)
+                out.append(SentenceIds(ids[kept], counts))
         return out
 
     def _emissions(self, batch: _Batch) -> np.ndarray:
@@ -186,9 +219,9 @@ class CrfModel:
         """log Z of one sentence's (T, K) emissions."""
         return float(self.forward(emissions[None], np.array([len(emissions)]))[1][0])
 
-    def batch_nll(self, ids: list[list[np.ndarray]], tag_ids: list[list[int]], grads=None) -> np.ndarray:
-        """(B,) NLLs of the paths `tag_ids[b]` given per-position feature
-        ids `ids[b]`, on one padded (B, T, K) lattice. With `grads`, a
+    def batch_nll(self, ids: list[SentenceIds], tag_ids: list[list[int]], grads=None) -> np.ndarray:
+        """(B,) NLLs of the paths `tag_ids[b]` given the feature ids
+        `ids[b]`, on one padded (B, T, K) lattice. With `grads`, a
         caller-owned (emit, trans, begin, end) tuple of arrays, also adds
         the exact gradient of every NLL into them, in the order one
         sentence after another, position after position, would. The emit
@@ -255,12 +288,11 @@ class _Batch(NamedTuple):
     slots: np.ndarray  # each id's flat position in the (B, T) grid
 
 
-def _pack(ids: list[list[np.ndarray]]) -> _Batch:
-    lengths = np.array([len(sentence) for sentence in ids])
+def _pack(ids: list[SentenceIds]) -> _Batch:
+    lengths = np.array([len(sentence.counts) for sentence in ids])
     valid = np.arange(lengths.max()) < lengths[:, None]
-    rows = [row for sentence in ids for row in sentence]
-    slots = np.repeat(np.flatnonzero(valid), [row.size for row in rows])
-    return _Batch(lengths, valid, np.concatenate(rows), slots)
+    slots = np.repeat(np.flatnonzero(valid), np.concatenate([sentence.counts for sentence in ids]))
+    return _Batch(lengths, valid, np.concatenate([sentence.ids for sentence in ids]), slots)
 
 
 def _gather_add(out: np.ndarray, index: np.ndarray, source: np.ndarray, rows: np.ndarray):
@@ -293,8 +325,8 @@ def _minus_one_hots(index: np.ndarray, size: int) -> np.ndarray:
     return hits
 
 
-def kbest_decode(model: CrfModel, ids: list[list[np.ndarray]], k: int) -> list[list[tuple[LabelSeq, float]]]:
-    """Per sentence, given its per-position feature ids, the k
+def kbest_decode(model: CrfModel, ids: list[SentenceIds], k: int) -> list[list[tuple[LabelSeq, float]]]:
+    """Per sentence, given its feature ids, the k
     highest-scoring label sequences with their exact probabilities.
 
     Ranked by descending score, ties by lexicographic tag-id order; fewer
@@ -312,7 +344,7 @@ def kbest_decode(model: CrfModel, ids: list[list[np.ndarray]], k: int) -> list[l
     return out
 
 
-def _kbest_chunk(model: CrfModel, ids: list[list[np.ndarray]], k: int) -> list[list[tuple[LabelSeq, float]]]:
+def _kbest_chunk(model: CrfModel, ids: list[SentenceIds], k: int) -> list[list[tuple[LabelSeq, float]]]:
     """The beam over a batch of sentences, sorted longest first so that the
     sentences still running at step t are a prefix of the batch.
 
@@ -335,7 +367,7 @@ def _kbest_chunk(model: CrfModel, ids: list[list[np.ndarray]], k: int) -> list[l
     to the bit. Every operation acts on each sentence's rows alone, so a
     sentence's candidates are those it gets in a batch of one.
     """
-    order = np.argsort([-len(sentence) for sentence in ids], kind="stable")
+    order = np.argsort([-len(sentence.counts) for sentence in ids], kind="stable")
     batch = _pack([ids[i] for i in order])
     lengths = batch.lengths
     e = model._emissions(batch)  # (B, T, K)
@@ -436,14 +468,13 @@ def crf_train(
         raise ValueError(f"{len(features.ids)} feature lists for {len(train)} sentences")
     n_tags = len(ALL_TAGS)
     used = np.zeros(len(features.names), dtype=bool)
-    used[np.concatenate([row for sentence in features.ids for row in sentence])] = True
-    names = sorted(map(features.names.__getitem__, np.flatnonzero(used).tolist()))
-    vocab = {name: i for i, name in enumerate(names)}
+    used[np.concatenate([sentence.ids for sentence in features.ids])] = True
+    names = tuple(sorted(compress(features.names, used.tolist())))
     model = CrfModel(
         tags=ALL_TAGS,
-        feature_vocab=vocab,
+        feature_vocab=names,
         templates=templates,
-        emit=np.zeros((len(vocab), n_tags)),
+        emit=np.zeros((len(names), n_tags)),
         trans=np.zeros((n_tags, n_tags)),
         begin=np.zeros(n_tags),
         end=np.zeros(n_tags),
@@ -467,9 +498,11 @@ def crf_train(
                 batch = order[start : start + batch_size]
                 batch_ids = [feat_ids[i] for i in batch]
                 b = len(batch)
-                rows = np.sort(np.concatenate([row for sentence in batch_ids for row in sentence]))
-                # distinct ids; np.unique would import numpy.ma on first use
-                rows = rows[np.flatnonzero(np.diff(rows, prepend=-1))]
+                rows = np.sort(np.concatenate([sentence.ids for sentence in batch_ids]))
+                # distinct ids (np.unique would import numpy.ma on first use),
+                # as intp: `RowGrad.block` searches them for Python ints, which
+                # would cast an int32 array on every search
+                rows = rows[np.flatnonzero(np.diff(rows, prepend=-1))].astype(np.intp)
                 params[0].grad = RowGrad(rows, np.zeros((rows.size, n_tags)), b, l2)
                 for g in grads:
                     g.fill(0.0)
@@ -518,26 +551,40 @@ def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
 
     Weight matrices go in as arrays; the CrfMeta fields (the feature
     vocabulary in id order) and `extra_meta` ride along as one JSON
-    object, stored as its UTF-8 bytes (a uint8 array).
+    object, stored as its UTF-8 bytes (a uint8 array). The archive holds
+    the bytes `np.savez` writes: one uncompressed `<name>.npy` entry per
+    array, its .npy header, then its data, written from the array's own
+    buffer where `np.savez` would copy it. So writing holds no copy of
+    the weights, and the meta's bytes once.
     """
     meta = {
         "tags": list(model.tags),
-        "features": sorted(model.feature_vocab, key=model.feature_vocab.get),
+        "features": model.feature_vocab,
         # the switches and the cluster map as they are; `asdict` would
         # deep-copy the map, one call per entry
         "templates": vars(model.templates),
         "nll_history": list(model.nll_history),
     }
     meta.update(extra_meta or {})
-    with open(path, "wb") as f:
-        np.savez(
-            f,
-            emit=model.emit,
-            trans=model.trans,
-            begin=model.begin,
-            end=model.end,
-            meta=np.frombuffer(json.dumps(meta, ensure_ascii=False).encode(), np.uint8),
-        )
+    # the bytes of json.dumps(meta, ensure_ascii=False), encoded a piece at
+    # a time into one buffer: json.dumps holds every piece at once, several
+    # times the size of the bytes (4.9 MB for 0.85 MB of meta)
+    text = bytearray()
+    for piece in json.JSONEncoder(ensure_ascii=False).iterencode(meta):
+        text += piece.encode()
+    arrays = {
+        "emit": model.emit,
+        "trans": model.trans,
+        "begin": model.begin,
+        "end": model.end,
+        "meta": np.frombuffer(text, np.uint8),
+    }
+    with zipfile.ZipFile(path, "w", allowZip64=True) as archive:
+        for name, array in arrays.items():
+            array = np.ascontiguousarray(array)
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as entry:
+                np.lib.format.write_array_header_1_0(entry, np.lib.format.header_data_from_array_1_0(array))
+                entry.write(array.data)
 
 
 def load_crf(path) -> CrfModel:
@@ -554,7 +601,7 @@ def load_crf(path) -> CrfModel:
         meta = decode(CrfMeta, {f.name: stored[f.name] for f in fields(CrfMeta) if f.name in stored})
         return CrfModel(
             tags=meta.tags,
-            feature_vocab={name: i for i, name in enumerate(meta.features)},
+            feature_vocab=meta.features,
             templates=meta.templates,
             nll_history=list(meta.nll_history),
             **arrays,

@@ -308,9 +308,10 @@ def build_nbest_corpus(dataset: Dataset, folds: int, k: int, templates, **train_
     held-out output rather than memorized gold. The corpus is interned
     once (`intern_features`): each sentence is featurized once, and its
     ids serve every fold that trains on it and the one that decodes it,
-    each fold mapping them to its own vocabulary with one index. The
-    folds' `decode_corpus` sets line up end to end because `jackknife`'s
-    blocks are contiguous."""
+    each fold mapping them to its own vocabulary with one index. A fold's
+    model is dropped before the next fold trains. The folds'
+    `decode_corpus` sets line up end to end because `jackknife`'s blocks
+    are contiguous."""
     from .crf import crf_train, intern_features
 
     features = intern_features(dataset.sentences, templates)
@@ -324,6 +325,7 @@ def build_nbest_corpus(dataset: Dataset, folds: int, k: int, templates, **train_
         with stage(f"jackknife fold {fold}/{folds}", trained=len(train_part), decoded=len(held)):
             model = crf_train(train_part, templates, features=rows(train_part), **train_kwargs)
             sets.extend(decode_corpus(model, held, k, features=rows(held)).sets)
+            del model
     return NBestCorpus(list(dataset.sentences), sets)
 
 

@@ -120,7 +120,7 @@ def test_crf_probability_mass_and_kbest_exactness():
     tags = ("B-PER", "I-PER", "O")
     sentence = sent(0, "alpha", "beta", "gamma", "delta")
     feats = featurize(sentence, WORD_ONLY)
-    vocab = {f: i for i, f in enumerate(sorted({f for pos in feats for f in pos}))}
+    vocab = tuple(sorted({f for pos in feats for f in pos}))
     rng = np.random.default_rng(7)
     model = CrfModel(
         tags=tags,

@@ -3,6 +3,7 @@ import itertools
 import logging
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nerrank.baseline import crf as crf_module
 from nerrank.baseline.crf import (
     ALL_TAGS,
     CrfModel,
+    SentenceIds,
     crf_train,
     intern_features,
     kbest_decode,
@@ -69,7 +71,7 @@ def sent(*words, sid=0, pos=None):
 
 def toy_model(words=("a", "b", "c", "d"), tags=("B-PER", "I-PER", "O"), seed=0):
     """Random-weight model over word-unigram features of `words`."""
-    vocab = {f"w[0]={w}": i for i, w in enumerate(sorted(words))}
+    vocab = tuple(f"w[0]={w}" for w in sorted(words))
     rng = np.random.default_rng(seed)
     f, k = len(vocab), len(tags)
     return CrfModel(
@@ -86,7 +88,7 @@ def toy_model(words=("a", "b", "c", "d"), tags=("B-PER", "I-PER", "O"), seed=0):
 def zero_model(tags=ALL_TAGS):
     return CrfModel(
         tags=tags,
-        feature_vocab={},
+        feature_vocab=(),
         templates=WORD_ONLY,
         emit=np.zeros((0, len(tags))),
         trans=np.zeros((len(tags), len(tags))),
@@ -95,20 +97,33 @@ def zero_model(tags=ALL_TAGS):
     )
 
 
-def string_ids(model, sentence) -> list[np.ndarray]:
+def sentence_ids(rows) -> SentenceIds:
+    """One sentence's ids, given as one list of ids per position, in the
+    form the model takes."""
+    return SentenceIds(
+        np.array([i for row in rows for i in row], dtype=np.int32),
+        np.array([len(row) for row in rows], dtype=np.int32),
+    )
+
+
+def positions(ids: SentenceIds) -> list[np.ndarray]:
+    """Each position's ids, in order."""
+    return np.split(ids.ids, np.cumsum(ids.counts)[:-1])
+
+
+def string_ids(model, sentence) -> SentenceIds:
     """The reference for `CrfModel.interned_ids`: the model's ids of each
     position's `featurize` strings, looked up one string at a time, in
     order. Strings the model never saw are dropped."""
-    get = model.feature_vocab.get
-    return [
-        np.array([i for i in map(get, position) if i is not None], dtype=np.intp)
-        for position in featurize(sentence, model.templates)
-    ]
+    get = {name: i for i, name in enumerate(model.feature_vocab)}.get
+    return sentence_ids(
+        [[i for i in map(get, position) if i is not None] for position in featurize(sentence, model.templates)]
+    )
 
 
 def sentence_emissions(model, ids) -> np.ndarray:
-    """(T, K) emissions of one sentence's per-position ids, through the
-    batched gather and scatter that training and decoding use."""
+    """(T, K) emissions of one sentence's ids, through the batched gather
+    and scatter that training and decoding use."""
     return model._emissions(crf_module._pack([ids]))[0]
 
 
@@ -368,7 +383,7 @@ def test_kbest_keeps_a_tie_that_rounding_creates():
     # beam of one kept (1, 0) at step 1, which beat (0, 0) there
     model = CrfModel(
         tags=("B-PER", "O"),
-        feature_vocab={},
+        feature_vocab=(),
         templates=WORD_ONLY,
         emit=np.zeros((0, 2)),
         trans=np.zeros((2, 2)),
@@ -428,7 +443,7 @@ def lattices(draw, max_tags=4):
 
     model = CrfModel(
         tags=ALL_TAGS[:k],
-        feature_vocab={f"w[0]={w}": i for i, w in enumerate(words)},
+        feature_vocab=tuple(f"w[0]={w}" for w in words),
         templates=WORD_ONLY,
         emit=vec(len(words) * k).reshape(len(words), k),
         trans=vec(k * k).reshape(k, k),
@@ -508,7 +523,7 @@ def test_decode_corpus_drops_the_strings_its_model_never_saw():
     f, k = len(names), len(ALL_TAGS)
     model = CrfModel(
         tags=ALL_TAGS,
-        feature_vocab={name: i for i, name in enumerate(names)},
+        feature_vocab=tuple(names),
         templates=templates,
         emit=rng.normal(size=(f, k)),
         trans=rng.normal(size=(k, k)),
@@ -522,7 +537,7 @@ def test_decode_corpus_drops_the_strings_its_model_never_saw():
         sent("c", "a", "d", sid=3),
     ]
     assert len(featurize(sentences[1], templates)[1]) == 3
-    assert string_ids(model, sentences[1])[1].size == 0
+    assert positions(string_ids(model, sentences[1]))[1].size == 0
     dataset = Dataset(sentences, [[BioLabel.parse("O")] * len(s) for s in sentences])
     got = decode_corpus(model, dataset, 5)
     expected = NBestCorpus(sentences, [decode_one(model, s, 5, g) for s, g in dataset])
@@ -596,7 +611,7 @@ def tag_lattices(draw):
         end[draw(st.integers(0, k - 1))] += 100.0
     model = CrfModel(
         tags=ALL_TAGS,
-        feature_vocab={f"w[0]={w}": i for i, w in enumerate(words)},
+        feature_vocab=tuple(f"w[0]={w}" for w in words),
         templates=WORD_ONLY,
         emit=vec(len(words) * k).reshape(len(words), k),
         trans=vec(k * k).reshape(k, k),
@@ -706,7 +721,7 @@ def test_train_learns_simple_corpus():
 def test_sentence_nll_gradient_matches_finite_differences():
     model = toy_model(words=("a", "b", "c"), seed=11)
     # feature 0 fires at three positions, position 2 has no known feature
-    ids = [np.array(row, dtype=np.intp) for row in ([0, 1], [0], [], [2, 0])]
+    ids = sentence_ids(([0, 1], [0], [], [2, 0]))
     tags = [0, 1, 2, 2]
     grads = tuple(np.zeros_like(a) for a in (model.emit, model.trans, model.begin, model.end))
     nll = model.batch_nll([ids], [tags], grads)[0]
@@ -735,10 +750,7 @@ def test_batch_nll_gradient_matches_finite_differences_on_mixed_lengths():
     model = toy_model(words=("a", "b", "c"), seed=11)
     # a T=1 sentence beside the T=4 one above, whose position 2 has no
     # known feature
-    batch_ids = [
-        [np.array([1, 2], dtype=np.intp)],
-        [np.array(row, dtype=np.intp) for row in ([0, 1], [0], [], [2, 0])],
-    ]
+    batch_ids = [sentence_ids(([1, 2],)), sentence_ids(([0, 1], [0], [], [2, 0]))]
     batch_tags = [[2], [0, 1, 2, 2]]
     grads = tuple(np.zeros_like(a) for a in (model.emit, model.trans, model.begin, model.end))
     nlls = model.batch_nll(batch_ids, batch_tags, grads)
@@ -777,8 +789,8 @@ def reference_emissions(model, ids):
     numpy adds an (n, K) block's rows in sequence. A one-tag (n, 1) column
     it sums pairwise, an order the batched scatter does not keep, so there
     the rows are added one by one."""
-    e = np.zeros((len(ids), len(model.tags)))
-    for t, row_ids in enumerate(ids):
+    e = np.zeros((len(ids.counts), len(model.tags)))
+    for t, row_ids in enumerate(positions(ids)):
         if len(model.tags) == 1:
             for row in model.emit[row_ids]:
                 e[t] += row
@@ -802,7 +814,8 @@ def reference_sentence_nll(model, ids, tag_ids, grads=None):
         return nll
     g_emit, g_trans, g_begin, g_end = grads
     y = tag_ids
-    t_count = len(ids)
+    rows = positions(ids)
+    t_count = len(rows)
     beta = np.zeros(alpha.shape)
     beta[-1] = model.end
     for t in range(t_count - 2, -1, -1):
@@ -812,7 +825,7 @@ def reference_sentence_nll(model, ids, tag_ids, grads=None):
     expected = node.copy()
     for t in range(t_count):
         expected[t, y[t]] -= 1.0
-        np.add.at(g_emit, ids[t], expected[t])
+        np.add.at(g_emit, rows[t], expected[t])
     g_begin += expected[0]
     g_end += node[-1]
     g_end[y[-1]] -= 1.0
@@ -860,19 +873,17 @@ def nll_batches(draw):
 
     model = CrfModel(
         tags=ALL_TAGS[:n_tags],
-        feature_vocab={f"f{i}": i for i in range(n_feats)},
+        feature_vocab=tuple(f"f{i}" for i in range(n_feats)),
         templates=WORD_ONLY,
         emit=vec(n_feats * n_tags).reshape(n_feats, n_tags),
         trans=vec(n_tags * n_tags).reshape(n_tags, n_tags),
         begin=vec(n_tags),
         end=vec(n_tags),
     )
-    position = st.lists(st.integers(0, n_feats - 1), max_size=10).map(
-        lambda row: np.array(row, dtype=np.intp)
-    )
+    position = st.lists(st.integers(0, n_feats - 1), max_size=10)
     batch_ids, batch_tags = [], []
     for length in draw(st.lists(st.integers(1, 12), min_size=1, max_size=8)):
-        batch_ids.append(draw(st.lists(position, min_size=length, max_size=length)))
+        batch_ids.append(sentence_ids(draw(st.lists(position, min_size=length, max_size=length))))
         batch_tags.append(draw(st.lists(st.integers(0, n_tags - 1), min_size=length, max_size=length)))
     return model, batch_ids, batch_tags
 
@@ -907,7 +918,7 @@ def test_batch_nll_adds_into_a_row_gradient_as_into_its_table_rows(batch, seed):
     # every id of the batch and some the batch lacks, each row already
     # holding a value that the gradient is added to
     rows = np.flatnonzero(rng.random(len(model.emit)) < 0.5)
-    rows = np.union1d(rows, np.concatenate([r for ids in batch_ids for r in ids]))
+    rows = np.union1d(rows, np.concatenate([ids.ids for ids in batch_ids]))
     values = rng.normal(size=(rows.size, len(model.tags)))
     table = np.zeros_like(model.emit)
     table[rows] = values
@@ -931,7 +942,7 @@ def test_bounded_gathers_give_the_same_bits(monkeypatch):
     model = crf_train(ds, FeatureTemplateSet(), **dict(CRF, epochs=1))
     ids = model.interned_ids(intern_features(ds.sentences, model.templates))
     tags = [[model.tag_id(label) for label in gold] for gold in ds.gold]
-    assert min(row.size for sentence in ids for row in sentence) > 3
+    assert min(row.size for sentence in ids for row in positions(sentence)) > 3
 
     def run():
         grads = tuple(np.zeros_like(w) for w in (model.emit, model.trans, model.begin, model.end))
@@ -1029,16 +1040,16 @@ def test_train_holds_the_emit_table_and_two_moments_of_its_size():
         model = crf_train(ds, FeatureTemplateSet(), **options, features=features)
         peak = tracemalloc.get_traced_memory()[1] - start
         # what training holds besides the tables, measured by building it
-        # again: the vocabulary (the sorted names and the dict numbering
-        # them) and the per-position id arrays
+        # again: the vocabulary (the tuple of names in id order; no dict
+        # numbers them) and the training sentences' ids in the model's
+        # numbering
         before = tracemalloc.get_traced_memory()[0]
-        names = sorted(model.feature_vocab)
-        vocab = {name: i for i, name in enumerate(names)}
+        names = tuple(sorted(model.feature_vocab))
         ids = model.interned_ids(features)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    del names, vocab, ids
+    del names, ids
     emit = model.emit.nbytes
     assert emit >= 2 << 20
     # slack: `held`; Adam's two scratch blocks (2 * BLOCK * 8 bytes); and
@@ -1108,6 +1119,7 @@ MALFORMED_MODELS = {
     "end": lambda m: {"end": m.end[:, None]},
     "non-finite": lambda m: {"trans": np.where(m.trans > 0, np.nan, m.trans)},
     "duplicate-tag": lambda m: {"tags": (m.tags[0],) + m.tags[:-1]},
+    "duplicate-feature": lambda m: {"feature_vocab": (m.feature_vocab[0],) + m.feature_vocab[:-1]},
     "malformed-tag": lambda m: {"tags": ("X-FOO",) + m.tags[1:]},
     "unknown-type": lambda m: {"tags": ("B-FOO",) + m.tags[1:]},
 }
@@ -1188,6 +1200,23 @@ def test_each_jackknife_fold_is_logged_when_it_ends(caplog):
     fold_lines = lines[1::2]
     for line, train, held in zip(fold_lines, (7, 7, 8), (4, 4, 3)):
         assert re.fullmatch(rf".*: \d+\.\d{{3}} s, trained={train}, decoded={held}", line)
+
+
+def test_each_jackknife_fold_model_is_released_before_the_next_trains(monkeypatch):
+    # fold 1's model (its emit table and vocabulary) must not live through
+    # fold 2's training
+    train = crf_module.crf_train
+    models, alive = [], []
+
+    def tracked(*args, **kwargs):
+        alive.append([ref() is not None for ref in models])
+        model = train(*args, **kwargs)
+        models.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(crf_module, "crf_train", tracked)
+    build_nbest_corpus(simple_corpus(9, seed=2), folds=3, k=2, templates=FeatureTemplateSet(), **dict(CRF, epochs=1))
+    assert alive == [[], [False], [False, False]]
 
 
 def test_jackknife_with_shared_features_equals_independent_folds():

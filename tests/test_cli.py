@@ -1,6 +1,7 @@
 """Tests for run configuration, model persistence, and the command-line
 interface (exit codes, output headers, manifests, determinism)."""
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -10,6 +11,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 
 import nerrank
 from nerrank import __version__
-from nerrank.baseline.crf import crf_train, load_crf, save_crf
+from nerrank.baseline.crf import ALL_TAGS, CrfModel, crf_train, load_crf, save_crf
 from nerrank.baseline.features import FeatureTemplateSet
 from nerrank.baseline.nbest import read_nbest
 from nerrank.cli import (
@@ -287,6 +289,66 @@ def test_crf_checkpoint_roundtrips_non_ascii_features(tmp_path):
     loaded = load_crf(path)
     assert loaded.feature_vocab == model.feature_vocab
     assert np.array_equal(loaded.emit, model.emit)
+
+
+def checkpoint_meta(model, extra_meta=None) -> dict:
+    """The JSON object a checkpoint's `meta` entry holds."""
+    return {
+        "tags": list(model.tags),
+        "features": list(model.feature_vocab),
+        "templates": dataclasses.asdict(model.templates),
+        "nll_history": list(model.nll_history),
+        **(extra_meta or {}),
+    }
+
+
+def test_crf_checkpoint_bytes_are_those_of_np_savez(tmp_path):
+    # save_crf writes each array from its own buffer; the archive must hold
+    # the bytes np.savez writes for the same arrays and meta
+    train = parse_conll("Zürich\tB-LOC\nliegt\tO\n\n東京\tB-LOC\nist\tO\nweit\tO\n")
+    templates = FeatureTemplateSet(clusters={"Zürich": "0110", "東京": "10"})
+    model = crf_train(train, templates, **dict(CRF, epochs=1, seed=0))
+    assert "cl[0]=0110" in model.feature_vocab and "w[0]=東京" in model.feature_vocab
+    extra = {"version": __version__, "config_hash": "0" * 12}
+    save_crf(tmp_path / "model.npz", model, extra_meta=extra)
+    meta = json.dumps(checkpoint_meta(model, extra), ensure_ascii=False).encode()
+    with open(tmp_path / "reference.npz", "wb") as f:
+        np.savez(
+            f, emit=model.emit, trans=model.trans, begin=model.begin, end=model.end,
+            meta=np.frombuffer(meta, np.uint8),
+        )
+    assert (tmp_path / "model.npz").read_bytes() == (tmp_path / "reference.npz").read_bytes()
+
+
+def test_save_crf_holds_the_meta_bytes_once_and_copies_no_weights(tmp_path):
+    # 40,000 feature strings: a 2.9 MB emit table and 0.85 MB of meta.
+    # Writing may hold the meta's UTF-8 bytes, in a buffer up to an eighth
+    # larger, and 64 KB besides; a copy of either, or json.dumps's pieces
+    # of the meta, would not fit
+    names = tuple(f"w[0]=word{i:06d}" for i in range(40_000))
+    rng = np.random.default_rng(0)
+    k = len(ALL_TAGS)
+    model = CrfModel(
+        tags=ALL_TAGS,
+        feature_vocab=names,
+        templates=FeatureTemplateSet(clusters={f"word{i:06d}": f"{i % 64:b}" for i in range(4_000)}),
+        emit=rng.normal(size=(len(names), k)),
+        trans=rng.normal(size=(k, k)),
+        begin=rng.normal(size=k),
+        end=rng.normal(size=k),
+    )
+    save_crf(tmp_path / "first.npz", model)  # imports and first-use set-up
+    size = len(json.dumps(checkpoint_meta(model), ensure_ascii=False).encode())
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        save_crf(tmp_path / "model.npz", model)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert size > 512 << 10 and model.emit.nbytes > 2 << 20
+    assert peak < size + size // 8 + (64 << 10), (peak, size)
 
 
 def test_crf_checkpoint_errors(tmp_path):
