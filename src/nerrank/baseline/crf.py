@@ -69,7 +69,6 @@ from ..config import decode
 from ..corpus import ENTITY_TYPES, BioLabel, Dataset, LabelSeq, Sentence
 from ..errors import NerrankError, checkpoint_errors
 from ..numerics import AdamState, RowGrad, Tensor
-from ..numerics.optim import BLOCK
 from ..trace import stage
 from .features import FeatureTemplateSet, featurize
 
@@ -452,13 +451,12 @@ def crf_train(
     returned model records mean full-data NLL after each epoch in
     nll_history (the entry at index 0 is the pre-training NLL).
 
-    Each batch's emit gradient is a `RowGrad`: the batch's sorted
-    distinct feature ids and one row per id, which `AdamState.step`
-    averages and adds `l2 * p` to one block at a time. The small tables'
-    gradients are dense, averaged and given `l2 * p` BLOCK values at a
-    time here. So training holds no array of the emit table's size beyond
-    the table and Adam's two moments, and its weights are those of a dense
-    gradient, to the bit.
+    Each batch's gradient of each table is a `RowGrad`, which
+    `AdamState.step` averages and adds `l2 * p` to one block at a time:
+    for emit, the batch's sorted distinct feature ids and one row per id;
+    for trans, begin and end, every row. So training holds no array of
+    the emit table's size beyond the table and Adam's two moments, and its
+    weights are those of a dense gradient, to the bit.
     """
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -486,9 +484,7 @@ def crf_train(
     # Tensor wraps each array without copying, so Adam updates the model
     params = [Tensor(a) for a in (model.emit, model.trans, model.begin, model.end)]
     opt = AdamState(params, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8)
-    # every batch sums its transition, begin and end gradients into
-    # `grads` from zero, its emit gradient into rows of its own
-    grads = tuple(np.empty_like(p.data) for p in params[1:])
+    every_row = [np.arange(len(p.data)) for p in params[1:]]
     model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
     rng = np.random.default_rng([seed, 17])
     for epoch in range(1, epochs + 1):
@@ -503,22 +499,16 @@ def crf_train(
                 # as intp: `RowGrad.block` searches them for Python ints, which
                 # would cast an int32 array on every search
                 rows = rows[np.flatnonzero(np.diff(rows, prepend=-1))].astype(np.intp)
-                params[0].grad = RowGrad(rows, np.zeros((rows.size, n_tags)), b, l2)
-                for g in grads:
-                    g.fill(0.0)
-                nlls = model.batch_nll(batch_ids, [gold_ids[i] for i in batch], (params[0].grad, *grads))
+                for p, at in zip(params, [rows, *every_row]):
+                    p.grad = RowGrad(at, np.zeros((len(at), *p.data.shape[1:])), b, l2)
+                grads = (params[0].grad, *(p.grad.values for p in params[1:]))
+                nlls = model.batch_nll(batch_ids, [gold_ids[i] for i in batch], grads)
                 batch_nll = sum(nlls.tolist()) / b
                 if not np.isfinite(batch_nll):
                     raise NerrankError(
                         f"non-finite training loss ({batch_nll}) in CRF epoch {epoch}/{epochs}, "
                         f"batch {batch_no}"
                     )
-                for p, g in zip(params[1:], grads):
-                    g /= b
-                    flat_g, flat_p = g.reshape(-1), p.data.reshape(-1)  # views: both are C-ordered
-                    for at in range(0, g.size, BLOCK):
-                        flat_g[at : at + BLOCK] += flat_p[at : at + BLOCK] * l2
-                    p.grad = g
                 opt.step()
             model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
             counts["mean_nll"] = model.nll_history[-1]

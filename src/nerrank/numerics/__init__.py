@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode autodiff, a parameter store and Adam."""
+"""Dense float64 tensors with reverse-mode autodiff, and Adam."""
 
 from .tensor import (
     Tensor,
@@ -14,11 +14,10 @@ from .tensor import (
     mse,
     no_tape,
 )
-from .optim import AdamState, ParamStore, RowGrad
+from .optim import AdamState, RowGrad
 
 __all__ = [
     "AdamState",
-    "ParamStore",
     "RowGrad",
     "Tensor",
     "add",

@@ -1,4 +1,4 @@
-"""Parameter registry and the Adam optimizer."""
+"""The Adam optimizer and the row-compact gradient it takes."""
 
 from __future__ import annotations
 
@@ -7,51 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import CheckpointMismatchError
 from .tensor import Tensor
-
-
-class ParamStore:
-    """Ordered, named registry of trainable tensors.
-
-    Insertion order is the serialization order, so two stores built by the
-    same model code always align parameter-for-parameter.
-    """
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, data) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(data)
-        self._params[name] = t
-        return t
-
-    def items(self):
-        return self._params.items()
-
-    def zero_grad(self):
-        for t in self._params.values():
-            t.grad = None
-
-    def copy_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]):
-        if set(arrays) != set(self._params):
-            missing = sorted(set(self._params) - set(arrays))
-            extra = sorted(set(arrays) - set(self._params))
-            raise CheckpointMismatchError(f"parameter names differ (missing {missing}, extra {extra})")
-        for name, t in self._params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise CheckpointMismatchError(
-                    f"parameter {name!r}: shape {arr.shape} vs expected {t.data.shape}"
-                )
-            if not np.isfinite(arr).all():
-                raise CheckpointMismatchError(f"parameter {name!r} holds a non-finite value")
-            t.data = arr.copy()
 
 
 # elements per block of an update. Adam and the CRF's L2 term go through a

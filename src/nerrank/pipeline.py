@@ -278,7 +278,8 @@ def train_reranker(
                 losses, norms = [], []
                 for batch_no, start in enumerate(range(0, len(order), config.batch_size), 1):
                     batch = [train_examples[i] for i in order[start : start + config.batch_size]]
-                    scorer.params.zero_grad()
+                    for t in scorer.params.values():
+                        t.grad = None
                     loss = batch_loss(scorer, batch, config.l2, train=True)
                     if not np.isfinite(loss.data).all():
                         raise NerrankError(
@@ -294,9 +295,10 @@ def train_reranker(
             counts.update(dev_f1=result.f1, alpha=result.alpha)
         history.append(EpochEval(epoch=epoch, alpha=result.alpha, dev_f1=result.f1))
         if best is None or result.f1 > best[0]:
-            best = (result.f1, result.alpha, scorer.params.copy_arrays())
+            best = (result.f1, result.alpha, {n: t.data.copy() for n, t in scorer.params.items()})
 
-    scorer.params.load_arrays(best[2])
+    for name, t in scorer.params.items():
+        t.data = best[2][name]
     return RerankerBundle(
         scorer=scorer, alpha=best[1], config=config, history=history
     )
@@ -348,7 +350,9 @@ def load_bundle(path) -> RerankerBundle:
         config = meta.config
         if meta.char_pad > config.char_pad_cap:
             raise ConfigError(f"char_pad {meta.char_pad} exceeds char_pad_cap {config.char_pad_cap}")
-        scorer = PatternScorer(meta.vocab, config.scorer, char_pad=meta.char_pad, seed=config.seed)
         with np.load(os.path.join(path, WEIGHTS_FILE), allow_pickle=False) as archive:
-            scorer.params.load_arrays({name: archive[name] for name in archive.files})
+            weights = {name: archive[name] for name in archive.files}
+        scorer = PatternScorer(
+            meta.vocab, config.scorer, char_pad=meta.char_pad, seed=config.seed, weights=weights
+        )
         return RerankerBundle(scorer, meta.alpha, config, list(meta.history))

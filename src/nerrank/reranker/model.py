@@ -37,17 +37,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import ScorerConfig
-from ..errors import ConfigError, NerrankError
-from ..numerics import (
-    ParamStore,
-    Tensor,
-    concat,
-    conv_pool,
-    dropout,
-    head,
-    lookup_rows,
-    lstm,
-)
+from ..errors import CheckpointMismatchError, ConfigError, NerrankError
+from ..numerics import Tensor, concat, conv_pool, dropout, head, lookup_rows, lstm
 from .embeddings import init_embeddings
 from .vocab import CHAR_PAD_ID, Vocab
 
@@ -55,9 +46,35 @@ INIT_STREAM = 21
 DROPOUT_STREAM = 22
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+def scorer_layout(vocab: Vocab, config: ScorerConfig) -> dict[str, tuple[tuple[int, ...], float]]:
+    """The scorer's parameters in draw order: name -> (shape, bound of the
+    uniform initial draw, 0.0 for zeros). The embedding tables' bound is
+    sqrt(3 / dim), a weight matrix's the Glorot sqrt(6 / (fan_in +
+    fan_out))."""
+    cfg = config
+
+    def glorot(fan_in: int, fan_out: int):
+        return (fan_in, fan_out), np.sqrt(6.0 / (fan_in + fan_out))
+
+    layout = {"word_emb": ((len(vocab.words), cfg.word_dim), np.sqrt(3.0 / cfg.word_dim))}
+    if cfg.use_char_cnn:
+        layout["char_emb"] = ((len(vocab.chars), cfg.char_dim), np.sqrt(3.0 / cfg.char_dim))
+        layout["char_cnn_w"] = glorot(cfg.char_cnn_window * cfg.char_dim, cfg.char_cnn_filters)
+        layout["char_cnn_b"] = ((1, cfg.char_cnn_filters), 0.0)
+    if cfg.use_lstm:
+        h, r = cfg.lstm_hidden, cfg.repr_dim
+        for i in range(1, 9):
+            layout[f"lstm_w{i}"] = glorot(h if i % 2 == 1 else r, h)
+        for i in range(1, 5):
+            layout[f"lstm_b{i}"] = ((1, h), 0.0)
+        if cfg.peepholes:
+            layout["lstm_mu1"] = layout["lstm_mu2"] = ((1, h), 0.0)
+    if cfg.use_word_cnn:
+        layout["word_cnn_w"] = glorot(cfg.word_cnn_window * cfg.repr_dim, cfg.word_cnn_filters)
+        layout["word_cnn_b"] = ((1, cfg.word_cnn_filters), 0.0)
+    layout["head_w"] = glorot(cfg.head_dim, 1)
+    layout["head_b"] = ((1, 1), 0.0)
+    return layout
 
 
 class PatternScorer:
@@ -65,8 +82,19 @@ class PatternScorer:
 
     `config` sizes the network; `char_pad` is the characters each word is
     padded or cut to (at most `TrainConfig.char_pad_cap`) and `seed` seeds
-    the initial weights and the dropout masks. The config blocks hold the
-    defaults of all three.
+    the dropout masks and, without `weights`, the initial weights. The
+    config blocks hold the defaults of all three.
+
+    The parameters are `scorer_layout(vocab, config)`, and `params` maps
+    each name to its Tensor in that order. Without `weights`, they are
+    drawn from the seed's INIT_STREAM in that order: `word_emb` by
+    `init_embeddings` (which copies the `pretrained` vectors in), each
+    other table by one uniform draw within its bound, zeros drawing
+    nothing. `weights`, trained arrays by name, must hold exactly the
+    layout's names, each of its shape and finite, or raise
+    CheckpointMismatchError; they are used as given (not copied; only an
+    array that is not C-ordered float64 is converted), and nothing is
+    drawn.
     """
 
     def __init__(
@@ -77,50 +105,45 @@ class PatternScorer:
         char_pad: int,
         seed: int,
         pretrained: dict[str, np.ndarray] | None = None,
+        weights: dict[str, np.ndarray] | None = None,
     ):
         self.vocab = vocab
         self.config = cfg = config
         if type(char_pad) is not int or char_pad < 1:
             raise ConfigError(f"char_pad must be a positive integer, got {char_pad!r}")
         self.char_pad = char_pad
-        self.params = store = ParamStore()
-        rng = np.random.default_rng([seed, INIT_STREAM])
         self._drop_rng = np.random.default_rng([seed, DROPOUT_STREAM])
+        layout = scorer_layout(vocab, cfg)
+        if weights is None:
+            rng = np.random.default_rng([seed, INIT_STREAM])
+            weights = {"word_emb": init_embeddings(vocab, cfg.word_dim, rng, pretrained)}
+            for name, (shape, bound) in layout.items():
+                if name not in weights:
+                    weights[name] = rng.uniform(-bound, bound, size=shape) if bound else np.zeros(shape)
+        elif set(weights) != set(layout):
+            missing = sorted(set(layout) - set(weights))
+            extra = sorted(set(weights) - set(layout))
+            raise CheckpointMismatchError(f"parameter names differ (missing {missing}, extra {extra})")
+        self.params: dict[str, Tensor] = {}
+        for name, (shape, _) in layout.items():
+            arr = np.asarray(weights[name], dtype=np.float64, order="C")
+            if arr.shape != shape:
+                raise CheckpointMismatchError(f"parameter {name!r}: shape {arr.shape} vs expected {shape}")
+            if not np.isfinite(arr).all():
+                raise CheckpointMismatchError(f"parameter {name!r} holds a non-finite value")
+            self.params[name] = Tensor(arr)
 
-        self.word_emb = store.add(
-            "word_emb", init_embeddings(vocab, cfg.word_dim, rng, pretrained)
-        )
+        p = self.params
+        self.word_emb, self.head_w, self.head_b = p["word_emb"], p["head_w"], p["head_b"]
         if cfg.use_char_cnn:
-            cbound = np.sqrt(3.0 / cfg.char_dim)
-            self.char_emb = store.add(
-                "char_emb",
-                rng.uniform(-cbound, cbound, size=(len(vocab.chars), cfg.char_dim)),
-            )
-            self.char_cnn_w = store.add(
-                "char_cnn_w",
-                _glorot(rng, cfg.char_cnn_window * cfg.char_dim, cfg.char_cnn_filters),
-            )
-            self.char_cnn_b = store.add("char_cnn_b", np.zeros((1, cfg.char_cnn_filters)))
+            self.char_emb, self.char_cnn_w, self.char_cnn_b = p["char_emb"], p["char_cnn_w"], p["char_cnn_b"]
         if cfg.use_lstm:
-            h, r = cfg.lstm_hidden, cfg.repr_dim
-            self.lstm_w = [
-                store.add(f"lstm_w{i}", _glorot(rng, h if i % 2 == 1 else r, h))
-                for i in range(1, 9)
-            ]
-            self.lstm_b = [
-                store.add(f"lstm_b{i}", np.zeros((1, h))) for i in range(1, 5)
-            ]
+            self.lstm_w = [p[f"lstm_w{i}"] for i in range(1, 9)]
+            self.lstm_b = [p[f"lstm_b{i}"] for i in range(1, 5)]
             if cfg.peepholes:
-                self.lstm_mu1 = store.add("lstm_mu1", np.zeros((1, h)))
-                self.lstm_mu2 = store.add("lstm_mu2", np.zeros((1, h)))
+                self.lstm_mu1, self.lstm_mu2 = p["lstm_mu1"], p["lstm_mu2"]
         if cfg.use_word_cnn:
-            self.word_cnn_w = store.add(
-                "word_cnn_w",
-                _glorot(rng, cfg.word_cnn_window * cfg.repr_dim, cfg.word_cnn_filters),
-            )
-            self.word_cnn_b = store.add("word_cnn_b", np.zeros((1, cfg.word_cnn_filters)))
-        self.head_w = store.add("head_w", _glorot(rng, cfg.head_dim, 1))
-        self.head_b = store.add("head_b", np.zeros((1, 1)))
+            self.word_cnn_w, self.word_cnn_b = p["word_cnn_w"], p["word_cnn_b"]
 
     # -- word-level representations -------------------------------------
 

@@ -1003,7 +1003,6 @@ def test_train_equals_the_dense_gradient_reference(monkeypatch):
     # values split the emit rows of 9, so a batch's rows straddle blocks,
     # and gathers of 3 split every position's ids
     monkeypatch.setattr(optim, "BLOCK", 5)
-    monkeypatch.setattr(crf_module, "BLOCK", 5)
     monkeypatch.setattr(crf_module, "GATHER", 3)
     options = dict(CRF, epochs=2, batch_size=4, lr=0.05, l2=0.01, seed=5)
     model = crf_train(ds, FeatureTemplateSet(), **options)
@@ -1083,7 +1082,6 @@ def test_crf_weights_do_not_depend_on_the_update_block_size(monkeypatch):
     opts = dict(CRF, epochs=2, l2=0.01)
     whole = crf_train(ds, FeatureTemplateSet(), **opts)
     assert whole.emit.size < optim.BLOCK
-    monkeypatch.setattr(crf_module, "BLOCK", 5)
     monkeypatch.setattr(optim, "BLOCK", 5)
     blocked = crf_train(ds, FeatureTemplateSet(), **opts)
     for name in ("emit", "trans", "begin", "end"):

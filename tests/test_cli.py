@@ -918,6 +918,7 @@ BUNDLE_MUTATIONS = {
     "param-reshaped": _edit_weights(lambda a: a.update(head_w=a["head_w"][:-1])),
     "weights-nan": _edit_weights(lambda a: a["lstm_w1"].fill(np.nan)),
     "weights-inf": _edit_weights(lambda a: a["lstm_w1"].fill(np.inf)),
+    "weights-neg-inf": _edit_weights(lambda a: a["lstm_w1"].fill(-np.inf)),
 }
 # the reason a mutated bundle's error line must give, where a test pins it
 BUNDLE_MESSAGES = {
@@ -935,6 +936,7 @@ BUNDLE_MESSAGES = {
     "provenance-not-object": "provenance: expected a JSON object, got 7",
     "weights-nan": "parameter 'lstm_w1' holds a non-finite value",
     "weights-inf": "parameter 'lstm_w1' holds a non-finite value",
+    "weights-neg-inf": "parameter 'lstm_w1' holds a non-finite value",
 }
 
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from nerrank.errors import CheckpointMismatchError, NerrankError, ShapeMismatchError
+from nerrank.errors import NerrankError, ShapeMismatchError
 from nerrank.numerics import (
     AdamState,
-    ParamStore,
     RowGrad,
     Tensor,
     add,
@@ -588,52 +587,6 @@ def test_gradcheck_sampling_limits_work():
     report = grad_check(lambda: mse(w, np.zeros((20, 20))), [("w", w)], max_coords_per_param=10)
     assert report.checked == 10
     assert report.ok(1e-6)
-
-
-# ---------------------------------------------------------------------------
-# parameter store
-
-def make_store(seed=0):
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
-    store.add("emb", rng.normal(size=(5, 3)))
-    store.add("w", rng.normal(size=(3, 2)))
-    store.add("b", rng.normal(size=(1, 2)))
-    return store
-
-
-def test_param_store_basics():
-    store = make_store()
-    assert [name for name, _ in store.items()] == ["emb", "w", "b"]
-    assert [t.data.size for _, t in store.items()] == [15, 6, 2]
-    with pytest.raises(ValueError):
-        store.add("w", np.zeros((1, 1)))
-    assert all(t.grad is None for _, t in store.items())
-
-
-def test_checkpoint_rejects_structure_mismatch():
-    arrays = make_store().copy_arrays()
-
-    other = ParamStore()
-    other.add("emb", np.zeros((5, 3)))
-    with pytest.raises(CheckpointMismatchError):
-        other.load_arrays(arrays)
-
-    wrong_shape = ParamStore()
-    wrong_shape.add("emb", np.zeros((5, 3)))
-    wrong_shape.add("w", np.zeros((4, 2)))
-    wrong_shape.add("b", np.zeros((1, 2)))
-    with pytest.raises(CheckpointMismatchError, match="shape"):
-        wrong_shape.load_arrays(arrays)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_checkpoint_rejects_non_finite_weights(bad):
-    arrays = make_store().copy_arrays()
-    name = next(iter(arrays))
-    arrays[name].flat[-1] = bad
-    with pytest.raises(CheckpointMismatchError, match=f"parameter {name!r} holds a non-finite"):
-        make_store().load_arrays(arrays)
 
 
 # ---------------------------------------------------------------------------

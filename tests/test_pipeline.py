@@ -93,10 +93,9 @@ def tiny_scorer(token_lists, *, zero_head=False, seed=0, config=None):
 def assert_same_params(a, b):
     """Two scorers hold the same parameter names, in the same order, with
     the same bytes."""
-    left, right = a.params.copy_arrays(), b.params.copy_arrays()
-    assert list(left) == list(right)
-    for name, array in left.items():
-        assert array.tobytes() == right[name].tobytes(), name
+    assert list(a.params) == list(b.params)
+    for name, tensor in a.params.items():
+        assert tensor.data.tobytes() == b.params[name].data.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -968,6 +967,25 @@ def test_bundle_weights_round_trip_bit_exact(tmp_path):
     save_bundle(tmp_path / "b", loaded)
     for name in ("weights.bin", "meta.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_load_bundle_draws_no_weights(tmp_path, monkeypatch):
+    """A loaded scorer is built from the saved arrays: no initial weight
+    is drawn, so an initializer that raises does not stop it."""
+    bundle = random_bundle(seed=3)
+    save_bundle(tmp_path / "bundle", bundle)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_bundle drew initial weights")
+
+    monkeypatch.setattr("nerrank.reranker.model.init_embeddings", no_draw)
+    loaded = load_bundle(tmp_path / "bundle")
+    assert_same_params(bundle.scorer, loaded.scorer)
+    tokens = [["PER", "visited", "LOC"], ["LOC"]]
+    assert (
+        loaded.scorer.score_batch(tokens).data.tobytes()
+        == bundle.scorer.score_batch(tokens).data.tobytes()
+    )
 
 
 def test_bundle_rejects_garbage_weights(tmp_path):

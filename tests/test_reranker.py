@@ -1,6 +1,7 @@
 """Tests for the vocabulary, embedding init, and the neural pattern scorer."""
 
 import math
+import re
 import shutil
 import tracemalloc
 from dataclasses import replace
@@ -32,7 +33,7 @@ from nerrank.reranker import (
     init_embeddings,
     parse_embeddings,
 )
-from nerrank.reranker.model import DROPOUT_STREAM
+from nerrank.reranker.model import DROPOUT_STREAM, scorer_layout
 from gradcheck import grad_check, weighted_sum
 
 SMALL = ScorerConfig(
@@ -429,7 +430,8 @@ def test_clamped_steps_carry_no_gradient():
     readout = rng.normal(size=(2, cfg.lstm_hidden))
 
     def grads(rows, lengths, weights):
-        scorer.params.zero_grad()
+        for t in params:
+            t.grad = None
         inputs = Tensor(rows)
         backward(weighted_sum(scorer.lstm_encode(inputs, lengths), weights))
         return [t.grad.copy() for t in params], inputs.grad
@@ -763,6 +765,58 @@ def test_checkpoint_rejects_other_architectures(tmp_path):
     assert same.score_batch([tokens]).item() == full.score_batch([tokens]).item()
 
 
+def saved_weights(scorer):
+    return {name: t.data.copy() for name, t in scorer.params.items()}
+
+
+def test_scorer_params_follow_the_layout():
+    for cfg in (SMALL, replace(SMALL, peepholes=True), replace(SMALL, use_char_cnn=False)):
+        scorer = PatternScorer(small_vocab(), cfg, char_pad=SMALL_PAD, seed=0)
+        layout = scorer_layout(small_vocab(), cfg)
+        assert list(scorer.params) == list(layout)
+        assert [t.data.shape for t in scorer.params.values()] == [s for s, _ in layout.values()]
+        assert all(t.grad is None for t in scorer.params.values())
+        for (shape, bound), t in zip(layout.values(), scorer.params.values()):
+            assert np.abs(t.data).max() <= bound
+    assert "lstm_mu1" not in scorer_layout(small_vocab(), SMALL)
+
+
+def test_scorer_uses_the_given_weights_without_a_copy():
+    weights = saved_weights(PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=1))
+    scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=2, weights=weights)
+    assert all(scorer.params[name].data is array for name, array in weights.items())
+
+
+def test_scorer_weights_must_match_the_layout():
+    weights = saved_weights(PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=3))
+
+    def build(arrays):
+        return PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=3, weights=arrays)
+
+    missing = {n: a for n, a in weights.items() if n != "head_b"}
+    with pytest.raises(
+        CheckpointMismatchError, match=re.escape("parameter names differ (missing ['head_b'], extra [])")
+    ):
+        build(missing)
+    with pytest.raises(
+        CheckpointMismatchError, match=re.escape("parameter names differ (missing [], extra ['head_v'])")
+    ):
+        build({**weights, "head_v": weights["head_w"]})
+    with pytest.raises(
+        CheckpointMismatchError,
+        match=re.escape("parameter 'word_cnn_w': shape (14, 3) vs expected (15, 3)"),
+    ):
+        build({**weights, "word_cnn_w": weights["word_cnn_w"][:-1]})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scorer_weights_must_be_finite(bad):
+    weights = saved_weights(PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=4))
+    weights["head_w"].flat[-1] = bad
+    with pytest.raises(CheckpointMismatchError, match="parameter 'head_w' holds a non-finite value"):
+        PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=4, weights=weights)
+
+
 def test_full_model_gradients_match_finite_differences():
     cfg = ScorerConfig(
         word_dim=3, char_dim=2, lstm_hidden=3, char_cnn_filters=2, word_cnn_filters=2,
@@ -840,7 +894,6 @@ def test_default_configuration_sizes_are_pinned():
 
 def test_gradients_flow_into_embeddings_through_score():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=33)
-    scorer.params.zero_grad()
     backward(scorer.score_batch([["ab", "PER"]]))
     touched = scorer.word_emb.grad
     assert touched is not None
