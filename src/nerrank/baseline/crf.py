@@ -66,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..config import decode
-from ..corpus import ENTITY_TYPES, BioLabel, Dataset, LabelSeq, Sentence
+from ..corpus import ENTITY_TYPES, BioLabel, Dataset, LabelSeq, Sentence, replacing
 from ..errors import NerrankError, checkpoint_errors
 from ..numerics import AdamState, RowGrad, Tensor
 from ..trace import stage
@@ -537,15 +537,13 @@ class CrfMeta:
 
 
 def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
-    """Write the model as a single .npz archive.
+    """Write the model as a single .npz archive (`write_npz`), replacing
+    the file whole.
 
     Weight matrices go in as arrays; the CrfMeta fields (the feature
     vocabulary in id order) and `extra_meta` ride along as one JSON
-    object, stored as its UTF-8 bytes (a uint8 array). The archive holds
-    the bytes `np.savez` writes: one uncompressed `<name>.npy` entry per
-    array, its .npy header, then its data, written from the array's own
-    buffer where `np.savez` would copy it. So writing holds no copy of
-    the weights, and the meta's bytes once.
+    object, stored as its UTF-8 bytes (a uint8 array). Writing holds no
+    copy of the weights, and the meta's bytes once.
     """
     meta = {
         "tags": list(model.tags),
@@ -569,7 +567,16 @@ def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
         "end": model.end,
         "meta": np.frombuffer(text, np.uint8),
     }
-    with zipfile.ZipFile(path, "w", allowZip64=True) as archive:
+    with replacing(path, binary=True) as fh:
+        write_npz(fh, arrays)
+
+
+def write_npz(fh, arrays: dict[str, np.ndarray]):
+    """Write `arrays` to the open binary file `fh` as the bytes `np.savez`
+    writes: one uncompressed `<name>.npy` entry per array, its .npy
+    header, then its data, written from the array's own buffer where
+    `np.savez` would copy it."""
+    with zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
         for name, array in arrays.items():
             array = np.ascontiguousarray(array)
             with archive.open(f"{name}.npy", "w", force_zip64=True) as entry:

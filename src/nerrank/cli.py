@@ -34,6 +34,8 @@ from .baseline.features import read_clusters
 from .baseline.nbest import build_nbest_corpus, decode_corpus, format_nbest, read_nbest
 from .config import (
     FIELD_NAMES,
+    META_FILE,
+    WEIGHTS_FILE,
     RunConfig,
     ScorerConfig,
     config_hash,
@@ -41,7 +43,7 @@ from .config import (
     parse_config_text,
     resolve_config,
 )
-from .corpus import COMMENT_PREFIX, Dataset, format_conll, parse_conll, read_text
+from .corpus import COMMENT_PREFIX, Dataset, format_conll, parse_conll, read_text, replacing
 from .errors import (
     FILE_ERRORS,
     CheckpointMismatchError,
@@ -85,11 +87,12 @@ def _header(cfg: RunConfig) -> str:
 
 def _digest(path) -> str:
     """12 hex of the sha256 of a file's bytes; for a directory (a bundle),
-    of its files in sorted name order, each as its name, NUL, its bytes."""
+    of its two files, meta.json then weights.bin, each as its name, NUL,
+    its bytes. Any other file there, such as a temporary that a killed
+    writer left, is not the bundle's and is not hashed."""
     digest = hashlib.sha256()
     if os.path.isdir(path):
-        names = sorted(entry.name for entry in os.scandir(path) if entry.is_file())
-        parts = [(name.encode("utf-8") + b"\0", os.path.join(path, name)) for name in names]
+        parts = [(name.encode() + b"\0", os.path.join(path, name)) for name in (META_FILE, WEIGHTS_FILE)]
     else:
         parts = [(b"", path)]
     for prefix, file_path in parts:
@@ -125,7 +128,7 @@ def _write_manifest(cfg: RunConfig, name: str, command: Command):
         lines.append(f"output_{command.writes} = {output}\n")
     for line in format_config(cfg).splitlines():
         lines.append(f"config_{line}\n")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.writelines(lines)
 
 
@@ -145,7 +148,7 @@ def _emit(cfg: RunConfig, text: str, *, echo: bool = False):
     if echo or cfg.output_path is None:
         sys.stdout.write(text)
     if cfg.output_path is not None:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+        with replacing(cfg.output_path) as fh:
             fh.write(_header(cfg))
             fh.write(text)
 

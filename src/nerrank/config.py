@@ -7,8 +7,9 @@ rejected, and the fully resolved config has a stable 12-hex digest that is
 stamped into every output file header.
 
 The reranker's blocks (`TrainConfig`, holding a `ScorerConfig`), the alpha
-grid and `decode`, which reads a saved model's meta by the same type rules,
-live here too, so every command can resolve its config without numpy.
+grid, `decode`, which reads a saved model's meta by the same type rules,
+and the names of a bundle's two files live here too, so every command can
+resolve its config, and digest a bundle, without numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ ALIASES = {"lambda": "l2"}
 
 # the interpolation weights alpha search tries: {0, 0.005, ..., 1.0}
 ALPHA_GRID = tuple(i / 200.0 for i in range(201))
+
+# a reranker bundle is a directory of these two files
+META_FILE = "meta.json"
+WEIGHTS_FILE = "weights.bin"
 
 _TRUE_WORDS = frozenset({"true", "yes", "on", "1"})
 _FALSE_WORDS = frozenset({"false", "no", "off", "0"})

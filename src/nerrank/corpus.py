@@ -8,6 +8,8 @@ preserving conlleval segment structure.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -136,6 +138,44 @@ def read_text(path) -> str:
             line=data.count(b"\n", 0, exc.start) + 1,
         ) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+@contextmanager
+def replacing(path, binary: bool = False):
+    """The one writer of every output: a new file (UTF-8 text, or bytes
+    with `binary`) whose contents replace `path` whole when the block
+    exits cleanly.
+
+    A symlink is resolved, so it keeps pointing at the new file. The file
+    is written to a temporary beside the target, `<path>.<pid>.<hex>.tmp`,
+    made by a plain `open`, so it gets the mode bits a new file gets, and
+    is then renamed onto the path; `rename(2)` is atomic within a file
+    system. On any exception the temporary is removed and the previous
+    file is left as it was. A path that exists but is not a regular file
+    (`/dev/null`, a FIFO, a directory) is written in place: a rename would
+    replace the device node, and a directory raises IsADirectoryError.
+    """
+    target = os.path.realpath(path)
+    encoding = None if binary else "utf-8"
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "wb" if binary else "w", encoding=encoding) as fh:
+            yield fh
+        return
+    # the pid keeps two live writers apart; the random part, a stale
+    # temporary that a killed writer of a reused pid left behind
+    tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        fh = open(tmp, "xb" if binary else "x", encoding=encoding)
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # name the output, not its temporary
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def parse_conll(text: str) -> Dataset:

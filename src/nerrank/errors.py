@@ -5,8 +5,10 @@ The CLI maps each class to a distinct exit code (see cli.EXIT_CODES).
 
 from contextlib import contextmanager
 
-# what opening a missing, unreadable or misplaced input path raises
-FILE_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
+# what a missing, unreadable or misplaced path raises: an input that
+# cannot be opened, or an output that cannot be made (a regular file where
+# a bundle directory is expected raises FileExistsError)
+FILE_ERRORS = (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError)
 
 
 class NerrankError(Exception):

@@ -25,8 +25,8 @@ import numpy as np
 
 from .baseline.nbest import NBestCorpus
 from .collapse import CollapsedSequence, collapsed_to_labels, collapsed_token_strings
-from .config import ALPHA_GRID, TrainConfig, check_alpha, decode
-from .corpus import LabelSeq
+from .config import ALPHA_GRID, META_FILE, WEIGHTS_FILE, TrainConfig, check_alpha, decode
+from .corpus import LabelSeq, replacing
 from .errors import ConfigError, NerrankError, checkpoint_errors
 from .evaluation import PrfCounts
 from .numerics import AdamState, Tensor, add, backward, l2_penalty, mse, no_tape
@@ -34,8 +34,6 @@ from .reranker import PatternScorer, Vocab, build_vocab
 from .trace import stage
 
 SHUFFLE_STREAM = 23
-WEIGHTS_FILE = "weights.bin"
-META_FILE = "meta.json"
 SCORE_ITEMS = 512
 
 
@@ -324,10 +322,18 @@ def rerank(bundle: RerankerBundle, nbest: NBestCorpus) -> list[LabelSeq]:
 
 def save_bundle(path, bundle: RerankerBundle, *, provenance: dict | None = None):
     """Write the bundle as a directory: the scorer parameters as an npz
-    archive of named float64 arrays, plus its BundleMeta as JSON."""
+    archive of named float64 arrays, plus its BundleMeta as JSON.
+
+    Both files are written to temporaries first. Only then does the save
+    commit: it removes meta.json, renames weights.bin in, then meta.json.
+    So an interruption leaves the old bundle whole, a bundle without
+    meta.json (which exits 2 on load), or the new bundle whole, and never
+    one run's weights beside another run's meta."""
+    # the npz encoder is the CRF's; only this save needs it, so decoding
+    # with a bundle does not import the CRF
+    from .baseline.crf import write_npz
+
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, WEIGHTS_FILE), "wb") as fh:
-        np.savez(fh, **{name: t.data for name, t in bundle.scorer.params.items()})
     meta = BundleMeta(
         provenance=provenance or {},
         alpha=bundle.alpha,
@@ -336,9 +342,19 @@ def save_bundle(path, bundle: RerankerBundle, *, provenance: dict | None = None)
         vocab=bundle.scorer.vocab,
         history=tuple(bundle.history),
     )
-    with open(os.path.join(path, META_FILE), "w", encoding="utf-8") as fh:
-        json.dump(asdict(meta), fh, indent=2)
-        fh.write("\n")
+    # resolved, so that a symlinked meta.json loses its target, not its link
+    meta_path = os.path.realpath(os.path.join(path, META_FILE))
+    weights_path = os.path.join(path, WEIGHTS_FILE)
+    with replacing(meta_path) as meta_fh, replacing(weights_path, binary=True) as weights_fh:
+        write_npz(weights_fh, {name: t.data for name, t in bundle.scorer.params.items()})
+        json.dump(asdict(meta), meta_fh, indent=2)
+        meta_fh.write("\n")
+        # every byte is handed to the OS before the commit starts
+        weights_fh.flush()
+        meta_fh.flush()
+        if os.path.isfile(meta_path):
+            os.remove(meta_path)
+        # the writers exit in reverse order: weights.bin is renamed in, then meta.json
 
 
 def load_bundle(path) -> RerankerBundle:

@@ -8,6 +8,7 @@ import logging
 import os
 import re
 import shutil
+import stat
 import struct
 import subprocess
 import sys
@@ -30,6 +31,8 @@ from nerrank.cli import (
     EXIT_FAILURE,
     EXIT_MISSING_FILE,
     EXIT_OK,
+    _emit,
+    _write_manifest,
     main,
 )
 from nerrank.config import (
@@ -47,6 +50,7 @@ from nerrank.errors import CheckpointMismatchError, ConfigError
 
 from test_baseline import decode_one
 from toycorpus import make_corpus
+from writes import fail_npz_entry, temporaries
 
 HEADER_PREFIX = f"# nerrank {__version__} config "
 
@@ -360,6 +364,18 @@ def test_crf_checkpoint_errors(tmp_path):
         load_crf(bad)
 
 
+def test_a_failed_save_crf_leaves_the_previous_checkpoint(tmp_path, tiny_crf, monkeypatch):
+    _, model = tiny_crf
+    path = tmp_path / "model.npz"
+    save_crf(path, model, extra_meta={"run": 1})
+    before = path.read_bytes()
+    fail_npz_entry(monkeypatch, 3)  # after emit and trans
+    with pytest.raises(OSError, match="No space left"):
+        save_crf(path, model, extra_meta={"run": 2})
+    assert path.read_bytes() == before
+    assert temporaries(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # full command-line pipeline
 
@@ -496,15 +512,21 @@ def test_manifest_bundle_digest_follows_its_contents(pipeline_dir, tmp_path, cap
     shutil.copytree(pipeline_dir["bundle"], bundle)
     argv = ["rerank-decode", "--bundle-path", str(bundle),
             "--nbest-path", str(pipeline_dir["test_nbest"]), "--output-path", str(pred)]
-    digests = []
-    for _ in range(2):
+
+    def digest():
         assert main(argv) == EXIT_OK
-        digests.append(read_manifest(manifest_of(pred))["input_bundle_path_sha256"])
-        _edit_weights(lambda a: a.update(head_b=a["head_b"] + 1.0))(bundle)
+        return read_manifest(manifest_of(pred))["input_bundle_path_sha256"]
+
+    first = digest()
+    # a file the bundle does not own, such as a killed writer's temporary
+    (bundle / "weights.bin.4242.0badcafe.tmp").write_bytes(b"partial")
+    assert digest() == first
+    _edit_weights(lambda a: a.update(head_b=a["head_b"] + 1.0))(bundle)
+    edited = digest()
     capsys.readouterr()
     # the same files under another path give the same digest
-    assert digests[0] == read_manifest(manifest_of(pipeline_dir["pred"]))["input_bundle_path_sha256"]
-    assert digests[1] != digests[0]
+    assert first == read_manifest(manifest_of(pipeline_dir["pred"]))["input_bundle_path_sha256"]
+    assert edited != first
 
 
 def test_manifests_record_optional_inputs(pipeline_dir, tmp_path, capsys):
@@ -725,6 +747,88 @@ def test_alpha_search_reports_grid(pipeline_dir, capsys):
     assert values["grid_points"] == "201"
     alpha = float(values["alpha"])
     assert abs(alpha * 200 - round(alpha * 200)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# outputs: each is replaced whole, through one writer
+
+
+def test_a_failed_output_write_leaves_the_previous_file(tmp_path):
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"previous\n")
+    cfg = RunConfig(output_path=str(out))
+    # the header is written, then the text cannot be encoded
+    with pytest.raises(UnicodeEncodeError):
+        _emit(cfg, "a lone surrogate: \ud800\n")
+    assert out.read_bytes() == b"previous\n"
+    assert temporaries(tmp_path) == []
+
+
+def test_a_failed_manifest_write_leaves_the_previous_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "out.txt"
+    manifest_of(out).write_bytes(b"previous\n")
+    cfg = RunConfig(output_path=str(out), nbest_path=str(out))
+    # the first lines are written, then a config line cannot be encoded
+    monkeypatch.setattr("nerrank.cli.format_config", lambda cfg: "seed = 0\nbad = \ud800\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_manifest(cfg, "oracle", COMMANDS["oracle"])
+    assert manifest_of(out).read_bytes() == b"previous\n"
+    assert temporaries(tmp_path) == []
+
+
+def _eval_into(tmp_path, output, *extra):
+    gold = tmp_path / "g.conll"
+    gold.write_text(CONLL, encoding="utf-8")
+    return ["eval", "--gold-path", str(gold), "--pred-path", str(gold), "--output-path", str(output), *extra]
+
+
+def test_outputs_get_the_mode_bits_of_a_plain_open(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    # a read-only previous output in a writable directory is replaced
+    out.write_text("previous\n", encoding="utf-8")
+    out.chmod(0o444)
+    umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
+            pass
+        assert main(_eval_into(tmp_path, out)) == EXIT_OK
+    finally:
+        os.umask(umask)
+    capsys.readouterr()
+    bits = {p.name: stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "plain.txt", out, manifest_of(out))}
+    assert bits == dict.fromkeys(bits, 0o640)
+    assert out.read_text(encoding="utf-8").startswith(HEADER_PREFIX)
+
+
+def test_a_symlinked_output_keeps_its_link(tmp_path, capsys):
+    target = tmp_path / "real" / "out.txt"
+    target.parent.mkdir()
+    target.write_text("previous\n", encoding="utf-8")
+    link = tmp_path / "out.txt"
+    link.symlink_to(target)
+    assert main(_eval_into(tmp_path, link)) == EXIT_OK
+    capsys.readouterr()
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8").startswith(HEADER_PREFIX)
+    assert temporaries(tmp_path) == []
+
+
+def test_an_output_on_dev_null_leaves_the_device(tmp_path, capsys):
+    argv = _eval_into(tmp_path, os.devnull, "--manifest-path", str(tmp_path / "eval.manifest"))
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert temporaries(tmp_path) == []
+
+
+def test_an_output_on_a_directory_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(_eval_into(tmp_path, out))
+    err = capsys.readouterr().err
+    assert rc == EXIT_MISSING_FILE, err
+    assert str(out) in err and "Traceback" not in err
+    assert list(out.iterdir()) == [] and temporaries(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1182,8 +1286,10 @@ def test_malformed_text_input_exit_code(pipeline_dir, tmp_path, capsys, kind, mu
 
 
 # each leaves a bundle path that cannot be read: opening a part raises one
-# of FILE_ERRORS, which a checkpoint reader passes on
+# of FILE_ERRORS, which a checkpoint reader passes on. A save interrupted
+# between its renames leaves the bundle without its meta.json
 BUNDLE_FILE_ERRORS = {
+    "meta-missing": lambda bundle: (bundle / "meta.json").unlink(),
     "missing-directory": lambda bundle: shutil.rmtree(bundle),
     "regular-file": lambda bundle: (shutil.rmtree(bundle), bundle.write_bytes(b"")),
     "weights-missing": lambda bundle: (bundle / "weights.bin").unlink(),
@@ -1272,6 +1378,24 @@ def test_path_through_a_file_exit_code(tmp_path, capsys, side):
     err = capsys.readouterr().err
     assert rc == EXIT_MISSING_FILE
     assert err.startswith("nerrank: error:") and "Not a directory" in err
+    # the message names the path given, not the writer's temporary
+    assert ".tmp" not in err
+    assert temporaries(tmp_path) == []
+
+
+def test_bundle_path_on_a_regular_file_exit_code(pipeline_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    bundle.write_bytes(b"")
+    rc = main(
+        ["rerank-train", "--train-nbest-path", str(pipeline_dir["jk"]),
+         "--dev-nbest-path", str(pipeline_dir["dev_nbest"]), "--bundle-path", str(bundle),
+         "--word-dim", "8", "--char-dim", "6", "--lstm-hidden", "8",
+         "--char-cnn-filters", "4", "--word-cnn-filters", "6", "--epochs", "0"]
+    )
+    err = capsys.readouterr().err
+    assert rc == EXIT_MISSING_FILE, err
+    assert err.startswith("nerrank: error:") and str(bundle) in err and "Traceback" not in err
+    assert bundle.read_bytes() == b""
 
 
 def test_unreadable_input_exit_code(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,11 @@ Only `trace.py` imports `time`: a stage times itself through
 No module under `baseline/` multiplies through BLAS (`@`, `matmul`, `dot`,
 `einsum`, `tensordot`): the CRF's weights, candidates and probabilities
 are byte-identical across BLAS kernels because the CRF makes no BLAS
-call."""
+call.
+
+Only two functions write files: `corpus.replacing`, which every output
+goes through so that it is replaced whole, and `baseline.crf.write_npz`,
+the one npz encoder, which writes into the file `replacing` opened."""
 
 import ast
 from pathlib import Path
@@ -134,4 +138,94 @@ def test_the_blas_scan_sees_every_form_of_product():
     assert blas_uses(source) == [
         "line 2: dot", "line 2: tensordot", "line 3: @", "line 4: @",
         "line 5: dot", "line 5: matmul", "line 6: einsum",
+    ]
+
+
+# calls that always write: numpy's savers, `tofile` and pathlib's writers
+WRITE_CALLS = {"save", "savez", "savez_compressed", "savetxt", "tofile", "write_text", "write_bytes"}
+MODE_CHARS = set("rwaxbt+")
+
+
+def _mode(call: ast.Call) -> ast.expr | None:
+    """A file-opening call's mode: its `mode=` keyword, else its second
+    positional argument, else a lone first one that reads as a mode
+    (`path.open("w")`); None when it has none, which means read."""
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return keyword.value
+    if len(call.args) > 1:
+        return call.args[1]
+    if call.args and isinstance(call.args[0], ast.Constant) and set(str(call.args[0].value)) <= MODE_CHARS:
+        return call.args[0]
+    return None
+
+
+def _writes(mode: ast.expr | None) -> bool:
+    """A mode writes when it holds w, a, x or +, or when it is not a
+    string constant, so the scan cannot tell."""
+    if mode is None:
+        return False
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return bool(set(mode.value) & set("wax+"))
+    return True
+
+
+def file_writes(source: str) -> list[tuple[str, int, str]]:
+    """Each call that can write a file, as (innermost enclosing function or
+    `<module>`, line, name): `open`, `x.open` and `ZipFile` with a mode
+    that writes, and every call of a name in WRITE_CALLS."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in WRITE_CALLS or (name in ("open", "ZipFile") and _writes(_mode(child))):
+                    found.append((where, child.lineno, name))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found, key=lambda f: (f[1], f[2]))
+
+
+def test_only_the_writer_and_the_npz_encoder_write_files():
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for where, _, name in file_writes(path.read_text(encoding="utf-8")):
+            found.setdefault((str(path.relative_to(PACKAGE)), where), []).append(name)
+    assert found == {
+        # the temporary, and a device or FIFO written in place
+        ("corpus.py", "replacing"): ["open", "open"],
+        # the archive, and each of its entries
+        ("baseline/crf.py", "write_npz"): ["ZipFile", "open"],
+    }
+
+
+def test_the_write_scan_sees_every_form_of_write():
+    source = (
+        "import numpy as np, zipfile\n"
+        "from pathlib import Path\n"
+        "def reads(p, name):\n"
+        "    open(p), open(p, 'rb'), open(p, mode='r', encoding='utf-8'), Path(p).open()\n"
+        "    zipfile.ZipFile(p), np.load(p), Path(p).read_text(), zipfile.ZipFile(p).open(name)\n"
+        "def writes(p, m):\n"
+        "    open(p, 'w'), open(p, mode='ab'), open(p, 'x'), open(p, 'r+'), open(p, m)\n"
+        "    Path(p).open('w'), Path(p).write_text('s'), Path(p).write_bytes(b'')\n"
+        "    def inner(z):\n"
+        "        zipfile.ZipFile(p, 'w'), z.open('a.npy', mode='w'), z.open('a.npy', 'w')\n"
+        "    np.save(p, 1), np.savez(p), np.savez_compressed(p), np.arange(2).tofile(p)\n"
+        "log = open('log.txt', 'a')\n"
+    )
+    assert file_writes(source) == [
+        ("writes", 7, "open"), ("writes", 7, "open"), ("writes", 7, "open"),
+        ("writes", 7, "open"), ("writes", 7, "open"),
+        ("writes", 8, "open"), ("writes", 8, "write_bytes"), ("writes", 8, "write_text"),
+        ("inner", 10, "ZipFile"), ("inner", 10, "open"), ("inner", 10, "open"),
+        ("writes", 11, "save"), ("writes", 11, "savez"), ("writes", 11, "savez_compressed"),
+        ("writes", 11, "tofile"),
+        ("<module>", 12, "open"),
     ]

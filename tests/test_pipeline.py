@@ -1,7 +1,9 @@
 """Tests for reranker dataset construction, the MSE+L2 objective, mixture
 decoding, the interpolation grid search, training, and bundle persistence."""
 
+import io
 import logging
+import os
 import re
 import sys
 import tracemalloc
@@ -37,6 +39,7 @@ from nerrank.pipeline import (
 )
 from nerrank.reranker import PatternScorer, build_vocab
 from strategies import label_seqs, sentences
+from writes import fail_npz_entry, temporaries
 
 TINY = TrainConfig(
     scorer=ScorerConfig(
@@ -1001,3 +1004,86 @@ def test_bundle_rejects_garbage_weights(tmp_path):
 def test_load_bundle_missing_directory(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_bundle(tmp_path / "nowhere")
+
+
+def test_bundle_weights_are_the_bytes_of_np_savez(tmp_path):
+    bundle = random_bundle(seed=4)
+    save_bundle(tmp_path / "bundle", bundle)
+    reference = io.BytesIO()
+    np.savez(reference, **{name: t.data for name, t in bundle.scorer.params.items()})
+    assert (tmp_path / "bundle" / "weights.bin").read_bytes() == reference.getvalue()
+
+
+def run_bundle(seed):
+    """A random bundle whose config records its seed, as a run's would."""
+    bundle = random_bundle(seed)
+    return replace(bundle, config=replace(bundle.config, seed=seed))
+
+
+def bundle_bytes(path):
+    return {name: (path / name).read_bytes() for name in ("meta.json", "weights.bin")}
+
+
+def test_a_failed_bundle_save_leaves_the_previous_bundle(tmp_path, monkeypatch):
+    path = tmp_path / "bundle"
+    save_bundle(path, run_bundle(0))
+    before = bundle_bytes(path)
+    fail_npz_entry(monkeypatch, 3)
+    with pytest.raises(OSError, match="No space left"):
+        save_bundle(path, run_bundle(1))
+    assert bundle_bytes(path) == before
+    assert temporaries(tmp_path) == []
+
+
+def _interrupted(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def _dump_part_way(obj, fh, **kwargs):
+    fh.write("{")
+    _interrupted()
+
+
+@pytest.mark.parametrize("patch", [("BundleMeta", _interrupted), ("json.dump", _dump_part_way)])
+def test_a_save_that_stops_after_the_weights_leaves_the_previous_bundle(tmp_path, monkeypatch, patch):
+    # a second run saves into the same directory and stops after its
+    # weights: on building its meta, or part way through writing it. The
+    # first run's bundle must load whole: its weights and its config
+    path = tmp_path / "bundle"
+    first = run_bundle(0)
+    save_bundle(path, first)
+    before = bundle_bytes(path)
+    monkeypatch.setattr(f"nerrank.pipeline.{patch[0]}", patch[1])
+    with pytest.raises(KeyboardInterrupt):
+        save_bundle(path, run_bundle(1))
+    monkeypatch.undo()
+    assert bundle_bytes(path) == before
+    assert temporaries(tmp_path) == []
+    loaded = load_bundle(path)
+    assert loaded.config == first.config and loaded.config.seed == 0
+    assert_same_params(first.scorer, loaded.scorer)
+
+
+def test_a_commit_stopped_between_its_renames_does_not_load(tmp_path, monkeypatch):
+    # weights.bin is renamed in, and the rename of meta.json fails. The
+    # commit removed the old meta.json first, so the bundle fails to load
+    # (exit 2) rather than give the second run's weights the first's config
+    path = tmp_path / "bundle"
+    save_bundle(path, run_bundle(0))
+    renamed, rename = [], os.replace
+
+    def replace_once(src, dst):
+        renamed.append(os.path.basename(dst))
+        if len(renamed) == 2:
+            raise OSError(5, "Input/output error")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_once)
+    with pytest.raises(OSError, match="Input/output error"):
+        save_bundle(path, run_bundle(1))
+    monkeypatch.undo()
+    assert renamed == ["weights.bin", "meta.json"]
+    assert temporaries(tmp_path) == []
+    assert sorted(p.name for p in path.iterdir()) == ["weights.bin"]
+    with pytest.raises(FileNotFoundError, match="meta.json"):
+        load_bundle(path)
