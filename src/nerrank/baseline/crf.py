@@ -58,7 +58,6 @@ tie that rounding creates.
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import dataclass, field, fields
 from itertools import compress
 from typing import NamedTuple
@@ -68,7 +67,7 @@ import numpy as np
 from ..config import decode
 from ..corpus import ENTITY_TYPES, BioLabel, Dataset, LabelSeq, Sentence, replacing
 from ..errors import NerrankError, checkpoint_errors
-from ..numerics import AdamState, RowGrad, Tensor
+from ..numerics import AdamState, RowGrad, Tensor, write_npz
 from ..trace import stage
 from .features import FeatureTemplateSet, featurize
 
@@ -569,19 +568,6 @@ def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
     }
     with replacing(path, binary=True) as fh:
         write_npz(fh, arrays)
-
-
-def write_npz(fh, arrays: dict[str, np.ndarray]):
-    """Write `arrays` to the open binary file `fh` as the bytes `np.savez`
-    writes: one uncompressed `<name>.npy` entry per array, its .npy
-    header, then its data, written from the array's own buffer where
-    `np.savez` would copy it."""
-    with zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
-        for name, array in arrays.items():
-            array = np.ascontiguousarray(array)
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as entry:
-                np.lib.format.write_array_header_1_0(entry, np.lib.format.header_data_from_array_1_0(array))
-                entry.write(array.data)
 
 
 def load_crf(path) -> CrfModel:

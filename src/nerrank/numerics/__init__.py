@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode autodiff, and Adam."""
+"""Dense float64 tensors with reverse-mode autodiff, Adam, and the npz encoder."""
 
 from .tensor import (
     Tensor,
@@ -15,6 +15,7 @@ from .tensor import (
     no_tape,
 )
 from .optim import AdamState, RowGrad
+from .npz import write_npz
 
 __all__ = [
     "AdamState",
@@ -31,4 +32,5 @@ __all__ = [
     "lstm",
     "mse",
     "no_tape",
+    "write_npz",
 ]

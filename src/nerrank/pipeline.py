@@ -29,7 +29,7 @@ from .config import ALPHA_GRID, META_FILE, WEIGHTS_FILE, TrainConfig, check_alph
 from .corpus import LabelSeq, replacing
 from .errors import ConfigError, NerrankError, checkpoint_errors
 from .evaluation import PrfCounts
-from .numerics import AdamState, Tensor, add, backward, l2_penalty, mse, no_tape
+from .numerics import AdamState, Tensor, add, backward, l2_penalty, mse, no_tape, write_npz
 from .reranker import PatternScorer, Vocab, build_vocab
 from .trace import stage
 
@@ -329,10 +329,6 @@ def save_bundle(path, bundle: RerankerBundle, *, provenance: dict | None = None)
     So an interruption leaves the old bundle whole, a bundle without
     meta.json (which exits 2 on load), or the new bundle whole, and never
     one run's weights beside another run's meta."""
-    # the npz encoder is the CRF's; only this save needs it, so decoding
-    # with a bundle does not import the CRF
-    from .baseline.crf import write_npz
-
     os.makedirs(path, exist_ok=True)
     meta = BundleMeta(
         provenance=provenance or {},

@@ -13,7 +13,7 @@ from .vocab import (
     WORD_UNK_ID,
     build_vocab,
 )
-from .embeddings import init_embeddings, parse_embeddings, read_embeddings
+from .embeddings import parse_embeddings, read_embeddings
 from .model import PatternScorer
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "WORD_UNK",
     "WORD_UNK_ID",
     "build_vocab",
-    "init_embeddings",
     "parse_embeddings",
     "read_embeddings",
 ]

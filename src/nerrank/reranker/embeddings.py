@@ -1,11 +1,9 @@
-"""Word embedding initialization, optionally seeded from a text file.
+"""Pretrained word vectors read from a text file.
 
 The file format is one token per line followed by its values, all space
 separated; a first line of exactly two integers is treated as a
-``<count> <dim>`` header and skipped.  Every vocabulary entry not found in
-the file — reserved tokens included — is drawn uniformly from
-(-sqrt(3/dim), +sqrt(3/dim)) with the run's generator, so results are
-reproducible for a fixed seed.
+``<count> <dim>`` header and skipped.  The scorer copies each vector into
+its token's embedding row (see `reranker.model.PatternScorer`).
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import numpy as np
 
 from ..corpus import read_text
 from ..errors import ParseError
-from .vocab import Vocab
 
 
 def _is_header(fields: list[str]) -> bool:
@@ -67,22 +64,3 @@ def parse_embeddings(text: str, dim: int) -> dict[str, np.ndarray]:
 
 def read_embeddings(path, dim: int) -> dict[str, np.ndarray]:
     return parse_embeddings(read_text(path), dim)
-
-
-def init_embeddings(
-    vocab: Vocab,
-    dim: int,
-    rng: np.random.Generator,
-    pretrained: dict[str, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Build the (vocabulary size, dim) table: random within the bound,
-    then copy the pretrained vector of every token the file actually
-    contains."""
-    bound = np.sqrt(3.0 / dim)
-    table = rng.uniform(-bound, bound, size=(len(vocab.words), dim))
-    if pretrained:
-        for tid, token in enumerate(vocab.words):
-            vec = pretrained.get(token)
-            if vec is not None:
-                table[tid] = vec
-    return table

@@ -39,7 +39,6 @@ import numpy as np
 from ..config import ScorerConfig
 from ..errors import CheckpointMismatchError, ConfigError, NerrankError
 from ..numerics import Tensor, concat, conv_pool, dropout, head, lookup_rows, lstm
-from .embeddings import init_embeddings
 from .vocab import CHAR_PAD_ID, Vocab
 
 INIT_STREAM = 21
@@ -50,7 +49,8 @@ def scorer_layout(vocab: Vocab, config: ScorerConfig) -> dict[str, tuple[tuple[i
     """The scorer's parameters in draw order: name -> (shape, bound of the
     uniform initial draw, 0.0 for zeros). The embedding tables' bound is
     sqrt(3 / dim), a weight matrix's the Glorot sqrt(6 / (fan_in +
-    fan_out))."""
+    fan_out)); every word_emb row is drawn, reserved tokens' included,
+    and a pretrained vector then replaces its token's row."""
     cfg = config
 
     def glorot(fan_in: int, fan_out: int):
@@ -85,16 +85,16 @@ class PatternScorer:
     the dropout masks and, without `weights`, the initial weights. The
     config blocks hold the defaults of all three.
 
-    The parameters are `scorer_layout(vocab, config)`, and `params` maps
-    each name to its Tensor in that order. Without `weights`, they are
-    drawn from the seed's INIT_STREAM in that order: `word_emb` by
-    `init_embeddings` (which copies the `pretrained` vectors in), each
-    other table by one uniform draw within its bound, zeros drawing
-    nothing. `weights`, trained arrays by name, must hold exactly the
-    layout's names, each of its shape and finite, or raise
-    CheckpointMismatchError; they are used as given (not copied; only an
-    array that is not C-ordered float64 is converted), and nothing is
-    drawn.
+    The parameters are `scorer_layout(vocab, config)`, and `params`, the
+    one handle on them, maps each name to its Tensor in that order.
+    Without `weights`, they are drawn from the seed's INIT_STREAM in that
+    order, each by one uniform draw within its bound, zeros drawing
+    nothing; then each vocabulary token's `pretrained` vector, if it has
+    one, is copied into its `word_emb` row. `weights`, trained arrays by
+    name, must hold exactly the layout's names, each of its shape and
+    finite, or raise CheckpointMismatchError; they are used as given (not
+    copied; only an array that is not C-ordered float64 is converted), and
+    nothing is drawn.
     """
 
     def __init__(
@@ -116,10 +116,14 @@ class PatternScorer:
         layout = scorer_layout(vocab, cfg)
         if weights is None:
             rng = np.random.default_rng([seed, INIT_STREAM])
-            weights = {"word_emb": init_embeddings(vocab, cfg.word_dim, rng, pretrained)}
-            for name, (shape, bound) in layout.items():
-                if name not in weights:
-                    weights[name] = rng.uniform(-bound, bound, size=shape) if bound else np.zeros(shape)
+            weights = {
+                name: rng.uniform(-bound, bound, size=shape) if bound else np.zeros(shape)
+                for name, (shape, bound) in layout.items()
+            }
+            if pretrained:
+                for tid, token in enumerate(vocab.words):
+                    if token in pretrained:
+                        weights["word_emb"][tid] = pretrained[token]
         elif set(weights) != set(layout):
             missing = sorted(set(layout) - set(weights))
             extra = sorted(set(weights) - set(layout))
@@ -133,18 +137,6 @@ class PatternScorer:
                 raise CheckpointMismatchError(f"parameter {name!r} holds a non-finite value")
             self.params[name] = Tensor(arr)
 
-        p = self.params
-        self.word_emb, self.head_w, self.head_b = p["word_emb"], p["head_w"], p["head_b"]
-        if cfg.use_char_cnn:
-            self.char_emb, self.char_cnn_w, self.char_cnn_b = p["char_emb"], p["char_cnn_w"], p["char_cnn_b"]
-        if cfg.use_lstm:
-            self.lstm_w = [p[f"lstm_w{i}"] for i in range(1, 9)]
-            self.lstm_b = [p[f"lstm_b{i}"] for i in range(1, 5)]
-            if cfg.peepholes:
-                self.lstm_mu1, self.lstm_mu2 = p["lstm_mu1"], p["lstm_mu2"]
-        if cfg.use_word_cnn:
-            self.word_cnn_w, self.word_cnn_b = p["word_cnn_w"], p["word_cnn_b"]
-
     # -- word-level representations -------------------------------------
 
     def _char_ids(self, word: str) -> list[int]:
@@ -153,12 +145,13 @@ class PatternScorer:
 
     def word_matrix(self, words: list[str]) -> Tensor:
         """Pre-dropout representations of the given words, one row each."""
-        emb = lookup_rows(self.word_emb, [self.vocab.word_id(w) for w in words])
+        p = self.params
+        emb = lookup_rows(p["word_emb"], [self.vocab.word_id(w) for w in words])
         if not self.config.use_char_cnn:
             return emb
         char_ids = [i for w in words for i in self._char_ids(w)]
         runs = np.full(len(words), self.char_pad)
-        chars = conv_pool(self.char_emb, char_ids, runs, self.char_cnn_w, self.char_cnn_b)
+        chars = conv_pool(p["char_emb"], char_ids, runs, p["char_cnn_w"], p["char_cnn_b"])
         return concat([emb, chars], 1)
 
     # -- sequence encoders ----------------------------------------------
@@ -166,13 +159,17 @@ class PatternScorer:
     def lstm_encode(self, x: Tensor, lengths) -> Tensor:
         """Final hidden state of each run of rows read top to bottom,
         shape (B, lstm_hidden), as one `lstm` node."""
-        peepholes = (self.lstm_mu1, self.lstm_mu2) if self.config.peepholes else None
-        return lstm(x, self.lstm_w, self.lstm_b, peepholes, lengths)
+        p = self.params
+        w = [p[f"lstm_w{i}"] for i in range(1, 9)]
+        b = [p[f"lstm_b{i}"] for i in range(1, 5)]
+        peepholes = (p["lstm_mu1"], p["lstm_mu2"]) if self.config.peepholes else None
+        return lstm(x, w, b, peepholes, lengths)
 
     def word_cnn_encode(self, x: Tensor, lengths) -> Tensor:
         """Max-pooled window responses over each run of rows, shape
         (B, word_cnn_filters)."""
-        return conv_pool(x, np.arange(x.shape[0]), lengths, self.word_cnn_w, self.word_cnn_b)
+        p = self.params
+        return conv_pool(x, np.arange(x.shape[0]), lengths, p["word_cnn_w"], p["word_cnn_b"])
 
     # -- scoring ---------------------------------------------------------
 
@@ -200,7 +197,7 @@ class PatternScorer:
         if cfg.use_word_cnn:
             parts.append(self.word_cnn_encode(x, lengths))
         h = parts[0] if len(parts) == 1 else concat(parts, 1)
-        return head(h, self.head_w, self.head_b)
+        return head(h, self.params["head_w"], self.params["head_b"])
 
     def trainable(self):
         """(name, tensor) pairs the optimizer should update."""

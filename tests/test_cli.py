@@ -1545,3 +1545,17 @@ def test_baseline_decode_loads_no_reranker(pipeline_dir, tmp_path):
     assert code == EXIT_OK
     assert {"numpy", "nerrank.baseline.crf"} <= modules
     assert not modules & {"nerrank.pipeline", "nerrank.reranker"}
+
+
+def test_rerank_train_loads_no_crf(pipeline_dir, tmp_path):
+    bundle = tmp_path / "bundle"
+    code, modules = _probe(
+        ["rerank-train", "--train-nbest-path", str(pipeline_dir["jk"]),
+         "--dev-nbest-path", str(pipeline_dir["dev_nbest"]), "--bundle-path", str(bundle),
+         "--word-dim", "4", "--char-dim", "2", "--lstm-hidden", "4",
+         "--char-cnn-filters", "2", "--word-cnn-filters", "2", "--epochs", "1"]
+    )
+    assert code == EXIT_OK
+    assert (bundle / "weights.bin").stat().st_size > 0
+    assert {"numpy", "nerrank.pipeline", "nerrank.reranker"} <= modules
+    assert "nerrank.baseline.crf" not in modules

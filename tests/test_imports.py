@@ -12,7 +12,7 @@ are byte-identical across BLAS kernels because the CRF makes no BLAS
 call.
 
 Only two functions write files: `corpus.replacing`, which every output
-goes through so that it is replaced whole, and `baseline.crf.write_npz`,
+goes through so that it is replaced whole, and `numerics.npz.write_npz`,
 the one npz encoder, which writes into the file `replacing` opened."""
 
 import ast
@@ -201,7 +201,7 @@ def test_only_the_writer_and_the_npz_encoder_write_files():
         # the temporary, and a device or FIFO written in place
         ("corpus.py", "replacing"): ["open", "open"],
         # the archive, and each of its entries
-        ("baseline/crf.py", "write_npz"): ["ZipFile", "open"],
+        ("numerics/npz.py", "write_npz"): ["ZipFile", "open"],
     }
 
 

@@ -88,8 +88,8 @@ def tiny_scorer(token_lists, *, zero_head=False, seed=0, config=None):
         seed=seed,
     )
     if zero_head:
-        scorer.head_w.data[:] = 0.0
-        scorer.head_b.data[:] = 0.0
+        scorer.params["head_w"].data[:] = 0.0
+        scorer.params["head_b"].data[:] = 0.0
     return scorer
 
 
@@ -220,10 +220,10 @@ def test_l2_covers_all_trainable_parameters():
     # zeroing the head changes the penalty by exactly its squared norm
     scorer, examples, lam = loss_fixture([0.5, 0.5], l2=0.5, zero_head=False)
     before = batch_loss(scorer, examples, 0.5, train=False).item()
-    head_sq = float(np.sum(scorer.head_w.data ** 2))
+    head_sq = float(np.sum(scorer.params["head_w"].data ** 2))
     err = (scorer.score_batch([examples[0].tokens]).item() - 0.5) ** 2
-    scorer.head_w.data[:] = 0.0
-    scorer.head_b.data[:] = 0.0
+    scorer.params["head_w"].data[:] = 0.0
+    scorer.params["head_b"].data[:] = 0.0
     after = batch_loss(scorer, examples, 0.5, train=False).item()
     assert before - err == pytest.approx(after + 0.25 * head_sq, rel=1e-9)
 
@@ -583,8 +583,8 @@ def test_score_sets_rejects_scores_outside_the_open_interval():
     corpus = small_corpus()
     for bias, weight, shown in ((1000.0, 0.0, "1.0"), (-1000.0, 0.0, "0.0"), (0.0, np.nan, "nan")):
         scorer = tiny_scorer(corpus_token_lists(corpus), zero_head=True)
-        scorer.head_b.data[:] = bias
-        scorer.head_w.data[:] = weight
+        scorer.params["head_b"].data[:] = bias
+        scorer.params["head_w"].data[:] = weight
         with pytest.raises(NerrankError, match=rf"inside \(0, 1\): {shown}"):
             score_sets(scorer, corpus)
 
@@ -974,14 +974,16 @@ def test_bundle_weights_round_trip_bit_exact(tmp_path):
 
 def test_load_bundle_draws_no_weights(tmp_path, monkeypatch):
     """A loaded scorer is built from the saved arrays: no initial weight
-    is drawn, so an initializer that raises does not stop it."""
+    is drawn, so generators that raise on any use do not stop it (an
+    evaluation-mode score draws no dropout mask either)."""
     bundle = random_bundle(seed=3)
     save_bundle(tmp_path / "bundle", bundle)
 
-    def no_draw(*args, **kwargs):
-        raise AssertionError("load_bundle drew initial weights")
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"load_bundle drew from a generator (Generator.{name})")
 
-    monkeypatch.setattr("nerrank.reranker.model.init_embeddings", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
     loaded = load_bundle(tmp_path / "bundle")
     assert_same_params(bundle.scorer, loaded.scorer)
     tokens = [["PER", "visited", "LOC"], ["LOC"]]

@@ -1,4 +1,4 @@
-"""Tests for the vocabulary, embedding init, and the neural pattern scorer."""
+"""Tests for the vocabulary, embedding files, the initial draw, and the neural pattern scorer."""
 
 import math
 import re
@@ -30,10 +30,9 @@ from nerrank.reranker import (
     Vocab,
     WORD_UNK_ID,
     build_vocab,
-    init_embeddings,
     parse_embeddings,
 )
-from nerrank.reranker.model import DROPOUT_STREAM, scorer_layout
+from nerrank.reranker.model import DROPOUT_STREAM, INIT_STREAM, scorer_layout
 from gradcheck import grad_check, weighted_sum
 
 SMALL = ScorerConfig(
@@ -111,9 +110,15 @@ def test_vocab_rejects_broken_reserved_prefix():
 # embeddings
 
 
+def word_table(vocab, dim, seed, pretrained=None):
+    """The initial word_emb table of a SMALL scorer with `dim`-wide words."""
+    scorer = PatternScorer(vocab, replace(SMALL, word_dim=dim), char_pad=SMALL_PAD, seed=seed, pretrained=pretrained)
+    return scorer.params["word_emb"].data
+
+
 def test_oov_rows_stay_inside_bound():
     v = small_vocab()
-    table = init_embeddings(v, 50, np.random.default_rng(0))
+    table = word_table(v, 50, seed=0)
     bound = math.sqrt(3.0 / 50)
     assert abs(bound - 0.2449) < 1e-4
     assert table.shape == (len(v.words), 50)
@@ -123,7 +128,7 @@ def test_oov_rows_stay_inside_bound():
 def test_pretrained_tokens_copied_exactly():
     v = small_vocab()
     vec = np.arange(4.0)
-    table = init_embeddings(v, 4, np.random.default_rng(1), {"ab": vec, "PER": -vec})
+    table = word_table(v, 4, seed=1, pretrained={"ab": vec, "PER": -vec})
     assert np.array_equal(table[v.word_id("ab")], vec)
     assert np.array_equal(table[v.word_id("PER")], -vec)
     assert np.all(np.abs(table[v.word_id("ba")]) < math.sqrt(3.0 / 4))
@@ -131,9 +136,11 @@ def test_pretrained_tokens_copied_exactly():
 
 def test_empty_pretrained_means_all_random():
     v = small_vocab()
-    a = init_embeddings(v, 8, np.random.default_rng(2), {})
-    b = init_embeddings(v, 8, np.random.default_rng(2))
-    assert np.array_equal(a, b)
+    cfg = replace(SMALL, word_dim=8)
+    a = PatternScorer(v, cfg, char_pad=SMALL_PAD, seed=2, pretrained={})
+    b = PatternScorer(v, cfg, char_pad=SMALL_PAD, seed=2)
+    assert list(a.params) == list(b.params)
+    assert all(np.array_equal(a.params[n].data, t.data) for n, t in b.params.items())
 
 
 def test_embedding_header_detected_and_checked():
@@ -167,8 +174,8 @@ def ref_char_cnn(scorer, word):
     cfg = scorer.config
     ids = [scorer.vocab.char_id(c) for c in word[: scorer.char_pad]]
     ids += [CHAR_PAD_ID] * (scorer.char_pad - len(ids))
-    x = scorer.char_emb.data[ids]
-    w, b = scorer.char_cnn_w.data, scorer.char_cnn_b.data[0]
+    x = scorer.params["char_emb"].data[ids]
+    w, b = scorer.params["char_cnn_w"].data, scorer.params["char_cnn_b"].data[0]
     half = cfg.char_cnn_window // 2
     best = None
     for j in range(scorer.char_pad):
@@ -196,20 +203,20 @@ def test_char_cnn_matches_reference_windows():
 
 def test_char_cnn_zero_filters_give_bias():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=0)
-    scorer.char_cnn_w.data[:] = 0.0
-    scorer.char_cnn_b.data[:] = [[0.25, -1.5]]
+    scorer.params["char_cnn_w"].data[:] = 0.0
+    scorer.params["char_cnn_b"].data[:] = [[0.25, -1.5]]
     assert char_vectors(scorer, ["ab", "", "zzz"]).tolist() == [[0.25, -1.5]] * 3
 
 
 def test_char_cnn_single_filter_picks_max_coordinate():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=4)
     # one live filter reading coordinate 0 of the window's center character
-    scorer.char_cnn_w.data[:] = 0.0
-    scorer.char_cnn_b.data[:] = 0.0
-    scorer.char_cnn_w.data[scorer.config.char_dim + 0, 0] = 1.0
+    scorer.params["char_cnn_w"].data[:] = 0.0
+    scorer.params["char_cnn_b"].data[:] = 0.0
+    scorer.params["char_cnn_w"].data[scorer.config.char_dim + 0, 0] = 1.0
     word = "ab"
     ids = [scorer.vocab.char_id(c) for c in word] + [CHAR_PAD_ID] * 2
-    expected = max(scorer.char_emb.data[i][0] for i in ids)
+    expected = max(scorer.params["char_emb"].data[i][0] for i in ids)
     got = char_vectors(scorer, [word])[0]
     assert got[0] == pytest.approx(expected, abs=1e-12)
     assert got[1] == 0.0
@@ -223,7 +230,7 @@ def test_char_cnn_ignores_text_beyond_pad_length():
 
 def test_empty_word_uses_pure_padding():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=6)
-    pad_only = scorer.char_emb.data[[CHAR_PAD_ID] * scorer.char_pad]
+    pad_only = scorer.params["char_emb"].data[[CHAR_PAD_ID] * scorer.char_pad]
     got = char_vectors(scorer, [""])[0]
     assert np.isfinite(got).all()
     assert np.allclose(got, ref_char_cnn(scorer, ""), atol=1e-12)
@@ -239,7 +246,7 @@ def test_word_repr_is_embedding_concat_char_vector():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=7)
     got = scorer.word_matrix(["ab"]).data[0]
     expected = np.concatenate(
-        [scorer.word_emb.data[scorer.vocab.word_id("ab")], ref_char_cnn(scorer, "ab")]
+        [scorer.params["word_emb"].data[scorer.vocab.word_id("ab")], ref_char_cnn(scorer, "ab")]
     )
     assert np.allclose(got, expected, atol=1e-12)
 
@@ -251,7 +258,7 @@ def test_type_token_item_uses_reserved_embedding_row():
     per_item = collapsed.items[0]
     assert per_item.is_type_token
     got = scorer.word_matrix([per_item.token_string()]).data[0][: scorer.config.word_dim]
-    assert np.array_equal(got, scorer.word_emb.data[2])  # reserved PER row
+    assert np.array_equal(got, scorer.params["word_emb"].data[2])  # reserved PER row
 
 
 def test_word_repr_dropout_one_zeroes_training_output():
@@ -265,7 +272,7 @@ def test_word_repr_dropout_one_zeroes_training_output():
     h = np.concatenate(
         [scorer.lstm_encode(zero, [1]).data, scorer.word_cnn_encode(zero, [1]).data], axis=1
     )
-    expected = 1.0 / (1.0 + np.exp(-(h @ scorer.head_w.data + scorer.head_b.data)))
+    expected = 1.0 / (1.0 + np.exp(-(h @ scorer.params["head_w"].data + scorer.params["head_b"].data)))
     got = scorer.score_batch([["ab"], ["xy"]], train=True).data
     assert np.allclose(got, np.repeat(expected, 2, axis=0), atol=1e-12)
     assert np.any(scorer.word_matrix(["ab"]).data != 0.0)
@@ -282,12 +289,22 @@ def test_char_cnn_off_leaves_plain_embedding():
     assert cfg.repr_dim == 3
     row = scorer.word_matrix(["ab"]).data
     assert row.shape == (1, 3)
-    assert np.array_equal(row[0], scorer.word_emb.data[scorer.vocab.word_id("ab")])
+    assert np.array_equal(row[0], scorer.params["word_emb"].data[scorer.vocab.word_id("ab")])
     assert "char_emb" not in dict(scorer.params.items())
 
 
 # ---------------------------------------------------------------------------
 # LSTM encoder
+
+
+def gate_weights(scorer):
+    """The LSTM's W1..W8 Tensors, in the order of the gate equations."""
+    return [scorer.params[f"lstm_w{i}"] for i in range(1, 9)]
+
+
+def gate_biases(scorer):
+    """The LSTM's b1..b4 Tensors."""
+    return [scorer.params[f"lstm_b{i}"] for i in range(1, 5)]
 
 
 def ref_lstm(xs, w, b, mu=None):
@@ -323,7 +340,7 @@ def runs(x, lengths):
 
 def test_lstm_zero_parameters_give_zero_state():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=11)
-    for t in scorer.lstm_w + scorer.lstm_b:
+    for t in gate_weights(scorer) + gate_biases(scorer):
         t.data[:] = 0.0
     x = rows(np.random.default_rng(0), 6, SMALL.repr_dim)
     assert np.array_equal(scorer.lstm_encode(x, [6]).data, np.zeros((1, 4)))
@@ -332,9 +349,9 @@ def test_lstm_zero_parameters_give_zero_state():
 
 def test_lstm_single_step_closed_form():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=12)
-    for t in scorer.lstm_w + scorer.lstm_b:
+    for t in gate_weights(scorer) + gate_biases(scorer):
         t.data[:] = 0.0
-    scorer.lstm_b[2].data[:] = 3.0  # candidate-memory bias
+    scorer.params["lstm_b3"].data[:] = 3.0  # candidate-memory bias
     x = Tensor(np.zeros((1, SMALL.repr_dim)))
     expected = np.tanh(np.tanh(3.0) * 0.5) * 0.5
     assert np.allclose(scorer.lstm_encode(x, [1]).data, expected, atol=1e-12)
@@ -343,10 +360,10 @@ def test_lstm_single_step_closed_form():
 def test_lstm_matches_reference_equations():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=13)
     rng = np.random.default_rng(5)
-    for t in scorer.lstm_w + scorer.lstm_b:
+    for t in gate_weights(scorer) + gate_biases(scorer):
         t.data[:] = rng.normal(scale=0.5, size=t.data.shape)
-    w = [t.data for t in scorer.lstm_w]
-    b = [t.data for t in scorer.lstm_b]
+    w = [t.data for t in gate_weights(scorer)]
+    b = [t.data for t in gate_biases(scorer)]
     x = rows(rng, 7, SMALL.repr_dim)
     assert np.allclose(scorer.lstm_encode(x, [7]).data, ref_lstm(runs(x, [7])[0], w, b), atol=1e-12)
     # runs that end early are read at their own last step
@@ -423,8 +440,8 @@ def test_clamped_steps_carry_no_gradient():
     cfg = replace(SMALL, peepholes=True)
     scorer = PatternScorer(small_vocab(), cfg, char_pad=SMALL_PAD, seed=19)
     rng = np.random.default_rng(8)
-    scorer.lstm_mu1.data[:] = rng.normal(size=(1, cfg.lstm_hidden))
-    scorer.lstm_mu2.data[:] = rng.normal(size=(1, cfg.lstm_hidden))
+    scorer.params["lstm_mu1"].data[:] = rng.normal(size=(1, cfg.lstm_hidden))
+    scorer.params["lstm_mu2"].data[:] = rng.normal(size=(1, cfg.lstm_hidden))
     params = [t for n, t in scorer.params.items() if n.startswith("lstm_")]
     x = rng.normal(size=(7, cfg.repr_dim))
     readout = rng.normal(size=(2, cfg.lstm_hidden))
@@ -449,8 +466,8 @@ def test_lstm_ragged_gradients_with_peepholes_and_narrow_state():
     cfg = replace(SMALL, lstm_hidden=2, peepholes=True)
     scorer = PatternScorer(small_vocab(), cfg, char_pad=SMALL_PAD, seed=20)
     rng = np.random.default_rng(9)
-    scorer.lstm_mu1.data[:] = rng.normal(size=(1, 2))
-    scorer.lstm_mu2.data[:] = rng.normal(size=(1, 2))
+    scorer.params["lstm_mu1"].data[:] = rng.normal(size=(1, 2))
+    scorer.params["lstm_mu2"].data[:] = rng.normal(size=(1, 2))
     x = Tensor(rng.normal(size=(7, cfg.repr_dim)))
     readout = rng.normal(size=(3, 2))
     params = [(n, t) for n, t in scorer.params.items() if n.startswith("lstm_")]
@@ -484,14 +501,14 @@ def test_peephole_mode_reduces_to_default_when_mu_is_zero():
     x = rows(np.random.default_rng(7), 5, SMALL.repr_dim)
     assert np.array_equal(plain.lstm_encode(x, [5]).data, peep.lstm_encode(x, [5]).data)
 
-    peep.lstm_mu1.data[:] = 0.7
-    peep.lstm_mu2.data[:] = -0.3
+    peep.params["lstm_mu1"].data[:] = 0.7
+    peep.params["lstm_mu2"].data[:] = -0.3
     changed = peep.lstm_encode(x, [5]).data
     expected = ref_lstm(
         runs(x, [5])[0],
-        [t.data for t in peep.lstm_w],
-        [t.data for t in peep.lstm_b],
-        mu=(peep.lstm_mu1.data, peep.lstm_mu2.data),
+        [t.data for t in gate_weights(peep)],
+        [t.data for t in gate_biases(peep)],
+        mu=(peep.params["lstm_mu1"].data, peep.params["lstm_mu2"].data),
     )
     assert not np.array_equal(changed, plain.lstm_encode(x, [5]).data)
     assert np.allclose(changed, expected, atol=1e-12)
@@ -503,7 +520,7 @@ def test_peephole_mode_reduces_to_default_when_mu_is_zero():
 
 def ref_word_cnn(scorer, xs):
     cfg = scorer.config
-    w, b = scorer.word_cnn_w.data, scorer.word_cnn_b.data[0]
+    w, b = scorer.params["word_cnn_w"].data, scorer.params["word_cnn_b"].data[0]
     half = cfg.word_cnn_window // 2
     n = len(xs)
     best = None
@@ -521,15 +538,15 @@ def test_word_cnn_single_window_for_length_one():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=17)
     z = np.random.default_rng(8).normal(size=(1, SMALL.repr_dim))
     window = np.concatenate([np.zeros(5), z[0], np.zeros(5)])
-    expected = window @ scorer.word_cnn_w.data + scorer.word_cnn_b.data[0]
+    expected = window @ scorer.params["word_cnn_w"].data + scorer.params["word_cnn_b"].data[0]
     got = scorer.word_cnn_encode(Tensor(z), [1]).data[0]
     assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_word_cnn_zero_filters_give_bias():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=18)
-    scorer.word_cnn_w.data[:] = 0.0
-    scorer.word_cnn_b.data[:] = [[1.0, 2.0, 3.0]]
+    scorer.params["word_cnn_w"].data[:] = 0.0
+    scorer.params["word_cnn_b"].data[:] = [[1.0, 2.0, 3.0]]
     x = rows(np.random.default_rng(9), 4, SMALL.repr_dim)
     assert scorer.word_cnn_encode(x, [4]).data.tolist() == [[1.0, 2.0, 3.0]]
     assert scorer.word_cnn_encode(x, [1, 3]).data.tolist() == [[1.0, 2.0, 3.0]] * 2
@@ -558,20 +575,22 @@ def ref_score(scorer, tokens, mask=None):
     `mask` holds the sequence's dropout multipliers, one row per token."""
     cfg = scorer.config
     xs = [
-        np.concatenate([scorer.word_emb.data[scorer.vocab.word_id(t)], ref_char_cnn(scorer, t)])
+        np.concatenate([scorer.params["word_emb"].data[scorer.vocab.word_id(t)], ref_char_cnn(scorer, t)])
         for t in tokens
     ]
     if mask is not None:
         xs = [x * m for x, m in zip(xs, mask)]
     xs = [x[None, :] for x in xs]
-    mu = (scorer.lstm_mu1.data, scorer.lstm_mu2.data) if cfg.peepholes else None
+    mu = (scorer.params["lstm_mu1"].data, scorer.params["lstm_mu2"].data) if cfg.peepholes else None
     h = np.concatenate(
         [
-            ref_lstm(xs, [t.data for t in scorer.lstm_w], [t.data for t in scorer.lstm_b], mu)[0],
+            ref_lstm(
+                xs, [t.data for t in gate_weights(scorer)], [t.data for t in gate_biases(scorer)], mu
+            )[0],
             ref_word_cnn(scorer, xs),
         ]
     )
-    return 1.0 / (1.0 + np.exp(-(h @ scorer.head_w.data[:, 0] + scorer.head_b.data[0, 0])))
+    return 1.0 / (1.0 + np.exp(-(h @ scorer.params["head_w"].data[:, 0] + scorer.params["head_b"].data[0, 0])))
 
 
 PATTERN_WORDS = ["PER", "LOC", "ORG", "ab", "ba", "xy", "visited", "unseen"]
@@ -581,8 +600,8 @@ DROPPY = replace(SMALL, dropout=0.3, peepholes=True)
 def droppy_scorer(seed):
     scorer = PatternScorer(small_vocab(), DROPPY, char_pad=SMALL_PAD, seed=seed)
     rng = np.random.default_rng(seed)
-    scorer.lstm_mu1.data[:] = rng.normal(size=(1, DROPPY.lstm_hidden))
-    scorer.lstm_mu2.data[:] = rng.normal(size=(1, DROPPY.lstm_hidden))
+    scorer.params["lstm_mu1"].data[:] = rng.normal(size=(1, DROPPY.lstm_hidden))
+    scorer.params["lstm_mu2"].data[:] = rng.normal(size=(1, DROPPY.lstm_hidden))
     return scorer
 
 
@@ -622,8 +641,8 @@ def test_batched_scores_equal_the_reference_forward(lists, seed, data):
 
 def test_zero_head_scores_half_everywhere():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=20)
-    scorer.head_w.data[:] = 0.0
-    scorer.head_b.data[:] = 0.0
+    scorer.params["head_w"].data[:] = 0.0
+    scorer.params["head_b"].data[:] = 0.0
     for tokens in (["PER"], ["ab", "LOC", "ba"], ["?", "?", "?"]):
         assert scorer.score_batch([tokens]).item() == 0.5
 
@@ -692,8 +711,8 @@ def test_no_tape_scores_equal_recorded_scores_bit_for_bit():
         scorer = PatternScorer(small_vocab(), cfg, char_pad=8, seed=34)
         if cfg.peepholes:
             rng = np.random.default_rng(34)
-            scorer.lstm_mu1.data[:] = rng.normal(size=(1, cfg.lstm_hidden))
-            scorer.lstm_mu2.data[:] = rng.normal(size=(1, cfg.lstm_hidden))
+            scorer.params["lstm_mu1"].data[:] = rng.normal(size=(1, cfg.lstm_hidden))
+            scorer.params["lstm_mu2"].data[:] = rng.normal(size=(1, cfg.lstm_hidden))
         for lists in batches:
             recorded = scorer.score_batch(lists)
             with no_tape():
@@ -781,6 +800,45 @@ def test_scorer_params_follow_the_layout():
     assert "lstm_mu1" not in scorer_layout(small_vocab(), SMALL)
 
 
+def reference_draw(vocab, cfg, seed, pretrained=None):
+    """The initial weights by the draw rule: one uniform within its bound
+    per layout entry, in layout order, from the seed's INIT_STREAM; a
+    zero bound gives zeros and draws nothing; then each pretrained vector
+    of a vocabulary token replaces its word_emb row."""
+    rng = np.random.default_rng([seed, INIT_STREAM])
+    arrays = {}
+    for name, (shape, bound) in scorer_layout(vocab, cfg).items():
+        arrays[name] = rng.uniform(-bound, bound, size=shape) if bound else np.zeros(shape)
+    for token, vec in (pretrained or {}).items():
+        if token in vocab.word_to_id:
+            arrays["word_emb"][vocab.word_to_id[token]] = vec
+    return arrays
+
+
+DRAW_CASES = {
+    "default": (ScorerConfig(), None),
+    "peepholes": (ScorerConfig(peepholes=True), None),
+    "no-char-cnn": (ScorerConfig(use_char_cnn=False), None),
+    "no-lstm": (ScorerConfig(use_lstm=False), None),
+    "no-word-cnn": (ScorerConfig(use_word_cnn=False), None),
+    # a token outside the vocabulary is not copied anywhere
+    "pretrained": (ScorerConfig(), {"ab": np.arange(50) / 7.0, "PER": -np.ones(50), "zz": np.ones(50)}),
+    "small-frozen": (replace(SMALL, freeze_embeddings=True), None),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("case", list(DRAW_CASES))
+def test_initial_weights_follow_the_draw_rule(case, seed):
+    cfg, pretrained = DRAW_CASES[case]
+    v = small_vocab()
+    scorer = PatternScorer(v, cfg, char_pad=SMALL_PAD, seed=seed, pretrained=pretrained)
+    expected = reference_draw(v, cfg, seed, pretrained)
+    assert list(scorer.params) == list(expected)
+    for name, array in expected.items():
+        assert scorer.params[name].data.tobytes() == array.tobytes(), name
+
+
 def test_scorer_uses_the_given_weights_without_a_copy():
     weights = saved_weights(PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=1))
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=2, weights=weights)
@@ -823,8 +881,8 @@ def test_full_model_gradients_match_finite_differences():
         dropout=0.0, peepholes=True,
     )
     scorer = PatternScorer(small_vocab(), cfg, char_pad=3, seed=28)
-    scorer.lstm_mu1.data[:] = [[0.5, -0.4, 0.3]]
-    scorer.lstm_mu2.data[:] = [[-0.2, 0.6, 0.1]]
+    scorer.params["lstm_mu1"].data[:] = [[0.5, -0.4, 0.3]]
+    scorer.params["lstm_mu2"].data[:] = [[-0.2, 0.6, 0.1]]
     # lengths 1, 2 and 5: the short runs carry their state through steps 2-5
     lists = [["PER"], ["ab", "LOC"], ["xy", "PER", "ab", "visited", "LOC"]]
     target = np.array([[0.3], [0.6], [0.1]])
@@ -882,11 +940,11 @@ def test_default_configuration_sizes_are_pinned():
     assert cfg.repr_dim == 100
     v = small_vocab()
     scorer = PatternScorer(v, ScorerConfig(), char_pad=8, seed=32)
-    assert scorer.word_emb.data.shape == (len(v.words), 50)
-    assert scorer.char_cnn_w.data.shape == (150, 50)
-    assert scorer.word_cnn_w.data.shape == (300, 100)
-    assert scorer.head_w.data.shape == (200, 1)
-    assert [t.data.shape for t in scorer.lstm_w] == [
+    assert scorer.params["word_emb"].data.shape == (len(v.words), 50)
+    assert scorer.params["char_cnn_w"].data.shape == (150, 50)
+    assert scorer.params["word_cnn_w"].data.shape == (300, 100)
+    assert scorer.params["head_w"].data.shape == (200, 1)
+    assert [t.data.shape for t in gate_weights(scorer)] == [
         (100, 100), (100, 100), (100, 100), (100, 100),
         (100, 100), (100, 100), (100, 100), (100, 100),
     ]
@@ -895,7 +953,7 @@ def test_default_configuration_sizes_are_pinned():
 def test_gradients_flow_into_embeddings_through_score():
     scorer = PatternScorer(small_vocab(), SMALL, char_pad=SMALL_PAD, seed=33)
     backward(scorer.score_batch([["ab", "PER"]]))
-    touched = scorer.word_emb.grad
+    touched = scorer.params["word_emb"].grad
     assert touched is not None
     assert np.any(touched[scorer.vocab.word_id("ab")] != 0.0)
     assert np.all(touched[scorer.vocab.word_id("xy")] == 0.0)
