@@ -30,9 +30,9 @@ one-tag (n, 1) column pairwise, and the scatter below adds in sequence):
   then `np.add.at`, which adds in index order; `np.add.reduceat` does not
   give the same bits);
 - the emit gradient is one such scatter in (sentence, position, id) order,
-  into a dense table or into a training batch's compact rows (`RowGrad`:
-  the batch's sorted distinct ids and one row per id, from 0.0), whose
-  sums are the table rows' to the bit;
+  into a training batch's compact rows (`RowGrad`: the batch's sorted
+  distinct ids and one row per id, from 0.0), whose sums are the table
+  rows' to the bit;
 - both scatters gather at most GATHER rows per chunk; `np.add.at` adds in
   index order across the chunks as within one;
 - the transition, begin and end gradients keep each sentence's
@@ -75,6 +75,8 @@ from .features import FeatureTemplateSet, featurize
 # emit gradient: a batch's gather costs at most GATHER * K * 8 bytes
 # (295 KB at K = 9), however many sentences the batch holds
 GATHER = 4096
+# the stream of `crf_train`'s batch order, drawn as default_rng([seed, it])
+SHUFFLE_STREAM = 17
 # sentences per batch of the no-gradient NLL pass. It bounds the batch's
 # (B, T, K) lattice arrays and its id and slot lists (16 bytes per id);
 # GATHER bounds its gather of emit rows. Measured before GATHER, on
@@ -220,12 +222,12 @@ class CrfModel:
     def batch_nll(self, ids: list[SentenceIds], tag_ids: list[list[int]], grads=None) -> np.ndarray:
         """(B,) NLLs of the paths `tag_ids[b]` given the feature ids
         `ids[b]`, on one padded (B, T, K) lattice. With `grads`, a
-        caller-owned (emit, trans, begin, end) tuple of arrays, also adds
-        the exact gradient of every NLL into them, in the order one
-        sentence after another, position after position, would. The emit
-        entry may instead be a `RowGrad` whose rows hold every id of the
-        batch: the emit gradient is then added into its `values`, row i
-        standing for emit row `rows[i]`."""
+        caller-owned (emit, trans, begin, end) tuple, also adds the exact
+        gradient of every NLL into them, in the order one sentence after
+        another, position after position, would. The emit entry is a
+        `RowGrad` whose rows hold every id of the batch: the emit gradient
+        is added into its `values`, row i standing for emit row `rows[i]`;
+        the others are arrays of their tables' shapes."""
         batch = _pack(ids)
         n, width = batch.valid.shape
         rows = np.arange(n)
@@ -257,10 +259,8 @@ class CrfModel:
         node = np.exp(alpha + beta - log_z[:, None, None])  # (B, T, K) marginals
         expected = node.copy()
         expected[(*np.nonzero(batch.valid), y[batch.valid])] -= 1.0
-        at = batch.ids
-        if isinstance(g_emit, RowGrad):
-            g_emit, at = g_emit.values, np.searchsorted(g_emit.rows, at)
-        _gather_add(g_emit, at, expected.reshape(-1, n_tags), batch.slots)
+        at = np.searchsorted(g_emit.rows, batch.ids)
+        _gather_add(g_emit.values, at, expected.reshape(-1, n_tags), batch.slots)
         _fold_into(g_begin, expected[:, 0])
         _fold_into(g_end, _interleave(node[rows, last], _minus_one_hots(y[rows, last], n_tags)))
         # (B, T-1, K, K) edge marginals; edge t joins positions t and t+1
@@ -485,7 +485,7 @@ def crf_train(
     opt = AdamState(params, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8)
     every_row = [np.arange(len(p.data)) for p in params[1:]]
     model.nll_history.append(_mean_nll(model, feat_ids, gold_ids))
-    rng = np.random.default_rng([seed, 17])
+    rng = np.random.default_rng([seed, SHUFFLE_STREAM])
     for epoch in range(1, epochs + 1):
         with stage(f"CRF epoch {epoch}/{epochs}", sentences=len(train)) as counts:
             order = rng.permutation(len(train))
@@ -544,14 +544,11 @@ def save_crf(path, model: CrfModel, extra_meta: dict | None = None):
     object, stored as its UTF-8 bytes (a uint8 array). Writing holds no
     copy of the weights, and the meta's bytes once.
     """
-    meta = {
-        "tags": list(model.tags),
-        "features": model.feature_vocab,
-        # the switches and the cluster map as they are; `asdict` would
-        # deep-copy the map, one call per entry
-        "templates": vars(model.templates),
-        "nll_history": list(model.nll_history),
-    }
+    fixed = CrfMeta(model.tags, model.feature_vocab, model.templates, tuple(model.nll_history))
+    meta = {f.name: getattr(fixed, f.name) for f in fields(CrfMeta)}
+    # the switches and the cluster map as they are; `asdict` would
+    # deep-copy the map, one call per entry
+    meta["templates"] = vars(model.templates)
     meta.update(extra_meta or {})
     # the bytes of json.dumps(meta, ensure_ascii=False), encoded a piece at
     # a time into one buffer: json.dumps holds every piece at once, several

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from ..collapse import CollapsedSequence, collapse, collapsed_to_labels, collapsed_token_strings
@@ -88,13 +89,6 @@ class CandidateSet:
     def __len__(self):
         return len(self.candidates)
 
-    def truncated(self, k: int) -> "CandidateSet":
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if k >= len(self.candidates):
-            return self
-        return CandidateSet(self.sentence_id, self.gold, self.candidates[:k])
-
 
 @dataclass(frozen=True)
 class NBestCorpus:
@@ -119,7 +113,14 @@ class NBestCorpus:
         return iter(zip(self.sentences, self.sets))
 
     def truncated(self, k: int) -> "NBestCorpus":
-        return NBestCorpus(self.sentences, [cs.truncated(k) for cs in self.sets])
+        """Each set's top k candidates; a set of at most k is kept as it is."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        sets = [
+            cs if k >= len(cs) else CandidateSet(cs.sentence_id, cs.gold, cs.candidates[:k])
+            for cs in self.sets
+        ]
+        return NBestCorpus(self.sentences, sets)
 
     @cached_property
     def collapsed(self) -> tuple[tuple[CollapsedSequence, ...], ...]:
@@ -275,31 +276,17 @@ def read_nbest(path) -> NBestCorpus:
     return parse_nbest(read_text(path))
 
 
-def _subset(dataset: Dataset, indices) -> Dataset:
-    return Dataset(
-        [dataset.sentences[i] for i in indices],
-        [dataset.gold[i] for i in indices],
-    )
-
-
-def jackknife(train: Dataset, folds: int) -> list[tuple[Dataset, Dataset]]:
-    """Contiguous fold splits in id order: fold i holds out block i and
-    trains on the rest. Block sizes differ by at most one (the remainder
-    goes to the earliest blocks)."""
-    n = len(train)
+def jackknife(n: int, folds: int) -> list[range]:
+    """The held-out block of each fold over n sentences: contiguous ranges
+    that tile range(n) in order. Fold i holds out block i and trains on
+    the rest. Block sizes differ by at most one (the remainder goes to the
+    earliest blocks)."""
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if n < folds:
         raise ValueError(f"cannot split {n} sentences into {folds} folds")
     sizes = [n // folds + (1 if i < n % folds else 0) for i in range(folds)]
-    pairs = []
-    at = 0
-    for size in sizes:
-        held = range(at, at + size)
-        rest = list(range(0, at)) + list(range(at + size, n))
-        pairs.append((_subset(train, rest), _subset(train, held)))
-        at += size
-    return pairs
+    return [range(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
 
 
 def build_nbest_corpus(dataset: Dataset, folds: int, k: int, templates, **train_kwargs) -> NBestCorpus:
@@ -309,22 +296,23 @@ def build_nbest_corpus(dataset: Dataset, folds: int, k: int, templates, **train_
     once (`intern_features`): each sentence is featurized once, and its
     ids serve every fold that trains on it and the one that decodes it,
     each fold mapping them to its own vocabulary with one index. A fold's
-    model is dropped before the next fold trains. The folds'
-    `decode_corpus` sets line up end to end because `jackknife`'s blocks
-    are contiguous."""
+    model is dropped before the next fold trains. A fold's sentences, gold
+    and ids are slices of the corpus's, and the folds' `decode_corpus` sets
+    line up end to end, because `jackknife`'s blocks tile it in order."""
     from .crf import crf_train, intern_features
 
     features = intern_features(dataset.sentences, templates)
-    at = {s.id: i for i, s in enumerate(dataset.sentences)}
-
-    def rows(part: Dataset) -> InternedFeatures:
-        return features._replace(ids=[features.ids[at[s.id]] for s in part.sentences])
-
+    sentences, gold, ids = dataset.sentences, dataset.gold, features.ids
     sets: list[CandidateSet] = []
-    for fold, (train_part, held) in enumerate(jackknife(dataset, folds), 1):
-        with stage(f"jackknife fold {fold}/{folds}", trained=len(train_part), decoded=len(held)):
-            model = crf_train(train_part, templates, features=rows(train_part), **train_kwargs)
-            sets.extend(decode_corpus(model, held, k, features=rows(held)).sets)
+    for fold, held in enumerate(jackknife(len(dataset), folds), 1):
+        a, b = held.start, held.stop
+        rest = Dataset(sentences[:a] + sentences[b:], gold[:a] + gold[b:])
+        with stage(f"jackknife fold {fold}/{folds}", trained=len(rest), decoded=len(held)):
+            model = crf_train(
+                rest, templates, features=features._replace(ids=ids[:a] + ids[b:]), **train_kwargs
+            )
+            block = Dataset(sentences[a:b], gold[a:b])
+            sets.extend(decode_corpus(model, block, k, features=features._replace(ids=ids[a:b])).sets)
             del model
     return NBestCorpus(list(dataset.sentences), sets)
 

@@ -113,17 +113,12 @@ def make_examples(nbest: NBestCorpus) -> list[RerankExample]:
 # objective
 
 
-def batch_loss(
-    scorer: PatternScorer,
-    batch: list[RerankExample],
-    l2: float,
-    *,
-    train: bool = True,
-) -> Tensor:
-    """Mean squared error over the batch plus (l2/2) * ||params||^2."""
+def batch_loss(scorer: PatternScorer, batch: list[RerankExample], l2: float) -> Tensor:
+    """Mean squared error over the batch, scored in training mode (with
+    dropout), plus (l2/2) * ||params||^2."""
     if not batch:
         raise NerrankError("cannot compute the loss of an empty batch")
-    scores = scorer.score_batch([ex.tokens for ex in batch], train=train)
+    scores = scorer.score_batch([ex.tokens for ex in batch], train=True)
     loss = mse(scores, np.array([[ex.target] for ex in batch]))
     if l2 > 0.0:
         loss = add(loss, l2_penalty([p for _, p in scorer.trainable()], l2))
@@ -278,7 +273,7 @@ def train_reranker(
                     batch = [train_examples[i] for i in order[start : start + config.batch_size]]
                     for t in scorer.params.values():
                         t.grad = None
-                    loss = batch_loss(scorer, batch, config.l2, train=True)
+                    loss = batch_loss(scorer, batch, config.l2)
                     if not np.isfinite(loss.data).all():
                         raise NerrankError(
                             f"non-finite loss in rerank epoch {epoch}, batch {batch_no}"

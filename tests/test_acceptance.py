@@ -100,7 +100,7 @@ def test_full_reranker_gradient_matches_finite_differences():
     scorer = PatternScorer(vocab, config, char_pad=6, seed=1)
 
     def loss():
-        return batch_loss(scorer, examples, 0.001, train=False)
+        return batch_loss(scorer, examples, 0.001)
 
     report = grad_check(loss, scorer.trainable(), h=1e-5)
     elapsed = time.monotonic() - start
@@ -318,7 +318,7 @@ def test_objective_formula_and_adam_step_size():
     )
     scorer = PatternScorer(build_vocab([examples[0].tokens]), config, char_pad=8, seed=4)
     lam = 0.003
-    got = batch_loss(scorer, examples, lam, train=False).item()
+    got = batch_loss(scorer, examples, lam).item()
 
     mse = 0.0
     for ex in examples:

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nerrank.baseline import crf as crf_module
@@ -724,7 +724,7 @@ def test_sentence_nll_gradient_matches_finite_differences():
     ids = sentence_ids(([0, 1], [0], [], [2, 0]))
     tags = [0, 1, 2, 2]
     grads = tuple(np.zeros_like(a) for a in (model.emit, model.trans, model.begin, model.end))
-    nll = model.batch_nll([ids], [tags], grads)[0]
+    nll = model.batch_nll([ids], [tags], (every_row(grads[0]), *grads[1:]))[0]
 
     def objective():
         e = sentence_emissions(model, ids)
@@ -753,7 +753,7 @@ def test_batch_nll_gradient_matches_finite_differences_on_mixed_lengths():
     batch_ids = [sentence_ids(([1, 2],)), sentence_ids(([0, 1], [0], [], [2, 0]))]
     batch_tags = [[2], [0, 1, 2, 2]]
     grads = tuple(np.zeros_like(a) for a in (model.emit, model.trans, model.begin, model.end))
-    nlls = model.batch_nll(batch_ids, batch_tags, grads)
+    nlls = model.batch_nll(batch_ids, batch_tags, (every_row(grads[0]), *grads[1:]))
 
     def objective():
         total = 0.0
@@ -776,6 +776,12 @@ def test_batch_nll_gradient_matches_finite_differences_on_mixed_lengths():
             numeric = (up - down) / (2 * h)
             rel = abs(g[i] - numeric) / max(abs(g[i]), abs(numeric), 1e-6)
             assert rel < 1e-6, f"{name}{list(i)}: {g[i]} vs {numeric}"
+
+
+def every_row(table):
+    """`table` as the emit entry of `batch_nll`'s gradients: a `RowGrad`
+    over all its rows, whose scatter adds into the table itself."""
+    return RowGrad(np.arange(len(table)), table, 1, 0.0)
 
 
 def reference_logsumexp(a, axis=None):
@@ -902,7 +908,7 @@ def test_batch_nll_equals_the_per_sentence_reference(batch, zero_start):
     expected = tuple(a.copy() for a in start)
     got = tuple(a.copy() for a in start)
     want = reference_batch_nll(model, batch_ids, batch_tags, expected)
-    assert_same_bits(model.batch_nll(batch_ids, batch_tags, got), want)
+    assert_same_bits(model.batch_nll(batch_ids, batch_tags, (every_row(got[0]), *got[1:])), want)
     assert_same_bits(model.batch_nll(batch_ids, batch_tags), want)
     for name, g, ref in zip(("emit", "trans", "begin", "end"), got, expected):
         assert_same_bits(g, ref, name)
@@ -923,7 +929,7 @@ def test_batch_nll_adds_into_a_row_gradient_as_into_its_table_rows(batch, seed):
     table = np.zeros_like(model.emit)
     table[rows] = values
     small = [np.zeros_like(w) for w in (model.trans, model.begin, model.end)]
-    want = model.batch_nll(batch_ids, batch_tags, (table, *small))
+    want = model.batch_nll(batch_ids, batch_tags, (every_row(table), *small))
     grad = RowGrad(rows, values.copy(), 1.0, 0.0)
     got = model.batch_nll(batch_ids, batch_tags, (grad, *[np.zeros_like(g) for g in small]))
     assert_same_bits(got, want)
@@ -944,13 +950,16 @@ def test_bounded_gathers_give_the_same_bits(monkeypatch):
     tags = [[model.tag_id(label) for label in gold] for gold in ds.gold]
     assert min(row.size for sentence in ids for row in positions(sentence)) > 3
 
+    # the rows training passes: the batch's distinct ids
+    distinct = np.unique(np.concatenate([sentence.ids for sentence in ids]))
+
     def run():
         grads = tuple(np.zeros_like(w) for w in (model.emit, model.trans, model.begin, model.end))
-        rows = RowGrad(np.arange(len(model.emit)), np.zeros_like(model.emit), 1.0, 0.0)
+        rows = RowGrad(distinct, np.zeros((len(distinct), len(model.tags))), 1.0, 0.0)
         small = tuple(np.zeros_like(g) for g in grads[1:])
         arrays = {
             "nll": model.batch_nll(ids, tags),
-            "nll with grads": model.batch_nll(ids, tags, grads),
+            "nll with grads": model.batch_nll(ids, tags, (every_row(grads[0]), *grads[1:])),
             "nll with rows": model.batch_nll(ids, tags, (rows, *small)),
             "rows": rows.values,
         }
@@ -968,24 +977,26 @@ def test_bounded_gathers_give_the_same_bits(monkeypatch):
 
 def dense_reference_train(train, templates, *, epochs, batch_size, lr, l2, seed):
     """`crf_train` with a dense emit gradient, as it was: every batch
-    fills four gradient tables with 0.0, sums its gradient into them,
-    divides them by the batch size and adds `l2 * p` BLOCK values at a time
-    before the Adam step. The vocabulary, ids and batch order are
-    crf_train's (its zero-epoch model)."""
+    fills four gradient tables with 0.0, sums its gradient into them (the
+    emit table as a `RowGrad` over every row), divides them by the batch
+    size and adds `l2 * p` BLOCK values at a time before the Adam step.
+    The vocabulary, ids and batch order are crf_train's (its zero-epoch
+    model)."""
     model = crf_train(train, templates, epochs=0, batch_size=batch_size, lr=lr, l2=l2, seed=seed)
     feat_ids = model.interned_ids(intern_features(train.sentences, templates))
     gold_ids = [[model.tag_id(l) for l in labels] for labels in train.gold]
     params = [Tensor(a) for a in (model.emit, model.trans, model.begin, model.end)]
     opt = AdamState(params, lr=lr, beta1=0.9, beta2=0.999, eps=1e-8)
     grads = tuple(np.empty_like(p.data) for p in params)
-    rng = np.random.default_rng([seed, 17])
+    rng = np.random.default_rng([seed, crf_module.SHUFFLE_STREAM])
     for _ in range(epochs):
         order = rng.permutation(len(train))
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]
             for g in grads:
                 g.fill(0.0)
-            model.batch_nll([feat_ids[i] for i in batch], [gold_ids[i] for i in batch], grads)
+            emit_rows = (every_row(grads[0]), *grads[1:])
+            model.batch_nll([feat_ids[i] for i in batch], [gold_ids[i] for i in batch], emit_rows)
             for p, g in zip(params, grads):
                 g /= len(batch)
                 flat_g, flat_p = g.reshape(-1), p.data.reshape(-1)
@@ -1133,42 +1144,39 @@ def test_model_rejects_malformed_weights_and_tags(case):
 # ---------------------------------------------------------------------------
 # jackknifing
 
-def test_jackknife_even_split():
-    ds = simple_corpus(10)
-    pairs = jackknife(ds, 5)
-    held_ids = [tuple(s.id for s in held.sentences) for _, held in pairs]
-    assert [len(h) for h in held_ids] == [2, 2, 2, 2, 2]
-    flat = [i for h in held_ids for i in h]
-    assert sorted(flat) == list(range(10))
-    for train_part, held in pairs:
-        assert len(train_part) == 8
-        train_ids = {s.id for s in train_part.sentences}
-        assert train_ids.isdisjoint({s.id for s in held.sentences})
+def fold(ds: Dataset, held: range) -> tuple[Dataset, Dataset]:
+    """A jackknife fold's training part (every sentence outside `held`)
+    and its held-out block."""
+    rest = [i for i in range(len(ds)) if i not in held]
+    return (
+        Dataset([ds.sentences[i] for i in rest], [ds.gold[i] for i in rest]),
+        Dataset([ds.sentences[i] for i in held], [ds.gold[i] for i in held]),
+    )
 
 
-def test_jackknife_uneven_split():
-    pairs = jackknife(simple_corpus(11), 5)
-    sizes = [len(held) for _, held in pairs]
-    assert sizes == [3, 2, 2, 2, 2]
-
-
-def test_jackknife_two_of_two():
-    pairs = jackknife(simple_corpus(2), 2)
-    assert [len(h) for _, h in pairs] == [1, 1]
-
-
-def test_jackknife_blocks_are_contiguous():
-    pairs = jackknife(simple_corpus(10), 3)
-    for _, held in pairs:
-        ids = [s.id for s in held.sentences]
-        assert ids == list(range(ids[0], ids[0] + len(ids)))
+@given(st.integers(2, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))))
+@example((10, 5))  # even: 2, 2, 2, 2, 2
+@example((11, 5))  # uneven: 3, 2, 2, 2, 2
+@example((2, 2))  # 1, 1
+@example((10, 3))  # 4, 3, 3
+def test_jackknife_blocks_tile_the_corpus_in_order(case):
+    n, folds = case
+    blocks = jackknife(n, folds)
+    assert len(blocks) == folds
+    # contiguous, in order, and together every index once
+    assert all(isinstance(block, range) and block.step == 1 for block in blocks)
+    assert [i for block in blocks for i in block] == list(range(n))
+    sizes = [len(block) for block in blocks]
+    assert max(sizes) - min(sizes) <= 1
+    # the remainder goes to the earliest blocks
+    assert sizes == sorted(sizes, reverse=True)
 
 
 def test_jackknife_errors():
     with pytest.raises(ValueError):
-        jackknife(simple_corpus(10), 1)
+        jackknife(10, 1)
     with pytest.raises(ValueError):
-        jackknife(simple_corpus(3), 5)
+        jackknife(3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -1225,7 +1233,8 @@ def test_jackknife_with_shared_features_equals_independent_folds():
     opts = dict(CRF, epochs=1)
     corpus = build_nbest_corpus(ds, folds=3, k=4, templates=templates, **opts)
     sets = []
-    for train_part, held in jackknife(ds, 3):
+    for block in jackknife(len(ds), 3):
+        train_part, held = fold(ds, block)
         model = crf_train(train_part, templates, **opts)
         sets += [decode_one(model, s, 4, g) for s, g in held]
     assert format_nbest(corpus) == format_nbest(NBestCorpus(ds.sentences, sets))
@@ -1247,7 +1256,7 @@ def test_jackknife_drops_a_held_out_feature_its_fold_never_saw():
     templates = FeatureTemplateSet()
     opts = dict(CRF, epochs=1)
     corpus = build_nbest_corpus(ds, folds=2, k=4, templates=templates, **opts)
-    train_part, held = jackknife(ds, 2)[0]
+    train_part, held = fold(ds, jackknife(len(ds), 2)[0])
     model = crf_train(train_part, templates, **opts)
     assert "w[0]=Qzxv" in featurize(rare, templates)[0]
     assert "w[0]=Qzxv" not in model.feature_vocab
@@ -1406,8 +1415,11 @@ def test_candidate_set_validation():
     with pytest.raises(ValueError, match="sum"):
         CandidateSet(0, None, [(labs("O"), 0.8), (labs("B-PER"), 0.8)])
     cs = CandidateSet(0, None, [(labs("O"), 0.5), (labs("B-PER"), 0.3)])
-    assert len(cs.truncated(1)) == 1
-    assert cs.truncated(5) is cs
+    corpus = NBestCorpus([sent("a", sid=0)], [cs])
+    assert len(corpus.truncated(1).sets[0]) == 1
+    assert corpus.truncated(5).sets[0] is cs
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        corpus.truncated(0)
 
 
 def test_nbest_corpus_alignment_checks():

@@ -1559,3 +1559,41 @@ def test_rerank_train_loads_no_crf(pipeline_dir, tmp_path):
     assert (bundle / "weights.bin").stat().st_size > 0
     assert {"numpy", "nerrank.pipeline", "nerrank.reranker"} <= modules
     assert "nerrank.baseline.crf" not in modules
+
+
+# ---------------------------------------------------------------------------
+# determinism: the scorer's bytes do not depend on the BLAS thread count
+
+
+def blas_library() -> str:
+    """The BLAS library numpy was built with, as its build config names it."""
+    config = np.__config__
+    if hasattr(config, "CONFIG"):  # meson builds, numpy 1.26 on
+        return config.CONFIG["Build Dependencies"]["blas"]["name"]
+    # older builds keep one non-empty `<library>_info` dict per library found
+    return " ".join(name for name in dir(config) if name.endswith("_info") and getattr(config, name))
+
+
+@pytest.mark.skipif("openblas" not in blas_library(), reason="numpy's BLAS is not OpenBLAS")
+def test_scorer_bundle_bytes_do_not_depend_on_the_openblas_thread_count(pipeline_dir, tmp_path):
+    # one default-size bundle per thread count, each trained in a fresh
+    # process in its own directory on the same relative paths
+    assert sum(len(cs) for cs in read_nbest(pipeline_dir["jk"]).sets) >= 128
+    bundles = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        shutil.copy(pipeline_dir["jk"], run_dir / "train.nbest")
+        shutil.copy(pipeline_dir["dev_nbest"], run_dir / "dev.nbest")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-m", "nerrank", "rerank-train", "--train-nbest-path", "train.nbest",
+             "--dev-nbest-path", "dev.nbest", "--bundle-path", "bundle", "--epochs", "2", "--seed", "5"],
+            cwd=run_dir, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        bundles.append(run_dir / "bundle")
+    one, two = bundles
+    assert (one / "weights.bin").read_bytes() == (two / "weights.bin").read_bytes()
+    assert (one / "meta.json").read_bytes() == (two / "meta.json").read_bytes()

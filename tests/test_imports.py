@@ -13,9 +13,14 @@ call.
 
 Only two functions write files: `corpus.replacing`, which every output
 goes through so that it is replaced whole, and `numerics.npz.write_npz`,
-the one npz encoder, which writes into the file `replacing` opened."""
+the one npz encoder, which writes into the file `replacing` opened.
+
+Every function and method defined under src/nerrank is referenced in
+src/nerrank outside its own body: a form that only tests call is a second
+way in that the program never takes."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -229,3 +234,99 @@ def test_the_write_scan_sees_every_form_of_write():
         ("writes", 11, "tofile"),
         ("<module>", 12, "open"),
     ]
+
+
+# referenced from outside the package only: perfbench/tracer.py wraps the two
+# CrfModel methods by name, and argparse calls `error` on its parser
+UNREFERENCED = {
+    "baseline/crf.py": {"CrfModel.emission_scores", "CrfModel.log_partition"},
+    "cli.py": {"_Parser.error"},
+}
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+    """Each function and method a module defines, nested ones included,
+    named `Class.method` inside a class body and by its own name elsewhere."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((f"{owner}.{child.name}" if owner else child.name, child))
+                visit(child, None)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def read_names(node: ast.AST) -> Counter:
+    """How often each name is read below `node`, as a name (`f`) or as an
+    attribute (`x.f`). An import binds a name without reading it."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Per module, each function or method whose name no code of any of
+    the modules reads outside the definition's own body. Names match by
+    name alone, so a method counts as referenced when any `x.name` is read.
+    Dunder methods are exempt: Python calls them."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    total = sum((read_names(tree) for tree in trees.values()), Counter())
+    found = {}
+    for module, tree in trees.items():
+        for qualified, node in definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if total[name] == read_names(node)[name]:
+                found.setdefault(module, []).append(qualified)
+    return found
+
+
+def test_every_function_is_referenced_outside_its_body():
+    sources = {
+        str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    found = {
+        module: [name for name in names if name not in UNREFERENCED.get(module, set())]
+        for module, names in unreferenced(sources).items()
+    }
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_the_reference_scan_sees_an_unused_helper():
+    sources = {
+        "a.py": (
+            "from .b import used, exported\n"
+            "class Model:\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "    def step(self):\n"
+            "        return self.step()\n"
+            "    def run(self):\n"
+            "        def inner():\n"
+            "            return used()\n"
+            "        return inner()\n"
+            "def go(m):\n"
+            "    return m.run()\n"
+            "go(Model())\n"
+        ),
+        "b.py": (
+            "def used():\n"
+            "    return 1\n"
+            "def exported():\n"
+            "    return 2\n"
+            "def recurse(n):\n"
+            "    return recurse(n - 1) if n else 0\n"
+        ),
+    }
+    assert unreferenced(sources) == {"a.py": ["Model.step"], "b.py": ["exported", "recurse"]}

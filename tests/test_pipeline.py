@@ -189,19 +189,19 @@ def loss_fixture(targets, *, l2=0.0, zero_head=True):
 def test_zero_error_zero_l2_gives_zero_loss():
     # a zeroed head scores exactly 0.5 everywhere
     scorer, examples, _ = loss_fixture([0.5, 0.5, 0.5])
-    assert batch_loss(scorer, examples, 0.0, train=False).item() == 0.0
+    assert batch_loss(scorer, examples, 0.0).item() == 0.0
 
 
 def test_single_example_squared_error():
     scorer, examples, _ = loss_fixture([1.0])
-    assert batch_loss(scorer, examples, 0.0, train=False).item() == pytest.approx(
+    assert batch_loss(scorer, examples, 0.0).item() == pytest.approx(
         0.25, abs=1e-15
     )
 
 
 def test_loss_is_mean_over_batch():
     scorer, examples, _ = loss_fixture([1.0, 0.0])
-    assert batch_loss(scorer, examples, 0.0, train=False).item() == pytest.approx(
+    assert batch_loss(scorer, examples, 0.0).item() == pytest.approx(
         0.25, abs=1e-15
     )
 
@@ -212,19 +212,19 @@ def test_l2_term_matches_direct_parameter_norm():
     norm_sq = sum(
         float(np.sum(t.data * t.data)) for _, t in scorer.trainable()
     )
-    got = batch_loss(scorer, examples, lam, train=False).item()
+    got = batch_loss(scorer, examples, lam).item()
     assert got == pytest.approx((lam / 2.0) * norm_sq, rel=1e-12)
 
 
 def test_l2_covers_all_trainable_parameters():
     # zeroing the head changes the penalty by exactly its squared norm
     scorer, examples, lam = loss_fixture([0.5, 0.5], l2=0.5, zero_head=False)
-    before = batch_loss(scorer, examples, 0.5, train=False).item()
+    before = batch_loss(scorer, examples, 0.5).item()
     head_sq = float(np.sum(scorer.params["head_w"].data ** 2))
     err = (scorer.score_batch([examples[0].tokens]).item() - 0.5) ** 2
     scorer.params["head_w"].data[:] = 0.0
     scorer.params["head_b"].data[:] = 0.0
-    after = batch_loss(scorer, examples, 0.5, train=False).item()
+    after = batch_loss(scorer, examples, 0.5).item()
     assert before - err == pytest.approx(after + 0.25 * head_sq, rel=1e-9)
 
 
