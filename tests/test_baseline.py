@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from nerrank.baseline import crf as crf_module
@@ -1154,11 +1154,36 @@ def fold(ds: Dataset, held: range) -> tuple[Dataset, Dataset]:
     )
 
 
+def test_jackknife_even_split():
+    ds = simple_corpus(10)
+    pairs = [fold(ds, block) for block in jackknife(len(ds), 5)]
+    held_ids = [tuple(s.id for s in held.sentences) for _, held in pairs]
+    assert [len(h) for h in held_ids] == [2, 2, 2, 2, 2]
+    flat = [i for h in held_ids for i in h]
+    assert sorted(flat) == list(range(10))
+    for train_part, held in pairs:
+        assert len(train_part) == 8
+        train_ids = {s.id for s in train_part.sentences}
+        assert train_ids.isdisjoint({s.id for s in held.sentences})
+
+
+def test_jackknife_uneven_split():
+    assert [len(block) for block in jackknife(11, 5)] == [3, 2, 2, 2, 2]
+
+
+def test_jackknife_two_of_two():
+    assert [len(block) for block in jackknife(2, 2)] == [1, 1]
+
+
+def test_jackknife_blocks_are_contiguous():
+    ds = simple_corpus(10)
+    for block in jackknife(len(ds), 3):
+        _, held = fold(ds, block)
+        ids = [s.id for s in held.sentences]
+        assert ids == list(range(ids[0], ids[0] + len(ids)))
+
+
 @given(st.integers(2, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))))
-@example((10, 5))  # even: 2, 2, 2, 2, 2
-@example((11, 5))  # uneven: 3, 2, 2, 2, 2
-@example((2, 2))  # 1, 1
-@example((10, 3))  # 4, 3, 3
 def test_jackknife_blocks_tile_the_corpus_in_order(case):
     n, folds = case
     blocks = jackknife(n, folds)
